@@ -199,8 +199,9 @@ type Result struct {
 // (and evicting the LRU victim) on a miss. The owner of the block is
 // updated to ctx on every access, matching the paper's "current owner
 // context in the cache block metadata".
-func (c *Cache) Access(addr uint64, ctx uint8) Result {
-	return c.AccessInWays(addr, ctx, 0, c.cfg.Ways)
+func (c *Cache) Access(addr uint64, ctx uint8) (res Result) {
+	c.AccessInto(&res, addr, ctx, 0, c.cfg.Ways)
+	return res
 }
 
 // AccessHit is Access for callers that only consume the hit/miss bit —
@@ -248,7 +249,17 @@ func (c *Cache) AccessHit(addr uint64, ctx uint8) bool {
 // Partition-Locking idea). Hits are honored in any way (data is data),
 // but on a miss the victim is chosen only inside the context's
 // partition, so one partition can never evict another's blocks.
-func (c *Cache) AccessInWays(addr uint64, ctx uint8, lo, hi int) Result {
+func (c *Cache) AccessInWays(addr uint64, ctx uint8, lo, hi int) (res Result) {
+	c.AccessInto(&res, addr, ctx, lo, hi)
+	return res
+}
+
+// AccessInto is AccessInWays writing its Result into the caller-owned
+// *res, overwriting every field. It is the simulator's per-access L2
+// path: Result is too large for Go to keep in registers, so returning
+// it by value would spill and reload it through the stack on every
+// access.
+func (c *Cache) AccessInto(res *Result, addr uint64, ctx uint8, lo, hi int) {
 	if lo < 0 || hi > c.cfg.Ways || lo >= hi {
 		panic(fmt.Sprintf("cache: bad way range [%d, %d) of %d", lo, hi, c.cfg.Ways))
 	}
@@ -258,14 +269,14 @@ func (c *Cache) AccessInWays(addr uint64, ctx uint8, lo, hi int) Result {
 	ways := c.tags[setBase : setBase+c.cfg.Ways]
 	key := tagKey(lineAddr)
 	enc := key<<8 | uint64(ctx)
-	res := Result{Set: uint32(set), LineAddr: lineAddr}
+	*res = Result{Set: uint32(set), LineAddr: lineAddr}
 	for i := range ways {
 		if tagOf(ways[i]) == key {
 			ways[i] = enc
 			c.touch(set, i)
 			res.Hit = true
 			c.hits++
-			return res
+			return
 		}
 	}
 	c.misses++
@@ -296,7 +307,6 @@ func (c *Cache) AccessInWays(addr uint64, ctx uint8, lo, hi int) Result {
 	}
 	ways[victim] = enc
 	c.touch(set, victim)
-	return res
 }
 
 // InvalidateLine removes the block with the given line address (the

@@ -193,3 +193,24 @@ func TestStatsEvictionsCount(t *testing.T) {
 		t.Errorf("stats: %+v (want 5 misses, 3 evictions)", s)
 	}
 }
+
+// TestAccessIntoOverwritesResult drives two identical caches through
+// the same miss, hit and eviction sequence, one through Access and one
+// through AccessInto with a result slot reused across calls and
+// poisoned before each: every field must come from the access, never
+// from the slot's previous contents.
+func TestAccessIntoOverwritesResult(t *testing.T) {
+	byValue, inPlace := small(), small()
+	var res Result
+	for i, addr := range []uint64{0, 0, 256, 512, 0, 768, 256} {
+		want := byValue.Access(addr, uint8(i))
+		res = Result{Hit: true, Set: 99, LineAddr: 99, Evicted: true, EvictedLine: 99, EvictedOwner: 99}
+		inPlace.AccessInto(&res, addr, uint8(i), 0, inPlace.Ways())
+		if res != want {
+			t.Errorf("access %d (addr %#x): AccessInto %+v, Access %+v", i, addr, res, want)
+		}
+	}
+	if byValue.Stats().Evictions == 0 {
+		t.Fatal("sequence never evicted; the eviction fields went unchecked")
+	}
+}

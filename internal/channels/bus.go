@@ -97,18 +97,19 @@ func (t *BusTrojan) Begin(m *sim.Machine) {
 }
 
 // Step implements sim.Stepper.
-func (t *BusTrojan) Step(prev sim.OpResult) (sim.Op, bool) {
+func (t *BusTrojan) Step(prev sim.OpResult, op *sim.Op) bool {
 	for {
 		switch t.pc {
 		case btSlot:
 			bit, done := t.cfg.bitAt(t.i)
 			if done {
-				return sim.Op{}, false
+				return false
 			}
 			t.bit = bit
 			t.start = t.cfg.Start + uint64(t.i)*t.slot + t.cfg.slotJitter(t.i, t.slot)
 			t.pc = btGate
-			return sim.Op{Kind: sim.OpWaitUntil, Cycles: t.start}, true
+			*op = sim.Op{Kind: sim.OpWaitUntil, Cycles: t.start}
+			return true
 
 		case btGate:
 			t.spacing = t.cfg.dutySpacing(t.cfg.LockSpacing)
@@ -127,7 +128,8 @@ func (t *BusTrojan) Step(prev sim.OpResult) (sim.Op, bool) {
 		case btBurst:
 			if t.k*t.spacing < t.burst {
 				t.pc = btLock
-				return sim.Op{Kind: sim.OpWaitUntil, Cycles: t.start + t.k*t.spacing}, true
+				*op = sim.Op{Kind: sim.OpWaitUntil, Cycles: t.start + t.k*t.spacing}
+				return true
 			}
 			t.i++
 			t.pc = btSlot
@@ -135,7 +137,8 @@ func (t *BusTrojan) Step(prev sim.OpResult) (sim.Op, bool) {
 		case btLock:
 			t.k++
 			t.pc = btBurst
-			return sim.Op{Kind: sim.OpAtomicUnaligned}, true
+			*op = sim.Op{Kind: sim.OpAtomicUnaligned}
+			return true
 		}
 	}
 }
@@ -198,12 +201,12 @@ func (s *BusSpy) Begin(m *sim.Machine) {
 }
 
 // Step implements sim.Stepper.
-func (s *BusSpy) Step(prev sim.OpResult) (sim.Op, bool) {
+func (s *BusSpy) Step(prev sim.OpResult, op *sim.Op) bool {
 	for {
 		switch s.pc {
 		case bsSlot:
 			if _, done := s.cfg.bitAt(s.i); done {
-				return sim.Op{}, false
+				return false
 			}
 			s.start = s.cfg.Start + uint64(s.i)*s.slot + s.cfg.slotJitter(s.i, s.slot)
 			s.total = 0
@@ -215,8 +218,9 @@ func (s *BusSpy) Step(prev sim.OpResult) (sim.Op, bool) {
 				// Sample a third of the way into each spacing interval so
 				// the probes never alias onto the trojan's lock grid.
 				s.pc = bsLoad
-				return sim.Op{Kind: sim.OpWaitUntil,
-					Cycles: s.start + uint64(s.k)*s.spacing + s.spacing/3}, true
+				*op = sim.Op{Kind: sim.OpWaitUntil,
+					Cycles: s.start + uint64(s.k)*s.spacing + s.spacing/3}
+				return true
 			}
 			avg := s.total / uint64(s.cfg.SamplesPerBit)
 			s.perBitLatency = append(s.perBitLatency, float64(avg))
@@ -233,7 +237,8 @@ func (s *BusSpy) Step(prev sim.OpResult) (sim.Op, bool) {
 			// load's latency exposes the bus state.
 			s.probe++
 			s.pc = bsAcc
-			return sim.Op{Kind: sim.OpLoad, Addr: s.m.PrivateAddr(1<<30 + s.probe)}, true
+			*op = sim.Op{Kind: sim.OpLoad, Addr: s.m.PrivateAddr(1<<30 + s.probe)}
+			return true
 
 		case bsAcc:
 			s.total += prev.Latency

@@ -120,13 +120,13 @@ func (t *CacheTrojan) Begin(m *sim.Machine) {
 }
 
 // Step implements sim.Stepper.
-func (t *CacheTrojan) Step(prev sim.OpResult) (sim.Op, bool) {
+func (t *CacheTrojan) Step(prev sim.OpResult, op *sim.Op) bool {
 	for {
 		switch t.pc {
 		case ctSlot:
 			bit, done := t.cfg.bitAt(t.i)
 			if done {
-				return sim.Op{}, false
+				return false
 			}
 			// Slot 0 is the spy's warm-up prime; transmission starts at
 			// slot 1.
@@ -142,7 +142,8 @@ func (t *CacheTrojan) Step(prev sim.OpResult) (sim.Op, bool) {
 			if t.r < t.cfg.RoundsPerBit {
 				t.setIdx = 0
 				t.pc = ctSet
-				return sim.Op{Kind: sim.OpWaitUntil, Cycles: t.start + uint64(t.r)*t.round}, true
+				*op = sim.Op{Kind: sim.OpWaitUntil, Cycles: t.start + uint64(t.r)*t.round}
+				return true
 			}
 			t.i++
 			t.pc = ctSlot
@@ -162,7 +163,8 @@ func (t *CacheTrojan) Step(prev sim.OpResult) (sim.Op, bool) {
 					t.addrs[w] = t.m.L2AddrForSet(set, w)
 				}
 				t.setIdx++
-				return sim.Op{Kind: sim.OpLoadN, Addrs: t.addrs}, true
+				*op = sim.Op{Kind: sim.OpLoadN, Addrs: t.addrs}
+				return true
 			}
 			t.r++
 			t.pc = ctRound
@@ -251,13 +253,14 @@ func (s *CacheSpy) startProbe(group []uint32, after int) {
 }
 
 // Step implements sim.Stepper.
-func (s *CacheSpy) Step(prev sim.OpResult) (sim.Op, bool) {
+func (s *CacheSpy) Step(prev sim.OpResult, op *sim.Op) bool {
 	for {
 		switch s.pc {
 		case csWarm:
 			// Warm-up: prime both groups during slot 0.
 			s.pc = csWarmG1
-			return sim.Op{Kind: sim.OpWaitUntil, Cycles: s.cfg.Start}, true
+			*op = sim.Op{Kind: sim.OpWaitUntil, Cycles: s.cfg.Start}
+			return true
 
 		case csWarmG1:
 			s.startProbe(s.g1, csWarmG0)
@@ -267,7 +270,7 @@ func (s *CacheSpy) Step(prev sim.OpResult) (sim.Op, bool) {
 
 		case csSlot:
 			if _, done := s.cfg.bitAt(s.i); done {
-				return sim.Op{}, false
+				return false
 			}
 			s.start = s.cfg.Start + uint64(s.i+1)*s.slot + s.cfg.slotJitter(s.i, s.slot)
 			s.lat1, s.lat0 = 0, 0
@@ -279,8 +282,9 @@ func (s *CacheSpy) Step(prev sim.OpResult) (sim.Op, bool) {
 				// Probe halfway through each round, after the trojan's
 				// replacements.
 				s.pc = csProbeG1
-				return sim.Op{Kind: sim.OpWaitUntil,
-					Cycles: s.start + uint64(s.r)*s.round + s.round/2}, true
+				*op = sim.Op{Kind: sim.OpWaitUntil,
+					Cycles: s.start + uint64(s.r)*s.round + s.round/2}
+				return true
 			}
 			ratio := float64(s.lat1) / float64(s.lat0)
 			s.perBitRatio = append(s.perBitRatio, ratio)
@@ -312,7 +316,8 @@ func (s *CacheSpy) Step(prev sim.OpResult) (sim.Op, bool) {
 				}
 				s.setIdx++
 				s.pc = csProbeAcc
-				return sim.Op{Kind: sim.OpLoadN, Addrs: s.addrs}, true
+				*op = sim.Op{Kind: sim.OpLoadN, Addrs: s.addrs}
+				return true
 			}
 			s.pc = s.afterProbe
 

@@ -82,18 +82,19 @@ func (t *DivTrojan) Begin(m *sim.Machine) {
 }
 
 // Step implements sim.Stepper.
-func (t *DivTrojan) Step(prev sim.OpResult) (sim.Op, bool) {
+func (t *DivTrojan) Step(prev sim.OpResult, op *sim.Op) bool {
 	for {
 		switch t.pc {
 		case dtSlot:
 			bit, done := t.cfg.bitAt(t.i)
 			if done {
-				return sim.Op{}, false
+				return false
 			}
 			t.bit = bit
 			t.start = t.cfg.Start + uint64(t.i)*t.slot + t.cfg.slotJitter(t.i, t.slot)
 			t.pc = dtGate
-			return sim.Op{Kind: sim.OpWaitUntil, Cycles: t.start}, true
+			*op = sim.Op{Kind: sim.OpWaitUntil, Cycles: t.start}
+			return true
 
 		case dtGate:
 			t.now = prev.Now
@@ -116,12 +117,14 @@ func (t *DivTrojan) Step(prev sim.OpResult) (sim.Op, bool) {
 
 		case dtDiv:
 			t.pc = dtNow
-			return sim.Op{Kind: sim.OpDiv}, true
+			*op = sim.Op{Kind: sim.OpDiv}
+			return true
 
 		case dtNow:
 			t.divLat = prev.Latency
 			t.pc = dtNowDone
-			return sim.Op{Kind: sim.OpNow}, true
+			*op = sim.Op{Kind: sim.OpNow}
+			return true
 
 		case dtNowDone:
 			t.now = prev.Now
@@ -129,7 +132,8 @@ func (t *DivTrojan) Step(prev sim.OpResult) (sim.Op, bool) {
 				// Amplitude duty cycle: idle after each division so the
 				// contention rate scales to DutyFrac.
 				t.pc = dtGapDone
-				return sim.Op{Kind: sim.OpWaitUntil, Cycles: t.now + gap}, true
+				*op = sim.Op{Kind: sim.OpWaitUntil, Cycles: t.now + gap}
+				return true
 			}
 			t.pc = dtLoop
 
@@ -195,16 +199,17 @@ func (s *DivSpy) Begin(m *sim.Machine) {
 }
 
 // Step implements sim.Stepper.
-func (s *DivSpy) Step(prev sim.OpResult) (sim.Op, bool) {
+func (s *DivSpy) Step(prev sim.OpResult, op *sim.Op) bool {
 	for {
 		switch s.pc {
 		case dsSlot:
 			if _, done := s.cfg.bitAt(s.i); done {
-				return sim.Op{}, false
+				return false
 			}
 			s.start = s.cfg.Start + uint64(s.i)*s.slot + s.cfg.slotJitter(s.i, s.slot)
 			s.pc = dsGate
-			return sim.Op{Kind: sim.OpWaitUntil, Cycles: s.start}, true
+			*op = sim.Op{Kind: sim.OpWaitUntil, Cycles: s.start}
+			return true
 
 		case dsGate:
 			s.now = prev.Now
@@ -231,13 +236,15 @@ func (s *DivSpy) Step(prev sim.OpResult) (sim.Op, bool) {
 		case dsDiv:
 			if s.j < s.cfg.OpsPerSample {
 				s.j++
-				return sim.Op{Kind: sim.OpDiv}, true
+				*op = sim.Op{Kind: sim.OpDiv}
+				return true
 			}
 			s.pc = dsNow
 
 		case dsNow:
 			s.pc = dsNowDone
-			return sim.Op{Kind: sim.OpNow}, true
+			*op = sim.Op{Kind: sim.OpNow}
+			return true
 
 		case dsNowDone:
 			s.now = prev.Now

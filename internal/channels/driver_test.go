@@ -9,20 +9,36 @@ import (
 	"cchunter/internal/trace"
 )
 
+// poisonedSlot fills the op slot with garbage before every Step. The
+// Stepper contract makes Step overwrite every field of *op, so a
+// stepper that sets only some of them executes a corrupted op and its
+// run diverges from the unwrapped one.
+type poisonedSlot struct{ sim.Stepper }
+
+var poisonAddrs = []uint64{^uint64(0), 1 << 40}
+
+func (p *poisonedSlot) Run(m *sim.Machine) { sim.RunSteps(p, m) }
+
+func (p *poisonedSlot) Step(prev sim.OpResult, op *sim.Op) bool {
+	*op = sim.Op{Kind: sim.OpWaitUntil, Addr: ^uint64(0), Addrs: poisonAddrs, Cycles: 1 << 62, Count: 3}
+	return p.Stepper.Step(prev, op)
+}
+
 // TestDriversProduceIdenticalChannels is the step engine's
 // differential test: every covert channel run under the coroutine-free
 // step driver must be byte-identical — decoded bits, per-bit
 // observables, and the full raw event train — to the same run under
 // the legacy goroutine reference driver. The two drivers execute the
 // identical op stream through the identical engine core, so any
-// divergence is a conversion bug in a Stepper state machine.
+// divergence is a conversion bug in a Stepper state machine. A third
+// run, with every op slot poisoned before each Step, must match too.
 func TestDriversProduceIdenticalChannels(t *testing.T) {
 	type outcome struct {
 		decoded []int
 		series  []float64
 		events  []trace.Event
 	}
-	run := func(channel string, driver sim.Driver) outcome {
+	run := func(channel string, driver sim.Driver, poison bool) outcome {
 		cfg := sim.TestConfig()
 		cfg.Driver = driver
 		if channel == "ring" {
@@ -33,6 +49,12 @@ func TestDriversProduceIdenticalChannels(t *testing.T) {
 		rec := trace.NewRecorder()
 		s.AddListener(rec)
 		msg := RandomMessage(12, 11)
+		spawn := func(p sim.Stepper, ctx int) {
+			if poison {
+				p = &poisonedSlot{p}
+			}
+			s.Spawn(p, sim.Pin(ctx))
+		}
 		var dur uint64
 		var decoded func() []int
 		var series func() []float64
@@ -40,37 +62,37 @@ func TestDriversProduceIdenticalChannels(t *testing.T) {
 		case "bus":
 			c := DefaultBusConfig(msg, 25_000)
 			spy := NewBusSpy(c)
-			s.Spawn(NewBusTrojan(c), sim.Pin(0))
-			s.Spawn(spy, sim.Pin(2))
+			spawn(NewBusTrojan(c), 0)
+			spawn(spy, 2)
 			dur = uint64(len(msg)+1) * c.slotCycles(s.Geometry())
 			decoded, series = spy.Decoded, spy.PerBitLatency
 		case "div":
 			c := DefaultDivConfig(msg, 25_000)
 			spy := NewDivSpy(c)
-			s.Spawn(NewDivTrojan(c), sim.Pin(0))
-			s.Spawn(spy, sim.Pin(1))
+			spawn(NewDivTrojan(c), 0)
+			spawn(spy, 1)
 			dur = uint64(len(msg)+1) * c.slotCycles(s.Geometry())
 			decoded, series = spy.Decoded, spy.PerBitLatency
 		case "cache":
 			c := DefaultCacheConfig(msg, 2_000)
 			c.SetsUsed = 256
 			spy := NewCacheSpy(c)
-			s.Spawn(NewCacheTrojan(c), sim.Pin(0))
-			s.Spawn(spy, sim.Pin(1))
+			spawn(NewCacheTrojan(c), 0)
+			spawn(spy, 1)
 			dur = uint64(len(msg)+2) * c.slotCycles(s.Geometry())
 			decoded, series = spy.Decoded, spy.PerBitRatio
 		case "ring":
 			c := DefaultRingConfig(msg, 25_000)
 			spy := NewRingSpy(c)
-			s.Spawn(NewRingTrojan(c), sim.Pin(0))
-			s.Spawn(spy, sim.Pin(2))
+			spawn(NewRingTrojan(c), 0)
+			spawn(spy, 2)
 			dur = uint64(len(msg)+1) * c.slotCycles(s.Geometry())
 			decoded, series = spy.Decoded, spy.PerBitSlowFrac
 		case "tlb":
 			c := DefaultTLBConfig(msg, 25_000)
 			spy := NewTLBSpy(c)
-			s.Spawn(NewTLBTrojan(c), sim.Pin(0))
-			s.Spawn(spy, sim.Pin(1))
+			spawn(NewTLBTrojan(c), 0)
+			spawn(spy, 1)
 			dur = uint64(len(msg)/c.SymbolBits+2) * c.symbolSlot(s.Geometry())
 			decoded, series = spy.Decoded, spy.PerSymbolMissFrac
 		}
@@ -79,8 +101,12 @@ func TestDriversProduceIdenticalChannels(t *testing.T) {
 	}
 	for _, channel := range []string{"bus", "div", "cache", "ring", "tlb"} {
 		t.Run(channel, func(t *testing.T) {
-			step := run(channel, sim.DriverStep)
-			ref := run(channel, sim.DriverGoroutine)
+			step := run(channel, sim.DriverStep, false)
+			ref := run(channel, sim.DriverGoroutine, false)
+			poisoned := run(channel, sim.DriverStep, true)
+			if !reflect.DeepEqual(step, poisoned) {
+				t.Errorf("a stepper leaves part of its op slot unwritten: poisoned-slot run differs")
+			}
 			if !reflect.DeepEqual(step.decoded, ref.decoded) {
 				t.Errorf("decoded bits differ: step %v vs goroutine %v",
 					step.decoded, ref.decoded)

@@ -131,18 +131,19 @@ func (t *RingTrojan) addr() uint64 {
 }
 
 // Step implements sim.Stepper.
-func (t *RingTrojan) Step(prev sim.OpResult) (sim.Op, bool) {
+func (t *RingTrojan) Step(prev sim.OpResult, op *sim.Op) bool {
 	for {
 		switch t.pc {
 		case rtSlot:
 			bit, done := t.cfg.bitAt(t.i)
 			if done {
-				return sim.Op{}, false
+				return false
 			}
 			t.bit = bit
 			t.start = t.cfg.Start + uint64(t.i)*t.slot + t.cfg.slotJitter(t.i, t.slot)
 			t.pc = rtGate
-			return sim.Op{Kind: sim.OpWaitUntil, Cycles: t.start}, true
+			*op = sim.Op{Kind: sim.OpWaitUntil, Cycles: t.start}
+			return true
 
 		case rtGate:
 			t.now = prev.Now
@@ -163,13 +164,15 @@ func (t *RingTrojan) Step(prev sim.OpResult) (sim.Op, bool) {
 
 		case rtLoad:
 			t.pc = rtLoadDone
-			return sim.Op{Kind: sim.OpLoad, Addr: t.addr()}, true
+			*op = sim.Op{Kind: sim.OpLoad, Addr: t.addr()}
+			return true
 
 		case rtLoadDone:
 			t.now = prev.Now
 			if gap := t.cfg.dutyGap(prev.Latency); gap > 0 {
 				t.pc = rtGapDone
-				return sim.Op{Kind: sim.OpWaitUntil, Cycles: t.now + gap}, true
+				*op = sim.Op{Kind: sim.OpWaitUntil, Cycles: t.now + gap}
+				return true
 			}
 			t.pc = rtLoop
 
@@ -256,7 +259,7 @@ func (s *RingSpy) addr() uint64 {
 }
 
 // Step implements sim.Stepper.
-func (s *RingSpy) Step(prev sim.OpResult) (sim.Op, bool) {
+func (s *RingSpy) Step(prev sim.OpResult, op *sim.Op) bool {
 	for {
 		switch s.pc {
 		case rsWarm:
@@ -268,7 +271,8 @@ func (s *RingSpy) Step(prev sim.OpResult) (sim.Op, bool) {
 			if s.w < 2*s.cfg.LinesPerSide {
 				s.w++
 				s.pc = rsWarmDone
-				return sim.Op{Kind: sim.OpLoad, Addr: s.addr()}, true
+				*op = sim.Op{Kind: sim.OpLoad, Addr: s.addr()}
+				return true
 			}
 			s.pc = rsSlot
 
@@ -282,11 +286,12 @@ func (s *RingSpy) Step(prev sim.OpResult) (sim.Op, bool) {
 
 		case rsSlot:
 			if _, done := s.cfg.bitAt(s.i); done {
-				return sim.Op{}, false
+				return false
 			}
 			s.start = s.cfg.Start + uint64(s.i)*s.slot + s.cfg.slotJitter(s.i, s.slot)
 			s.pc = rsGate
-			return sim.Op{Kind: sim.OpWaitUntil, Cycles: s.start}, true
+			*op = sim.Op{Kind: sim.OpWaitUntil, Cycles: s.start}
+			return true
 
 		case rsGate:
 			s.now = prev.Now
@@ -296,7 +301,8 @@ func (s *RingSpy) Step(prev sim.OpResult) (sim.Op, bool) {
 		case rsLoop:
 			if s.now < s.start+s.burst {
 				s.pc = rsLoadDone
-				return sim.Op{Kind: sim.OpLoad, Addr: s.addr()}, true
+				*op = sim.Op{Kind: sim.OpLoad, Addr: s.addr()}
+				return true
 			}
 			s.perBitSlowFrac = append(s.perBitSlowFrac, float64(s.slow)/float64(s.samples))
 			// Both ends know the evader's duty cycle, so the spy scales

@@ -140,13 +140,13 @@ func (t *TLBTrojan) Begin(m *sim.Machine) {
 }
 
 // Step implements sim.Stepper.
-func (t *TLBTrojan) Step(prev sim.OpResult) (sim.Op, bool) {
+func (t *TLBTrojan) Step(prev sim.OpResult, op *sim.Op) bool {
 	for {
 		switch t.pc {
 		case ttSlot:
 			sym, done := t.cfg.symbolAt(t.si)
 			if done {
-				return sim.Op{}, false
+				return false
 			}
 			t.sym = sym
 			t.groupBase = sym * t.sets
@@ -159,7 +159,8 @@ func (t *TLBTrojan) Step(prev sim.OpResult) (sim.Op, bool) {
 			if t.r < t.cfg.RoundsPerSymbol {
 				t.n = 0
 				t.pc = ttProbe
-				return sim.Op{Kind: sim.OpWaitUntil, Cycles: t.start + uint64(t.r)*t.round}, true
+				*op = sim.Op{Kind: sim.OpWaitUntil, Cycles: t.start + uint64(t.r)*t.round}
+				return true
 			}
 			t.si++
 			t.pc = ttSlot
@@ -174,8 +175,9 @@ func (t *TLBTrojan) Step(prev sim.OpResult) (sim.Op, bool) {
 				way := t.n / t.sets
 				t.n++
 				geo := t.m.Geometry()
-				return sim.Op{Kind: sim.OpTLBProbe,
-					Addr: t.m.PrivateAddr(tlbPage(way, set, geo.TLBSets))}, true
+				*op = sim.Op{Kind: sim.OpTLBProbe,
+					Addr: t.m.PrivateAddr(tlbPage(way, set, geo.TLBSets))}
+				return true
 			}
 			t.r++
 			t.pc = ttRound
@@ -249,29 +251,30 @@ func (s *TLBSpy) Begin(m *sim.Machine) {
 	s.pc = tsPrime
 }
 
-// probeOp issues the n-th probe of a pass, recording its set for the
-// classification step.
-func (s *TLBSpy) probeOp() sim.Op {
+// probeOp writes the n-th probe of a pass into op, recording its set
+// for the classification step.
+func (s *TLBSpy) probeOp(op *sim.Op) {
 	s.set = s.n % s.sets
 	way := s.n / s.sets
 	s.n++
-	return sim.Op{Kind: sim.OpTLBProbe,
+	*op = sim.Op{Kind: sim.OpTLBProbe,
 		Addr: s.m.PrivateAddr(tlbPage(way, s.set, s.sets))}
 }
 
 // Step implements sim.Stepper.
-func (s *TLBSpy) Step(prev sim.OpResult) (sim.Op, bool) {
+func (s *TLBSpy) Step(prev sim.OpResult, op *sim.Op) bool {
 	for {
 		switch s.pc {
 		case tsPrime:
 			if s.n < s.sets*s.ways {
-				return s.probeOp(), true
+				s.probeOp(op)
+				return true
 			}
 			s.pc = tsSlot
 
 		case tsSlot:
 			if _, done := s.cfg.symbolAt(s.si); done {
-				return sim.Op{}, false
+				return false
 			}
 			s.start = s.cfg.Start + uint64(s.si+1)*s.slot + s.cfg.slotJitter(s.si, s.slot)
 			for g := range s.misses {
@@ -285,8 +288,9 @@ func (s *TLBSpy) Step(prev sim.OpResult) (sim.Op, bool) {
 				s.n = 0
 				s.pc = tsProbe
 				// Probe halfway into the round, after the trojan's fills.
-				return sim.Op{Kind: sim.OpWaitUntil,
-					Cycles: s.start + uint64(s.r)*s.round + s.round/2}, true
+				*op = sim.Op{Kind: sim.OpWaitUntil,
+					Cycles: s.start + uint64(s.r)*s.round + s.round/2}
+				return true
 			}
 			sym := DecodeTLBSymbol(s.misses)
 			total, win := 0, s.misses[sym]
@@ -310,7 +314,8 @@ func (s *TLBSpy) Step(prev sim.OpResult) (sim.Op, bool) {
 		case tsProbe:
 			if s.n < s.sets*s.ways {
 				s.pc = tsProbeDone
-				return s.probeOp(), true
+				s.probeOp(op)
+				return true
 			}
 			s.r++
 			s.pc = tsRound

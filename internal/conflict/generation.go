@@ -184,37 +184,46 @@ func (g *Generational) remove(pos uint64) {
 
 // Observe implements Tracker.
 func (g *Generational) Observe(o Observation) bool {
+	return g.ObserveAccess(o.LineAddr, o.Hit, o.Evicted, o.EvictedLine)
+}
+
+// ObserveAccess is Observe taking only the four fields the practical
+// tracker reads: the accessed line, whether it hit, and whether (and
+// which) line it evicted. It is the simulator's per-access call —
+// four scalars travel in registers, where a seven-field Observation
+// would be spilled to the stack and reloaded on every L2 access.
+func (g *Generational) ObserveAccess(line uint64, hit, evicted bool, evictedLine uint64) bool {
 	conflict := false
-	if !o.Hit {
+	if !hit {
 		// Check whether the incoming tag was recently prematurely
 		// evicted: a hit in any generation's Bloom filter means the
 		// block was accessed in that generation but replaced to make
 		// room before the cache cycled through full capacity. The tag
 		// is hashed once; the filters share one geometry.
-		g.probes = g.filters[0].AppendProbes(g.probes, o.LineAddr)
+		g.probes = g.filters[0].AppendProbes(g.probes, line)
 		if bloom.AnyContainsAt(g.filters[:], g.probes) {
 			conflict = true
 			g.conflicts++
 		}
 	}
-	if o.Evicted {
+	if evicted {
 		// Record the displaced tag in the Bloom filter of the latest
 		// generation in which it was accessed.
-		if pos, ok := g.find(o.EvictedLine); ok {
-			g.filters[g.latestGeneration(g.masks[pos])].Add(o.EvictedLine)
+		if pos, ok := g.find(evictedLine); ok {
+			g.filters[g.latestGeneration(g.masks[pos])].Add(evictedLine)
 			g.remove(pos)
 		}
 	}
 	// Mark the accessed block in the current generation (emulating
 	// placement at the top of the LRU stack).
 	bit := uint8(1) << uint(g.current)
-	pos, found := g.find(o.LineAddr)
+	pos, found := g.find(line)
 	mask := uint8(0)
 	if found {
 		mask = g.masks[pos]
 	}
 	if mask&bit == 0 {
-		g.keys[pos] = o.LineAddr
+		g.keys[pos] = line
 		g.masks[pos] = mask | bit
 		g.accessed++
 		if g.accessed >= g.threshold {

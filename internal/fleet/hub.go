@@ -246,9 +246,9 @@ func (h *Hub) accountHost(hostName, tenant string, produced, shed uint64, backlo
 		t.Shed += ht.shed
 		t.Backlog += ht.backlog
 	}
-	h.reg.Gauge("fleet.tenant.produced."+tenant).Set(int64(t.Produced))
-	h.reg.Gauge("fleet.tenant.shed."+tenant).Set(int64(t.Shed))
-	h.reg.Gauge("fleet.tenant.backlog."+tenant).Set(int64(t.Backlog))
+	h.reg.Gauge("fleet.tenant.produced." + tenant).Set(int64(t.Produced))
+	h.reg.Gauge("fleet.tenant.shed." + tenant).Set(int64(t.Shed))
+	h.reg.Gauge("fleet.tenant.backlog." + tenant).Set(int64(t.Backlog))
 }
 
 // State snapshots the hub: streams sorted by key, tenant accounting,

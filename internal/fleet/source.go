@@ -56,8 +56,8 @@ type source struct {
 	quantum uint64
 	period  uint64 // cache oscillation period in cycles
 
-	rng     *stats.RNG
-	cycle   uint64
+	rng      *stats.RNG
+	cycle    uint64
 	quantum0 uint64 // first cycle of the current quantum
 }
 

@@ -88,14 +88,23 @@ func (r *Ring) SliceOf(lineAddr uint64) int {
 // arrival cycle and the cycles spent waiting.
 func (r *Ring) Transit(now, stamp uint64, ctx uint8, core int, lineAddr uint64) (done, waited uint64) {
 	stops := r.cfg.Stops
-	src := core % stops
+	src := core
+	if src >= stops {
+		src %= stops // more cores than stops: cores share stops
+	}
 	dst := r.SliceOf(lineAddr)
 	r.transits++
 	if src == dst {
 		return now, 0 // local slice: no ring traversal
 	}
-	cw := (dst - src + stops) % stops
-	ccw := (src - dst + stops) % stops
+	// Both stops lie in [0, stops), so the clockwise distance is one
+	// wrap away from dst-src and the two directions sum to a full
+	// circle: no division on the per-miss path.
+	cw := dst - src
+	if cw < 0 {
+		cw += stops
+	}
+	ccw := stops - cw
 	dir, hops := 1, cw
 	if ccw < cw {
 		dir, hops = -1, ccw

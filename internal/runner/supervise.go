@@ -42,7 +42,9 @@ func (e *PanicError) Error() string {
 //     context, waits a short grace period for a cooperative exit, and
 //     then abandons the goroutine, returning an ErrWatchdog-wrapped
 //     error. The abandoned goroutine keeps its panic recovery, so a
-//     late crash cannot take the process down either.
+//     late crash cannot take the process down either. A result fn
+//     returns after the deadline is discarded the same way, even if
+//     it reaches Supervise before the timer does.
 //
 // A zero timeout disables the watchdog (fn runs on the calling
 // goroutine; only panic recovery applies). reg, which may be nil,
@@ -66,36 +68,44 @@ func Supervise(ctx context.Context, name string, timeout time.Duration, reg *obs
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	type outcome struct {
-		v   interface{}
-		err error
+		v    interface{}
+		err  error
+		late bool // fn returned after the deadline
 	}
 	ch := make(chan outcome, 1)
+	start := time.Now()
 	go func() {
 		var o outcome
 		o.v, o.err = run(ctx)
+		o.late = time.Since(start) > timeout
 		ch <- o
 	}()
 	timer := time.NewTimer(timeout)
 	defer timer.Stop()
 	select {
 	case o := <-ch:
-		return o.v, o.err
+		if !o.late {
+			return o.v, o.err
+		}
+		// fn overran but its result arrived before the timer was
+		// serviced; the deadline, not the race between the two
+		// channels, decides.
 	case <-timer.C:
+		cancel()
+		// Grace period: a job that honors its context comes back
+		// quickly and the goroutine is reaped; an unresponsive one is
+		// abandoned (it still carries panic recovery).
+		grace := timeout / 4
+		if grace > 100*time.Millisecond {
+			grace = 100 * time.Millisecond
+		}
+		graceTimer := time.NewTimer(grace)
+		defer graceTimer.Stop()
+		select {
+		case <-ch:
+		case <-graceTimer.C:
+		}
 	}
 	reg.Counter("runner.watchdog_fired").Inc()
-	cancel()
-	// Grace period: a job that honors its context comes back quickly
-	// and the goroutine is reaped; an unresponsive one is abandoned
-	// (it still carries panic recovery).
-	grace := timeout / 4
-	if grace > 100*time.Millisecond {
-		grace = 100 * time.Millisecond
-	}
-	graceTimer := time.NewTimer(grace)
-	defer graceTimer.Stop()
-	select {
-	case <-ch:
-	case <-graceTimer.C:
-	}
 	return nil, fmt.Errorf("%w: job %q exceeded %v", ErrWatchdog, name, timeout)
 }

@@ -9,8 +9,9 @@ type spinStepper struct{}
 func (spinStepper) Name() string     { return "spin" }
 func (s spinStepper) Run(m *Machine) { RunSteps(s, m) }
 func (spinStepper) Begin(*Machine)   {}
-func (spinStepper) Step(OpResult) (Op, bool) {
-	return Op{Kind: OpCompute, Cycles: 50}, true
+func (spinStepper) Step(_ OpResult, op *Op) bool {
+	*op = Op{Kind: OpCompute, Cycles: 50}
+	return true
 }
 
 // TestOpPathAllocationFree pins the engine's zero-allocation contract

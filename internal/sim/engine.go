@@ -14,12 +14,12 @@ import (
 // ctxheap.go).
 //
 // Stepper programs execute on the coroutine-free path: the engine
-// pulls each op with a direct Step call and stores it by value, so the
-// steady-state op loop performs no channel operation and no heap
-// allocation. Programs implementing only the blocking interface run on
-// the goroutine driver, one channel round-trip per op, with the
-// pending op likewise held by value (the old `p.pending = &req` per-op
-// escape is gone on both paths).
+// pulls each op with a direct Step call that writes it straight into
+// the process's pending-op slot, so the steady-state op loop performs
+// no channel operation, no heap allocation and no Op copy. Programs
+// implementing only the blocking interface run on the goroutine
+// driver, reached through the same Step call (goroutineStep) at one
+// channel round-trip per op.
 func (s *System) Run(until uint64) {
 	if s.closed {
 		panic("sim: Run after Close")
@@ -44,57 +44,51 @@ func (s *System) Run(until uint64) {
 			s.reapProc(c, p)
 			continue
 		}
-		if !p.hasPend {
-			// Stepper fetch inlined: this runs once per op, and the call
-			// through fetchOp costs a visible fraction of the whole run.
-			if p.step != nil {
-				op, ok := p.step.Step(p.last)
-				if !ok {
-					p.done = true
-					s.reapProc(c, p)
-					continue
-				}
-				p.pendOp, p.hasPend = op, true
-			} else if !s.fetchOp(p) {
-				s.reapProc(c, p)
-				continue
-			}
+		if !p.hasPend && !s.fetchOp(p) {
+			s.reapProc(c, p)
+			continue
 		}
 		if c.clock >= c.quantumEnd {
 			s.quantumBoundary(c)
 			continue // placement may have changed; re-pick
 		}
 		p.hasPend = false
-		res := s.execute(c, &p.pendOp)
-		if p.step != nil {
-			p.last = res
-		} else {
-			p.respCh <- response{now: res.Now, latency: res.Latency}
-		}
+		p.last = s.execute(c, &p.pendOp)
 	}
 }
 
-// fetchOp obtains the process's next operation — a direct Step call on
-// the coroutine-free path, a channel receive from the program
-// goroutine otherwise — and stores it by value in p.pendOp. It returns
-// false (marking the process done) when the program has finished.
+// fetchOp obtains the process's next operation: a Step call that
+// writes it in place into p.pendOp. It returns false (marking the
+// process done) when the program has finished. It is the single fetch
+// path for Run and quiesce; keep it within the inlining budget, as it
+// runs once per op.
 func (s *System) fetchOp(p *Process) bool {
-	if p.step != nil {
-		op, ok := p.step.Step(p.last)
-		if !ok {
-			p.done = true
-			return false
-		}
-		p.pendOp, p.hasPend = op, true
-		return true
+	p.hasPend = p.step.Step(p.last, &p.pendOp)
+	p.done = !p.hasPend
+	return p.hasPend
+}
+
+// goroutineStep is the goroutine driver seen through the Step
+// interface, for programs that are not Steppers (or when
+// Config.Driver forces the reference driver). Each Step hands the
+// program its previous op's result, which resumes it inside
+// Machine.Do, then receives the next op the program issues: one
+// channel round-trip per op, with the program parked in between.
+type goroutineStep struct {
+	p    *Process
+	owed bool // the program is blocked in Machine.Do awaiting a result
+}
+
+// Step answers the program's pending Machine.Do, if any, and receives
+// its next op; false means the program returned.
+func (g *goroutineStep) Step(prev OpResult, op *Op) bool {
+	if g.owed {
+		g.p.respCh <- response{now: prev.Now, latency: prev.Latency}
 	}
-	op, ok := <-p.reqCh
-	if !ok {
-		p.done = true
-		return false
-	}
-	p.pendOp, p.hasPend = op, true
-	return true
+	var ok bool
+	*op, ok = <-g.p.reqCh
+	g.owed = ok
+	return ok
 }
 
 // quiesce parks every running program at an op boundary: the next
@@ -135,6 +129,7 @@ func (s *System) startProc(p *Process) {
 		st.Begin(p.machine)
 		return
 	}
+	p.step = &goroutineStep{p: p}
 	go func() {
 		defer close(p.reqCh)
 		defer func() {
@@ -314,13 +309,15 @@ func (s *System) memAccess(c *hwContext, addr uint64, now, stamp uint64) uint64 
 		done, _ := s.ring.Transit(now+lat, stamp, c.id, co.id, addr>>s.lineShift)
 		lat = done - now
 	}
+	// The L2 fills a result slot on this frame and the default tracker
+	// takes the four scalars it reads: neither hand-off round-trips a
+	// large struct through the stack.
 	var l2 cache.Result
+	lo, hi := 0, s.l2.Ways()
 	if part := s.cfg.Mitigations.Partition; part != nil {
-		lo, hi := part.WayRange(c.id, s.l2.Ways())
-		l2 = s.l2.AccessInWays(addr, c.id, lo, hi)
-	} else {
-		l2 = s.l2.Access(addr, c.id)
+		lo, hi = part.WayRange(c.id, hi)
 	}
+	s.l2.AccessInto(&l2, addr, c.id, lo, hi)
 	lat += s.l2.HitLatency()
 	if l2.Evicted {
 		// Inclusive hierarchy: an L2 eviction back-invalidates every
@@ -329,22 +326,19 @@ func (s *System) memAccess(c *hwContext, addr uint64, now, stamp uint64) uint64 
 			other.l1.InvalidateLine(l2.EvictedLine)
 		}
 	}
-	ob := conflict.Observation{
-		LineAddr:     l2.LineAddr,
-		Set:          l2.Set,
-		Ctx:          c.id,
-		Hit:          l2.Hit,
-		Evicted:      l2.Evicted,
-		EvictedLine:  l2.EvictedLine,
-		EvictedOwner: l2.EvictedOwner,
-	}
 	var isConflict bool
 	if s.trackGen != nil {
-		// Concrete call on the default tracker; skips the interface
-		// dispatch this loop pays once per L2 access.
-		isConflict = s.trackGen.Observe(ob)
+		isConflict = s.trackGen.ObserveAccess(l2.LineAddr, l2.Hit, l2.Evicted, l2.EvictedLine)
 	} else {
-		isConflict = s.tracker.Observe(ob)
+		isConflict = s.tracker.Observe(conflict.Observation{
+			LineAddr:     l2.LineAddr,
+			Set:          l2.Set,
+			Ctx:          c.id,
+			Hit:          l2.Hit,
+			Evicted:      l2.Evicted,
+			EvictedLine:  l2.EvictedLine,
+			EvictedOwner: l2.EvictedOwner,
+		})
 	}
 	if isConflict {
 		victim := trace.NoContext
@@ -379,22 +373,15 @@ func (s *System) Close() {
 		if !p.started || p.done {
 			continue
 		}
-		if p.step != nil {
-			p.done = true
-			p.hasPend = false
-			continue
-		}
-		if !p.hasPend {
-			if _, ok := <-p.reqCh; !ok {
-				p.done = true
-				continue
+		// A started, unfinished goroutine program is parked in
+		// Machine.Do awaiting its last op's result: answer with stop.
+		if g, ok := p.step.(*goroutineStep); ok && g.owed {
+			p.respCh <- response{stop: true}
+			for range p.reqCh {
+				// drain until the goroutine closes the channel
 			}
 		}
-		p.hasPend = false
-		p.respCh <- response{stop: true}
-		for range p.reqCh {
-			// drain until the goroutine closes the channel
-		}
 		p.done = true
+		p.hasPend = false
 	}
 }

@@ -29,8 +29,9 @@ const (
 )
 
 // Op is one decoded machine operation. It is the unit of work the
-// engine executes: Steppers hand ops to the engine by value, so the
-// steady-state execution path performs no per-op allocation.
+// engine executes: Steppers write ops straight into an engine-owned
+// slot (see Stepper.Step), so the steady-state execution path performs
+// no per-op allocation and no per-op struct copy.
 type Op struct {
 	Kind   OpKind
 	Addr   uint64   // OpLoad / OpStore / OpAtomicUnaligned target
@@ -65,23 +66,33 @@ type Stepper interface {
 	// Step. Only the non-blocking Machine methods (Geometry, PID,
 	// PrivateAddr, L2AddrForSet) may be called on it.
 	Begin(m *Machine)
-	// Step returns the next operation given the previous op's result.
-	// The first call receives the zero OpResult. ok=false means the
-	// program finished; Step is never called again.
-	Step(prev OpResult) (op Op, ok bool)
+	// Step writes the next operation into *op given the previous op's
+	// result, and reports whether there is one. The contract:
+	//
+	//   - When it returns true, Step has overwritten every field of
+	//     *op — assign a whole value (`*op = sim.Op{Kind: ...}`), never
+	//     single fields, because *op still holds the previous op.
+	//   - *op is owned by the engine and is valid only until the next
+	//     Step call; a stepper must not retain the pointer.
+	//   - The first call receives the zero OpResult. Returning false
+	//     means the program finished (*op is then ignored); Step is
+	//     never called again.
+	//
+	// The op goes by pointer because Op is too large for Go to keep in
+	// registers: returned by value, every op would be spilled to the
+	// stack and reloaded once per simulated operation.
+	Step(prev OpResult, op *Op) (ok bool)
 }
 
 // RunSteps drives a Stepper through the blocking Machine API. Stepper
 // implementations use it as their entire Program.Run body, so the
-// goroutine reference driver executes the identical op stream.
+// goroutine reference driver executes the identical op stream. The op
+// slot is declared once, so the loop allocates nothing per op.
 func RunSteps(s Stepper, m *Machine) {
 	s.Begin(m)
 	var prev OpResult
-	for {
-		op, ok := s.Step(prev)
-		if !ok {
-			return
-		}
+	var op Op
+	for s.Step(prev, &op) {
 		prev = m.Do(op)
 	}
 }

@@ -35,14 +35,18 @@ type Process struct {
 	reqCh  chan Op
 	respCh chan response
 
-	// step is non-nil when the engine drives this program
-	// coroutine-free; last carries the previous op's result into the
-	// next Step call.
-	step Stepper
+	// step is where the engine fetches ops once the process has
+	// started: the program itself when it is a Stepper on the step
+	// driver, else a goroutineStep relaying the program goroutine's
+	// ops. last carries the previous op's result into the next Step.
+	step interface {
+		Step(prev OpResult, op *Op) bool
+	}
 	last OpResult
 
 	// pendOp is the fetched-but-not-yet-executed operation, held by
-	// value: the steady-state op path performs no per-op allocation.
+	// value: steppers write it in place through Step's op pointer, so
+	// the steady-state op path neither allocates nor copies an Op.
 	pendOp  Op
 	hasPend bool
 
@@ -81,15 +85,16 @@ type hwContext struct {
 
 // System is the simulated machine plus its OS layer.
 type System struct {
-	cfg       Config
-	cores     []*core
-	contexts  []*hwContext
-	l2        *cache.Cache
-	tracker   conflict.Tracker
+	cfg      Config
+	cores    []*core
+	contexts []*hwContext
+	l2       *cache.Cache
+	tracker  conflict.Tracker
 	// trackGen aliases tracker when the practical generational design
-	// is selected (the default): the hot path then observes through a
-	// concrete pointer — a direct, inlinable call — instead of an
-	// interface dispatch per L2 access.
+	// is selected (the default): the hot path then calls
+	// ObserveAccess on a concrete pointer with the four scalars it
+	// reads, instead of an interface dispatch with a seven-field
+	// Observation per L2 access.
 	trackGen  *conflict.Generational
 	bus       *bus.Bus
 	ring      *ring.Ring // nil unless cfg.Ring.Stops > 0

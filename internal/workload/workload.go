@@ -150,7 +150,7 @@ func (p *program) Begin(m *sim.Machine) {
 }
 
 // Step implements sim.Stepper.
-func (p *program) Step(prev sim.OpResult) (sim.Op, bool) {
+func (p *program) Step(prev sim.OpResult, op *sim.Op) bool {
 	m, rng, spec := p.m, p.rng, &p.spec
 	for {
 		switch p.pc {
@@ -186,7 +186,8 @@ func (p *program) Step(prev sim.OpResult) (sim.Op, bool) {
 					c *= 1 - spec.ComputeJitter + 2*spec.ComputeJitter*rng.Float64()
 				}
 				p.pc = wlMem
-				return sim.Op{Kind: sim.OpCompute, Cycles: uint64(c)}, true
+				*op = sim.Op{Kind: sim.OpCompute, Cycles: uint64(c)}
+				return true
 			}
 			p.pc = wlMem
 
@@ -230,7 +231,8 @@ func (p *program) Step(prev sim.OpResult) (sim.Op, bool) {
 					}
 				}
 				p.addrs = addrs
-				return sim.Op{Kind: sim.OpLoadN, Addrs: addrs}, true
+				*op = sim.Op{Kind: sim.OpLoadN, Addrs: addrs}
+				return true
 			}
 
 		case wlHot:
@@ -241,7 +243,8 @@ func (p *program) Step(prev sim.OpResult) (sim.Op, bool) {
 					addrs = append(addrs, m.PrivateAddr(1<<32|uint64((p.iterations*8+i)%spec.HotLines)))
 				}
 				p.addrs = addrs
-				return sim.Op{Kind: sim.OpLoadN, Addrs: addrs}, true
+				*op = sim.Op{Kind: sim.OpLoadN, Addrs: addrs}
+				return true
 			}
 
 		case wlDivs:
@@ -250,20 +253,23 @@ func (p *program) Step(prev sim.OpResult) (sim.Op, bool) {
 				// Machine.DivN short-circuits a non-positive count without
 				// an engine round; mirror that skip here.
 				if n := int(float64(spec.Divs) * p.scale); n > 0 {
-					return sim.Op{Kind: sim.OpDivN, Count: n}, true
+					*op = sim.Op{Kind: sim.OpDivN, Count: n}
+					return true
 				}
 			}
 
 		case wlAtomic:
 			p.pc = wlStormNow
 			if spec.AtomicProb > 0 && rng.Float64() < spec.AtomicProb*p.scale {
-				return sim.Op{Kind: sim.OpAtomicUnaligned}, true
+				*op = sim.Op{Kind: sim.OpAtomicUnaligned}
+				return true
 			}
 
 		case wlStormNow:
 			if spec.StormEvery > 0 {
 				p.pc = wlStormCheck
-				return sim.Op{Kind: sim.OpNow}, true
+				*op = sim.Op{Kind: sim.OpNow}
+				return true
 			}
 			p.pc = wlIterEnd
 
@@ -283,22 +289,26 @@ func (p *program) Step(prev sim.OpResult) (sim.Op, bool) {
 				} else {
 					p.pc = wlStormLock
 				}
-				return sim.Op{Kind: sim.OpAtomicUnaligned}, true
+				*op = sim.Op{Kind: sim.OpAtomicUnaligned}
+				return true
 			}
 			p.pc = wlStormRenewNow
 
 		case wlStormGapNow:
 			p.sleepDur = spec.StormSpacing/2 + uint64(rng.Intn(int(spec.StormSpacing)))
 			p.pc = wlStormGapWait
-			return sim.Op{Kind: sim.OpNow}, true
+			*op = sim.Op{Kind: sim.OpNow}
+			return true
 
 		case wlStormGapWait:
 			p.pc = wlStormLock
-			return sim.Op{Kind: sim.OpWaitUntil, Cycles: prev.Now + p.sleepDur}, true
+			*op = sim.Op{Kind: sim.OpWaitUntil, Cycles: prev.Now + p.sleepDur}
+			return true
 
 		case wlStormRenewNow:
 			p.pc = wlStormRenew
-			return sim.Op{Kind: sim.OpNow}, true
+			*op = sim.Op{Kind: sim.OpNow}
+			return true
 
 		case wlStormRenew:
 			p.nextStorm = prev.Now + spec.StormEvery/2 + uint64(rng.Intn(int(spec.StormEvery)))
@@ -313,13 +323,15 @@ func (p *program) Step(prev sim.OpResult) (sim.Op, bool) {
 			if spec.IdleCycles > 0 {
 				p.sleepDur = uint64(float64(spec.IdleCycles) * (0.5 + rng.Float64()))
 				p.pc = wlIdleWait
-				return sim.Op{Kind: sim.OpNow}, true
+				*op = sim.Op{Kind: sim.OpNow}
+				return true
 			}
 			p.pc = wlBurstHeader
 
 		case wlIdleWait:
 			p.pc = wlBurstHeader
-			return sim.Op{Kind: sim.OpWaitUntil, Cycles: prev.Now + p.sleepDur}, true
+			*op = sim.Op{Kind: sim.OpWaitUntil, Cycles: prev.Now + p.sleepDur}
+			return true
 		}
 	}
 }
