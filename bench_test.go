@@ -308,7 +308,7 @@ func BenchmarkTrackerMicro(b *testing.B) {
 				addr := uint64(rng.Intn(1<<15)) << 6
 				r := c.Access(addr, uint8(rng.Intn(8)))
 				tr.Observe(conflict.Observation{
-					LineAddr: r.LineAddr, Set: r.Set, Hit: r.Hit,
+					LineAddr: r.LineAddr, Set: r.Set, Block: r.Block, Hit: r.Hit,
 					Evicted: r.Evicted, EvictedLine: r.EvictedLine, EvictedOwner: r.EvictedOwner,
 				})
 			}
@@ -318,24 +318,24 @@ func BenchmarkTrackerMicro(b *testing.B) {
 
 // BenchmarkConflictTracker pits the flat, slab-allocated trackers
 // against the retained map-based reference build of the ideal LRU
-// stack on identical pre-generated observation streams (no cache in
-// the loop, so the numbers isolate tracker cost). The flat trackers
-// must report 0 allocs/op; the reference shows what the rewrite
-// removed.
+// stack on identical pre-generated observation streams. The stream
+// comes from a real cache (the practical tracker keys its state by the
+// block each access lands in), but is recorded before timing starts:
+// no cache in the loop, so the numbers isolate tracker cost. The flat
+// trackers must report 0 allocs/op; the reference shows what the
+// rewrite removed.
 func BenchmarkConflictTracker(b *testing.B) {
 	const capacity = 1 << 12
+	c := cache.MustNew(cache.Config{SizeBytes: 64 * capacity, LineBytes: 64, Ways: 8, HitLatency: 12})
 	stream := make([]conflict.Observation, 1<<16)
 	rng := stats.NewRNG(11)
 	for i := range stream {
-		o := conflict.Observation{
-			LineAddr: uint64(rng.Intn(4 * capacity)),
-			Hit:      rng.Intn(3) == 0,
+		ctx := uint8(rng.Intn(8))
+		r := c.Access(uint64(rng.Intn(4*capacity))<<6, ctx)
+		stream[i] = conflict.Observation{
+			LineAddr: r.LineAddr, Set: r.Set, Block: r.Block, Ctx: ctx, Hit: r.Hit,
+			Evicted: r.Evicted, EvictedLine: r.EvictedLine, EvictedOwner: r.EvictedOwner,
 		}
-		if !o.Hit && rng.Intn(2) == 0 {
-			o.Evicted = true
-			o.EvictedLine = uint64(rng.Intn(4 * capacity))
-		}
-		stream[i] = o
 	}
 	trackers := map[string]conflict.Tracker{
 		"ideal-flat":          conflict.MustNewIdeal(capacity),

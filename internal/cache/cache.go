@@ -183,6 +183,11 @@ type Result struct {
 	Hit bool
 	// Set is the set index the address maps to.
 	Set uint32
+	// Block is the block the accessed line occupies after the access
+	// (set*Ways+way: the hit way, or the way it was installed in) —
+	// the index of the block's metadata, where the practical conflict
+	// tracker keeps its generation stamps.
+	Block uint32
 	// LineAddr is the full line address (addr >> log2(LineBytes)).
 	LineAddr uint64
 	// Evicted reports whether installing the block displaced a valid
@@ -275,6 +280,7 @@ func (c *Cache) AccessInto(res *Result, addr uint64, ctx uint8, lo, hi int) {
 			ways[i] = enc
 			c.touch(set, i)
 			res.Hit = true
+			res.Block = uint32(setBase + i)
 			c.hits++
 			return
 		}
@@ -307,6 +313,7 @@ func (c *Cache) AccessInto(res *Result, addr uint64, ctx uint8, lo, hi int) {
 	}
 	ways[victim] = enc
 	c.touch(set, victim)
+	res.Block = uint32(setBase + victim)
 }
 
 // InvalidateLine removes the block with the given line address (the

@@ -204,7 +204,7 @@ func TestAccessIntoOverwritesResult(t *testing.T) {
 	var res Result
 	for i, addr := range []uint64{0, 0, 256, 512, 0, 768, 256} {
 		want := byValue.Access(addr, uint8(i))
-		res = Result{Hit: true, Set: 99, LineAddr: 99, Evicted: true, EvictedLine: 99, EvictedOwner: 99}
+		res = Result{Hit: true, Set: 99, Block: 99, LineAddr: 99, Evicted: true, EvictedLine: 99, EvictedOwner: 99}
 		inPlace.AccessInto(&res, addr, uint8(i), 0, inPlace.Ways())
 		if res != want {
 			t.Errorf("access %d (addr %#x): AccessInto %+v, Access %+v", i, addr, res, want)
@@ -212,5 +212,46 @@ func TestAccessIntoOverwritesResult(t *testing.T) {
 	}
 	if byValue.Stats().Evictions == 0 {
 		t.Fatal("sequence never evicted; the eviction fields went unchecked")
+	}
+}
+
+// TestResultBlockHoldsLine checks Result.Block against the tag array
+// on random partitioned traffic: after every access the reported block
+// lies in the line's set and holds the line, a hit reports the way the
+// line already occupied, and an eviction reports the block the victim
+// occupied — the coordinates a per-block tracker relies on.
+func TestResultBlockHoldsLine(t *testing.T) {
+	c := MustNew(Config{SizeBytes: 2048, LineBytes: 64, Ways: 4, HitLatency: 1})
+	r := stats.NewRNG(13)
+	evictions := 0
+	for i := 0; i < 5000; i++ {
+		addr := uint64(r.Intn(96)) << 6
+		lo := r.Intn(c.Ways())
+		hi := lo + 1 + r.Intn(c.Ways()-lo)
+		before := append([]uint64(nil), c.tags...)
+		res := c.AccessInWays(addr, uint8(r.Intn(4)), lo, hi)
+		if int(res.Block)/c.Ways() != int(res.Set) {
+			t.Fatalf("access %d: block %d outside set %d", i, res.Block, res.Set)
+		}
+		if decodeTag(c.tags[res.Block]) != res.LineAddr {
+			t.Fatalf("access %d: block %d does not hold line %#x", i, res.Block, res.LineAddr)
+		}
+		if res.Hit && decodeTag(before[res.Block]) != res.LineAddr {
+			t.Fatalf("access %d: hit reports block %d, which did not hold the line", i, res.Block)
+		}
+		if !res.Hit {
+			if w := int(res.Block) % c.Ways(); w < lo || w >= hi {
+				t.Fatalf("access %d: miss installed in way %d outside [%d, %d)", i, w, lo, hi)
+			}
+		}
+		if res.Evicted {
+			evictions++
+			if before[res.Block] == invalidTag || decodeTag(before[res.Block]) != res.EvictedLine {
+				t.Fatalf("access %d: evicted line %#x was not in block %d", i, res.EvictedLine, res.Block)
+			}
+		}
+	}
+	if evictions == 0 {
+		t.Fatal("stream never evicted; the eviction path went unchecked")
 	}
 }

@@ -17,13 +17,15 @@
 // them.
 //
 // Observe sits on the simulator's per-access hot path, so both
-// trackers use flat, index-addressed storage: all state lives in
-// slices sized at construction, the LRU stack is an intrusive
-// doubly-linked list over slab indexes, and lookups go through an
-// open-addressing hash index with linear probing and backward-shift
-// deletion. After construction, Observe performs no allocations.
-// See DESIGN.md §12 for the layout and the equivalence argument
-// against the map-based build (kept as IdealReference).
+// trackers use flat, index-addressed storage sized at construction,
+// and after construction Observe performs no allocations. The
+// practical tracker keeps its generation stamps per cache block,
+// indexed by the block the access lands in. The ideal tracker's LRU
+// stack is an intrusive doubly-linked list over slab indexes, with
+// lookups through an open-addressing hash index (linear probing,
+// backward-shift deletion). See DESIGN.md §12 for the layouts and the
+// equivalence arguments against the map-based builds (the ideal one
+// kept as IdealReference).
 package conflict
 
 import (
@@ -42,6 +44,10 @@ type Observation struct {
 	LineAddr uint64
 	// Set is the set index the block maps to.
 	Set uint32
+	// Block is the block the line occupies after the access
+	// (cache.Result.Block). The practical tracker keys its per-block
+	// metadata by it; the ideal tracker ignores it.
+	Block uint32
 	// Ctx is the accessing hardware context (the replacer on a miss).
 	Ctx uint8
 	// Hit reports whether the access hit.
@@ -68,7 +74,7 @@ type Tracker interface {
 }
 
 // mixLine is the splitmix64 finalizer, used to spread line addresses
-// over the open-addressing tables. Line addresses are highly regular
+// over the ideal tracker's open-addressing index. Line addresses are highly regular
 // (consecutive sets, a handful of tags), so the raw value would
 // cluster badly.
 func mixLine(x uint64) uint64 {

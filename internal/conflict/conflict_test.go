@@ -13,18 +13,24 @@ import (
 func driveCache(c *cache.Cache, tr Tracker, accesses [][2]uint64) []bool {
 	out := make([]bool, len(accesses))
 	for i, a := range accesses {
-		r := c.Access(a[0], uint8(a[1]))
-		out[i] = tr.Observe(Observation{
-			LineAddr:     r.LineAddr,
-			Set:          r.Set,
-			Ctx:          uint8(a[1]),
-			Hit:          r.Hit,
-			Evicted:      r.Evicted,
-			EvictedLine:  r.EvictedLine,
-			EvictedOwner: r.EvictedOwner,
-		})
+		out[i] = tr.Observe(observationOf(c.Access(a[0], uint8(a[1])), uint8(a[1])))
 	}
 	return out
+}
+
+// observationOf is the Observation the simulator reports for an access
+// by ctx that had cache result r.
+func observationOf(r cache.Result, ctx uint8) Observation {
+	return Observation{
+		LineAddr:     r.LineAddr,
+		Set:          r.Set,
+		Block:        r.Block,
+		Ctx:          ctx,
+		Hit:          r.Hit,
+		Evicted:      r.Evicted,
+		EvictedLine:  r.EvictedLine,
+		EvictedOwner: r.EvictedOwner,
+	}
 }
 
 func smallCache() *cache.Cache {
@@ -124,9 +130,10 @@ func TestIdealMoveToFrontKeepsHotLines(t *testing.T) {
 
 func TestGenerationalTurnover(t *testing.T) {
 	g := MustNewGenerational(GenerationalConfig{TotalBlocks: 8})
-	// threshold = 2: every 2 distinct blocks advance a generation.
+	// threshold = 2: every 2 distinct blocks advance a generation. The
+	// eight cold misses fill the eight blocks in turn.
 	for i := uint64(0); i < 8; i++ {
-		g.Observe(Observation{LineAddr: i, Hit: false})
+		g.Observe(Observation{LineAddr: i, Block: uint32(i), Hit: false})
 	}
 	if g.Generations() != 4 {
 		t.Errorf("generations = %d, want 4", g.Generations())
@@ -136,21 +143,26 @@ func TestGenerationalTurnover(t *testing.T) {
 func TestGenerationalForgetsOldEvictions(t *testing.T) {
 	// An eviction recorded in a generation must stop causing conflicts
 	// once that generation is discarded (4 turnovers later).
+	c := smallCache() // 4 sets × 2 ways; threshold 2
 	g := MustNewGenerational(GenerationalConfig{TotalBlocks: 8, BloomBitsPerGen: 4096})
-	g.Observe(Observation{LineAddr: 100, Hit: false})
-	// Evict line 100 (recorded in current generation's bloom).
-	g.Observe(Observation{LineAddr: 101, Hit: false, Evicted: true, EvictedLine: 100})
-	// Re-access now: conflict detected.
-	if !g.Observe(Observation{LineAddr: 100, Hit: false}) {
+	a, b, d := c.AddrForSet(0, 0, 1), c.AddrForSet(0, 1, 1), c.AddrForSet(0, 2, 1)
+	// d evicts a (recorded in the current generation's bloom); the
+	// re-access is a conflict.
+	if got := driveCache(c, g, [][2]uint64{{a, 0}, {b, 0}, {d, 0}, {a, 0}}); !got[3] {
 		t.Fatal("fresh premature eviction not flagged")
 	}
-	// Note: line 100 is now resident again. Evict it once more but this
-	// time cycle all four generations before re-accessing.
-	g.Observe(Observation{LineAddr: 102, Hit: false, Evicted: true, EvictedLine: 100})
-	for i := uint64(0); i < 20; i++ {
-		g.Observe(Observation{LineAddr: 1000 + i, Hit: false})
+	// a is resident again (with d). Evict it once more, then cycle all
+	// four generations through the other sets before re-accessing it.
+	e, f := c.AddrForSet(0, 3, 1), c.AddrForSet(0, 4, 1)
+	seq := [][2]uint64{{e, 0}, {f, 0}}
+	for i := 0; i < 20; i++ {
+		seq = append(seq, [2]uint64{c.AddrForSet(uint32(1+i%3), i, 2), 0})
 	}
-	if g.Observe(Observation{LineAddr: 100, Hit: false}) {
+	driveCache(c, g, seq)
+	if c.Contains(a) {
+		t.Fatal("setup: a still resident")
+	}
+	if driveCache(c, g, [][2]uint64{{a, 0}})[0] {
 		t.Error("eviction survived generation turnover")
 	}
 }
@@ -201,9 +213,7 @@ func TestGenerationalRandomTrafficLowConflictRate(t *testing.T) {
 	n := 50000
 	for i := 0; i < n; i++ {
 		addr := uint64(r.Intn(1<<22)) << 6 // 4M lines >> cache capacity
-		res := c.Access(addr, 0)
-		if g.Observe(Observation{LineAddr: res.LineAddr, Set: res.Set, Hit: res.Hit,
-			Evicted: res.Evicted, EvictedLine: res.EvictedLine}) {
+		if g.Observe(observationOf(c.Access(addr, 0), 0)) {
 			flagged++
 		}
 	}

@@ -2,6 +2,7 @@ package conflict
 
 import (
 	"fmt"
+	"math"
 
 	"cchunter/internal/bloom"
 )
@@ -14,9 +15,8 @@ const numGenerations = 4
 // (Figure 9). It approximates the ideal LRU stack with four block
 // generations ordered by age:
 //
-//   - every resident block carries four generation bits recording the
-//     generations in which it was accessed; the youngest bit is set on
-//     every access;
+//   - every block of the tracked cache carries generation metadata
+//     recording when it was last accessed;
 //   - a new generation starts whenever the number of blocks touched in
 //     the current generation reaches T = totalBlocks/4 (~25% of an
 //     ideal LRU stack);
@@ -27,7 +27,22 @@ const numGenerations = 4
 //     conflict miss — the block was evicted before the cache cycled
 //     through its full capacity;
 //   - starting a fifth generation discards the oldest: its Bloom
-//     filter and its metadata bit column are flash-cleared.
+//     filter is flash-cleared and its metadata goes stale.
+//
+// The metadata lives per block, as in the hardware design, indexed by
+// the block the access lands in (cache.Result.Block, set*Ways+way).
+// Where the hardware keeps four generation bits and flash-clears one
+// bit column per turnover, the tracker keeps one stamp per block: the
+// number of the generation of the block's last access. The youngest
+// set bit of the hardware's mask is exactly that generation, and the
+// mask empties exactly when that generation is discarded, so a stamp
+// at most three generations old stands for a non-empty mask and a
+// turnover needs no scan at all.
+//
+// Precondition: the tracker must see every change to the tracked
+// cache. Every access is observed, and every removal of a block from
+// the cache is reported as an eviction on the access that displaced
+// it. A block's stamp then always describes the line the block holds.
 type Generational struct {
 	totalBlocks int
 	threshold   int
@@ -41,27 +56,13 @@ type Generational struct {
 	// software analogue of the hardware design's shared hash trees.
 	probes []uint64
 
-	// Flat residency table, the software stand-in for the per-block
-	// generation-bit columns of the hardware design (where the bits
-	// live in the cache block metadata, i.e. one packed array keyed by
-	// (set, way)). The tracker interface never sees way placement and
-	// the tests feed it streams detached from any cache geometry, so
-	// the table is keyed by line address instead: open addressing with
-	// linear probing and backward-shift deletion over keys/masks.
-	// masks[i] == 0 marks an empty slot — a resident entry always has
-	// at least one generation bit set. Live entries are bounded by
-	// 4×threshold (each of the four live generations marks at most
-	// threshold blocks), so the table is sized once at construction
-	// and Observe never allocates.
-	keys  []uint64
-	masks []uint8
-	tmask uint64
+	// stamps[b] is the stamp of the generation in which block b was
+	// last accessed; 0 marks a block never touched. Generation stamps
+	// count up from 1, and generation s keeps its Bloom filter in
+	// filters[(s-1)%4]. A stamp is live while now-stamp < 4.
+	stamps []uint32
+	now    uint32 // stamp of the current generation
 
-	// sweep buffers the lines to drop while advanceGeneration scans
-	// the table, so deletions do not shift entries under the scan.
-	sweep []uint64
-
-	current  int // index of the youngest generation
 	accessed int // blocks touched in the current generation
 
 	conflicts   uint64
@@ -104,15 +105,12 @@ func NewGenerational(cfg GenerationalConfig) (*Generational, error) {
 		bitsPerGen:  cfg.BloomBitsPerGen,
 		hashes:      cfg.Hashes,
 		probes:      make([]uint64, 0, cfg.Hashes),
+		stamps:      make([]uint32, cfg.TotalBlocks),
+		now:         1,
 	}
 	if g.threshold < 1 {
 		g.threshold = 1
 	}
-	bound := numGenerations * g.threshold
-	g.keys = make([]uint64, tablePow2(bound))
-	g.masks = make([]uint8, len(g.keys))
-	g.tmask = uint64(len(g.keys) - 1)
-	g.sweep = make([]uint64, 0, bound)
 	for i := range g.filters {
 		// Parameters were validated above; a failure here is a bug.
 		g.filters[i] = bloom.MustNew(cfg.BloomBitsPerGen, cfg.Hashes)
@@ -138,61 +136,26 @@ func (g *Generational) Reset() {
 	for _, f := range g.filters {
 		f.Clear()
 	}
-	for i := range g.masks {
-		g.masks[i] = 0
-	}
-	g.current = 0
+	clear(g.stamps)
+	g.now = 1
 	g.accessed = 0
 	g.conflicts = 0
 	g.generations = 0
 }
 
-// find returns the table position of line and whether it is resident.
-// When absent, the returned position is the empty slot a subsequent
-// insert must use.
-func (g *Generational) find(line uint64) (pos uint64, found bool) {
-	pos = mixLine(line) & g.tmask
-	for {
-		if g.masks[pos] == 0 {
-			return pos, false
-		}
-		if g.keys[pos] == line {
-			return pos, true
-		}
-		pos = (pos + 1) & g.tmask
-	}
-}
-
-// remove deletes the entry at pos, backward-shifting its probe
-// cluster so later lookups never cross a stale hole.
-func (g *Generational) remove(pos uint64) {
-	cur := pos
-	for {
-		cur = (cur + 1) & g.tmask
-		if g.masks[cur] == 0 {
-			break
-		}
-		home := mixLine(g.keys[cur]) & g.tmask
-		if (cur-home)&g.tmask >= (cur-pos)&g.tmask {
-			g.keys[pos] = g.keys[cur]
-			g.masks[pos] = g.masks[cur]
-			pos = cur
-		}
-	}
-	g.masks[pos] = 0
-}
-
 // Observe implements Tracker.
 func (g *Generational) Observe(o Observation) bool {
-	return g.ObserveAccess(o.LineAddr, o.Hit, o.Evicted, o.EvictedLine)
+	return g.ObserveAccess(o.Block, o.LineAddr, o.Hit, o.Evicted, o.EvictedLine)
 }
 
-// ObserveAccess is Observe taking only the four fields the practical
-// tracker reads: the accessed line, whether it hit, and whether (and
-// which) line it evicted. It is the simulator's per-access call —
-// four scalars travel in registers, where a seven-field Observation
-// would be spilled to the stack and reloaded on every L2 access.
-func (g *Generational) ObserveAccess(line uint64, hit, evicted bool, evictedLine uint64) bool {
+// ObserveAccess is Observe taking only the five fields the practical
+// tracker reads: the block the access landed in, the accessed line,
+// whether it hit, and whether (and which) line it evicted from that
+// block. It is the simulator's per-access call — five scalars travel
+// in registers, where an eight-field Observation would be spilled to
+// the stack and reloaded on every L2 access. block must lie below
+// TotalBlocks.
+func (g *Generational) ObserveAccess(block uint32, line uint64, hit, evicted bool, evictedLine uint64) bool {
 	conflict := false
 	if !hit {
 		// Check whether the incoming tag was recently prematurely
@@ -206,79 +169,52 @@ func (g *Generational) ObserveAccess(line uint64, hit, evicted bool, evictedLine
 			g.conflicts++
 		}
 	}
-	if evicted {
-		// Record the displaced tag in the Bloom filter of the latest
-		// generation in which it was accessed.
-		if pos, ok := g.find(evictedLine); ok {
-			g.filters[g.latestGeneration(g.masks[pos])].Add(evictedLine)
-			g.remove(pos)
-		}
+	stamp := g.stamps[block]
+	if evicted && stamp != 0 && g.now-stamp < numGenerations {
+		// The displaced tag held this block; record it in the Bloom
+		// filter of the latest generation in which it was accessed.
+		g.filters[(stamp-1)%numGenerations].Add(evictedLine)
 	}
 	// Mark the accessed block in the current generation (emulating
-	// placement at the top of the LRU stack).
-	bit := uint8(1) << uint(g.current)
-	pos, found := g.find(line)
-	mask := uint8(0)
-	if found {
-		mask = g.masks[pos]
-	}
-	if mask&bit == 0 {
-		g.keys[pos] = line
-		g.masks[pos] = mask | bit
+	// placement at the top of the LRU stack). A miss always counts: the
+	// block now holds a line not yet touched in this generation.
+	if !hit || stamp != g.now {
+		g.stamps[block] = g.now
 		g.accessed++
 		if g.accessed >= g.threshold {
-			g.advanceGeneration()
+			g.turnover()
 		}
 	}
 	return conflict
 }
 
-// latestGeneration returns the index of the youngest generation whose
-// bit is set in mask, searching from the current generation backwards
-// through age order.
-func (g *Generational) latestGeneration(mask uint8) int {
-	for age := 0; age < numGenerations; age++ {
-		idx := (g.current - age + numGenerations) % numGenerations
-		if mask&(1<<uint(idx)) != 0 {
-			return idx
-		}
+// turnover discards the oldest generation and starts a new one in its
+// Bloom filter slot, flash-clearing that filter. Stamps of the
+// discarded generation go stale by the counter moving on.
+func (g *Generational) turnover() {
+	if g.now == math.MaxUint32 {
+		g.rebase()
 	}
-	// A resident block always has at least one bit set (set on
-	// install); defensively attribute to the current generation.
-	return g.current
-}
-
-// advanceGeneration discards the oldest generation and makes its slot
-// the new youngest, flash-clearing its Bloom filter and its bit column
-// in the resident metadata. Blocks only ever touched in the discarded
-// generation fall off the bottom of the stack; they are collected
-// during the column scan and removed afterwards, since removal shifts
-// table entries and must not run under the scan.
-func (g *Generational) advanceGeneration() {
-	oldest := (g.current + 1) % numGenerations
-	g.filters[oldest].Clear()
-	keep := ^(uint8(1) << uint(oldest))
-	g.sweep = g.sweep[:0]
-	for i, m := range g.masks {
-		if m == 0 {
-			continue
-		}
-		if nm := m & keep; nm != m {
-			if nm == 0 {
-				g.sweep = append(g.sweep, g.keys[i])
-			} else {
-				g.masks[i] = nm
-			}
-		}
-	}
-	for _, line := range g.sweep {
-		if pos, ok := g.find(line); ok {
-			g.remove(pos)
-		}
-	}
-	g.current = oldest
+	g.now++
+	g.filters[(g.now-1)%numGenerations].Clear()
 	g.accessed = 0
 	g.generations++
+}
+
+// rebase renumbers the stamps before the generation counter wraps,
+// once every 2^32 turnovers: live stamps move down by a multiple of
+// four, which keeps their Bloom filter slots, and stale ones are
+// zeroed.
+func (g *Generational) rebase() {
+	shift := (g.now - numGenerations) &^ (numGenerations - 1)
+	for b, stamp := range g.stamps {
+		if stamp != 0 && g.now-stamp < numGenerations {
+			g.stamps[b] = stamp - shift
+		} else {
+			g.stamps[b] = 0
+		}
+	}
+	g.now -= shift
 }
 
 // Conflicts returns the number of conflict misses detected.

@@ -310,8 +310,10 @@ func (s *System) memAccess(c *hwContext, addr uint64, now, stamp uint64) uint64 
 		lat = done - now
 	}
 	// The L2 fills a result slot on this frame and the default tracker
-	// takes the four scalars it reads: neither hand-off round-trips a
-	// large struct through the stack.
+	// takes the five scalars it reads: neither hand-off round-trips a
+	// large struct through the stack. The L2 changes nowhere else, and
+	// every change here reaches the tracker, which is what the
+	// practical tracker's per-block stamps require.
 	var l2 cache.Result
 	lo, hi := 0, s.l2.Ways()
 	if part := s.cfg.Mitigations.Partition; part != nil {
@@ -328,11 +330,12 @@ func (s *System) memAccess(c *hwContext, addr uint64, now, stamp uint64) uint64 
 	}
 	var isConflict bool
 	if s.trackGen != nil {
-		isConflict = s.trackGen.ObserveAccess(l2.LineAddr, l2.Hit, l2.Evicted, l2.EvictedLine)
+		isConflict = s.trackGen.ObserveAccess(l2.Block, l2.LineAddr, l2.Hit, l2.Evicted, l2.EvictedLine)
 	} else {
 		isConflict = s.tracker.Observe(conflict.Observation{
 			LineAddr:     l2.LineAddr,
 			Set:          l2.Set,
+			Block:        l2.Block,
 			Ctx:          c.id,
 			Hit:          l2.Hit,
 			Evicted:      l2.Evicted,

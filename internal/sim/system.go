@@ -92,8 +92,8 @@ type System struct {
 	tracker  conflict.Tracker
 	// trackGen aliases tracker when the practical generational design
 	// is selected (the default): the hot path then calls
-	// ObserveAccess on a concrete pointer with the four scalars it
-	// reads, instead of an interface dispatch with a seven-field
+	// ObserveAccess on a concrete pointer with the five scalars it
+	// reads, instead of an interface dispatch with an eight-field
 	// Observation per L2 access.
 	trackGen  *conflict.Generational
 	bus       *bus.Bus
