@@ -46,8 +46,9 @@ func goldenMarshal(t *testing.T, res *Result) []byte {
 }
 
 // goldenCases is the regression corpus: one scenario per covert
-// channel plus a benign workload mix. Shared with the quantum-slicing
-// equivalence tests, which replay the same corpus through sliced lanes.
+// channel plus a benign workload mix. Shared with
+// TestScenarioRunLeavesNoGoroutines, which runs the same corpus plain,
+// streaming, supervised and flight-recorded.
 func goldenCases() []struct {
 	name string
 	sc   Scenario

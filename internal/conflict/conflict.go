@@ -25,7 +25,7 @@
 // lookups through an open-addressing hash index (linear probing,
 // backward-shift deletion). See DESIGN.md §12 for the layouts and the
 // equivalence arguments against the map-based builds (the ideal one
-// kept as IdealReference).
+// kept in the package tests as IdealReference).
 package conflict
 
 import (

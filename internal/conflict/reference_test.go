@@ -7,8 +7,8 @@ import "fmt"
 // allocated per insertion. It is retained solely as a reference
 // implementation — the differential tests check the flat Ideal against
 // it observation by observation, and BenchmarkConflictTracker reports
-// its allocs/op as the before side of the data-layout rewrite.
-// Production code must use Ideal.
+// its allocs/op as the before side of the data-layout rewrite. It is
+// test-only code; production code uses Ideal.
 type IdealReference struct {
 	capacity int
 	nodes    map[uint64]*refNode

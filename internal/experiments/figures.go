@@ -88,7 +88,7 @@ type Figure4Result struct {
 func Figure4(o Options) Figure4Result {
 	o = o.norm()
 	msg := o.message()
-	results := o.runShardJobs([]runner.Job{
+	results := o.runJobs([]runner.Job{
 		o.scenarioJob("fig4/bus", cchunter.Scenario{
 			Channel:        cchunter.ChannelMemoryBus,
 			BandwidthBPS:   o.rowBPS(1000),
@@ -173,7 +173,7 @@ type Figure6Result struct {
 func Figure6(o Options) Figure6Result {
 	o = o.norm()
 	msg := o.message()
-	results := o.runShardJobs([]runner.Job{
+	results := o.runJobs([]runner.Job{
 		o.scenarioJob("fig6/bus", cchunter.Scenario{
 			Channel:        cchunter.ChannelMemoryBus,
 			BandwidthBPS:   o.rowBPS(1000),

@@ -46,10 +46,10 @@ const (
 	DriverStep Driver = iota
 	// DriverGoroutine forces every program through the legacy
 	// goroutine-per-process channel driver. It is kept as the
-	// differential-test reference for the step engine (the way
-	// conflict.IdealReference pins the generational tracker): both
-	// drivers execute the identical op stream, so all results must be
-	// byte-identical.
+	// differential-test reference for the step engine (the way the
+	// conflict package's test-only map-based tracker pins the flat
+	// ones): both drivers execute the identical op stream, so all
+	// results must be byte-identical.
 	DriverGoroutine
 )
 

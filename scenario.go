@@ -13,7 +13,6 @@ import (
 	"cchunter/internal/recorder"
 	"cchunter/internal/ring"
 	"cchunter/internal/runner"
-	"cchunter/internal/shard"
 	"cchunter/internal/sim"
 	"cchunter/internal/stream"
 	"cchunter/internal/trace"
@@ -140,29 +139,6 @@ type Scenario struct {
 	// after the verdict for deterministic offline replay (see cctrace
 	// replay). Zero disables it.
 	FlightEvents int
-	// Pipelined moves event delivery off the engine's execution path:
-	// a shard conduit copies each batch into a recycled slab and ships
-	// it through a bounded lock-free SPSC ring to a consumer goroutine
-	// that owns the listeners (auditor, recorders), overlapping
-	// simulation with auditing. The ring is FIFO and drained before
-	// analysis, so every result is byte-identical to a synchronous run
-	// (pinned by the conduit equivalence tests); this is the per-shard
-	// delivery mode RunSharded and the experiments' shard lanes use.
-	Pipelined bool
-	// Slices, when > 1, splits this one run's observation quanta
-	// across that many audit lanes: a shard splitter routes the
-	// engine's time-ordered event stream at quantum-aligned boundaries
-	// into per-slice SPSC conduits, each feeding a slice-local
-	// auditor, and the slices merge deterministically before analysis
-	// (records concatenate in slice order, integrity counters sum, raw
-	// conflict captures replay serially through one dedup comparator).
-	// A single long run then parallelizes its auditing instead of only
-	// whole runs parallelizing against each other. Purely a throughput
-	// knob: results are byte-identical at every slice count (pinned by
-	// the slice-determinism tests and CI lane). Runs whose
-	// configuration cannot satisfy the alignment invariant (a Δt not
-	// dividing the quantum) and streaming runs degrade to one slice.
-	Slices int
 
 	// eventBatch overrides the simulator's event-delivery batch size
 	// (0 = default, 1 = per-event callbacks). Unexported: batching is
@@ -335,47 +311,22 @@ func (sc Scenario) Run() (*Result, error) {
 
 	// Streaming mode interposes the daemon between simulator and
 	// auditor; it forwards every event and drains continuously.
-	// Quantum-sliced mode replaces the auditor with a splitter fanning
-	// the stream across slice-local auditors (merged before analysis).
-	var listeners trace.Tee
 	var streamDet *stream.Detector
-	var sliced *slicedAudit
-	switch {
-	case sc.Stream:
+	if sc.Stream {
 		streamDet = stream.New(aud, stream.Config{Detector: detCfg})
-		listeners = append(listeners, streamDet)
-	case sc.sliceCount(cfg) > 1:
-		sliced, err = newSlicedAudit(sc.sliceCount(cfg), cfg, kinds, sc.Metrics, sc.eventBatch)
-		if err != nil {
-			return nil, fmt.Errorf("cchunter: slicing run: %w", err)
-		}
-		listeners = append(listeners, sliced.splitter)
-	default:
-		listeners = append(listeners, aud)
+		system.AddListener(streamDet)
+	} else {
+		system.AddListener(aud)
 	}
 	var flight *recorder.Recorder
 	if sc.FlightEvents != 0 {
 		flight = recorder.New(sc.FlightEvents)
-		listeners = append(listeners, flight)
+		system.AddListener(flight)
 	}
 	var raw *trace.Recorder
 	if cfg.RecordRaw {
 		raw = trace.NewRecorder()
-		listeners = append(listeners, raw)
-	}
-	var conduit *shard.Conduit
-	if sc.Pipelined && sliced == nil {
-		// Pipelined delivery: the conduit is the engine's only
-		// listener; the real consumers run on its goroutine and the
-		// drain below is the sim → analysis barrier. A sliced run's
-		// conduits live per lane instead — the splitter itself stays
-		// on the engine thread so its routing cursor has one writer.
-		conduit = shard.NewConduit(listeners, 0, sc.eventBatch)
-		system.AddListener(conduit)
-	} else {
-		for _, l := range listeners {
-			system.AddListener(l)
-		}
+		system.AddListener(raw)
 	}
 
 	res := &Result{
@@ -417,18 +368,6 @@ func (sc Scenario) Run() (*Result, error) {
 
 	simSpan := sc.Metrics.Timer("scenario.sim_ns").Start()
 	system.Run(end)
-	if conduit != nil {
-		conduit.Drain()
-	}
-	if sliced != nil {
-		// Quiesce the lanes in slice order and stitch the slice-local
-		// auditors into the one the detector analyzes.
-		merged, mErr := sliced.finish(end)
-		if mErr != nil {
-			return nil, fmt.Errorf("cchunter: merging slices: %w", mErr)
-		}
-		aud = merged
-	}
 	simSpan.End()
 
 	if fs, ok := system.FaultStats(); ok {

@@ -1,7 +1,9 @@
 package cchunter
 
 import (
+	"runtime"
 	"testing"
+	"time"
 )
 
 // testQuantum keeps unit-test scenarios fast: a 1 ms quantum instead
@@ -363,5 +365,46 @@ func TestEvasionNoiseRaisesErrors(t *testing.T) {
 	}
 	if !res.Report.Detected {
 		t.Errorf("camouflaged channel escaped detection:\n%s", res.Report)
+	}
+}
+
+// TestScenarioRunLeavesNoGoroutines checks that Scenario.Run returns
+// with every goroutine it started finished: the simulator's program
+// drivers, the watchdog's supervised analysis, and anything the
+// streaming detector or flight recorder spins up. Each goldenCases
+// scenario runs plain, streaming, supervised and flight-recorded, and
+// the goroutine count must settle back to where it started.
+func TestScenarioRunLeavesNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	modes := []struct {
+		name string
+		set  func(*Scenario)
+	}{
+		{"plain", func(*Scenario) {}},
+		{"stream", func(sc *Scenario) { sc.Stream = true }},
+		{"watchdog", func(sc *Scenario) { sc.Watchdog = time.Minute }},
+		{"flight", func(sc *Scenario) { sc.FlightEvents = 64 }},
+	}
+	for _, tc := range goldenCases() {
+		for _, m := range modes {
+			sc := tc.sc
+			m.set(&sc)
+			if _, err := sc.Run(); err != nil {
+				t.Fatalf("%s/%s: %v", tc.name, m.name, err)
+			}
+		}
+	}
+	// Finished goroutines are reaped asynchronously; give the
+	// scheduler a bounded window to retire them.
+	deadline := time.Now().Add(5 * time.Second)
+	after := runtime.NumGoroutine()
+	for after > before && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+		after = runtime.NumGoroutine()
+	}
+	if after > before {
+		buf := make([]byte, 1<<16)
+		buf = buf[:runtime.Stack(buf, true)]
+		t.Fatalf("goroutines: %d before, %d after\n%s", before, after, buf)
 	}
 }
