@@ -1,57 +1,80 @@
-// Package bloom implements the k-hash Bloom filters used by CC-Hunter's
+// Package bloom implements the Bloom filter bank of CC-Hunter's
 // practical conflict-miss tracker (§V-A, Figure 9). Each cache
 // "generation" owns one three-hash Bloom filter that remembers the tags
 // of blocks replaced while that generation was live; a hit on an
 // incoming tag means the block was recently evicted before the cache
 // reached full capacity — i.e. a conflict miss.
+//
+// The filters of a bank share one geometry and one set of hash
+// functions, so the bank stores them bit-sliced, as a hardware bank of
+// same-size filters probed in parallel would: byte i holds bit i of
+// every filter, one filter per bit of the byte. "Is the tag in any
+// filter?" is then the AND of the three probed bytes, an insert ORs
+// one bit into each, and discarding a filter clears one bit column.
+// A tag's three positions travel packed in one word (ProbeBits bits
+// apiece), so a caller can keep them next to the block the tag
+// occupies and file the tag later without hashing it again.
 package bloom
 
 import (
 	"errors"
 	"fmt"
-	"math/bits"
 )
 
 // ErrBadConfig is wrapped by every configuration validation error in
 // this package.
 var ErrBadConfig = errors.New("bloom: bad configuration")
 
-// Filter is a standard Bloom filter with k independent hash functions
-// derived from a 128-bit double hash. The zero value is not usable; use
-// New.
-type Filter struct {
-	bits   []uint64
-	nbits  uint64
-	hashes int
-	added  int
+// Hashes is the number of hash functions of every filter in a bank,
+// the paper's "three-hash bloom filter".
+const Hashes = 3
+
+// ProbeBits is the width of one position in a packed probe word;
+// Hashes positions fill 63 of its 64 bits.
+const ProbeBits = 21
+
+// MaxBits is the largest filter size whose positions fit in ProbeBits.
+const MaxBits = 1 << ProbeBits
+
+// Slices is the number of filters a bank holds: one per bit of a
+// position's byte.
+const Slices = 8
+
+const probeMask = 1<<ProbeBits - 1
+
+// sliceOnes has bit 0 of every byte set: the bit column of filter 0.
+const sliceOnes = 0x0101010101010101
+
+// Bank is up to Slices same-geometry three-hash Bloom filters stored
+// bit-sliced. The zero value is not usable; use NewBank.
+type Bank struct {
+	// words[p/8] holds positions p&^7 .. p|7, one byte each: bit s of
+	// position p's byte is bit p of filter s.
+	words []uint64
+	nbits uint64
+	// mask is nbits-1 when nbits is a power of two (the default
+	// geometry), letting Probes reduce positions with an AND; zero
+	// otherwise, and Probes falls back to %.
+	mask uint64
 }
 
-// New returns a Bloom filter with nbits bits and k hash functions. The
-// paper's tracker uses k=3 and 4×N bits for an N-block cache; both are
-// choices of the caller. nbits is rounded up to a multiple of 64.
-func New(nbits int, k int) (*Filter, error) {
+// NewBank returns an empty bank of filters with nbits bits each. nbits
+// is rounded up to a multiple of 64, as a word-array filter of the same
+// size would be, and must not exceed MaxBits.
+func NewBank(nbits int) (*Bank, error) {
 	if nbits <= 0 {
 		return nil, fmt.Errorf("%w: filter needs a positive number of bits, got %d", ErrBadConfig, nbits)
 	}
-	if k <= 0 {
-		return nil, fmt.Errorf("%w: filter needs at least one hash function, got %d", ErrBadConfig, k)
+	if nbits > MaxBits {
+		return nil, fmt.Errorf("%w: %d bits per filter exceed the %d a %d-bit probe position addresses",
+			ErrBadConfig, nbits, MaxBits, ProbeBits)
 	}
-	words := (nbits + 63) / 64
-	return &Filter{
-		bits:   make([]uint64, words),
-		nbits:  uint64(words * 64),
-		hashes: k,
-	}, nil
-}
-
-// MustNew is New for sizes known to be valid (internal wiring from
-// already-validated configurations); it panics on error.
-func MustNew(nbits int, k int) *Filter {
-	f, err := New(nbits, k)
-	if err != nil {
-		panic(err)
+	n := uint64(nbits+63) &^ 63
+	b := &Bank{words: make([]uint64, n/8), nbits: n}
+	if n&(n-1) == 0 {
+		b.mask = n - 1
 	}
-	return f
+	return b, nil
 }
 
 // mix64 is the splitmix64 finalizer; a cheap, well-distributed 64-bit
@@ -62,208 +85,57 @@ func mix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// indexes derives the k bit positions for key via double hashing
-// (Kirsch-Mitzenmacher): position_i = h1 + i*h2 mod nbits.
-func (f *Filter) indexes(key uint64, out []uint64) []uint64 {
+// Probes returns key's Hashes bit positions, packed ProbeBits apiece
+// with position i in bits [i*ProbeBits, (i+1)*ProbeBits). Positions
+// come from double hashing (Kirsch-Mitzenmacher): position i is
+// h1 + i*h2 mod the filter size. They depend only on the geometry, so
+// one probe word serves every filter of the bank.
+func (b *Bank) Probes(key uint64) uint64 {
 	h1 := mix64(key)
-	h2 := mix64(key ^ 0x9e3779b97f4a7c15)
-	h2 |= 1 // ensure odd so positions cycle through the table
-	out = out[:0]
-	for i := 0; i < f.hashes; i++ {
-		out = append(out, (h1+uint64(i)*h2)%f.nbits)
+	h2 := mix64(key^0x9e3779b97f4a7c15) | 1 // odd, so positions cycle through the table
+	p0, p1, p2 := h1, h1+h2, h1+2*h2
+	if b.mask != 0 {
+		p0, p1, p2 = p0&b.mask, p1&b.mask, p2&b.mask
+	} else {
+		p0, p1, p2 = p0%b.nbits, p1%b.nbits, p2%b.nbits
 	}
-	return out
+	return p0 | p1<<ProbeBits | p2<<(2*ProbeBits)
 }
 
-// AppendProbes fills dst (reusing its capacity, discarding its
-// contents) with key's k bit positions and returns it. The positions
-// depend only on the filter's geometry (bit count and
-// hash count), so one probe set can be replayed against any filter of
-// identical geometry via ContainsAt/AddAt — the practical conflict
-// tracker hashes each incoming tag once and checks all four
-// generation filters with the same positions.
-func (f *Filter) AppendProbes(dst []uint64, key uint64) []uint64 {
-	return f.indexes(key, dst)
+// column returns position pos's byte in the low byte of the result:
+// bit s is bit pos of filter s.
+func (b *Bank) column(pos uint64) uint64 {
+	return b.words[pos>>3] >> (pos & 7 * 8)
 }
 
-// ContainsAt is Contains for positions precomputed with AppendProbes
-// on a filter of the same geometry.
-func (f *Filter) ContainsAt(positions []uint64) bool {
-	for _, idx := range positions {
-		if f.bits[idx/64]&(1<<(idx%64)) == 0 {
-			return false
-		}
-	}
-	return true
+// AnyContains reports whether some filter of the bank has all the
+// positions of probes set — whether the probed key may have been
+// added to any filter. False positives are possible; false negatives
+// are not.
+func (b *Bank) AnyContains(probes uint64) bool {
+	return b.column(probes&probeMask)&b.column(probes>>ProbeBits&probeMask)&b.column(probes>>(2*ProbeBits))&0xff != 0
 }
 
-// AddAt is Add for positions precomputed with AppendProbes on a
-// filter of the same geometry.
-func (f *Filter) AddAt(positions []uint64) {
-	for _, idx := range positions {
-		f.bits[idx/64] |= 1 << (idx % 64)
+// Add inserts the key probes were computed for into filter s
+// (s < Slices).
+func (b *Bank) Add(probes uint64, s int) {
+	for i := 0; i < Hashes; i++ {
+		pos := probes >> (i * ProbeBits) & probeMask
+		b.words[pos>>3] |= 1 << (pos&7*8 + uint64(s))
 	}
-	f.added++
 }
 
-// Add inserts key into the filter.
-func (f *Filter) Add(key uint64) {
-	var buf [8]uint64
-	for _, idx := range f.indexes(key, buf[:0]) {
-		f.bits[idx/64] |= 1 << (idx % 64)
+// ClearSlice flash-clears filter s, as the tracker does when a
+// generation is discarded: one bit column of the bank.
+func (b *Bank) ClearSlice(s int) {
+	keep := ^(uint64(sliceOnes) << s)
+	for i := range b.words {
+		b.words[i] &= keep
 	}
-	f.added++
 }
 
-// Contains reports whether key may have been added. False positives are
-// possible; false negatives are not.
-func (f *Filter) Contains(key uint64) bool {
-	var buf [8]uint64
-	for _, idx := range f.indexes(key, buf[:0]) {
-		if f.bits[idx/64]&(1<<(idx%64)) == 0 {
-			return false
-		}
-	}
-	return true
-}
+// Clear empties every filter of the bank.
+func (b *Bank) Clear() { clear(b.words) }
 
-// Clear flash-clears the filter, as the tracker does when a generation
-// is discarded.
-func (f *Filter) Clear() {
-	for i := range f.bits {
-		f.bits[i] = 0
-	}
-	f.added = 0
-}
-
-// Added returns how many keys have been inserted since the last Clear.
-func (f *Filter) Added() int { return f.added }
-
-// Bits returns the configured size of the filter in bits.
-func (f *Filter) Bits() int { return int(f.nbits) }
-
-// Hashes returns the number of hash functions.
-func (f *Filter) Hashes() int { return f.hashes }
-
-// FillRatio returns the fraction of bits currently set, a cheap proxy
-// for the false-positive rate.
-func (f *Filter) FillRatio() float64 {
-	var set int
-	for _, w := range f.bits {
-		set += popcount(w)
-	}
-	return float64(set) / float64(f.nbits)
-}
-
-// EstimatedFPR returns the classical Bloom false-positive estimate
-// (1 - e^{-kn/m})^k for the current number of added keys.
-func (f *Filter) EstimatedFPR() float64 {
-	k := float64(f.hashes)
-	n := float64(f.added)
-	m := float64(f.nbits)
-	inner := 1 - expNeg(k*n/m)
-	fpr := 1.0
-	for i := 0; i < f.hashes; i++ {
-		fpr *= inner
-	}
-	return fpr
-}
-
-// expNeg computes e^{-x} with a short series/squaring scheme to avoid
-// importing math in this tiny package. Accuracy of ~1e-9 is far beyond
-// what an FPR estimate needs.
-func expNeg(x float64) float64 {
-	if x < 0 {
-		return 1 / expNeg(-x)
-	}
-	// Argument reduction: e^-x = (e^-x/2^k)^(2^k).
-	k := 0
-	for x > 0.5 {
-		x /= 2
-		k++
-	}
-	// Taylor series for e^-x, x in [0, 0.5].
-	term := 1.0
-	sum := 1.0
-	for i := 1; i < 16; i++ {
-		term *= -x / float64(i)
-		sum += term
-	}
-	for i := 0; i < k; i++ {
-		sum *= sum
-	}
-	return sum
-}
-
-func popcount(x uint64) int {
-	n := 0
-	for x != 0 {
-		x &= x - 1
-		n++
-	}
-	return n
-}
-
-// String describes the filter configuration and fill state.
-func (f *Filter) String() string {
-	return fmt.Sprintf("bloom.Filter{bits=%d k=%d added=%d fill=%.3f}",
-		f.nbits, f.hashes, f.added, f.FillRatio())
-}
-
-// AnyContainsAt probes a bank of same-geometry filters with one
-// precomputed position set (see AppendProbes) and reports whether any
-// filter contains all positions — the generational conflict tracker's
-// "was this tag evicted in any live generation?" test, fused so the
-// tag is hashed once and the filters are swept in one pass. The sweep
-// keeps a candidate bitmask over the filters (banks are small: the
-// tracker has four generations) and tests each probe position against
-// every still-candidate filter, unrolled four-wide across the bank;
-// most misses clear the whole mask on the first position and exit
-// after a handful of word loads. Equivalent to calling ContainsAt on
-// each filter in turn.
-func AnyContainsAt(filters []*Filter, positions []uint64) bool {
-	if len(filters) > 64 {
-		panic("bloom: probe bank wider than 64 filters")
-	}
-	alive := uint64(1)<<uint(len(filters)) - 1
-	for _, idx := range positions {
-		word, bit := idx/64, uint64(1)<<(idx%64)
-		mask := alive
-		// Unrolled four-wide over the bank's still-alive filters.
-		for mask != 0 {
-			i0 := bits.TrailingZeros64(mask)
-			mask &= mask - 1
-			if filters[i0].bits[word]&bit == 0 {
-				alive &^= 1 << uint(i0)
-			}
-			if mask == 0 {
-				break
-			}
-			i1 := bits.TrailingZeros64(mask)
-			mask &= mask - 1
-			if filters[i1].bits[word]&bit == 0 {
-				alive &^= 1 << uint(i1)
-			}
-			if mask == 0 {
-				break
-			}
-			i2 := bits.TrailingZeros64(mask)
-			mask &= mask - 1
-			if filters[i2].bits[word]&bit == 0 {
-				alive &^= 1 << uint(i2)
-			}
-			if mask == 0 {
-				break
-			}
-			i3 := bits.TrailingZeros64(mask)
-			mask &= mask - 1
-			if filters[i3].bits[word]&bit == 0 {
-				alive &^= 1 << uint(i3)
-			}
-		}
-		if alive == 0 {
-			return false
-		}
-	}
-	return true
-}
+// Bits returns the size of each filter in bits.
+func (b *Bank) Bits() int { return int(b.nbits) }

@@ -4,11 +4,17 @@
 // after Xu et al.). Each cache block tracks its owner hardware context,
 // which is what lets the conflict-miss tracker label replacements with
 // (replacer → victim) pairs.
+//
+// Replacement is true LRU kept the way hardware keeps it, in per-set
+// metadata next to the tags: a packed recency stack of 4-bit way
+// numbers per set, so associativity is capped at MaxWays (16). See
+// DESIGN.md §12.
 package cache
 
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 )
 
 // ErrBadConfig is wrapped by every configuration validation error in
@@ -66,29 +72,42 @@ func ownerOf(enc uint64) uint8 { return uint8(enc) }
 // It is not safe for concurrent use; the simulation engine serializes
 // all accesses in global time order.
 //
-// Block metadata lives in one flat array indexed by node =
+// Block metadata lives in one flat array indexed by block =
 // set*Ways+way: tags holds each way's packed tag+owner word (one
 // cache line of words per 8-way set, so the hit scan touches a single
-// array). Recency is an intrusive doubly-linked list per set,
-// threaded through flat index arrays: every touch relinks the block
-// at the head in O(1), and the eviction victim is the first
-// in-partition node from the tail — no per-access timestamp scan and
-// no per-access allocation.
+// array). Recency is a packed stack per set: one word of 4-bit way
+// numbers ordered from most to least recently used, the way an LRU
+// matrix or stack is kept next to the tags in hardware. A touch finds
+// the way's nibble with one SWAR compare and shifts the younger
+// nibbles down behind it; the eviction victim is the first
+// in-partition way reading the nibbles from the LRU end. No
+// per-access timestamp scan and no per-access allocation.
 type Cache struct {
 	cfg       Config
 	nsets     int
 	lineShift uint
 	setMask   uint64
+	lruNibble uint     // 4*(Ways-1): the bit offset of the LRU nibble
 	tags      []uint64 // packed tag+owner words; invalidTag = empty way
 
-	// Per-set LRU lists over global node indexes; -1 terminates.
-	// lruHead[s] is set s's most recently used way, lruTail[s] its
-	// least recently used.
-	lruPrev, lruNext []int32
-	lruHead, lruTail []int32
+	// recency[s] is set s's recency stack: nibble i (bits 4i..4i+3)
+	// is the way with recency rank i, rank 0 the most recently used.
+	// Nibbles at and above Ways stay zero.
+	recency []uint64
 
 	hits, misses, evictions uint64
 }
+
+// MaxWays is the largest associativity a recency stack holds: sixteen
+// 4-bit way numbers fill its 64-bit word.
+const MaxWays = 16
+
+// nibbleOnes has a 1 in every nibble; nibbleHighs the top bit of
+// every nibble.
+const (
+	nibbleOnes  = 0x1111111111111111
+	nibbleHighs = 0x8888888888888888
+)
 
 // New builds a cache from cfg, rejecting inconsistent geometries with
 // an error wrapping ErrBadConfig. Cache configurations reach here from
@@ -100,6 +119,9 @@ func New(cfg Config) (*Cache, error) {
 	}
 	if cfg.Ways <= 0 || cfg.SizeBytes <= 0 {
 		return nil, fmt.Errorf("%w: size %d and ways %d must be positive", ErrBadConfig, cfg.SizeBytes, cfg.Ways)
+	}
+	if cfg.Ways > MaxWays {
+		return nil, fmt.Errorf("%w: %d ways exceed the recency stack's %d", ErrBadConfig, cfg.Ways, MaxWays)
 	}
 	blocks := cfg.SizeBytes / cfg.LineBytes
 	if blocks%cfg.Ways != 0 {
@@ -119,52 +141,46 @@ func New(cfg Config) (*Cache, error) {
 		nsets:     nsets,
 		lineShift: shift,
 		setMask:   uint64(nsets - 1),
+		lruNibble: 4 * uint(cfg.Ways-1),
 		tags:      make([]uint64, blocks),
-		lruPrev:   make([]int32, blocks),
-		lruNext:   make([]int32, blocks),
-		lruHead:   make([]int32, nsets),
-		lruTail:   make([]int32, nsets),
+		recency:   make([]uint64, nsets),
 	}
-	// Initial list order is way index order; it only matters once all
-	// in-partition ways are valid, by which time every way has been
-	// relinked by its install.
-	for s := 0; s < nsets; s++ {
-		base := int32(s * cfg.Ways)
-		for w := 0; w < cfg.Ways; w++ {
-			n := base + int32(w)
-			c.lruPrev[n] = n - 1
-			c.lruNext[n] = n + 1
-		}
-		c.lruPrev[base] = -1
-		c.lruNext[base+int32(cfg.Ways)-1] = -1
-		c.lruHead[s] = base
-		c.lruTail[s] = base + int32(cfg.Ways) - 1
+	// Initial order is way index order, way 0 most recent; it only
+	// matters once all in-partition ways are valid, by which time every
+	// way has been moved to the front by its install.
+	var initial uint64
+	for w := cfg.Ways - 1; w >= 0; w-- {
+		initial = initial<<4 | uint64(w)
+	}
+	for s := range c.recency {
+		c.recency[s] = initial
 	}
 	return c, nil
 }
 
-// touch moves way w of set s to the head (MRU end) of the set's
-// recency list.
+// touch moves way w of set s to the front (MRU end) of the set's
+// recency stack. The way's rank is the lowest nibble of stack^(w in
+// every nibble) that is zero, found with the SWAR zero-nibble test;
+// the ranks younger than it move down one nibble, and w takes rank 0.
 func (c *Cache) touch(set uint64, w int) {
-	n := int32(int(set)*c.cfg.Ways + w)
-	if c.lruHead[set] == n {
-		return
+	stack := c.recency[set]
+	x := stack ^ uint64(w)*nibbleOnes
+	// The lowest flagged nibble is exactly the lowest zero nibble;
+	// borrows can only flag nibbles above it.
+	rank := uint(bits.TrailingZeros64((x-nibbleOnes)&^x&nibbleHighs)) &^ 3
+	younger := uint64(1)<<rank - 1
+	c.recency[set] = stack&^(younger|0xf<<rank) | (stack&younger)<<4 | uint64(w)
+}
+
+// lruWayIn returns the least recently used way of set s inside [lo,
+// hi), reading the stack's nibbles from the LRU end.
+func (c *Cache) lruWayIn(set uint64, lo, hi int) int {
+	stack := c.recency[set]
+	for sh := int(c.lruNibble); ; sh -= 4 {
+		if w := int(stack>>uint(sh)) & 0xf; w >= lo && w < hi {
+			return w
+		}
 	}
-	p, nx := c.lruPrev[n], c.lruNext[n]
-	if p >= 0 {
-		c.lruNext[p] = nx
-	}
-	if nx >= 0 {
-		c.lruPrev[nx] = p
-	}
-	if c.lruTail[set] == n {
-		c.lruTail[set] = p
-	}
-	h := c.lruHead[set]
-	c.lruPrev[n] = -1
-	c.lruNext[n] = h
-	c.lruPrev[h] = n
-	c.lruHead[set] = n
 }
 
 // MustNew is New for geometries known to be valid (tests, hardcoded
@@ -209,12 +225,15 @@ func (c *Cache) Access(addr uint64, ctx uint8) (res Result) {
 	return res
 }
 
-// AccessHit is Access for callers that only consume the hit/miss bit —
-// the private-L1 step of every load, where eviction details are
-// irrelevant (inclusive-hierarchy invalidations flow from the L2, not
-// from L1 replacements). Cache state, LRU order, and counters advance
-// exactly as Access would; only the Result construction is skipped.
-func (c *Cache) AccessHit(addr uint64, ctx uint8) bool {
+// AccessHit is Access for the private-L1 step of every load, which
+// needs no Result: it reports whether the access hit, the block the
+// line occupies afterwards (the hit way or the way it was installed
+// in, as Result.Block) and whether installing it displaced a valid
+// line. The simulator keeps a back-pointer per L1 block to the L2
+// block holding the same line, and an eviction here is what tells it
+// that the L1 no longer holds the line that pointer names. Cache
+// state, LRU order and counters advance exactly as Access would.
+func (c *Cache) AccessHit(addr uint64, ctx uint8) (hit bool, block uint32, evicted bool) {
 	lineAddr := addr >> c.lineShift
 	set := lineAddr & c.setMask
 	setBase := int(set) * c.cfg.Ways
@@ -231,7 +250,7 @@ func (c *Cache) AccessHit(addr uint64, ctx uint8) bool {
 			ways[i] = enc
 			c.touch(set, i)
 			c.hits++
-			return true
+			return true, uint32(setBase + i), false
 		}
 		if w == invalidTag && victim < 0 {
 			victim = i
@@ -239,14 +258,15 @@ func (c *Cache) AccessHit(addr uint64, ctx uint8) bool {
 	}
 	c.misses++
 	if victim < 0 {
-		// Unpartitioned access: the tail of the recency list is the
+		// Unpartitioned access: the bottom of the recency stack is the
 		// victim, the same choice AccessInWays makes with a full range.
-		victim = int(c.lruTail[set]) - setBase
+		victim = int(c.recency[set]>>c.lruNibble) & 0xf
+		evicted = true
 		c.evictions++
 	}
 	ways[victim] = enc
 	c.touch(set, victim)
-	return false
+	return false, uint32(setBase + victim), evicted
 }
 
 // AccessInWays is Access with allocation restricted to ways [lo, hi) —
@@ -287,11 +307,11 @@ func (c *Cache) AccessInto(res *Result, addr uint64, ctx uint8, lo, hi int) {
 	}
 	c.misses++
 	// Miss: find an invalid way in range, else the LRU way in range —
-	// the first in-partition node walking the recency list from the
-	// tail. Every in-partition way is valid on that walk (the invalid
-	// scan just failed), and relative list order of valid ways is
-	// exactly last-touch order, so the walk lands on the same victim
-	// the timestamp scan used to find.
+	// the first in-partition way reading the recency stack from the
+	// bottom. Every in-partition way is valid on that walk (the
+	// invalid scan just failed), and the stack order of valid ways is
+	// exactly last-touch order, so the walk lands on the same victim a
+	// timestamp scan would find.
 	victim := -1
 	for i := lo; i < hi; i++ {
 		if ways[i] == invalidTag {
@@ -300,12 +320,7 @@ func (c *Cache) AccessInto(res *Result, addr uint64, ctx uint8, lo, hi int) {
 		}
 	}
 	if victim < 0 {
-		for n := c.lruTail[set]; n >= 0; n = c.lruPrev[n] {
-			if w := int(n) - setBase; w >= lo && w < hi {
-				victim = w
-				break
-			}
-		}
+		victim = c.lruWayIn(set, lo, hi)
 		res.Evicted = true
 		res.EvictedLine = decodeTag(ways[victim])
 		res.EvictedOwner = ownerOf(ways[victim])
@@ -347,6 +362,14 @@ func (c *Cache) Contains(addr uint64) bool {
 		}
 	}
 	return false
+}
+
+// LineAt returns the line address block holds (set*Ways+way, the
+// Result.Block coordinate) and whether the block is valid. Intended
+// for tests and assertions.
+func (c *Cache) LineAt(block uint32) (uint64, bool) {
+	enc := c.tags[block]
+	return decodeTag(enc), enc != invalidTag
 }
 
 // Owner returns the owning context of addr's block and whether it is

@@ -20,7 +20,9 @@
 // trackers use flat, index-addressed storage sized at construction,
 // and after construction Observe performs no allocations. The
 // practical tracker keeps its generation stamps per cache block,
-// indexed by the block the access lands in. The ideal tracker's LRU
+// indexed by the block the access lands in, next to the packed Bloom
+// probe positions of the line the block holds; its four generation
+// filters are one bit-sliced bloom.Bank. The ideal tracker's LRU
 // stack is an intrusive doubly-linked list over slab indexes, with
 // lookups through an open-addressing hash index (linear probing,
 // backward-shift deletion). See DESIGN.md §12 for the layouts and the

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"cchunter/internal/bloom"
 	"cchunter/internal/cache"
 	"cchunter/internal/stats"
 )
@@ -258,7 +259,10 @@ func TestConstructorErrors(t *testing.T) {
 			_, err := NewGenerational(GenerationalConfig{TotalBlocks: 8, BloomBitsPerGen: -1})
 			return err
 		},
-		"neg hashes":   func() error { _, err := NewGenerational(GenerationalConfig{TotalBlocks: 8, Hashes: -1}); return err },
+		"bloom too wide": func() error {
+			_, err := NewGenerational(GenerationalConfig{TotalBlocks: 8, BloomBitsPerGen: bloom.MaxBits + 1})
+			return err
+		},
 		"ideal neg":    func() error { _, err := NewIdeal(-4); return err },
 		"gen negative": func() error { _, err := NewGenerational(GenerationalConfig{TotalBlocks: -1}); return err },
 	} {

@@ -104,14 +104,52 @@ func TestIdealMatchesReferenceAfterReset(t *testing.T) {
 	}
 }
 
+// refFilter is a textbook word-array three-hash Bloom filter, built
+// independently of bloom.Bank's bit slicing and of the tracker's
+// stored probe positions: positions by double hashing reduced with %.
+type refFilter struct {
+	bits  []uint64
+	nbits uint64
+}
+
+func newRefFilter(nbits int) *refFilter {
+	words := (nbits + 63) / 64
+	return &refFilter{bits: make([]uint64, words), nbits: uint64(words * 64)}
+}
+
+func (f *refFilter) positions(key uint64) [3]uint64 {
+	h1 := mixLine(key)
+	h2 := mixLine(key^0x9e3779b97f4a7c15) | 1
+	return [3]uint64{h1 % f.nbits, (h1 + h2) % f.nbits, (h1 + 2*h2) % f.nbits}
+}
+
+func (f *refFilter) add(key uint64) {
+	for _, p := range f.positions(key) {
+		f.bits[p/64] |= 1 << (p % 64)
+	}
+}
+
+func (f *refFilter) contains(key uint64) bool {
+	for _, p := range f.positions(key) {
+		if f.bits[p/64]&(1<<(p%64)) == 0 {
+			return false
+		}
+	}
+	return true
+}
+
+func (f *refFilter) clear() { clear(f.bits) }
+
 // generationalOracle is the line-keyed build of the practical
 // tracker, the representation it had before its state moved into
-// per-block stamps: a map from resident line to its four generation
-// bits, a flash-cleared bit column per turnover, and the evicted tag
-// filed under the youngest set bit. It shares nothing with the
-// per-block implementation but the Bloom filters' geometry.
+// per-block metadata: a map from resident line to its four generation
+// bits, a flash-cleared bit column per turnover, four separate Bloom
+// filters, and the evicted tag hashed again and filed under the
+// youngest set bit. It shares nothing with the per-block
+// implementation but the configuration.
 type generationalOracle struct {
-	g           *Generational
+	filters     [numGenerations]*refFilter
+	threshold   int
 	resident    map[uint64]uint8
 	current     int
 	accessed    int
@@ -120,18 +158,25 @@ type generationalOracle struct {
 }
 
 func newGenerationalOracle(cfg GenerationalConfig) *generationalOracle {
-	return &generationalOracle{
-		g:        MustNewGenerational(cfg),
-		resident: map[uint64]uint8{},
+	o := &generationalOracle{
+		threshold: max(cfg.TotalBlocks/numGenerations, 1),
+		resident:  map[uint64]uint8{},
 	}
+	bits := cfg.BloomBitsPerGen
+	if bits == 0 {
+		bits = cfg.TotalBlocks
+	}
+	for i := range o.filters {
+		o.filters[i] = newRefFilter(bits)
+	}
+	return o
 }
 
 func (o *generationalOracle) observe(ob Observation) bool {
-	g := o.g
 	conflict := false
 	if !ob.Hit {
-		for _, f := range g.filters {
-			if f.Contains(ob.LineAddr) {
+		for _, f := range o.filters {
+			if f.contains(ob.LineAddr) {
 				conflict = true
 				o.conflicts++
 				break
@@ -141,7 +186,7 @@ func (o *generationalOracle) observe(ob Observation) bool {
 	if ob.Evicted {
 		if mask, ok := o.resident[ob.EvictedLine]; ok {
 			idx := o.latestGeneration(mask)
-			g.filters[idx].Add(ob.EvictedLine)
+			o.filters[idx].add(ob.EvictedLine)
 			delete(o.resident, ob.EvictedLine)
 		}
 	}
@@ -150,9 +195,9 @@ func (o *generationalOracle) observe(ob Observation) bool {
 	if mask&bit == 0 {
 		o.resident[ob.LineAddr] = mask | bit
 		o.accessed++
-		if o.accessed >= g.threshold {
+		if o.accessed >= o.threshold {
 			oldest := (o.current + 1) % numGenerations
-			g.filters[oldest].Clear()
+			o.filters[oldest].clear()
 			keep := ^(uint8(1) << uint(oldest))
 			for line, m := range o.resident {
 				if nm := m & keep; nm != m {

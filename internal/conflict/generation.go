@@ -39,28 +39,34 @@ const numGenerations = 4
 // at most three generations old stands for a non-empty mask and a
 // turnover needs no scan at all.
 //
+// The four filters are one bit-sliced bloom.Bank: a miss probes all
+// four with one AND of three bytes. A line's three probe positions
+// are computed once, when the miss installs it, and kept in its
+// block's metadata next to the stamp, so filing the line when it is
+// evicted needs no second hash.
+//
 // Precondition: the tracker must see every change to the tracked
-// cache. Every access is observed, and every removal of a block from
+// cache. Every access is observed, every line a block holds was
+// installed by an observed miss, and every removal of a block from
 // the cache is reported as an eviction on the access that displaced
-// it. A block's stamp then always describes the line the block holds.
+// it. A block's stamp and probe positions then always describe the
+// line the block holds.
 type Generational struct {
 	totalBlocks int
 	threshold   int
 	bitsPerGen  int
-	hashes      int
 
-	filters [numGenerations]*bloom.Filter
-	// probes is the scratch for the per-access Bloom probe positions.
-	// All four filters share one geometry, so an incoming tag is
-	// hashed once and the same positions are checked in each — the
-	// software analogue of the hardware design's shared hash trees.
-	probes []uint64
+	// bank holds the four generations' Bloom filters, generation
+	// stamp s in slice (s-1)%4.
+	bank *bloom.Bank
 
 	// stamps[b] is the stamp of the generation in which block b was
 	// last accessed; 0 marks a block never touched. Generation stamps
-	// count up from 1, and generation s keeps its Bloom filter in
-	// filters[(s-1)%4]. A stamp is live while now-stamp < 4.
+	// count up from 1. A stamp is live while now-stamp < 4.
 	stamps []uint32
+	// probes[b] is the packed Bloom probe word (bloom.Bank.Probes) of
+	// the line block b holds, stored when a miss installed it.
+	probes []uint64
 	now    uint32 // stamp of the current generation
 
 	accessed int // blocks touched in the current generation
@@ -73,13 +79,11 @@ type Generational struct {
 type GenerationalConfig struct {
 	// TotalBlocks is the tracked cache's block count (N).
 	TotalBlocks int
-	// BloomBitsPerGen is the size of each generation's Bloom filter in
-	// bits. The paper provisions 4×N bits across 4 filters, i.e. N
-	// bits each; 0 selects that default.
+	// BloomBitsPerGen is the size of each generation's three-hash
+	// Bloom filter in bits, at most bloom.MaxBits. The paper
+	// provisions 4×N bits across 4 filters, i.e. N bits each; 0
+	// selects that default.
 	BloomBitsPerGen int
-	// Hashes is the number of Bloom hash functions (default 3, per
-	// the paper's "three-hash bloom filter").
-	Hashes int
 }
 
 // NewGenerational builds the practical tracker.
@@ -90,30 +94,22 @@ func NewGenerational(cfg GenerationalConfig) (*Generational, error) {
 	if cfg.BloomBitsPerGen < 0 {
 		return nil, fmt.Errorf("%w: BloomBitsPerGen %d negative", ErrBadConfig, cfg.BloomBitsPerGen)
 	}
-	if cfg.Hashes < 0 {
-		return nil, fmt.Errorf("%w: Hashes %d negative", ErrBadConfig, cfg.Hashes)
-	}
 	if cfg.BloomBitsPerGen == 0 {
 		cfg.BloomBitsPerGen = cfg.TotalBlocks
 	}
-	if cfg.Hashes == 0 {
-		cfg.Hashes = 3
+	// The bank checks that positions fit the per-block probe word.
+	bank, err := bloom.NewBank(cfg.BloomBitsPerGen)
+	if err != nil {
+		return nil, fmt.Errorf("%w: BloomBitsPerGen: %v", ErrBadConfig, err)
 	}
 	g := &Generational{
 		totalBlocks: cfg.TotalBlocks,
-		threshold:   cfg.TotalBlocks / numGenerations,
+		threshold:   max(cfg.TotalBlocks/numGenerations, 1),
 		bitsPerGen:  cfg.BloomBitsPerGen,
-		hashes:      cfg.Hashes,
-		probes:      make([]uint64, 0, cfg.Hashes),
+		bank:        bank,
 		stamps:      make([]uint32, cfg.TotalBlocks),
+		probes:      make([]uint64, cfg.TotalBlocks),
 		now:         1,
-	}
-	if g.threshold < 1 {
-		g.threshold = 1
-	}
-	for i := range g.filters {
-		// Parameters were validated above; a failure here is a bug.
-		g.filters[i] = bloom.MustNew(cfg.BloomBitsPerGen, cfg.Hashes)
 	}
 	return g, nil
 }
@@ -131,11 +127,11 @@ func MustNewGenerational(cfg GenerationalConfig) *Generational {
 // Name implements Tracker.
 func (g *Generational) Name() string { return "generation-bloom" }
 
-// Reset implements Tracker.
+// Reset implements Tracker. The per-block probe words are kept: they
+// describe the lines the cache still holds, and a hit after the reset
+// restamps such a block without installing its line again.
 func (g *Generational) Reset() {
-	for _, f := range g.filters {
-		f.Clear()
-	}
+	g.bank.Clear()
 	clear(g.stamps)
 	g.now = 1
 	g.accessed = 0
@@ -145,26 +141,28 @@ func (g *Generational) Reset() {
 
 // Observe implements Tracker.
 func (g *Generational) Observe(o Observation) bool {
-	return g.ObserveAccess(o.Block, o.LineAddr, o.Hit, o.Evicted, o.EvictedLine)
+	return g.ObserveAccess(o.Block, o.LineAddr, o.Hit, o.Evicted)
 }
 
-// ObserveAccess is Observe taking only the five fields the practical
+// ObserveAccess is Observe taking only the four fields the practical
 // tracker reads: the block the access landed in, the accessed line,
-// whether it hit, and whether (and which) line it evicted from that
-// block. It is the simulator's per-access call — five scalars travel
-// in registers, where an eight-field Observation would be spilled to
-// the stack and reloaded on every L2 access. block must lie below
-// TotalBlocks.
-func (g *Generational) ObserveAccess(block uint32, line uint64, hit, evicted bool, evictedLine uint64) bool {
+// whether it hit, and whether it evicted a line from that block. The
+// evicted line's address is not needed: its probe positions are in
+// the block's metadata. It is the simulator's per-access call — four
+// scalars travel in registers, where an eight-field Observation would
+// be spilled to the stack and reloaded on every L2 access. block must
+// lie below TotalBlocks.
+func (g *Generational) ObserveAccess(block uint32, line uint64, hit, evicted bool) bool {
 	conflict := false
+	var probes uint64
 	if !hit {
 		// Check whether the incoming tag was recently prematurely
 		// evicted: a hit in any generation's Bloom filter means the
 		// block was accessed in that generation but replaced to make
 		// room before the cache cycled through full capacity. The tag
-		// is hashed once; the filters share one geometry.
-		g.probes = g.filters[0].AppendProbes(g.probes, line)
-		if bloom.AnyContainsAt(g.filters[:], g.probes) {
+		// is hashed once and the four filters probed together.
+		probes = g.bank.Probes(line)
+		if g.bank.AnyContains(probes) {
 			conflict = true
 			g.conflicts++
 		}
@@ -172,8 +170,12 @@ func (g *Generational) ObserveAccess(block uint32, line uint64, hit, evicted boo
 	stamp := g.stamps[block]
 	if evicted && stamp != 0 && g.now-stamp < numGenerations {
 		// The displaced tag held this block; record it in the Bloom
-		// filter of the latest generation in which it was accessed.
-		g.filters[(stamp-1)%numGenerations].Add(evictedLine)
+		// filter of the latest generation in which it was accessed,
+		// at the positions stored when it was installed.
+		g.bank.Add(g.probes[block], int((stamp-1)%numGenerations))
+	}
+	if !hit {
+		g.probes[block] = probes
 	}
 	// Mark the accessed block in the current generation (emulating
 	// placement at the top of the LRU stack). A miss always counts: the
@@ -196,7 +198,7 @@ func (g *Generational) turnover() {
 		g.rebase()
 	}
 	g.now++
-	g.filters[(g.now-1)%numGenerations].Clear()
+	g.bank.ClearSlice(int((g.now - 1) % numGenerations))
 	g.accessed = 0
 	g.generations++
 }

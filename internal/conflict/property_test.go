@@ -4,7 +4,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"cchunter/internal/bloom"
 	"cchunter/internal/cache"
 	"cchunter/internal/stats"
 )
@@ -17,13 +16,13 @@ import (
 func TestFirstTouchNeverConflicts(t *testing.T) {
 	const lines, bloomBits = 500, 1 << 16
 	for l := uint64(0); l < lines; l++ {
-		f := bloom.MustNew(bloomBits, 3)
+		f := newRefFilter(bloomBits)
 		for other := uint64(0); other < lines; other++ {
 			if other != l {
-				f.Add(other)
+				f.add(other)
 			}
 		}
-		if f.Contains(l) {
+		if f.contains(l) {
 			t.Fatalf("line %d is a Bloom false positive among the other %d lines", l, lines-1)
 		}
 	}

@@ -50,6 +50,9 @@ func allocFixture(t *testing.T, quantum uint64, mult int) *auditor.Auditor {
 // allocated per histogram bin, per k-means iteration, and per
 // autocorrelation lag.
 func TestAnalysisPathAllocationFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops sync.Pool puts, so pooled workspaces are re-made")
+	}
 	const ceiling = 64.0
 	quantum := uint64(10_000_000)
 	end := uint64(8) * quantum
@@ -74,6 +77,9 @@ func TestAnalysisPathAllocationFree(t *testing.T) {
 // AnalyzeOscillation with a workspace, its pooled autocorrelogram
 // recycled by the caller, allocates only the per-couple peak lists.
 func TestOscillationWorkspacePathAllocationFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops sync.Pool puts, so the pooled autocorrelogram is re-made")
+	}
 	a := allocFixture(t, 10_000_000, 1)
 	train := a.ConflictTrain()
 	if train == nil || train.Len() == 0 {

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math/bits"
+
 	"cchunter/internal/cache"
 	"cchunter/internal/conflict"
 	"cchunter/internal/trace"
@@ -300,8 +302,14 @@ func (s *System) dividerSlot(c *hwContext, now uint64) uint64 {
 func (s *System) memAccess(c *hwContext, addr uint64, now, stamp uint64) uint64 {
 	co := c.core
 	lat := co.l1.HitLatency()
-	if co.l1.AccessHit(addr, c.id) {
+	hit, l1Block, l1Evicted := co.l1.AccessHit(addr, c.id)
+	if hit {
 		return lat
+	}
+	if l1Evicted {
+		// The L1 dropped the line this block held: that line's L2
+		// block no longer has a copy in this core.
+		s.presence[co.l2Block[l1Block]] &^= co.bit
 	}
 	if s.ring != nil {
 		// The miss transits the ring to the slice owning the line
@@ -310,7 +318,7 @@ func (s *System) memAccess(c *hwContext, addr uint64, now, stamp uint64) uint64 
 		lat = done - now
 	}
 	// The L2 fills a result slot on this frame and the default tracker
-	// takes the five scalars it reads: neither hand-off round-trips a
+	// takes the four scalars it reads: neither hand-off round-trips a
 	// large struct through the stack. The L2 changes nowhere else, and
 	// every change here reaches the tracker, which is what the
 	// practical tracker's per-block stamps require.
@@ -321,16 +329,20 @@ func (s *System) memAccess(c *hwContext, addr uint64, now, stamp uint64) uint64 
 	}
 	s.l2.AccessInto(&l2, addr, c.id, lo, hi)
 	lat += s.l2.HitLatency()
+	present := s.presence[l2.Block]
 	if l2.Evicted {
-		// Inclusive hierarchy: an L2 eviction back-invalidates every
-		// core's L1 copy.
-		for _, other := range s.cores {
-			other.l1.InvalidateLine(l2.EvictedLine)
+		// Inclusive hierarchy: an L2 eviction back-invalidates the L1
+		// copies, which the block's presence bits name exactly.
+		for m := present; m != 0; m &= m - 1 {
+			s.cores[bits.TrailingZeros8(m)].l1.InvalidateLine(l2.EvictedLine)
 		}
+		present = 0
 	}
+	s.presence[l2.Block] = present | co.bit
+	co.l2Block[l1Block] = l2.Block
 	var isConflict bool
 	if s.trackGen != nil {
-		isConflict = s.trackGen.ObserveAccess(l2.Block, l2.LineAddr, l2.Hit, l2.Evicted, l2.EvictedLine)
+		isConflict = s.trackGen.ObserveAccess(l2.Block, l2.LineAddr, l2.Hit, l2.Evicted)
 	} else {
 		isConflict = s.tracker.Observe(conflict.Observation{
 			LineAddr:     l2.LineAddr,

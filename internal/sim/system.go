@@ -68,10 +68,20 @@ func (p *Process) Done() bool { return p.done }
 // core bundles the per-core hardware.
 type core struct {
 	id  int
+	bit uint8 // this core's bit in System.presence
 	l1  *cache.Cache
-	div *divider.Bank
-	tlb *tlb.TLB
+	// l2Block[b] is the L2 block holding the line L1 block b holds,
+	// set on every L1 fill. It is meaningful while L1 block b is
+	// valid: an invalidated block keeps a stale pointer, but its next
+	// fill reports no eviction, so the pointer is never read.
+	l2Block []uint32
+	div     *divider.Bank
+	tlb     *tlb.TLB
 }
+
+// MaxCores is the largest core count a machine may have: the L2 keeps
+// one presence bit per core in a byte of block metadata.
+const MaxCores = 8
 
 // hwContext is one SMT hardware context.
 type hwContext struct {
@@ -89,10 +99,15 @@ type System struct {
 	cores    []*core
 	contexts []*hwContext
 	l2       *cache.Cache
+	// presence[b] has bit k set exactly when core k's L1 holds the
+	// line in L2 block b — the core-valid bits an inclusive L2 keeps
+	// in its block metadata, so an L2 eviction back-invalidates only
+	// the L1s that hold the line.
+	presence []uint8
 	tracker  conflict.Tracker
 	// trackGen aliases tracker when the practical generational design
 	// is selected (the default): the hot path then calls
-	// ObserveAccess on a concrete pointer with the five scalars it
+	// ObserveAccess on a concrete pointer with the four scalars it
 	// reads, instead of an interface dispatch with an eight-field
 	// Observation per L2 access.
 	trackGen  *conflict.Generational
@@ -136,6 +151,13 @@ func New(cfg Config) (*System, error) {
 		return nil, fmt.Errorf("%w: need at least one core and one thread, got %d cores × %d threads",
 			ErrBadConfig, cfg.Cores, cfg.ThreadsPerCore)
 	}
+	if cfg.Cores > MaxCores {
+		return nil, fmt.Errorf("%w: %d cores exceed the L2's %d presence bits", ErrBadConfig, cfg.Cores, MaxCores)
+	}
+	if cfg.L1.LineBytes != cfg.L2.LineBytes {
+		return nil, fmt.Errorf("%w: L1 lines of %dB and L2 lines of %dB: back-invalidation needs one line size",
+			ErrBadConfig, cfg.L1.LineBytes, cfg.L2.LineBytes)
+	}
 	if cfg.QuantumCycles == 0 {
 		return nil, fmt.Errorf("%w: quantum must be positive", ErrBadConfig)
 	}
@@ -172,6 +194,7 @@ func New(cfg Config) (*System, error) {
 		return nil, fmt.Errorf("%w: L2: %v", ErrBadConfig, err)
 	}
 	s.l2 = l2
+	s.presence = make([]uint8, l2.NumBlocks())
 	for b := cfg.L2.LineBytes; b > 1; b >>= 1 {
 		s.lineShift++
 	}
@@ -199,10 +222,12 @@ func New(cfg Config) (*System, error) {
 			return nil, fmt.Errorf("%w: L1: %v", ErrBadConfig, err)
 		}
 		co := &core{
-			id:  c,
-			l1:  l1,
-			div: divider.New(cfg.Div, s.emit),
-			tlb: tlb.New(tlbCfg, s.emit),
+			id:      c,
+			bit:     1 << c,
+			l1:      l1,
+			l2Block: make([]uint32, l1.NumBlocks()),
+			div:     divider.New(cfg.Div, s.emit),
+			tlb:     tlb.New(tlbCfg, s.emit),
 		}
 		s.cores = append(s.cores, co)
 		for t := 0; t < cfg.ThreadsPerCore; t++ {
