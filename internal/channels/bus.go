@@ -47,9 +47,8 @@ func DefaultBusConfig(message []int, bps float64) BusConfig {
 }
 
 // BusTrojan transmits the message by modulating memory bus contention.
-// It is a sim.Stepper: the engine pulls its ops with direct calls; the
-// op and RNG-draw order are exactly those of the original blocking
-// loop (the evasion draw happens after the slot-start wait).
+// It is a sim.Program state machine; the evasion draw happens after the
+// slot-start wait, an order the golden corpus pins.
 type BusTrojan struct {
 	cfg BusConfig
 
@@ -84,10 +83,7 @@ func NewBusTrojan(cfg BusConfig) *BusTrojan {
 // Name implements sim.Program.
 func (t *BusTrojan) Name() string { return "bus-trojan" }
 
-// Run implements sim.Program via the goroutine reference driver.
-func (t *BusTrojan) Run(m *sim.Machine) { sim.RunSteps(t, m) }
-
-// Begin implements sim.Stepper.
+// Begin implements sim.Program.
 func (t *BusTrojan) Begin(m *sim.Machine) {
 	geo := m.Geometry()
 	t.rng = stats.NewRNG(t.cfg.Seed ^ 0xe7a510)
@@ -96,7 +92,7 @@ func (t *BusTrojan) Begin(m *sim.Machine) {
 	t.pc = btSlot
 }
 
-// Step implements sim.Stepper.
+// Step implements sim.Program.
 func (t *BusTrojan) Step(prev sim.OpResult, op *sim.Op) bool {
 	for {
 		switch t.pc {
@@ -143,9 +139,8 @@ func (t *BusTrojan) Step(prev sim.OpResult, op *sim.Op) bool {
 	}
 }
 
-// BusSpy decodes the message from memory access latencies. Like the
-// trojan it is a sim.Stepper with the exact op order of the original
-// blocking loop.
+// BusSpy decodes the message from memory access latencies. It is a
+// sim.Program state machine.
 type BusSpy struct {
 	cfg     BusConfig
 	decoded []int
@@ -184,10 +179,7 @@ func NewBusSpy(cfg BusConfig) *BusSpy {
 // Name implements sim.Program.
 func (s *BusSpy) Name() string { return "bus-spy" }
 
-// Run implements sim.Program via the goroutine reference driver.
-func (s *BusSpy) Run(m *sim.Machine) { sim.RunSteps(s, m) }
-
-// Begin implements sim.Stepper.
+// Begin implements sim.Program.
 func (s *BusSpy) Begin(m *sim.Machine) {
 	geo := m.Geometry()
 	s.m = m
@@ -200,7 +192,7 @@ func (s *BusSpy) Begin(m *sim.Machine) {
 	s.pc = bsSlot
 }
 
-// Step implements sim.Stepper.
+// Step implements sim.Program.
 func (s *BusSpy) Step(prev sim.OpResult, op *sim.Op) bool {
 	for {
 		switch s.pc {

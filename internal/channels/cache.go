@@ -68,8 +68,7 @@ func (cfg CacheConfig) roundLen(slot uint64) uint64 {
 }
 
 // CacheTrojan transmits by replacing the blocks of G1 (for '1') or G0
-// (for '0'). It is a sim.Stepper with the exact op order of the
-// original blocking loop.
+// (for '0'). It is a sim.Program state machine.
 type CacheTrojan struct {
 	cfg CacheConfig
 
@@ -105,10 +104,7 @@ func NewCacheTrojan(cfg CacheConfig) *CacheTrojan {
 // Name implements sim.Program.
 func (t *CacheTrojan) Name() string { return "cache-trojan" }
 
-// Run implements sim.Program via the goroutine reference driver.
-func (t *CacheTrojan) Run(m *sim.Machine) { sim.RunSteps(t, m) }
-
-// Begin implements sim.Stepper.
+// Begin implements sim.Program.
 func (t *CacheTrojan) Begin(m *sim.Machine) {
 	geo := m.Geometry()
 	t.m = m
@@ -119,7 +115,7 @@ func (t *CacheTrojan) Begin(m *sim.Machine) {
 	t.pc = ctSlot
 }
 
-// Step implements sim.Stepper.
+// Step implements sim.Program.
 func (t *CacheTrojan) Step(prev sim.OpResult, op *sim.Op) bool {
 	for {
 		switch t.pc {
@@ -173,10 +169,9 @@ func (t *CacheTrojan) Step(prev sim.OpResult, op *sim.Op) bool {
 }
 
 // CacheSpy decodes by probing both groups and comparing access times.
-// It is a sim.Stepper: probing a group is a sub-machine (csProbe*)
-// that accumulates each LoadN's latency and then jumps to the state
-// stored in afterProbe, preserving the exact op order of the original
-// blocking loop.
+// It is a sim.Program state machine: probing a group is a sub-machine
+// (csProbe*) that accumulates each LoadN's latency and then jumps to
+// the state stored in afterProbe.
 type CacheSpy struct {
 	cfg     CacheConfig
 	decoded []int
@@ -228,10 +223,7 @@ func NewCacheSpy(cfg CacheConfig) *CacheSpy {
 // Name implements sim.Program.
 func (s *CacheSpy) Name() string { return "cache-spy" }
 
-// Run implements sim.Program via the goroutine reference driver.
-func (s *CacheSpy) Run(m *sim.Machine) { sim.RunSteps(s, m) }
-
-// Begin implements sim.Stepper.
+// Begin implements sim.Program.
 func (s *CacheSpy) Begin(m *sim.Machine) {
 	geo := m.Geometry()
 	s.m = m
@@ -252,7 +244,7 @@ func (s *CacheSpy) startProbe(group []uint32, after int) {
 	s.pc = csProbeLoad
 }
 
-// Step implements sim.Stepper.
+// Step implements sim.Program.
 func (s *CacheSpy) Step(prev sim.OpResult, op *sim.Op) bool {
 	for {
 		switch s.pc {

@@ -78,7 +78,6 @@ func runBusChannel(t *testing.T, message []int, bps float64) (*BusSpy, *trace.Tr
 	t.Helper()
 	cfg := DefaultBusConfig(message, bps)
 	s := sim.MustNew(sim.TestConfig())
-	defer s.Close()
 	rec := trace.NewRecorder(trace.KindBusLock)
 	s.AddListener(rec)
 	spy := NewBusSpy(cfg)
@@ -130,7 +129,6 @@ func runDivChannel(t *testing.T, message []int, bps float64) (*DivSpy, *trace.Tr
 	t.Helper()
 	cfg := DefaultDivConfig(message, bps)
 	s := sim.MustNew(sim.TestConfig())
-	defer s.Close()
 	rec := trace.NewRecorder(trace.KindDivContention)
 	s.AddListener(rec)
 	spy := NewDivSpy(cfg)
@@ -180,7 +178,6 @@ func runCacheChannel(t *testing.T, message []int, bps float64, sets int) (*Cache
 	cfg.SetsUsed = sets
 	simCfg := sim.TestConfig()
 	s := sim.MustNew(simCfg)
-	defer s.Close()
 	aud := auditor.MustNew(auditor.DefaultConfig(simCfg.QuantumCycles))
 	if err := aud.MonitorConflicts(); err != nil {
 		t.Fatal(err)

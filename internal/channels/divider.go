@@ -33,7 +33,7 @@ func DefaultDivConfig(message []int, bps float64) DivConfig {
 }
 
 // DivTrojan transmits by saturating the core's division units. It is
-// a sim.Stepper with the exact op order of the original blocking loop.
+// a sim.Program state machine.
 type DivTrojan struct {
 	cfg DivConfig
 
@@ -70,10 +70,7 @@ func NewDivTrojan(cfg DivConfig) *DivTrojan {
 // Name implements sim.Program.
 func (t *DivTrojan) Name() string { return "div-trojan" }
 
-// Run implements sim.Program via the goroutine reference driver.
-func (t *DivTrojan) Run(m *sim.Machine) { sim.RunSteps(t, m) }
-
-// Begin implements sim.Stepper.
+// Begin implements sim.Program.
 func (t *DivTrojan) Begin(m *sim.Machine) {
 	geo := m.Geometry()
 	t.slot = t.cfg.slotCycles(geo)
@@ -81,7 +78,7 @@ func (t *DivTrojan) Begin(m *sim.Machine) {
 	t.pc = dtSlot
 }
 
-// Step implements sim.Stepper.
+// Step implements sim.Program.
 func (t *DivTrojan) Step(prev sim.OpResult, op *sim.Op) bool {
 	for {
 		switch t.pc {
@@ -145,7 +142,7 @@ func (t *DivTrojan) Step(prev sim.OpResult, op *sim.Op) bool {
 }
 
 // DivSpy decodes by timing constant-length division loops. It is a
-// sim.Stepper with the exact op order of the original blocking loop.
+// sim.Program state machine.
 type DivSpy struct {
 	cfg     DivConfig
 	decoded []int
@@ -187,10 +184,7 @@ func NewDivSpy(cfg DivConfig) *DivSpy {
 // Name implements sim.Program.
 func (s *DivSpy) Name() string { return "div-spy" }
 
-// Run implements sim.Program via the goroutine reference driver.
-func (s *DivSpy) Run(m *sim.Machine) { sim.RunSteps(s, m) }
-
-// Begin implements sim.Stepper.
+// Begin implements sim.Program.
 func (s *DivSpy) Begin(m *sim.Machine) {
 	geo := m.Geometry()
 	s.slot = s.cfg.slotCycles(geo)
@@ -198,7 +192,7 @@ func (s *DivSpy) Begin(m *sim.Machine) {
 	s.pc = dsSlot
 }
 
-// Step implements sim.Stepper.
+// Step implements sim.Program.
 func (s *DivSpy) Step(prev sim.OpResult, op *sim.Op) bool {
 	for {
 		switch s.pc {

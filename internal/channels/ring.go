@@ -52,7 +52,7 @@ func ringTargetSlice(stops int) int {
 
 // RingTrojan transmits by hammering loads across the ring into the
 // shared slice during '1' slots, occupying the ring segments the spy's
-// probes must cross. It is a sim.Stepper.
+// probes must cross. It is a sim.Program state machine.
 type RingTrojan struct {
 	cfg RingConfig
 
@@ -91,10 +91,7 @@ func NewRingTrojan(cfg RingConfig) *RingTrojan {
 // Name implements sim.Program.
 func (t *RingTrojan) Name() string { return "ring-trojan" }
 
-// Run implements sim.Program via the goroutine reference driver.
-func (t *RingTrojan) Run(m *sim.Machine) { sim.RunSteps(t, m) }
-
-// Begin implements sim.Stepper.
+// Begin implements sim.Program.
 func (t *RingTrojan) Begin(m *sim.Machine) {
 	geo := m.Geometry()
 	if geo.RingStops <= 0 {
@@ -130,7 +127,7 @@ func (t *RingTrojan) addr() uint64 {
 	return a
 }
 
-// Step implements sim.Stepper.
+// Step implements sim.Program.
 func (t *RingTrojan) Step(prev sim.OpResult, op *sim.Op) bool {
 	for {
 		switch t.pc {
@@ -186,7 +183,7 @@ func (t *RingTrojan) Step(prev sim.OpResult, op *sim.Op) bool {
 // RingSpy decodes by timing its own ring transits into the shared
 // slice: a probe that waits on a segment the trojan occupies comes
 // back slower than the calibrated uncontended baseline. It is a
-// sim.Stepper.
+// sim.Program state machine.
 type RingSpy struct {
 	cfg     RingConfig
 	decoded []int
@@ -232,10 +229,7 @@ func NewRingSpy(cfg RingConfig) *RingSpy {
 // Name implements sim.Program.
 func (s *RingSpy) Name() string { return "ring-spy" }
 
-// Run implements sim.Program via the goroutine reference driver.
-func (s *RingSpy) Run(m *sim.Machine) { sim.RunSteps(s, m) }
-
-// Begin implements sim.Stepper.
+// Begin implements sim.Program.
 func (s *RingSpy) Begin(m *sim.Machine) {
 	geo := m.Geometry()
 	if geo.RingStops <= 0 {
@@ -258,7 +252,7 @@ func (s *RingSpy) addr() uint64 {
 	return a
 }
 
-// Step implements sim.Stepper.
+// Step implements sim.Program.
 func (s *RingSpy) Step(prev sim.OpResult, op *sim.Op) bool {
 	for {
 		switch s.pc {

@@ -22,7 +22,6 @@ func ringSimConfig() sim.Config {
 func runRingChannel(t *testing.T, cfg RingConfig) (*RingSpy, *trace.Train) {
 	t.Helper()
 	s := sim.MustNew(ringSimConfig())
-	defer s.Close()
 	rec := trace.NewRecorder(trace.KindRingContention)
 	s.AddListener(rec)
 	spy := NewRingSpy(cfg)
@@ -39,7 +38,6 @@ func runRingChannel(t *testing.T, cfg RingConfig) (*RingSpy, *trace.Train) {
 func runTLBChannel(t *testing.T, cfg TLBConfig) (*TLBSpy, *trace.Train) {
 	t.Helper()
 	s := sim.MustNew(sim.TestConfig())
-	defer s.Close()
 	rec := trace.NewRecorder(trace.KindTLBConflict)
 	s.AddListener(rec)
 	spy := NewTLBSpy(cfg)
@@ -237,62 +235,49 @@ func TestEvaderDutyThinsTrain(t *testing.T) {
 }
 
 // TestRingTLBSteppersAllocationFree extends the engine's
-// zero-allocation contract (TestOpPathAllocationFree) to the new
-// channel hot paths: in steady state, ring loads and TLB probes —
-// trojan and spy, both drivers — allocate nothing. The spies' per-slot
-// result slices are pre-reserved so the measurement sees only the op
-// path, not amortized append growth.
+// zero-allocation contract (TestOpPathAllocationFree) to the ring and
+// TLB channel hot paths: in steady state, ring loads and TLB probes —
+// trojan and spy — allocate nothing. The spies' per-slot result slices
+// are pre-reserved so the measurement sees only the op path, not
+// amortized append growth.
 func TestRingTLBSteppersAllocationFree(t *testing.T) {
 	msg := []int{1, 0, 1, 1, 0, 1, 0, 0}
-	for name, driver := range map[string]sim.Driver{
-		"step":      sim.DriverStep,
-		"goroutine": sim.DriverGoroutine,
-	} {
-		t.Run("ring/"+name, func(t *testing.T) {
-			cfg := ringSimConfig()
-			cfg.Driver = driver
-			s := sim.MustNew(cfg)
-			defer s.Close()
-			c := DefaultRingConfig(msg, 25_000)
-			c.Repeat = true
-			spy := NewRingSpy(c)
-			spy.decoded = make([]int, 0, 1<<16)
-			spy.perBitSlowFrac = make([]float64, 0, 1<<16)
-			s.Spawn(NewRingTrojan(c), sim.Pin(0))
-			s.Spawn(spy, sim.Pin(2))
-			until := uint64(300_000)
+	t.Run("ring", func(t *testing.T) {
+		s := sim.MustNew(ringSimConfig())
+		c := DefaultRingConfig(msg, 25_000)
+		c.Repeat = true
+		spy := NewRingSpy(c)
+		spy.decoded = make([]int, 0, 1<<16)
+		spy.perBitSlowFrac = make([]float64, 0, 1<<16)
+		s.Spawn(NewRingTrojan(c), sim.Pin(0))
+		s.Spawn(spy, sim.Pin(2))
+		until := uint64(300_000)
+		s.Run(until)
+		allocs := testing.AllocsPerRun(20, func() {
+			until += 200_000
 			s.Run(until)
-			allocs := testing.AllocsPerRun(20, func() {
-				until += 200_000
-				s.Run(until)
-			})
-			if allocs != 0 {
-				t.Errorf("ring channel on %s driver: %v allocs per Run chunk, want 0",
-					name, allocs)
-			}
 		})
-		t.Run("tlb/"+name, func(t *testing.T) {
-			cfg := sim.TestConfig()
-			cfg.Driver = driver
-			s := sim.MustNew(cfg)
-			defer s.Close()
-			c := DefaultTLBConfig(msg, 25_000)
-			c.Repeat = true
-			spy := NewTLBSpy(c)
-			spy.decoded = make([]int, 0, 1<<16)
-			spy.perSymbolMissFrac = make([]float64, 0, 1<<16)
-			s.Spawn(NewTLBTrojan(c), sim.Pin(0))
-			s.Spawn(spy, sim.Pin(1))
-			until := uint64(500_000)
+		if allocs != 0 {
+			t.Errorf("ring channel: %v allocs per Run chunk, want 0", allocs)
+		}
+	})
+	t.Run("tlb", func(t *testing.T) {
+		s := sim.MustNew(sim.TestConfig())
+		c := DefaultTLBConfig(msg, 25_000)
+		c.Repeat = true
+		spy := NewTLBSpy(c)
+		spy.decoded = make([]int, 0, 1<<16)
+		spy.perSymbolMissFrac = make([]float64, 0, 1<<16)
+		s.Spawn(NewTLBTrojan(c), sim.Pin(0))
+		s.Spawn(spy, sim.Pin(1))
+		until := uint64(500_000)
+		s.Run(until)
+		allocs := testing.AllocsPerRun(20, func() {
+			until += 200_000
 			s.Run(until)
-			allocs := testing.AllocsPerRun(20, func() {
-				until += 200_000
-				s.Run(until)
-			})
-			if allocs != 0 {
-				t.Errorf("tlb channel on %s driver: %v allocs per Run chunk, want 0",
-					name, allocs)
-			}
 		})
-	}
+		if allocs != 0 {
+			t.Errorf("tlb channel: %v allocs per Run chunk, want 0", allocs)
+		}
+	})
 }

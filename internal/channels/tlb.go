@@ -84,7 +84,8 @@ func tlbPage(way, set, sets int) uint64 {
 }
 
 // TLBTrojan transmits symbol s by filling every way of TLB-set group s
-// with its own translations, evicting the spy's. It is a sim.Stepper.
+// with its own translations, evicting the spy's. It is a sim.Program
+// state machine.
 type TLBTrojan struct {
 	cfg TLBConfig
 
@@ -121,10 +122,7 @@ func NewTLBTrojan(cfg TLBConfig) *TLBTrojan {
 // Name implements sim.Program.
 func (t *TLBTrojan) Name() string { return "tlb-trojan" }
 
-// Run implements sim.Program via the goroutine reference driver.
-func (t *TLBTrojan) Run(m *sim.Machine) { sim.RunSteps(t, m) }
-
-// Begin implements sim.Stepper.
+// Begin implements sim.Program.
 func (t *TLBTrojan) Begin(m *sim.Machine) {
 	geo := m.Geometry()
 	t.m = m
@@ -139,7 +137,7 @@ func (t *TLBTrojan) Begin(m *sim.Machine) {
 	t.pc = ttSlot
 }
 
-// Step implements sim.Stepper.
+// Step implements sim.Program.
 func (t *TLBTrojan) Step(prev sim.OpResult, op *sim.Op) bool {
 	for {
 		switch t.pc {
@@ -188,7 +186,7 @@ func (t *TLBTrojan) Step(prev sim.OpResult, op *sim.Op) bool {
 // TLBSpy decodes by keeping its own translation in every way of every
 // set and probing them each round: the group the trojan filled comes
 // back as page walks. Probing re-primes, so one pass serves both
-// roles. It is a sim.Stepper.
+// roles. It is a sim.Program state machine.
 type TLBSpy struct {
 	cfg     TLBConfig
 	decoded []int
@@ -232,10 +230,7 @@ func NewTLBSpy(cfg TLBConfig) *TLBSpy {
 // Name implements sim.Program.
 func (s *TLBSpy) Name() string { return "tlb-spy" }
 
-// Run implements sim.Program via the goroutine reference driver.
-func (s *TLBSpy) Run(m *sim.Machine) { sim.RunSteps(s, m) }
-
-// Begin implements sim.Stepper.
+// Begin implements sim.Program.
 func (s *TLBSpy) Begin(m *sim.Machine) {
 	geo := m.Geometry()
 	s.m = m
@@ -261,7 +256,7 @@ func (s *TLBSpy) probeOp(op *sim.Op) {
 		Addr: s.m.PrivateAddr(tlbPage(way, s.set, s.sets))}
 }
 
-// Step implements sim.Stepper.
+// Step implements sim.Program.
 func (s *TLBSpy) Step(prev sim.OpResult, op *sim.Op) bool {
 	for {
 		switch s.pc {

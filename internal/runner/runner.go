@@ -165,9 +165,14 @@ func (p Pool) Run(rootSeed uint64, jobs []Job) ([]Result, error) {
 	var (
 		mu     sync.Mutex
 		next   int  // index of the next job to dispatch
-		done   int  // completed job count
 		failed bool // stop dispatching new jobs
 		wg     sync.WaitGroup
+
+		// progressMu serializes the OnProgress callbacks and guards
+		// done, so Done counts reach the callback in order. It is not
+		// mu: a slow callback must not hold up job dispatch.
+		progressMu sync.Mutex
+		done       int // completed job count
 	)
 	// claim hands out the next undispatched job index, or false once
 	// the jobs are exhausted or a failure stopped the pool.
@@ -184,23 +189,19 @@ func (p Pool) Run(rootSeed uint64, jobs []Job) ([]Result, error) {
 	complete := func(i int, r Result) {
 		mu.Lock()
 		results[i] = r
-		done++
 		if r.Err != nil {
 			failed = true
 		}
-		cb := p.OnProgress
-		var prog Progress
-		if cb != nil {
-			elapsed := time.Since(start)
-			prog = Progress{Last: r, Done: done, Total: len(jobs), Elapsed: elapsed}
-			if done > 0 {
-				prog.ETA = elapsed / time.Duration(done) * time.Duration(len(jobs)-done)
-			}
-		}
 		mu.Unlock()
-		if cb != nil {
-			cb(prog)
+		if p.OnProgress == nil {
+			return
 		}
+		progressMu.Lock()
+		defer progressMu.Unlock()
+		done++
+		elapsed := time.Since(start)
+		p.OnProgress(Progress{Last: r, Done: done, Total: len(jobs), Elapsed: elapsed,
+			ETA: elapsed / time.Duration(done) * time.Duration(len(jobs)-done)})
 	}
 
 	for w := 0; w < workers; w++ {

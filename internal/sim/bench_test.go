@@ -2,19 +2,18 @@ package sim
 
 import "testing"
 
-// sweepStepper issues n loads, then finishes. The loads alternate,
+// sweepProgram issues n loads, then finishes. The loads alternate,
 // starting with a streaming one: streaming loads walk a working set
 // of span lines with an odd stride from the stepper's own starting
 // line; the others cycle through the lines below hot, which every
 // core shares (the streaming lines sit above them).
-type sweepStepper struct {
+type sweepProgram struct {
 	n, hot, span, next, stride uint64
 }
 
-func (*sweepStepper) Name() string     { return "sweep" }
-func (w *sweepStepper) Run(m *Machine) { RunSteps(w, m) }
-func (*sweepStepper) Begin(*Machine)   {}
-func (w *sweepStepper) Step(_ OpResult, op *Op) bool {
+func (*sweepProgram) Name() string   { return "sweep" }
+func (*sweepProgram) Begin(*Machine) {}
+func (w *sweepProgram) Step(_ OpResult, op *Op) bool {
 	if w.n == 0 {
 		return false
 	}
@@ -39,11 +38,10 @@ func (w *sweepStepper) Step(_ OpResult, op *Op) bool {
 // one load; allocs/op must read 0.
 func BenchmarkL2MissPath(b *testing.B) {
 	s := MustNew(TestConfig())
-	defer s.Close()
 	span := uint64(2 * s.l2.NumBlocks())
 	per := uint64(b.N/4 + 1)
 	for c := 0; c < 4; c++ {
-		s.Spawn(&sweepStepper{n: per, hot: 256, span: span, next: uint64(c) * span / 4, stride: 97}, Pin(2*c))
+		s.Spawn(&sweepProgram{n: per, hot: 256, span: span, next: uint64(c) * span / 4, stride: 97}, Pin(2*c))
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

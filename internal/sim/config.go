@@ -4,12 +4,12 @@
 // per-core L1s and divider banks, a chip-shared L2 with conflict-miss
 // tracking, and a shared memory bus with lock semantics).
 //
-// Programs run as goroutines but the engine serializes all execution:
-// it always resumes the hardware context with the smallest local clock
-// and executes exactly one operation against shared state, so results
-// are bit-for-bit reproducible and free of Go runtime/GC timing jitter
-// — the property that makes a timing-channel reproduction in Go
-// possible at all (see DESIGN.md).
+// Programs are state machines the engine steps with direct calls, one
+// operation at a time: it always runs the hardware context with the
+// smallest local clock and executes exactly one operation against
+// shared state, so results are bit-for-bit reproducible and free of Go
+// runtime/GC timing jitter — the property that makes a timing-channel
+// reproduction in Go possible at all (see DESIGN.md).
 package sim
 
 import (
@@ -33,24 +33,6 @@ const (
 	TrackerGenerational TrackerKind = iota
 	// TrackerIdeal is the exact fully-associative LRU stack.
 	TrackerIdeal
-)
-
-// Driver selects how the engine executes programs.
-type Driver int
-
-const (
-	// DriverStep (the default) executes programs implementing Stepper
-	// with direct calls — no goroutine, no channel round-trip, no
-	// per-op allocation. Programs implementing only the blocking
-	// Program interface still run on the goroutine driver.
-	DriverStep Driver = iota
-	// DriverGoroutine forces every program through the legacy
-	// goroutine-per-process channel driver. It is kept as the
-	// differential-test reference for the step engine (the way the
-	// conflict package's test-only map-based tracker pins the flat
-	// ones): both drivers execute the identical op stream, so all
-	// results must be byte-identical.
-	DriverGoroutine
 )
 
 // Config describes the simulated machine.
@@ -122,12 +104,6 @@ type Config struct {
 	// golden-verdict suite pins this). Nil (the default) selects the
 	// no-op fast path.
 	Metrics *obs.Registry
-	// Driver selects the program-execution driver: the coroutine-free
-	// step engine (default) or the goroutine reference driver. Purely
-	// an execution-strategy knob — results are byte-identical either
-	// way (pinned by the driver differential tests and the golden
-	// corpus).
-	Driver Driver
 	// EventBatch sets the event-delivery batch size between the
 	// hardware units and the fault-injector/listener chain. 0 selects
 	// trace.DefaultBatchSize; 1 disables batching and delivers each

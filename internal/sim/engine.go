@@ -15,17 +15,10 @@ import (
 // the smallest clock, breaking ties by context ID (the heap order of
 // ctxheap.go).
 //
-// Stepper programs execute on the coroutine-free path: the engine
-// pulls each op with a direct Step call that writes it straight into
-// the process's pending-op slot, so the steady-state op loop performs
-// no channel operation, no heap allocation and no Op copy. Programs
-// implementing only the blocking interface run on the goroutine
-// driver, reached through the same Step call (goroutineStep) at one
-// channel round-trip per op.
+// The engine pulls each op with a direct Step call that writes it
+// straight into the process's pending-op slot, so the steady-state op
+// loop performs no heap allocation and no Op copy.
 func (s *System) Run(until uint64) {
-	if s.closed {
-		panic("sim: Run after Close")
-	}
 	if !s.started {
 		s.started = true
 		s.heapInit()
@@ -40,11 +33,8 @@ func (s *System) Run(until uint64) {
 		}
 		p := c.runq[0]
 		if !p.started {
-			s.startProc(p)
-		}
-		if p.done {
-			s.reapProc(c, p)
-			continue
+			p.started = true
+			p.prog.Begin(p.machine)
 		}
 		if !p.hasPend && !s.fetchOp(p) {
 			s.reapProc(c, p)
@@ -65,46 +55,22 @@ func (s *System) Run(until uint64) {
 // path for Run and quiesce; keep it within the inlining budget, as it
 // runs once per op.
 func (s *System) fetchOp(p *Process) bool {
-	p.hasPend = p.step.Step(p.last, &p.pendOp)
+	p.hasPend = p.prog.Step(p.last, &p.pendOp)
 	p.done = !p.hasPend
 	return p.hasPend
-}
-
-// goroutineStep is the goroutine driver seen through the Step
-// interface, for programs that are not Steppers (or when
-// Config.Driver forces the reference driver). Each Step hands the
-// program its previous op's result, which resumes it inside
-// Machine.Do, then receives the next op the program issues: one
-// channel round-trip per op, with the program parked in between.
-type goroutineStep struct {
-	p    *Process
-	owed bool // the program is blocked in Machine.Do awaiting a result
-}
-
-// Step answers the program's pending Machine.Do, if any, and receives
-// its next op; false means the program returned.
-func (g *goroutineStep) Step(prev OpResult, op *Op) bool {
-	if g.owed {
-		g.p.respCh <- response{now: prev.Now, latency: prev.Latency}
-	}
-	var ok bool
-	*op, ok = <-g.p.reqCh
-	g.owed = ok
-	return ok
 }
 
 // quiesce parks every running program at an op boundary: the next
 // operation is prefetched (advancing program-side state up to the
 // point of issuing it), so the caller can safely read program state
 // (decoded bits, latency series) knowing every completed op's effects
-// have been applied. On the goroutine driver this doubles as the
-// synchronization point proving the goroutine is blocked.
+// have been applied.
 func (s *System) quiesce() {
 	for _, p := range s.procs {
 		if !p.started || p.done || p.hasPend {
 			continue
 		}
-		if !s.fetchOp(p) && p.ctx != nil {
+		if !s.fetchOp(p) {
 			s.reapProc(p.ctx, p)
 		}
 	}
@@ -119,28 +85,6 @@ func (s *System) quiesce() {
 		s.injector.Flush()
 	}
 	s.publishMetrics()
-}
-
-// startProc activates a process on first schedule. Steppers get the
-// direct driver (no goroutine) unless the configuration forces the
-// goroutine reference driver for differential testing.
-func (s *System) startProc(p *Process) {
-	p.started = true
-	if st, ok := p.prog.(Stepper); ok && s.cfg.Driver != DriverGoroutine {
-		p.step = st
-		st.Begin(p.machine)
-		return
-	}
-	p.step = &goroutineStep{p: p}
-	go func() {
-		defer close(p.reqCh)
-		defer func() {
-			if r := recover(); r != nil && r != errStopped {
-				panic(r)
-			}
-		}()
-		p.prog.Run(p.machine)
-	}()
 }
 
 // reapProc removes a finished process from its context's run queue.
@@ -374,29 +318,4 @@ func (s *System) memAccess(c *hwContext, addr uint64, now, stamp uint64) uint64 
 	busStart := now + lat
 	done, _ := s.bus.Access(busStart, c.id)
 	return (done - now) + s.cfg.MemCycles
-}
-
-// Close tears down all still-running program goroutines. Stepper
-// processes have no goroutine: they are simply marked done. The system
-// cannot be used afterwards.
-func (s *System) Close() {
-	if s.closed {
-		return
-	}
-	s.closed = true
-	for _, p := range s.procs {
-		if !p.started || p.done {
-			continue
-		}
-		// A started, unfinished goroutine program is parked in
-		// Machine.Do awaiting its last op's result: answer with stop.
-		if g, ok := p.step.(*goroutineStep); ok && g.owed {
-			p.respCh <- response{stop: true}
-			for range p.reqCh {
-				// drain until the goroutine closes the channel
-			}
-		}
-		p.done = true
-		p.hasPend = false
-	}
 }

@@ -1,153 +1,12 @@
 package sim
 
-import "errors"
-
-// Program is the code a software process runs. Under the goroutine
-// driver Run executes on its own goroutine but only ever makes
-// progress while the engine has resumed it, so implementations need no
-// synchronization. Run returns when the program is finished; infinite
-// server loops simply never return and are torn down by System.Close.
-//
-// Programs that additionally implement Stepper are executed by direct
-// calls with no goroutine at all (the default driver); see step.go.
-//
-// Programs must not recover panics they did not raise: the engine
-// stops goroutine-driven programs by panicking through their stack
-// with a sentinel.
-type Program interface {
-	// Name labels the process for reporting.
-	Name() string
-	// Run executes the program against the machine handle.
-	Run(m *Machine)
-}
-
-// errStopped is panicked through a program's stack when the engine
-// tears it down.
-var errStopped = errors.New("sim: program stopped")
-
-// programFunc adapts a function to the Program interface.
-type programFunc struct {
-	name string
-	fn   func(m *Machine)
-}
-
-// NewProgram wraps a function as a named Program, convenient for tests
-// and small workloads.
-func NewProgram(name string, fn func(m *Machine)) Program {
-	return &programFunc{name: name, fn: fn}
-}
-
-func (p *programFunc) Name() string   { return p.name }
-func (p *programFunc) Run(m *Machine) { p.fn(m) }
-
-// response is the goroutine driver's reply to a blocked program.
-type response struct {
-	now     uint64 // context clock after the op
-	latency uint64 // cycles the op took from issue to completion
-	stop    bool   // engine is tearing the program down
-}
-
-// Machine is a program's handle onto its hardware context. All methods
-// block the calling program until the engine has executed the
-// operation; latencies are simulated cycles, never wall-clock time.
+// Machine is a program's handle onto its hardware context: the static
+// machine description and the address helpers a program needs to lay
+// out its working set. Operations do not go through the handle; a
+// program issues them from Step.
 type Machine struct {
 	proc *Process
 	geo  Geometry
-}
-
-// Do executes one decoded operation through the blocking driver and
-// returns its result. The convenience wrappers below (Compute, Load,
-// ...) are thin shims over it.
-func (m *Machine) Do(op Op) OpResult {
-	p := m.proc
-	p.reqCh <- op
-	resp := <-p.respCh
-	if resp.stop {
-		panic(errStopped)
-	}
-	return OpResult{Now: resp.now, Latency: resp.latency}
-}
-
-// Compute spends the given number of cycles of pure computation.
-func (m *Machine) Compute(cycles uint64) {
-	m.Do(Op{Kind: OpCompute, Cycles: cycles})
-}
-
-// Load reads addr through the cache hierarchy and returns the access
-// latency in cycles — the observable that covert-channel receivers
-// decode bits from.
-func (m *Machine) Load(addr uint64) uint64 {
-	return m.Do(Op{Kind: OpLoad, Addr: addr}).Latency
-}
-
-// Store writes addr through the cache hierarchy (modelled identically
-// to Load: write-allocate) and returns the latency.
-func (m *Machine) Store(addr uint64) uint64 {
-	return m.Do(Op{Kind: OpStore, Addr: addr}).Latency
-}
-
-// LoadN performs the loads back-to-back in one engine round and
-// returns the total latency. It exists so that high-event-rate
-// programs (streaming workloads, cache priming loops) don't pay one
-// engine handshake per access; within a batch other contexts do not
-// interleave, so keep batches to the natural run lengths of the
-// modelled code.
-func (m *Machine) LoadN(addrs []uint64) uint64 {
-	if len(addrs) == 0 {
-		return 0
-	}
-	return m.Do(Op{Kind: OpLoadN, Addrs: addrs}).Latency
-}
-
-// AtomicUnaligned performs an atomic access spanning two cache lines
-// at addr, locking the memory bus (the bus covert channel's
-// transmitter primitive). It returns the latency.
-func (m *Machine) AtomicUnaligned(addr uint64) uint64 {
-	return m.Do(Op{Kind: OpAtomicUnaligned, Addr: addr}).Latency
-}
-
-// Div issues one integer division and returns its latency, including
-// any wait on a busy divider.
-func (m *Machine) Div() uint64 {
-	return m.Do(Op{Kind: OpDiv}).Latency
-}
-
-// DivN issues n back-to-back divisions in one engine round and returns
-// the total latency. The same batching caveat as LoadN applies.
-func (m *Machine) DivN(n int) uint64 {
-	if n <= 0 {
-		return 0
-	}
-	return m.Do(Op{Kind: OpDivN, Count: n}).Latency
-}
-
-// TLBProbe looks up addr's translation in the core's shared TLB,
-// filling on a miss, without touching the cache hierarchy, and returns
-// the latency — the accessed-bit probe primitive of the TLB covert
-// channel (a hit means the translation survived; a page-walk latency
-// means the other hyperthread evicted it).
-func (m *Machine) TLBProbe(addr uint64) uint64 {
-	return m.Do(Op{Kind: OpTLBProbe, Addr: addr}).Latency
-}
-
-// Now returns the context's current cycle.
-func (m *Machine) Now() uint64 {
-	return m.Do(Op{Kind: OpNow}).Now
-}
-
-// WaitUntil sleeps until the given absolute cycle (a no-op when it is
-// already past) and returns the clock afterwards. Channel programs use
-// it to pace bit slots; workload models use it to pace request
-// arrivals.
-func (m *Machine) WaitUntil(cycle uint64) uint64 {
-	return m.Do(Op{Kind: OpWaitUntil, Cycles: cycle}).Now
-}
-
-// Sleep advances the clock by d cycles without touching any shared
-// resource.
-func (m *Machine) Sleep(d uint64) uint64 {
-	now := m.Now()
-	return m.WaitUntil(now + d)
 }
 
 // Geometry returns the static machine description.

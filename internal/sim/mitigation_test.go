@@ -14,16 +14,19 @@ func TestBusLimiterSlowsLockStorms(t *testing.T) {
 			cfg.Mitigations.BusLimiter = mitigate.NewBusLockLimiter(cfg.Contexts(), 100_000, 2, 200_000)
 		}
 		s := MustNew(cfg)
-		defer s.Close()
-		var end uint64
-		s.Spawn(NewProgram("storm", func(m *Machine) {
-			for i := 0; i < 50; i++ {
-				m.AtomicUnaligned(0)
+		p := once("storm", func(*Machine) []Op {
+			ops := make([]Op, 50, 51)
+			for i := range ops {
+				ops[i] = atomic(0)
 			}
-			end = m.Now()
-		}))
+			return append(ops, now())
+		})
+		s.Spawn(p)
 		s.Run(100_000_000)
-		return end
+		if len(p.res) != 51 {
+			t.Fatalf("%d of 51 ops ran", len(p.res))
+		}
+		return p.res[50].Now
 	}
 	free := run(false)
 	limited := run(true)
@@ -36,25 +39,10 @@ func TestPartitionPreventsCrossContextEviction(t *testing.T) {
 	cfg := TestConfig()
 	cfg.Mitigations.Partition = mitigate.NewCachePartition(cfg.Contexts(), nil)
 	s := MustNew(cfg)
-	defer s.Close()
 	rec := trace.NewRecorder(trace.KindConflictMiss)
 	s.AddListener(rec)
-	const slot = 50_000
-	pingpong := func(phase uint64) func(m *Machine) {
-		return func(m *Machine) {
-			geo := m.Geometry()
-			for i := uint64(0); ; i++ {
-				m.WaitUntil((2*i + phase) * slot)
-				for set := uint32(0); set < 8; set++ {
-					for w := 0; w < geo.L2Ways; w++ {
-						m.Load(m.L2AddrForSet(set, w))
-					}
-				}
-			}
-		}
-	}
-	s.Spawn(NewProgram("t", pingpong(0)), Pin(0))
-	s.Spawn(NewProgram("s", pingpong(1)), Pin(1))
+	s.Spawn(loop("t", pingpong(0)), Pin(0))
+	s.Spawn(loop("s", pingpong(1)), Pin(1))
 	s.Run(3_000_000)
 	for _, e := range rec.Train().Events() {
 		if e.Victim != trace.NoContext && e.Victim != e.Actor {
@@ -67,16 +55,10 @@ func TestDividerTDMEliminatesContention(t *testing.T) {
 	cfg := TestConfig()
 	cfg.Mitigations.DividerTDM = mitigate.NewDividerTDM(10_000)
 	s := MustNew(cfg)
-	defer s.Close()
 	rec := trace.NewRecorder(trace.KindDivContention)
 	s.AddListener(rec)
-	hammer := func(m *Machine) {
-		for {
-			m.Div()
-		}
-	}
-	s.Spawn(NewProgram("a", hammer), Pin(0))
-	s.Spawn(NewProgram("b", hammer), Pin(1))
+	s.Spawn(loop("a", hammer), Pin(0))
+	s.Spawn(loop("b", hammer), Pin(1))
 	s.Run(500_000)
 	if n := rec.Train().Len(); n != 0 {
 		t.Errorf("TDM left %d contention events", n)
@@ -87,15 +69,16 @@ func TestClockFuzzDegradesObservations(t *testing.T) {
 	cfg := TestConfig()
 	cfg.Mitigations.Fuzz = mitigate.NewClockFuzz(1000, 0, 1)
 	s := MustNew(cfg)
-	defer s.Close()
-	var lat, now1, now2 uint64
-	s.Spawn(NewProgram("p", func(m *Machine) {
-		lat = m.Load(m.PrivateAddr(1)) // true ~226, quantized to 0
-		now1 = m.Now()
-		m.Compute(100)
-		now2 = m.Now()
-	}))
+	p := once("p", func(m *Machine) []Op {
+		// The load's true latency is ~226, quantized to 0.
+		return []Op{load(m.PrivateAddr(1)), now(), compute(100), now()}
+	})
+	s.Spawn(p)
 	s.Run(1_000_000)
+	if len(p.res) != 4 {
+		t.Fatalf("%d of 4 ops ran", len(p.res))
+	}
+	lat, now1, now2 := p.res[0].Latency, p.res[1].Now, p.res[3].Now
 	if lat%1000 != 0 {
 		t.Errorf("latency %d not quantized", lat)
 	}

@@ -74,21 +74,17 @@ func TestPresenceBitsExact(t *testing.T) {
 			cfg := small()
 			tweak(&cfg)
 			s := MustNew(cfg)
-			defer s.Close()
 			for p := 0; p < 6; p++ {
 				r := stats.NewRNG(uint64(p) + 1)
-				s.Spawn(NewProgram("loader", func(m *Machine) {
-					batch := make([]uint64, 4)
-					for {
-						if r.Intn(4) == 0 {
-							for i := range batch {
-								batch[i] = uint64(r.Intn(600)) << 6
-							}
-							m.LoadN(batch)
-						} else {
-							m.Load(uint64(r.Intn(600)) << 6)
-						}
+				s.Spawn(loop("loader", func(*Machine, int) []Op {
+					if r.Intn(4) != 0 {
+						return []Op{load(uint64(r.Intn(600)) << 6)}
 					}
+					batch := make([]uint64, 4)
+					for i := range batch {
+						batch[i] = uint64(r.Intn(600)) << 6
+					}
+					return []Op{loadN(batch)}
 				}))
 			}
 			shared := 0
@@ -112,10 +108,28 @@ func TestPresenceBitsExact(t *testing.T) {
 func TestCoreCountCappedAtEight(t *testing.T) {
 	cfg := TestConfig()
 	cfg.Cores = MaxCores
-	MustNew(cfg).Close()
+	MustNew(cfg)
 	cfg.Cores = MaxCores + 1
 	if s, err := New(cfg); err == nil || s != nil || !errors.Is(err, ErrBadConfig) {
 		t.Fatalf("9 cores: got %v, %v; want an ErrBadConfig error", s, err)
+	}
+}
+
+// TestContextIDsFitBelowNoContext: context IDs are bytes and
+// trace.NoContext (255) marks "no context" in events, so New accepts
+// 255 contexts and rejects 256 (8 × 32, whose last context would be
+// 255) as well as counts that would wrap a byte (8 × 33).
+func TestContextIDsFitBelowNoContext(t *testing.T) {
+	cfg := TestConfig()
+	cfg.Cores, cfg.ThreadsPerCore = 5, 51
+	if g := MustNew(cfg).Geometry(); g.Contexts != 255 {
+		t.Fatalf("5 × 51: %d contexts, want 255", g.Contexts)
+	}
+	for _, threads := range []int{32, 33} {
+		cfg.Cores, cfg.ThreadsPerCore = 8, threads
+		if s, err := New(cfg); err == nil || s != nil || !errors.Is(err, ErrBadConfig) {
+			t.Fatalf("8 × %d: got %v, %v; want an ErrBadConfig error", threads, s, err)
+		}
 	}
 }
 

@@ -8,38 +8,38 @@ import (
 
 func TestComputeAdvancesClock(t *testing.T) {
 	s := MustNew(TestConfig())
-	defer s.Close()
-	var end uint64
-	s.Spawn(NewProgram("p", func(m *Machine) {
-		m.Compute(1000)
-		m.Compute(500)
-		end = m.Now()
-	}))
+	p := once("p", func(*Machine) []Op { return []Op{compute(1000), compute(500), now()} })
+	s.Spawn(p)
 	s.Run(1_000_000)
-	if end != 1500 {
+	if len(p.res) != 3 {
+		t.Fatalf("%d ops ran, want 3", len(p.res))
+	}
+	if end := p.res[2].Now; end != 1500 {
 		t.Errorf("clock after computes = %d, want 1500", end)
 	}
 }
 
 func TestLoadLatencies(t *testing.T) {
 	s := MustNew(TestConfig())
-	defer s.Close()
-	var cold, l1hit, l2hit uint64
-	s.Spawn(NewProgram("p", func(m *Machine) {
+	p := once("p", func(m *Machine) []Op {
 		addr := m.PrivateAddr(7)
-		cold = m.Load(addr)  // miss everywhere
-		l1hit = m.Load(addr) // L1 hit
+		ops := []Op{load(addr), load(addr)} // miss everywhere, then an L1 hit
 		// Evict addr from the 8-way L1 set but not from L2: touch 8
 		// more lines mapping to the same L1 set (64 L1 sets; stride 64
 		// lines in line-index space re-hits the same L1 set while
 		// spreading across L2 sets only as far as the geometry says).
 		geo := m.Geometry()
 		for i := 1; i <= geo.L1Ways; i++ {
-			m.Load(m.PrivateAddr(7 + uint64(i*geo.L1Sets)))
+			ops = append(ops, load(m.PrivateAddr(7+uint64(i*geo.L1Sets))))
 		}
-		l2hit = m.Load(addr)
-	}))
+		return append(ops, load(addr))
+	})
+	s.Spawn(p)
 	s.Run(10_000_000)
+	if want := s.Geometry().L1Ways + 3; len(p.res) != want {
+		t.Fatalf("%d of %d loads ran", len(p.res), want)
+	}
+	cold, l1hit, l2hit := p.res[0].Latency, p.res[1].Latency, p.res[len(p.res)-1].Latency
 	cfg := TestConfig()
 	if cold <= l2hit || l2hit <= l1hit {
 		t.Errorf("latency ordering wrong: cold=%d l2=%d l1=%d", cold, l2hit, l1hit)
@@ -62,17 +62,15 @@ func TestDeterminism(t *testing.T) {
 		cfg := TestConfig()
 		cfg.MigrationProb = 0.5
 		s := MustNew(cfg)
-		defer s.Close()
 		rec := trace.NewRecorder()
 		s.AddListener(rec)
 		for i := 0; i < 4; i++ {
-			i := i
-			s.Spawn(NewProgram("worker", func(m *Machine) {
-				for j := 0; ; j++ {
-					m.AtomicUnaligned(m.PrivateAddr(uint64(j)))
-					m.DivN(3)
-					m.Compute(uint64(100 * (i + 1)))
-					m.Load(m.PrivateAddr(uint64(j % 64)))
+			s.Spawn(loop("worker", func(m *Machine, j int) []Op {
+				return []Op{
+					atomic(m.PrivateAddr(uint64(j))),
+					divN(3),
+					compute(uint64(100 * (i + 1))),
+					load(m.PrivateAddr(uint64(j % 64))),
 				}
 			}))
 		}
@@ -97,20 +95,15 @@ func TestEventStreamMonotonic(t *testing.T) {
 	// The recorder panics on out-of-order events; drive a busy mixed
 	// workload (batches included) to exercise the stamping rules.
 	s := MustNew(TestConfig())
-	defer s.Close()
 	rec := trace.NewRecorder()
 	s.AddListener(rec)
 	for i := 0; i < 6; i++ {
-		s.Spawn(NewProgram("mix", func(m *Machine) {
+		s.Spawn(loop("mix", func(m *Machine, j int) []Op {
 			addrs := make([]uint64, 16)
-			for j := 0; ; j++ {
-				for k := range addrs {
-					addrs[k] = m.PrivateAddr(uint64(j*16 + k))
-				}
-				m.LoadN(addrs)
-				m.DivN(8)
-				m.AtomicUnaligned(0)
+			for k := range addrs {
+				addrs[k] = m.PrivateAddr(uint64(j*16 + k))
 			}
+			return []Op{loadN(addrs), divN(8), atomic(0)}
 		}))
 	}
 	s.Run(2_000_000)
@@ -121,13 +114,14 @@ func TestEventStreamMonotonic(t *testing.T) {
 
 func TestBusLockEventsEmitted(t *testing.T) {
 	s := MustNew(TestConfig())
-	defer s.Close()
 	rec := trace.NewRecorder(trace.KindBusLock)
 	s.AddListener(rec)
-	s.Spawn(NewProgram("locker", func(m *Machine) {
-		for i := 0; i < 10; i++ {
-			m.AtomicUnaligned(0)
+	s.Spawn(once("locker", func(*Machine) []Op {
+		ops := make([]Op, 10)
+		for i := range ops {
+			ops[i] = atomic(0)
 		}
+		return ops
 	}))
 	s.Run(10_000_000)
 	if rec.Train().Len() != 10 {
@@ -140,16 +134,10 @@ func TestBusLockEventsEmitted(t *testing.T) {
 
 func TestDividerContentionBetweenHyperthreads(t *testing.T) {
 	s := MustNew(TestConfig())
-	defer s.Close()
 	rec := trace.NewRecorder(trace.KindDivContention)
 	s.AddListener(rec)
-	hammer := func(m *Machine) {
-		for {
-			m.Div()
-		}
-	}
-	s.Spawn(NewProgram("t", hammer), Pin(0))
-	s.Spawn(NewProgram("s", hammer), Pin(1)) // same core, other thread
+	s.Spawn(loop("t", hammer), Pin(0))
+	s.Spawn(loop("s", hammer), Pin(1)) // same core, other thread
 	s.Run(100_000)
 	if rec.Train().Len() == 0 {
 		t.Fatal("no contention between hyperthreads")
@@ -166,16 +154,10 @@ func TestDividerContentionBetweenHyperthreads(t *testing.T) {
 
 func TestNoDividerContentionAcrossCores(t *testing.T) {
 	s := MustNew(TestConfig())
-	defer s.Close()
 	rec := trace.NewRecorder(trace.KindDivContention)
 	s.AddListener(rec)
-	hammer := func(m *Machine) {
-		for {
-			m.Div()
-		}
-	}
-	s.Spawn(NewProgram("a", hammer), Pin(0))
-	s.Spawn(NewProgram("b", hammer), Pin(2)) // different core
+	s.Spawn(loop("a", hammer), Pin(0))
+	s.Spawn(loop("b", hammer), Pin(2)) // different core
 	s.Run(100_000)
 	if rec.Train().Len() != 0 {
 		t.Errorf("cross-core divider contention should be impossible, got %d events",
@@ -185,28 +167,13 @@ func TestNoDividerContentionAcrossCores(t *testing.T) {
 
 func TestConflictMissEventsOnSharedL2(t *testing.T) {
 	s := MustNew(TestConfig())
-	defer s.Close()
 	rec := trace.NewRecorder(trace.KindConflictMiss)
 	s.AddListener(rec)
 	// Two hyperthreads ping-pong on the same L2 sets in alternating
 	// time slots, the way the covert channel's prime and probe phases
 	// alternate.
-	const slot = 50_000
-	pingpong := func(phase uint64) func(m *Machine) {
-		return func(m *Machine) {
-			geo := m.Geometry()
-			for i := uint64(0); ; i++ {
-				m.WaitUntil((2*i + phase) * slot)
-				for set := uint32(0); set < 8; set++ {
-					for w := 0; w < geo.L2Ways; w++ {
-						m.Load(m.L2AddrForSet(set, w))
-					}
-				}
-			}
-		}
-	}
-	s.Spawn(NewProgram("t", pingpong(0)), Pin(0))
-	s.Spawn(NewProgram("s", pingpong(1)), Pin(1))
+	s.Spawn(loop("t", pingpong(0)), Pin(0))
+	s.Spawn(loop("s", pingpong(1)), Pin(1))
 	s.Run(3_000_000)
 	if rec.Train().Len() == 0 {
 		t.Fatal("no conflict misses on contended sets")
@@ -225,14 +192,15 @@ func TestConflictMissEventsOnSharedL2(t *testing.T) {
 
 func TestWaitUntilAndSleep(t *testing.T) {
 	s := MustNew(TestConfig())
-	defer s.Close()
-	var a, b uint64
-	s.Spawn(NewProgram("p", func(m *Machine) {
-		a = m.WaitUntil(5000)
-		b = m.WaitUntil(100) // already past: no-op
-	}))
+	p := once("p", func(*Machine) []Op {
+		return []Op{waitUntil(5000), waitUntil(100)} // the second is already past: no-op
+	})
+	s.Spawn(p)
 	s.Run(1_000_000)
-	if a != 5000 || b != 5000 {
+	if len(p.res) != 2 {
+		t.Fatalf("%d ops ran, want 2", len(p.res))
+	}
+	if a, b := p.res[0].Now, p.res[1].Now; a != 5000 || b != 5000 {
 		t.Errorf("WaitUntil clocks = %d, %d", a, b)
 	}
 }
@@ -243,22 +211,11 @@ func TestQuantumRoundRobin(t *testing.T) {
 	cfg.ThreadsPerCore = 1
 	cfg.QuantumCycles = 10_000
 	s := MustNew(cfg)
-	defer s.Close()
-	var aSlices, bSlices []uint64
-	s.Spawn(NewProgram("a", func(m *Machine) {
-		for {
-			m.Compute(1000)
-			aSlices = append(aSlices, m.Now())
-		}
-	}))
-	s.Spawn(NewProgram("b", func(m *Machine) {
-		for {
-			m.Compute(1000)
-			bSlices = append(bSlices, m.Now())
-		}
-	}))
+	a, b := loop("a", spin(1000)), loop("b", spin(1000))
+	s.Spawn(a)
+	s.Spawn(b)
 	s.Run(100_000)
-	if len(aSlices) == 0 || len(bSlices) == 0 {
+	if len(a.res) == 0 || len(b.res) == 0 {
 		t.Fatal("both processes must get CPU time on one context")
 	}
 	if s.SchedStats().ContextSwitches == 0 {
@@ -266,8 +223,8 @@ func TestQuantumRoundRobin(t *testing.T) {
 	}
 	// Process a runs the first quantum; process b must not observe
 	// clocks below one quantum.
-	if bSlices[0] < cfg.QuantumCycles {
-		t.Errorf("b ran during a's first quantum at %d", bSlices[0])
+	if first := b.res[0].Now; first < cfg.QuantumCycles {
+		t.Errorf("b ran during a's first quantum at %d", first)
 	}
 }
 
@@ -276,12 +233,7 @@ func TestMigration(t *testing.T) {
 	cfg.QuantumCycles = 5_000
 	cfg.MigrationProb = 1.0
 	s := MustNew(cfg)
-	defer s.Close()
-	s.Spawn(NewProgram("wanderer", func(m *Machine) {
-		for {
-			m.Compute(1000)
-		}
-	}))
+	s.Spawn(loop("wanderer", spin(1000)))
 	s.Run(200_000)
 	if s.SchedStats().Migrations == 0 {
 		t.Error("expected migrations with probability 1")
@@ -293,12 +245,7 @@ func TestPinnedNeverMigrates(t *testing.T) {
 	cfg.QuantumCycles = 5_000
 	cfg.MigrationProb = 1.0
 	s := MustNew(cfg)
-	defer s.Close()
-	s.Spawn(NewProgram("pinned", func(m *Machine) {
-		for {
-			m.Compute(1000)
-		}
-	}), Pin(3))
+	s.Spawn(loop("pinned", spin(1000)), Pin(3))
 	s.Run(200_000)
 	if s.SchedStats().Migrations != 0 {
 		t.Errorf("pinned process migrated %d times", s.SchedStats().Migrations)
@@ -307,10 +254,7 @@ func TestPinnedNeverMigrates(t *testing.T) {
 
 func TestProcessCompletion(t *testing.T) {
 	s := MustNew(TestConfig())
-	defer s.Close()
-	p := s.Spawn(NewProgram("finite", func(m *Machine) {
-		m.Compute(100)
-	}))
+	p := s.Spawn(once("finite", func(*Machine) []Op { return []Op{compute(100)} }))
 	s.Run(1_000_000)
 	if !p.Done() {
 		t.Error("finite program should be done")
@@ -322,18 +266,12 @@ func TestProcessCompletion(t *testing.T) {
 
 func TestRunIsResumable(t *testing.T) {
 	s := MustNew(TestConfig())
-	defer s.Close()
-	var ticks []uint64
-	s.Spawn(NewProgram("p", func(m *Machine) {
-		for {
-			m.Compute(10_000)
-			ticks = append(ticks, m.Now())
-		}
-	}))
+	p := loop("p", spin(10_000))
+	s.Spawn(p)
 	s.Run(50_000)
-	n1 := len(ticks)
+	n1 := len(p.res)
 	s.Run(100_000)
-	if len(ticks) <= n1 {
+	if len(p.res) <= n1 {
 		t.Error("second Run made no progress")
 	}
 	if n1 < 4 || n1 > 6 {
@@ -341,34 +279,20 @@ func TestRunIsResumable(t *testing.T) {
 	}
 }
 
-func TestCloseStopsPrograms(t *testing.T) {
-	s := MustNew(TestConfig())
-	s.Spawn(NewProgram("loop", func(m *Machine) {
-		for {
-			m.Compute(100)
-		}
-	}))
-	s.Run(10_000)
-	s.Close()
-	s.Close() // idempotent
-}
-
 func TestSpawnAfterRunPanics(t *testing.T) {
 	s := MustNew(TestConfig())
-	defer s.Close()
-	s.Spawn(NewProgram("p", func(m *Machine) { m.Compute(1) }))
+	s.Spawn(loop("p", spin(1)))
 	s.Run(100)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
 		}
 	}()
-	s.Spawn(NewProgram("late", func(m *Machine) {}))
+	s.Spawn(loop("late", spin(1)))
 }
 
 func TestGeometry(t *testing.T) {
 	s := MustNew(DefaultConfig())
-	defer s.Close()
 	g := s.Geometry()
 	if g.Contexts != 8 || g.Cores != 4 || g.ThreadsPerCore != 2 {
 		t.Errorf("geometry: %+v", g)
@@ -402,19 +326,18 @@ func TestCyclesHelpers(t *testing.T) {
 
 func TestPrivateAddressesDoNotAlias(t *testing.T) {
 	s := MustNew(TestConfig())
-	defer s.Close()
-	var lat1 uint64
-	s.Spawn(NewProgram("a", func(m *Machine) {
-		m.Load(m.PrivateAddr(1))
-	}), Pin(0))
-	s.Spawn(NewProgram("b", func(m *Machine) {
-		m.Compute(100_000) // run after a's load
-		lat1 = m.Load(m.PrivateAddr(1))
-	}), Pin(1))
+	s.Spawn(once("a", func(m *Machine) []Op { return []Op{load(m.PrivateAddr(1))} }), Pin(0))
+	b := once("b", func(m *Machine) []Op {
+		return []Op{compute(100_000), load(m.PrivateAddr(1))} // load after a's
+	})
+	s.Spawn(b, Pin(1))
 	s.Run(1_000_000)
+	if len(b.res) != 2 {
+		t.Fatalf("%d ops of b ran, want 2", len(b.res))
+	}
 	cfg := TestConfig()
 	wantCold := cfg.L1.HitLatency + cfg.L2.HitLatency + cfg.Bus.AccessCycles + cfg.MemCycles
-	if lat1 != wantCold {
+	if lat1 := b.res[1].Latency; lat1 != wantCold {
 		t.Errorf("process b hit process a's line: lat=%d want cold=%d", lat1, wantCold)
 	}
 }
@@ -426,21 +349,42 @@ func TestTrackerKindSelectable(t *testing.T) {
 		s := MustNew(cfg)
 		rec := trace.NewRecorder(trace.KindConflictMiss)
 		s.AddListener(rec)
-		pingpong := func(m *Machine) {
-			geo := m.Geometry()
-			for {
-				for w := 0; w < geo.L2Ways; w++ {
-					m.Load(m.L2AddrForSet(0, w))
-				}
-				m.Sleep(100)
+		pingpong := func(m *Machine, _ int) []Op {
+			var ops []Op
+			for w := 0; w < m.Geometry().L2Ways; w++ {
+				ops = append(ops, load(m.L2AddrForSet(0, w)))
 			}
+			return append(ops, compute(100))
 		}
-		s.Spawn(NewProgram("t", pingpong), Pin(0))
-		s.Spawn(NewProgram("s", pingpong), Pin(1))
+		s.Spawn(loop("t", pingpong), Pin(0))
+		s.Spawn(loop("s", pingpong), Pin(1))
 		s.Run(1_000_000)
 		if rec.Train().Len() == 0 {
 			t.Errorf("tracker %v found no conflicts", kind)
 		}
-		s.Close()
+	}
+}
+
+// spin is a round of one compute op, repeated forever.
+func spin(cycles uint64) func(*Machine, int) []Op {
+	return func(*Machine, int) []Op { return []Op{compute(cycles)} }
+}
+
+// hammer is a round of one division, repeated forever.
+func hammer(*Machine, int) []Op { return []Op{div()} }
+
+// pingpong returns the rounds of a program that loads every way of
+// eight L2 sets in alternate time slots, phase 0 or 1, the way a cache
+// channel's prime and probe phases alternate.
+func pingpong(phase uint64) func(*Machine, int) []Op {
+	const slot = 50_000
+	return func(m *Machine, i int) []Op {
+		ops := []Op{waitUntil((2*uint64(i) + phase) * slot)}
+		for set := uint32(0); set < 8; set++ {
+			for w := 0; w < m.Geometry().L2Ways; w++ {
+				ops = append(ops, load(m.L2AddrForSet(set, w)))
+			}
+		}
+		return ops
 	}
 }

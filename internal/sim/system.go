@@ -29,23 +29,11 @@ type Process struct {
 	sys     *System
 	machine *Machine
 
-	// Goroutine-driver plumbing (nil-channel-free even on the step
-	// path: the channels are always allocated, but never used when the
-	// engine drives the program by direct Step calls).
-	reqCh  chan Op
-	respCh chan response
-
-	// step is where the engine fetches ops once the process has
-	// started: the program itself when it is a Stepper on the step
-	// driver, else a goroutineStep relaying the program goroutine's
-	// ops. last carries the previous op's result into the next Step.
-	step interface {
-		Step(prev OpResult, op *Op) bool
-	}
+	// last carries the previous op's result into the next Step.
 	last OpResult
 
 	// pendOp is the fetched-but-not-yet-executed operation, held by
-	// value: steppers write it in place through Step's op pointer, so
+	// value: programs write it in place through Step's op pointer, so
 	// the steady-state op path neither allocates nor copies an Op.
 	pendOp  Op
 	hasPend bool
@@ -62,7 +50,8 @@ func (p *Process) ID() int { return p.id }
 // Name returns the process name.
 func (p *Process) Name() string { return p.name }
 
-// Done reports whether the program has returned.
+// Done reports whether the program has finished (its Step returned
+// false).
 func (p *Process) Done() bool { return p.done }
 
 // core bundles the per-core hardware.
@@ -126,7 +115,6 @@ type System struct {
 	rng      *stats.RNG
 	heap     []*hwContext // min-heap over non-idle contexts; see ctxheap.go
 	started  bool
-	closed   bool
 
 	migrations uint64
 	switches   uint64
@@ -153,6 +141,10 @@ func New(cfg Config) (*System, error) {
 	}
 	if cfg.Cores > MaxCores {
 		return nil, fmt.Errorf("%w: %d cores exceed the L2's %d presence bits", ErrBadConfig, cfg.Cores, MaxCores)
+	}
+	if cfg.ThreadsPerCore > int(trace.NoContext)/cfg.Cores {
+		return nil, fmt.Errorf("%w: %d cores × %d threads: context IDs are bytes, at most %d of them below trace.NoContext",
+			ErrBadConfig, cfg.Cores, cfg.ThreadsPerCore, trace.NoContext)
 	}
 	if cfg.L1.LineBytes != cfg.L2.LineBytes {
 		return nil, fmt.Errorf("%w: L1 lines of %dB and L2 lines of %dB: back-invalidation needs one line size",
@@ -304,8 +296,6 @@ func (s *System) Spawn(prog Program, opts ...SpawnOption) *Process {
 		prog:   prog,
 		pinned: -1,
 		sys:    s,
-		reqCh:  make(chan Op),
-		respCh: make(chan response),
 	}
 	for _, o := range opts {
 		o(p)

@@ -70,15 +70,12 @@ type Spec struct {
 }
 
 // program is the generic Spec interpreter, written as a resumable
-// sim.Stepper state machine: each Step call advances through the
-// states below until the next machine operation is decoded, so the
-// engine executes the workload with zero channel traffic. The state
-// progression and — critically — the RNG draw order are exactly those
-// of the original blocking loop (m.Sleep(d) is two ops, Now then
-// WaitUntil, with d drawn before either; likewise the storm-renewal
-// draw happens after its Now op, matching Go's left-to-right operand
-// evaluation in the old code), so verdicts are byte-identical under
-// either driver.
+// sim.Program state machine: each Step call advances through the
+// states below until the next machine operation is decoded. The state
+// progression and — critically — the RNG draw order are pinned by the
+// golden corpus: a sleep of d cycles is two ops, Now then WaitUntil,
+// with d drawn before either, and the storm-renewal draw happens after
+// its Now op.
 type program struct {
 	spec Spec
 	seed uint64
@@ -101,7 +98,7 @@ type program struct {
 	pc       int
 }
 
-// Stepper states. Cases without an op fall through to the next state
+// Step states. Cases without an op fall through to the next state
 // inside Step's loop.
 const (
 	wlBurstHeader   = iota // draw burst length / scale / periodic restart
@@ -135,11 +132,7 @@ func New(spec Spec, seed uint64) sim.Program {
 // Name implements sim.Program.
 func (p *program) Name() string { return p.spec.Name }
 
-// Run implements sim.Program for the goroutine reference driver by
-// replaying the identical step stream through the blocking API.
-func (p *program) Run(m *sim.Machine) { sim.RunSteps(p, m) }
-
-// Begin implements sim.Stepper.
+// Begin implements sim.Program.
 func (p *program) Begin(m *sim.Machine) {
 	p.m = m
 	p.rng = stats.NewRNG(p.seed ^ uint64(m.PID())<<32)
@@ -149,7 +142,7 @@ func (p *program) Begin(m *sim.Machine) {
 	p.pc = wlBurstHeader
 }
 
-// Step implements sim.Stepper.
+// Step implements sim.Program.
 func (p *program) Step(prev sim.OpResult, op *sim.Op) bool {
 	m, rng, spec := p.m, p.rng, &p.spec
 	for {

@@ -12,7 +12,6 @@ import (
 func runPair(t *testing.T, a, b Spec, cycles uint64) *trace.Train {
 	t.Helper()
 	s := sim.MustNew(sim.TestConfig())
-	defer s.Close()
 	rec := trace.NewRecorder()
 	s.AddListener(rec)
 	s.Spawn(New(a, 1), sim.Pin(0))
@@ -26,7 +25,6 @@ func TestAllSpecsRun(t *testing.T) {
 		s := sim.MustNew(sim.TestConfig())
 		s.Spawn(New(spec, 7), sim.Pin(0))
 		s.Run(500_000)
-		s.Close()
 		_ = name
 	}
 }
@@ -103,7 +101,6 @@ func TestMailserverIsBursty(t *testing.T) {
 
 func TestWebserverWalksSetsCyclically(t *testing.T) {
 	s := sim.MustNew(sim.TestConfig())
-	defer s.Close()
 	rec := trace.NewRecorder(trace.KindConflictMiss)
 	s.AddListener(rec)
 	s.Spawn(New(Webserver(), 3), sim.Pin(0))

@@ -1,6 +1,8 @@
 package cchunter
 
 import (
+	"context"
+	"errors"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -11,6 +13,11 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
+
+	"cchunter/internal/fleet"
+	"cchunter/internal/obs"
+	"cchunter/internal/runner"
 )
 
 // flagDefiners are the flag package's (and *flag.FlagSet's) value
@@ -145,5 +152,173 @@ func TestOperationsFlagCatalog(t *testing.T) {
 		if len(stale) > 0 {
 			t.Errorf("docs/OPERATIONS.md lists %s flags the binary does not define: %v", cmd, stale)
 		}
+	}
+}
+
+// docMetric is one key of docs/OPERATIONS.md §2: its name as written
+// (with any <kind> or <tenant> placeholder), the pattern it stands
+// for, and its documented type.
+type docMetric struct {
+	name, typ string
+	pattern   *regexp.Regexp
+}
+
+// docMetrics returns the keys in the first column of the §2 tables. A
+// combined row such as "`faults.seen` / `faults.delivered`" names
+// each of its keys with the row's type. <kind> stands for an event
+// kind (auditor.bus-lock.windows) and <tenant> for a tenant name.
+func docMetrics(t *testing.T, path string) []docMetric {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	name := regexp.MustCompile("`([^`]+)`")
+	placeholder := strings.NewReplacer(`<kind>`, `[a-z0-9-]+`, `<tenant>`, `.+`)
+	var out []docMetric
+	in := false
+	for _, line := range strings.Split(string(raw), "\n") {
+		if strings.HasPrefix(line, "## ") {
+			in = strings.HasPrefix(line, "## 2.")
+			continue
+		}
+		if !in || !strings.HasPrefix(line, "| `") {
+			continue
+		}
+		cells := strings.Split(line, "|")
+		typ := strings.TrimSpace(cells[2])
+		for _, m := range name.FindAllStringSubmatch(cells[1], -1) {
+			out = append(out, docMetric{
+				name:    m[1],
+				typ:     typ,
+				pattern: regexp.MustCompile("^" + placeholder.Replace(regexp.QuoteMeta(m[1])) + "$"),
+			})
+		}
+	}
+	return out
+}
+
+// emittedMetrics runs the instrumented pipelines into one registry and
+// returns every key it ends up holding, with its type: scenarios on
+// each channel (batch, streaming and with sensor faults), a fleet with
+// its hub taking a repeated and a stale update, and a supervised job
+// that panics and one that overruns its watchdog.
+func emittedMetrics(t *testing.T) map[string]string {
+	t.Helper()
+	reg := obs.NewRegistry()
+	for _, tc := range goldenCases() {
+		sc := tc.sc
+		sc.Metrics = reg
+		if _, err := sc.Run(); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+	}
+	for _, tc := range goldenCases()[2:3] { // the cache channel
+		sc := tc.sc
+		sc.Metrics = reg
+		sc.Stream = true
+		sc.Faults = FaultConfig{DropProb: 0.01, CtxFlipProb: 0.01}
+		if _, err := sc.Run(); err != nil {
+			t.Fatalf("%s, streaming with faults: %v", tc.name, err)
+		}
+	}
+
+	f, err := fleet.New(fleet.Config{Hosts: 2, StreamsPerHost: 2, EpochQuanta: 8, QueueLen: 256, Seed: 3, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Run(context.Background(), 1); err != nil {
+		t.Fatal(err)
+	}
+	u := fleet.Update{Key: fleet.Key{Host: "catalog", Tenant: "catalog", Channel: "benign"}, Seq: 1}
+	f.Hub().Submit(u)
+	u.Seq = 2
+	if f.Hub().Submit(u) { // the same verdict again: deduplicated
+		t.Fatal("hub applied a repeated verdict")
+	}
+	u.Seq = 1
+	if f.Hub().Submit(u) { // an old sequence number: stale
+		t.Fatal("hub applied a stale update")
+	}
+	u.Seq, u.Report.Detected = 3, true
+	f.Hub().Submit(u)
+	f.Hub().State()
+
+	if _, err := runner.Supervise(context.Background(), "panics", 0, reg, func(context.Context) (interface{}, error) {
+		panic("catalog")
+	}); err == nil {
+		t.Fatal("a panicking job returned no error")
+	}
+	if _, err := runner.Supervise(context.Background(), "overruns", time.Millisecond, reg, func(ctx context.Context) (interface{}, error) {
+		<-ctx.Done()
+		return nil, nil
+	}); !errors.Is(err, runner.ErrWatchdog) {
+		t.Fatalf("an overrunning job returned %v, want a watchdog error", err)
+	}
+
+	snap := reg.Snapshot()
+	out := map[string]string{}
+	add := func(key, typ string) {
+		if prev, ok := out[key]; ok {
+			t.Errorf("metric %s is registered as both a %s and a %s", key, prev, typ)
+		}
+		out[key] = typ
+	}
+	for k := range snap.Counters {
+		add(k, "counter")
+	}
+	for k := range snap.Gauges {
+		add(k, "gauge")
+	}
+	for k := range snap.Histograms {
+		add(k, "histogram")
+	}
+	return out
+}
+
+// TestOperationsMetricsCatalog diffs the metrics-key catalog in
+// docs/OPERATIONS.md §2 against the keys instrumented runs emit, in
+// both directions and with their types: an emitted key must be
+// documented with the type it has, and a documented key must be
+// emitted.
+func TestOperationsMetricsCatalog(t *testing.T) {
+	docs := docMetrics(t, filepath.Join("docs", "OPERATIONS.md"))
+	if len(docs) == 0 {
+		t.Fatal("found no metric rows in docs/OPERATIONS.md §2")
+	}
+	emitted := emittedMetrics(t)
+	used := make([]bool, len(docs))
+	var undocumented, mistyped, stale []string
+	for key, typ := range emitted {
+		found := false
+		for i, d := range docs {
+			if !d.pattern.MatchString(key) {
+				continue
+			}
+			found, used[i] = true, true
+			if d.typ != typ {
+				mistyped = append(mistyped, key+" is a "+typ+", documented as "+d.name+" "+d.typ)
+			}
+		}
+		if !found {
+			undocumented = append(undocumented, key+" ("+typ+")")
+		}
+	}
+	for i, d := range docs {
+		if !used[i] {
+			stale = append(stale, d.name)
+		}
+	}
+	sort.Strings(undocumented)
+	sort.Strings(mistyped)
+	sort.Strings(stale)
+	if len(undocumented) > 0 {
+		t.Errorf("emitted metrics docs/OPERATIONS.md §2 does not list: %v", undocumented)
+	}
+	if len(mistyped) > 0 {
+		t.Errorf("metrics documented with the wrong type: %v", mistyped)
+	}
+	if len(stale) > 0 {
+		t.Errorf("docs/OPERATIONS.md §2 lists metrics no instrumented run emits: %v", stale)
 	}
 }

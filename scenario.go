@@ -273,7 +273,6 @@ func (sc Scenario) Run() (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cchunter: building machine: %w", err)
 	}
-	defer system.Close()
 
 	aud, err := auditor.New(auditor.DefaultConfig(cfg.QuantumCycles))
 	if err != nil {

@@ -369,9 +369,9 @@ func TestEvasionNoiseRaisesErrors(t *testing.T) {
 }
 
 // TestScenarioRunLeavesNoGoroutines checks that Scenario.Run returns
-// with every goroutine it started finished: the simulator's program
-// drivers, the watchdog's supervised analysis, and anything the
-// streaming detector or flight recorder spins up. Each goldenCases
+// with every goroutine it started finished: the watchdog's supervised
+// analysis, and anything the streaming detector or flight recorder
+// spins up (the simulator itself starts none). Each goldenCases
 // scenario runs plain, streaming, supervised and flight-recorded, and
 // the goroutine count must settle back to where it started.
 func TestScenarioRunLeavesNoGoroutines(t *testing.T) {
