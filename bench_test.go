@@ -181,9 +181,11 @@ func BenchmarkClusteringCost(b *testing.B) {
 		records[i] = auditor.QuantumHistogram{Quantum: uint64(i), Hist: h}
 	}
 	cfg := core.DefaultBurstConfig()
+	ws := core.BorrowWorkspace()
+	defer ws.Release()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a := core.AnalyzeBursts(records, cfg)
+		a := core.AnalyzeBursts(records, cfg, ws)
 		if !a.Detected {
 			b.Fatal("synthetic channel window must detect")
 		}
@@ -206,9 +208,11 @@ func BenchmarkAutocorrelationCost(b *testing.B) {
 		}
 	}
 	cfg := core.DefaultOscillationConfig(8)
+	ws := core.BorrowWorkspace()
+	defer ws.Release()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a := core.AnalyzeOscillation(tr, cfg)
+		a := core.AnalyzeOscillation(tr, cfg, ws)
 		if !a.Detected {
 			b.Fatal("synthetic train must detect")
 		}
@@ -354,9 +358,11 @@ func BenchmarkSeriesFormulationAblation(b *testing.B) {
 			tr := mkTrain(4) // 20% noise
 			cfg := core.DefaultOscillationConfig(8)
 			cfg.RawPairSeries = raw
+			ws := core.BorrowWorkspace()
+			defer ws.Release()
 			var peak float64
 			for i := 0; i < b.N; i++ {
-				a := core.AnalyzeOscillation(tr, cfg)
+				a := core.AnalyzeOscillation(tr, cfg, ws)
 				peak = a.PeakValue
 			}
 			b.ReportMetric(peak, "peak-at-20pct-noise")

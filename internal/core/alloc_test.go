@@ -5,7 +5,6 @@ import (
 
 	"cchunter/internal/auditor"
 	"cchunter/internal/pool"
-	"cchunter/internal/stats"
 	"cchunter/internal/trace"
 )
 
@@ -74,7 +73,7 @@ func TestAnalysisPathAllocationFree(t *testing.T) {
 }
 
 // TestOscillationWorkspacePathAllocationFree pins the tightest loop:
-// AnalyzeOscillation with a workspace, its pooled autocorrelogram
+// AnalyzeOscillation in a warm workspace, its pooled autocorrelogram
 // recycled by the caller, allocates only the per-couple peak lists.
 func TestOscillationWorkspacePathAllocationFree(t *testing.T) {
 	if raceEnabled {
@@ -86,13 +85,12 @@ func TestOscillationWorkspacePathAllocationFree(t *testing.T) {
 		t.Fatal("fixture produced no conflict train")
 	}
 	cfg := DefaultDetectorConfig(10_000_000, 8).Oscillation
-	ws := wsPool.Get().(*stats.Workspace)
-	defer wsPool.Put(ws)
-	cfg.Workspace = ws
-	out := AnalyzeOscillation(train, cfg) // warm-up
+	ws := BorrowWorkspace()
+	defer ws.Release()
+	out := AnalyzeOscillation(train, cfg, ws) // warm-up
 	pool.PutFloat64s(out.Autocorrelogram)
 	allocs := testing.AllocsPerRun(10, func() {
-		r := AnalyzeOscillation(train, cfg)
+		r := AnalyzeOscillation(train, cfg, ws)
 		pool.PutFloat64s(r.Autocorrelogram)
 	})
 	// The peak list and the couple-count list are the only survivors;

@@ -32,13 +32,6 @@ type BurstConfig struct {
 	DominantClusterShare float64
 	// Seed drives the (deterministic) k-means initialization.
 	Seed uint64
-	// Workspace, when non-nil, supplies the recurrence clustering's
-	// scratch (point-matrix headers, centroid arena, assignment and
-	// distance vectors), so repeated burst analyses run allocation-flat.
-	// Borrowed only for the duration of each analyzeRecurrence call;
-	// must not be shared across goroutines. Results are bit-identical
-	// with or without it (see TestKmeansWorkspaceMatchesReference).
-	Workspace *stats.KmeansWorkspace
 }
 
 // DefaultBurstConfig returns the paper's parameters.
@@ -92,8 +85,9 @@ type BurstAnalysis struct {
 // AnalyzeBursts runs the recurrent burst pattern detection algorithm
 // over a sequence of per-quantum event density histograms (the
 // CC-Auditor's recorded output). Only the most recent
-// cfg.WindowQuanta records are considered.
-func AnalyzeBursts(records []auditor.QuantumHistogram, cfg BurstConfig) BurstAnalysis {
+// cfg.WindowQuanta records are considered. The recurrence clustering
+// runs in ws, so repeated analyses are allocation-flat.
+func AnalyzeBursts(records []auditor.QuantumHistogram, cfg BurstConfig, ws *Workspace) BurstAnalysis {
 	if cfg.WindowQuanta > 0 && len(records) > cfg.WindowQuanta {
 		records = records[len(records)-cfg.WindowQuanta:]
 	}
@@ -117,7 +111,7 @@ func AnalyzeBursts(records []auditor.QuantumHistogram, cfg BurstConfig) BurstAna
 		out.LikelihoodRatio >= cfg.LikelihoodThreshold
 
 	// Step 5: recurrence of burst patterns across quanta.
-	out.BurstQuanta, out.DominantShare, out.Recurrent = analyzeRecurrence(records, out.ThresholdDensity, cfg)
+	out.BurstQuanta, out.DominantShare, out.Recurrent = analyzeRecurrence(records, out.ThresholdDensity, cfg, &ws.km)
 	out.Detected = out.HasBursts && out.Recurrent
 	return out
 }
@@ -193,19 +187,15 @@ func meanBelow(h *stats.Histogram, threshold int) float64 {
 // histogram into a short string, cluster the strings with k-means, and
 // check that the quanta containing bursts form a coherent recurring
 // cluster rather than scattered noise.
-func analyzeRecurrence(records []auditor.QuantumHistogram, threshold int, cfg BurstConfig) (burstQuanta int, dominantShare float64, recurrent bool) {
+func analyzeRecurrence(records []auditor.QuantumHistogram, threshold int, cfg BurstConfig, km *stats.KmeansWorkspace) (burstQuanta int, dominantShare float64, recurrent bool) {
 	if threshold < 1 {
 		threshold = 1
 	}
 	// The point matrix is pooled: each feature vector is borrowed for
 	// the duration of the clustering and returned on every exit path.
-	// With a workspace, the row-header array is workspace scratch too —
-	// burstQuanta never exceeds len(records), so the appends below can
-	// never outgrow it.
-	var burstFeatures [][]float64
-	if cfg.Workspace != nil {
-		burstFeatures = cfg.Workspace.PointRows(len(records))
-	}
+	// The row-header array is workspace scratch — burstQuanta never
+	// exceeds len(records), so the appends below can never outgrow it.
+	burstFeatures := km.PointRows(len(records))
 	defer func() {
 		for _, f := range burstFeatures {
 			pool.PutFloat64s(f)
@@ -230,27 +220,15 @@ func analyzeRecurrence(records []auditor.QuantumHistogram, threshold int, cfg Bu
 		k = limit
 	}
 	rng := stats.SeededRNG(cfg.Seed)
-	var assign []int
-	var err error
-	if cfg.Workspace != nil {
-		assign, _, err = cfg.Workspace.KMeans(burstFeatures, k, 100, &rng)
-	} else {
-		assign, _, err = stats.KMeans(burstFeatures, k, 100, &rng)
-	}
+	assign, _, err := km.KMeans(burstFeatures, k, 100, &rng)
 	if err != nil {
 		// Unclusterable features (cannot happen for the fixed-width
 		// discretization above, but a supervised detector degrades
 		// rather than crashes): no recurrence can be established.
 		return burstQuanta, 0, false
 	}
-	var sizes []int
-	if cfg.Workspace != nil {
-		sizes = cfg.Workspace.ClusterSizes(assign, k)
-	} else {
-		sizes = stats.ClusterSizes(assign, k)
-	}
 	largest := 0
-	for _, s := range sizes {
+	for _, s := range km.ClusterSizes(assign, k) {
 		if s > largest {
 			largest = s
 		}

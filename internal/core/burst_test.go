@@ -96,7 +96,7 @@ func TestLikelihoodRatio(t *testing.T) {
 func almostEq(a, b, eps float64) bool { return absf(a-b) <= eps }
 
 func TestAnalyzeBurstsDetectsCovertPattern(t *testing.T) {
-	a := AnalyzeBursts(covertRecords(16), DefaultBurstConfig())
+	a := analyzeBursts(covertRecords(16), DefaultBurstConfig())
 	if !a.HasBursts {
 		t.Errorf("covert pattern: HasBursts=false (LR=%v thr=%d burstMean=%v)",
 			a.LikelihoodRatio, a.ThresholdDensity, a.BurstMean)
@@ -120,7 +120,7 @@ func TestAnalyzeBurstsRejectsBenignPattern(t *testing.T) {
 	for i := range recs {
 		recs[i] = benignQuantum(uint64(i), 10)
 	}
-	a := AnalyzeBursts(recs, DefaultBurstConfig())
+	a := analyzeBursts(recs, DefaultBurstConfig())
 	if a.Detected {
 		t.Errorf("benign pattern detected as covert: %+v", a)
 	}
@@ -130,7 +130,7 @@ func TestAnalyzeBurstsRejectsBenignPattern(t *testing.T) {
 }
 
 func TestAnalyzeBurstsEmptyAndQuiet(t *testing.T) {
-	if a := AnalyzeBursts(nil, DefaultBurstConfig()); a.Detected || a.QuantaAnalyzed != 0 {
+	if a := analyzeBursts(nil, DefaultBurstConfig()); a.Detected || a.QuantaAnalyzed != 0 {
 		t.Error("empty input must not detect")
 	}
 	// All-quiet quanta: bin0 only.
@@ -140,7 +140,7 @@ func TestAnalyzeBurstsEmptyAndQuiet(t *testing.T) {
 		h.AddN(0, 1000)
 		recs[i] = auditor.QuantumHistogram{Quantum: uint64(i), Hist: h}
 	}
-	if a := AnalyzeBursts(recs, DefaultBurstConfig()); a.Detected {
+	if a := analyzeBursts(recs, DefaultBurstConfig()); a.Detected {
 		t.Error("quiet system must not detect")
 	}
 }
@@ -154,7 +154,7 @@ func TestAnalyzeBurstsSingleBurstNotRecurrent(t *testing.T) {
 		recs[i] = auditor.QuantumHistogram{Quantum: uint64(i), Hist: h}
 	}
 	recs[3] = covertQuantum(3, 1000, 50, 20)
-	a := AnalyzeBursts(recs, DefaultBurstConfig())
+	a := analyzeBursts(recs, DefaultBurstConfig())
 	if a.Recurrent {
 		t.Error("single burst quantum must not be recurrent")
 	}
@@ -175,7 +175,7 @@ func TestAnalyzeBurstsLowBandwidth(t *testing.T) {
 	for _, q := range []int{50, 150, 250, 350, 450} {
 		recs[q] = covertQuantum(uint64(q), 2500, 40, 20)
 	}
-	a := AnalyzeBursts(recs, DefaultBurstConfig())
+	a := analyzeBursts(recs, DefaultBurstConfig())
 	if !a.Detected {
 		t.Errorf("low-bandwidth channel missed: %+v", a)
 	}
@@ -188,7 +188,7 @@ func TestAnalyzeBurstsWindowClipping(t *testing.T) {
 	cfg := DefaultBurstConfig()
 	cfg.WindowQuanta = 4
 	recs := covertRecords(16)
-	a := AnalyzeBursts(recs, cfg)
+	a := analyzeBursts(recs, cfg)
 	if a.QuantaAnalyzed != 4 {
 		t.Errorf("analyzed %d quanta, want window of 4", a.QuantaAnalyzed)
 	}
@@ -209,7 +209,7 @@ func TestScatteredRandomBurstsNotRecurrent(t *testing.T) {
 		recs[i] = auditor.QuantumHistogram{Quantum: uint64(i), Hist: h}
 	}
 	cfg := DefaultBurstConfig()
-	a := AnalyzeBursts(recs, cfg)
+	a := analyzeBursts(recs, cfg)
 	// The scattered shapes may or may not clear the clustering bar,
 	// but the likelihood ratio must not mimic a covert channel's ≥0.9
 	// with a coherent second distribution.

@@ -12,7 +12,11 @@
 //
 // The package consumes the CC-Auditor's outputs (internal/auditor) and
 // is deliberately independent of the simulator: feed it event trains
-// from any source.
+// from any source. Every analysis runs in a pooled Workspace, every
+// observation window goes through AnalyzeOscillationWindows, and every
+// verdict — batch Detector.Analyze and the streaming daemon's
+// (internal/stream) interim and final ones — is folded by one
+// assembler, Assemble.
 package core
 
 import "cchunter/internal/trace"

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -48,6 +49,18 @@ func DefaultDetectorConfig(quantumCycles uint64, contexts int) DetectorConfig {
 	}
 }
 
+// ObservationWindow is the oscillation observation window in cycles:
+// the quantum split ObservationDivisor ways, or whole quanta when the
+// divisor is below 2 or the split rounds to zero.
+func (c DetectorConfig) ObservationWindow() uint64 {
+	if c.ObservationDivisor > 1 {
+		if w := c.QuantumCycles / uint64(c.ObservationDivisor); w > 0 {
+			return w
+		}
+	}
+	return c.QuantumCycles
+}
+
 // Degradation qualifies a verdict rendered from an imperfect sensor
 // path. A detector that keeps producing verdicts under dropped or
 // saturated events must say how much it saw; "no channel" from a
@@ -73,14 +86,6 @@ type Degradation struct {
 	Confidence float64
 	// Degraded reports whether any diagnostic is non-zero.
 	Degraded bool
-}
-
-// NewDegradation folds raw sensor-path diagnostics into a Degradation,
-// exactly as the batch detector does internally. Exported for the
-// streaming daemon (internal/stream), which assembles verdicts outside
-// this package and must qualify them identically.
-func NewDegradation(lossRate, satRate float64, clamped, events uint64) Degradation {
-	return degradation(lossRate, satRate, clamped, events)
 }
 
 // degradation folds raw diagnostics into the exported struct.
@@ -190,33 +195,102 @@ func (r Report) String() string {
 	return sb.String()
 }
 
+// Workspace is the scratch every analysis runs in: the
+// autocorrelation workspace of the oscillation lag scans and the
+// k-means workspace of the burst recurrence clustering. A detector
+// borrows one for its lifetime; a caller analyzing outside a detector
+// borrows one around its analyses. Not safe for concurrent use.
+type Workspace struct {
+	acf stats.Workspace
+	km  stats.KmeansWorkspace
+}
+
+// workspaces recycles Workspaces across detectors. The FFT scratch,
+// twiddle table and centered-copy buffers dominate a detector's
+// footprint; on the experiment runner, where every scenario job builds
+// a fresh Detector, reuse means the steady state allocates no analysis
+// scratch at all. A recycled workspace is handed over with its tallies
+// reset and its buffers re-grown on first use, and the k-means scratch
+// is re-zeroed by every method that hands it out, so results are
+// identical to a fresh one.
+var workspaces = sync.Pool{New: func() any { return new(Workspace) }}
+
+// BorrowWorkspace hands out a pooled workspace whose autocorrelation
+// path tallies start at zero. Give it back with Release.
+func BorrowWorkspace() *Workspace {
+	w := workspaces.Get().(*Workspace)
+	w.acf.ResetCounts()
+	return w
+}
+
+// Release returns the workspace to the pool. The caller must not use
+// it afterwards.
+func (w *Workspace) Release() { workspaces.Put(w) }
+
+// SensorHealth is what the verdict assembler reads of the CC-Auditor:
+// the integrity counters of each monitored unit and of the conflict
+// capture path. *auditor.Auditor implements it.
+type SensorHealth interface {
+	Integrity(kind trace.Kind) auditor.SlotIntegrity
+	ConflictIntegrity() auditor.ConflictIntegrity
+}
+
+// Assemble renders one Report from a detection pass's analyses; batch
+// Analyze and the streaming daemon's Interim and Finalize all end
+// here, so every verdict is folded the same way. contention holds one
+// verdict per monitored kind with Kind and Analysis set; osc, nil when
+// conflict monitoring is off, holds the windows, the best window and
+// the detected-window count. Assemble qualifies each verdict with a
+// Degradation from the sensor's integrity counters and upstreamLoss,
+// decides the oscillation verdict, and folds Detected (any verdict)
+// and Confidence (the weakest). With a non-nil reg it publishes ws's
+// autocorrelation path tallies and attaches a snapshot of reg.
+func Assemble(sensor SensorHealth, upstreamLoss float64, contention []ContentionVerdict, osc *OscillationVerdict, ws *Workspace, reg *obs.Registry) Report {
+	rep := Report{Contention: contention, Oscillation: osc, Confidence: 1}
+	fold := func(detected bool, deg Degradation) {
+		rep.Detected = rep.Detected || detected
+		if deg.Confidence < rep.Confidence {
+			rep.Confidence = deg.Confidence
+		}
+	}
+	for i := range contention {
+		c := &contention[i]
+		integ := sensor.Integrity(c.Kind)
+		c.Degradation = degradation(upstreamLoss, integ.SaturationRate(), 0, integ.Windows)
+		fold(c.Analysis.Detected, c.Degradation)
+	}
+	if osc != nil {
+		osc.Detected = osc.DetectedWindows >= 1
+		ci := sensor.ConflictIntegrity()
+		// Losses compose: an event survives the path only if it passes
+		// both the upstream sensor faults and the vector registers.
+		loss := 1 - (1-clamp01(upstreamLoss))*(1-ci.LossRate())
+		osc.Degradation = degradation(loss, 0, ci.ClampedTimestamps, ci.Recorded)
+		fold(osc.Detected, osc.Degradation)
+	}
+	if reg != nil {
+		// The lag scans ran through ws; publish which side of the FFT
+		// crossover they landed on.
+		fft, naive := ws.acf.PathCounts()
+		reg.Gauge("stats.autocorr.fft").Set(int64(fft))
+		reg.Gauge("stats.autocorr.naive").Set(int64(naive))
+		rep.Metrics = reg.Snapshot()
+	}
+	return rep
+}
+
 // Detector is the CC-Hunter software daemon's analysis half: it reads
 // the CC-Auditor's recorded buffers and renders verdicts.
 type Detector struct {
 	aud *auditor.Auditor
 	cfg DetectorConfig
-	ws  *stats.Workspace
-	kws *stats.KmeansWorkspace
+	ws  *Workspace
 }
 
-// wsPool recycles autocorrelation workspaces across detectors. The
-// FFT scratch, twiddle table, and centered-copy buffers dominate a
-// detector's footprint; on the experiment runner, where every scenario
-// job builds a fresh Detector, reuse means the steady state allocates
-// no analysis scratch at all. A recycled workspace is handed over with
-// its tallies reset and its buffers re-grown on first use, so results
-// are identical to a fresh one.
-var wsPool = sync.Pool{New: func() any { return stats.NewWorkspace() }}
-
-// kwsPool does the same for the burst detector's k-means scratch. A
-// KmeansWorkspace carries no counters or results across uses — every
-// method re-zeroes the scratch it hands out — so recycling is
-// result-neutral by construction.
-var kwsPool = sync.Pool{New: func() any { return new(stats.KmeansWorkspace) }}
-
-// NewDetector wraps an auditor. The auditor keeps collecting; call
+// NewDetector wraps an auditor and borrows a pooled workspace for
+// every analysis the detector runs. The auditor keeps collecting; call
 // Analyze whenever a verdict is needed, and Release when the detector
-// is done to recycle its scratch workspace.
+// is done.
 func NewDetector(aud *auditor.Auditor, cfg DetectorConfig) *Detector {
 	if aud == nil {
 		panic("core: detector needs an auditor")
@@ -224,109 +298,59 @@ func NewDetector(aud *auditor.Auditor, cfg DetectorConfig) *Detector {
 	if cfg.QuantumCycles == 0 {
 		panic("core: detector needs the quantum length")
 	}
-	if cfg.ObservationDivisor <= 0 {
-		cfg.ObservationDivisor = 1
-	}
-	d := &Detector{aud: aud, cfg: cfg}
-	if d.cfg.Oscillation.Workspace == nil {
-		// One scratch workspace serves every couple and observation
-		// window this detector ever analyzes; Analyze is synchronous,
-		// so the borrow never overlaps.
-		d.ws = wsPool.Get().(*stats.Workspace)
-		d.ws.ResetCounts()
-		d.cfg.Oscillation.Workspace = d.ws
-	}
-	if d.cfg.Burst.Workspace == nil {
-		d.kws = kwsPool.Get().(*stats.KmeansWorkspace)
-		d.cfg.Burst.Workspace = d.kws
-	}
-	return d
+	return &Detector{aud: aud, cfg: cfg, ws: BorrowWorkspace()}
 }
 
-// Release returns the detector's pooled workspace to the arena. Only
-// detectors that own their workspace (NewDetector created it) give one
-// back; a caller-supplied OscillationConfig.Workspace stays with the
-// caller. The detector must not be used after Release.
+// Release returns the detector's workspace to the pool. The detector
+// must not be used after Release.
 func (d *Detector) Release() {
-	if d.kws != nil {
-		kwsPool.Put(d.kws)
-		d.kws = nil
-		d.cfg.Burst.Workspace = nil
-	}
-	if d.ws == nil {
-		return
-	}
-	wsPool.Put(d.ws)
+	d.ws.Release()
 	d.ws = nil
-	d.cfg.Oscillation.Workspace = nil
 }
 
 // Analyze flushes the auditor up to endCycle and runs both detection
 // algorithms over everything recorded so far.
 func (d *Detector) Analyze(endCycle uint64) Report {
+	return d.AnalyzeContext(context.Background(), endCycle)
+}
+
+// AnalyzeContext is Analyze under a context: the observation-window
+// loop checks ctx between windows and, once ctx is done, abandons the
+// analysis and returns a DegradedReport.
+func (d *Detector) AnalyzeContext(ctx context.Context, endCycle uint64) Report {
 	reg := d.cfg.Metrics
 	span := reg.Timer("detect.analyze_ns").Start()
 	d.aud.Flush(endCycle)
-	rep := Report{Confidence: 1}
+	var contention []ContentionVerdict
 	for _, kind := range BurstKinds {
 		recs := d.aud.Histograms(kind)
 		if d.aud.DeltaT(kind) == 0 {
 			continue // not monitored
 		}
 		burstSpan := reg.Timer("detect.burst_ns").Start()
-		a := AnalyzeBursts(recs, d.cfg.Burst)
+		a := AnalyzeBursts(recs, d.cfg.Burst, d.ws)
 		burstSpan.End()
-		integ := d.aud.Integrity(kind)
-		deg := degradation(d.cfg.UpstreamLossRate, integ.SaturationRate(), 0, integ.Windows)
-		rep.Contention = append(rep.Contention, ContentionVerdict{Kind: kind, Analysis: a, Degradation: deg})
-		if a.Detected {
-			rep.Detected = true
-		}
-		if deg.Confidence < rep.Confidence {
-			rep.Confidence = deg.Confidence
-		}
+		contention = append(contention, ContentionVerdict{Kind: kind, Analysis: a})
 	}
+	var osc *OscillationVerdict
 	if train := d.aud.ConflictTrain(); train != nil {
-		window := d.cfg.QuantumCycles / uint64(d.cfg.ObservationDivisor)
-		if window == 0 {
-			window = d.cfg.QuantumCycles
-		}
+		osc = &OscillationVerdict{}
 		oscSpan := reg.Timer("detect.oscillation_ns").Start()
-		v := &OscillationVerdict{
-			Windows: AnalyzeOscillationWindows(train, 0, endCycle, window, d.cfg.Oscillation),
-		}
+		err := AnalyzeOscillationWindows(ctx, train, 0, endCycle, d.cfg.ObservationWindow(), d.cfg.Oscillation, d.ws,
+			func(_ uint64, a OscillationAnalysis) { osc.Windows = append(osc.Windows, a) })
 		oscSpan.End()
-		reg.Counter("detect.windows").Add(uint64(len(v.Windows)))
-		v.Best, _ = BestWindow(v.Windows)
-		for _, w := range v.Windows {
+		if err != nil {
+			span.End()
+			return DegradedReport("analysis cancelled: " + err.Error())
+		}
+		reg.Counter("detect.windows").Add(uint64(len(osc.Windows)))
+		osc.Best, _ = BestWindow(osc.Windows)
+		for _, w := range osc.Windows {
 			if w.Detected {
-				v.DetectedWindows++
+				osc.DetectedWindows++
 			}
-		}
-		v.Detected = v.DetectedWindows >= 1
-		ci := d.aud.ConflictIntegrity()
-		// Losses compose: an event survives the path only if it passes
-		// both the upstream sensor faults and the vector registers.
-		loss := 1 - (1-clamp01(d.cfg.UpstreamLossRate))*(1-ci.LossRate())
-		v.Degradation = degradation(loss, 0, ci.ClampedTimestamps, ci.Recorded)
-		rep.Oscillation = v
-		if v.Detected {
-			rep.Detected = true
-		}
-		if v.Degradation.Confidence < rep.Confidence {
-			rep.Confidence = v.Degradation.Confidence
 		}
 	}
 	span.End()
-	if reg != nil {
-		// The lag scans above ran through the detector's workspace;
-		// publish which side of the FFT crossover they landed on.
-		if d.ws != nil {
-			fft, naive := d.ws.PathCounts()
-			reg.Gauge("stats.autocorr.fft").Set(int64(fft))
-			reg.Gauge("stats.autocorr.naive").Set(int64(naive))
-		}
-		rep.Metrics = reg.Snapshot()
-	}
-	return rep
+	return Assemble(d.aud, d.cfg.UpstreamLossRate, contention, osc, d.ws, reg)
 }

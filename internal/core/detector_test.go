@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
 
@@ -171,5 +173,46 @@ func TestDetectorNoMonitorsEmptyReport(t *testing.T) {
 	}
 	if !strings.Contains(rep.String(), "detected=false") {
 		t.Errorf("report string: %q", rep.String())
+	}
+}
+
+// TestAnalyzeContextCancelled: once the context is done — a watchdog
+// fired — the window loop stops and Analyze hands back a degraded
+// placeholder instead of a verdict; the detector stays usable.
+func TestAnalyzeContextCancelled(t *testing.T) {
+	quantum := uint64(10_000_000)
+	end := 8 * quantum
+	d := NewDetector(allocFixture(t, quantum, 1), DefaultDetectorConfig(quantum, 8))
+	defer d.Release()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	rep := d.AnalyzeContext(ctx, end)
+	if !rep.Failed() || rep.Detected || rep.Confidence != 0 {
+		t.Errorf("cancelled analysis rendered %+v, want a degraded placeholder", rep)
+	}
+	if rep := d.Analyze(end); rep.Failed() || !rep.Detected {
+		t.Errorf("analysis after a cancelled one: %+v, want the detected verdict", rep)
+	}
+}
+
+// TestWindowLoopStopsBetweenWindows: a context cancelled while one
+// window is folded stops the loop before the next window.
+func TestWindowLoopStopsBetweenWindows(t *testing.T) {
+	ws := BorrowWorkspace()
+	defer ws.Release()
+	tr := channelTrain(8, 128, 100) // 204,800 cycles of events
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	folded := 0
+	err := AnalyzeOscillationWindows(ctx, tr, 0, 204_800, 25_600, DefaultOscillationConfig(8), ws,
+		func(uint64, OscillationAnalysis) {
+			folded++
+			cancel()
+		})
+	if !errors.Is(err, context.Canceled) {
+		t.Errorf("err = %v, want context.Canceled", err)
+	}
+	if folded != 1 {
+		t.Errorf("%d windows folded, want 1", folded)
 	}
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+
 	"cchunter/internal/pool"
 	"cchunter/internal/stats"
 	"cchunter/internal/trace"
@@ -50,19 +52,13 @@ type OscillationConfig struct {
 	RawPairSeries bool
 	// Contexts is the hardware context count.
 	Contexts int
-	// Workspace, when non-nil, supplies the FFT/autocorrelation scratch
-	// buffers, so analyzing many couples and windows in sequence
-	// allocates no per-call scratch. The workspace is borrowed only for
-	// the duration of each autocorrelation (results are copied out) and
-	// must not be shared across goroutines.
-	Workspace *stats.Workspace
-	// SegmentLen, when positive (and a Workspace is supplied), switches
-	// the correlogram to the segmented Wiener–Khinchin estimate:
-	// Bartlett-averaged autocorrelograms over fixed-size chunks. The
-	// streaming daemon uses it for mid-window interim verdicts — each
-	// chunk costs O(SegmentLen log SegmentLen) and nothing ever
-	// transforms the whole series. It is an estimate; final (and batch)
-	// analyses leave it zero and compute the exact §IV-D statistic.
+	// SegmentLen, when positive, switches the correlogram to the
+	// segmented Wiener–Khinchin estimate: Bartlett-averaged
+	// autocorrelograms over fixed-size chunks. The streaming daemon
+	// uses it for mid-window interim verdicts — each chunk costs
+	// O(SegmentLen log SegmentLen) and nothing ever transforms the
+	// whole series. It is an estimate; final (and batch) analyses leave
+	// it zero and compute the exact §IV-D statistic.
 	SegmentLen int
 }
 
@@ -120,7 +116,9 @@ type OscillationAnalysis struct {
 // −1 for b→a, 0 for events of other pairs (which thereby stretch the
 // apparent period, exactly the paper's lag-533-for-512-sets effect) —
 // and the series is autocorrelated. The strongest couple is reported.
-func AnalyzeOscillation(train *trace.Train, cfg OscillationConfig) OscillationAnalysis {
+// Every autocorrelation runs in ws, so analyzing many couples and
+// windows in sequence allocates no per-call scratch.
+func AnalyzeOscillation(train *trace.Train, cfg OscillationConfig, ws *Workspace) OscillationAnalysis {
 	var out OscillationAnalysis
 	if train == nil {
 		return out
@@ -131,7 +129,7 @@ func AnalyzeOscillation(train *trace.Train, cfg OscillationConfig) OscillationAn
 	}
 	if cfg.RawPairSeries {
 		series := appearanceOrderSeries(train)
-		out = analyzeSeries(series, cfg)
+		out = analyzeSeries(series, cfg, &ws.acf)
 		pool.PutFloat64s(series)
 		out.Pair = dominantCouple(train)
 		out.Events = train.Len()
@@ -142,7 +140,7 @@ func AnalyzeOscillation(train *trace.Train, cfg OscillationConfig) OscillationAn
 		minEvents = 4
 	}
 	for _, couple := range coupleCounts(train, minEvents) {
-		a := analyzeCouple(train, couple, cfg)
+		a := analyzeCouple(train, couple, cfg, &ws.acf)
 		if better(a, out) {
 			// The dethroned analysis's correlogram is dead scratch now:
 			// recycle it. The winner's transfers out of the pool with the
@@ -368,7 +366,7 @@ func less(a, b [2]uint8) bool {
 // analyzeCouple autocorrelates one couple's ±1/0 label series. The
 // series is pooled scratch: it is dead once analyzeSeries has copied
 // out everything the analysis keeps.
-func analyzeCouple(train *trace.Train, couple [2]uint8, cfg OscillationConfig) OscillationAnalysis {
+func analyzeCouple(train *trace.Train, couple [2]uint8, cfg OscillationConfig, w *stats.Workspace) OscillationAnalysis {
 	series := pool.Float64s(train.Len())
 	for i, e := range train.Events() {
 		switch {
@@ -378,7 +376,7 @@ func analyzeCouple(train *trace.Train, couple [2]uint8, cfg OscillationConfig) O
 			series[i] = -1
 		}
 	}
-	out := analyzeSeries(series, cfg)
+	out := analyzeSeries(series, cfg, w)
 	pool.PutFloat64s(series)
 	out.Pair = couple
 	out.Events = train.Len()
@@ -386,8 +384,8 @@ func analyzeCouple(train *trace.Train, couple [2]uint8, cfg OscillationConfig) O
 }
 
 // analyzeSeries runs the peak/prominence/harmonic machinery over one
-// label series.
-func analyzeSeries(series []float64, cfg OscillationConfig) OscillationAnalysis {
+// label series, autocorrelating it in w.
+func analyzeSeries(series []float64, cfg OscillationConfig, w *stats.Workspace) OscillationAnalysis {
 	var out OscillationAnalysis
 	maxLag := cfg.MaxLag
 	if maxLag <= 0 {
@@ -396,23 +394,18 @@ func analyzeSeries(series []float64, cfg OscillationConfig) OscillationAnalysis 
 	if maxLag > len(series)-1 {
 		maxLag = len(series) - 1
 	}
-	if cfg.Workspace != nil {
-		// The workspace owns the slice it returns and will overwrite it
-		// on its next use; OscillationAnalysis outlives that, so copy —
-		// into a pooled buffer, which AnalyzeOscillation recycles when
-		// this analysis loses the couple comparison.
-		var acf []float64
-		if cfg.SegmentLen > 0 {
-			acf = cfg.Workspace.SegmentedAutocorrelogram(series, cfg.SegmentLen, maxLag)
-		} else {
-			acf = cfg.Workspace.Autocorrelogram(series, maxLag)
-		}
-		buf := pool.Float64s(len(acf))
-		copy(buf, acf)
-		out.Autocorrelogram = buf
+	// The workspace owns the slice it returns and will overwrite it on
+	// its next use; OscillationAnalysis outlives that, so copy — into a
+	// pooled buffer, which AnalyzeOscillation recycles when this
+	// analysis loses the couple comparison.
+	var acf []float64
+	if cfg.SegmentLen > 0 {
+		acf = w.SegmentedAutocorrelogram(series, cfg.SegmentLen, maxLag)
 	} else {
-		out.Autocorrelogram = stats.Autocorrelogram(series, maxLag)
+		acf = w.Autocorrelogram(series, maxLag)
 	}
+	out.Autocorrelogram = pool.Float64s(len(acf))
+	copy(out.Autocorrelogram, acf)
 	out.Peaks = stats.Peaks(out.Autocorrelogram, cfg.PeakThreshold)
 	// Track the running minimum so each candidate peak's prominence
 	// (rise above the deepest preceding valley) is available in one
@@ -441,7 +434,7 @@ func analyzeSeries(series []float64, cfg OscillationConfig) OscillationAnalysis 
 	if out.FundamentalLag == 0 {
 		return out
 	}
-	out.Harmonics = countHarmonics(series, out.Autocorrelogram, out.FundamentalLag, cfg)
+	out.Harmonics = countHarmonics(series, out.Autocorrelogram, out.FundamentalLag, cfg, w)
 	out.Detected = out.Harmonics >= cfg.MinHarmonics
 	return out
 }
@@ -451,13 +444,13 @@ func analyzeSeries(series []float64, cfg OscillationConfig) OscillationAnalysis 
 // scanning within the tolerance band around each multiple. Lags inside
 // the precomputed correlogram are read from it; harmonics beyond
 // MaxLag (a long fundamental in a short plot) are verified with
-// targeted autocorrelation computations on the series. With a
-// workspace, those probes reuse the centered copy and energy the
-// correlogram pass just computed (bit-identical values, none of the
-// per-lag mean/energy rework). Periodicity must be sustained, so
-// counting stops at the first missing harmonic; harmonics the series
-// is too short to verify cannot be counted.
-func countHarmonics(series, acf []float64, fundamental int, cfg OscillationConfig) int {
+// targeted autocorrelation probes that reuse the centered copy and
+// energy the correlogram pass just left in w (bit-identical to
+// stats.Autocorrelation, none of the per-lag mean/energy rework).
+// Periodicity must be sustained, so counting stops at the first
+// missing harmonic; harmonics the series is too short to verify cannot
+// be counted.
+func countHarmonics(series, acf []float64, fundamental int, cfg OscillationConfig, w *stats.Workspace) int {
 	count := 0
 	for m := 1; ; m++ {
 		center := m * fundamental
@@ -475,19 +468,13 @@ func countHarmonics(series, acf []float64, fundamental int, cfg OscillationConfi
 			need *= 0.8
 		}
 		probe := func(lag int) bool {
-			var v float64
-			switch {
-			case lag < len(acf):
-				v = acf[lag]
-			case cfg.Workspace != nil:
-				// The workspace's centered buffer still holds this
-				// series: analyzeSeries probes harmonics immediately
-				// after its Autocorrelogram call.
-				v = cfg.Workspace.CenteredAutocorrelation(lag)
-			default:
-				v = stats.Autocorrelation(series, lag)
+			if lag < len(acf) {
+				return acf[lag] >= need
 			}
-			return v >= need
+			// The workspace's centered buffer still holds this series:
+			// analyzeSeries probes harmonics immediately after its
+			// Autocorrelogram call.
+			return w.CenteredAutocorrelation(lag) >= need
 		}
 		// The harmonic passes iff any lag in the band clears need — a
 		// property of the set of band lags, indifferent to scan order.
@@ -532,27 +519,28 @@ func countHarmonics(series, acf []float64, fundamental int, cfg OscillationConfi
 	return count
 }
 
-// AnalyzeOscillationWindows slices the train into observation windows
-// of the given length in cycles (§VI-A's finer-granularity analysis:
-// fractions of an OS time quantum) and analyzes each window
-// independently, returning every non-empty window's analysis.
-func AnalyzeOscillationWindows(train *trace.Train, start, end, window uint64, cfg OscillationConfig) []OscillationAnalysis {
-	if train == nil || window == 0 || end <= start {
+// AnalyzeOscillationWindows slices [start, end) of the train into
+// observation windows of the given length in cycles (§VI-A's
+// finer-granularity analysis: fractions of an OS time quantum; the last
+// window may be short), analyzes every non-empty window independently
+// in ws, and hands each analysis to fold with its window's start cycle,
+// in order. It is the one observation-window loop: the batch detector,
+// the streaming daemon's final flush and Figure 11 all run it. ctx is
+// checked before each window; once it is done the loop stops and
+// returns ctx.Err().
+func AnalyzeOscillationWindows(ctx context.Context, train *trace.Train, start, end, window uint64, cfg OscillationConfig, ws *Workspace, fold func(start uint64, a OscillationAnalysis)) error {
+	if train == nil || window == 0 {
 		return nil
 	}
-	var out []OscillationAnalysis
-	for ws := start; ws < end; ws += window {
-		we := ws + window
-		if we > end {
-			we = end
+	for lo := start; lo < end; lo += window {
+		if err := ctx.Err(); err != nil {
+			return err
 		}
-		w := train.Window(ws, we)
-		if w.Len() == 0 {
-			continue
+		if w := train.Window(lo, min(lo+window, end)); w.Len() > 0 {
+			fold(lo, AnalyzeOscillation(w, cfg, ws))
 		}
-		out = append(out, AnalyzeOscillation(w, cfg))
 	}
-	return out
+	return nil
 }
 
 // BestWindow returns the analysis with the strongest detected

@@ -51,7 +51,7 @@ func noisyChannelTrain(bits, sets int, gap uint64, noiseProb float64, seed uint6
 
 func TestOscillationDetectsCacheChannel(t *testing.T) {
 	tr := channelTrain(8, 512, 100)
-	a := AnalyzeOscillation(tr, DefaultOscillationConfig(8))
+	a := analyzeOscillation(tr, DefaultOscillationConfig(8))
 	if !a.Detected {
 		t.Fatalf("clean channel not detected: %+v", a)
 	}
@@ -69,7 +69,7 @@ func TestOscillationDetectsCacheChannel(t *testing.T) {
 func TestOscillationLagTracksSetCount(t *testing.T) {
 	// Figure 13: fewer sets → proportionally shorter period.
 	for _, sets := range []int{64, 128, 256} {
-		a := AnalyzeOscillation(channelTrain(16, sets, 100), DefaultOscillationConfig(8))
+		a := analyzeOscillation(channelTrain(16, sets, 100), DefaultOscillationConfig(8))
 		if !a.Detected {
 			t.Errorf("%d sets: not detected", sets)
 			continue
@@ -84,7 +84,7 @@ func TestOscillationLagTracksSetCount(t *testing.T) {
 func TestOscillationSurvivesNoise(t *testing.T) {
 	// Random conflicts from other contexts shift the peak slightly
 	// (the paper sees 533 instead of 512) but must not erase it.
-	a := AnalyzeOscillation(noisyChannelTrain(8, 512, 100, 0.05, 3), DefaultOscillationConfig(8))
+	a := analyzeOscillation(noisyChannelTrain(8, 512, 100, 0.05, 3), DefaultOscillationConfig(8))
 	if !a.Detected {
 		t.Fatalf("noisy channel not detected: peak=%v lag=%d", a.PeakValue, a.FundamentalLag)
 	}
@@ -100,7 +100,7 @@ func TestOscillationRejectsRandomTraffic(t *testing.T) {
 		tr.Append(trace.Event{Cycle: i * 50, Kind: trace.KindConflictMiss,
 			Actor: uint8(rng.Intn(8)), Victim: uint8(rng.Intn(8)), Unit: uint32(rng.Intn(512))})
 	}
-	a := AnalyzeOscillation(tr, DefaultOscillationConfig(8))
+	a := analyzeOscillation(tr, DefaultOscillationConfig(8))
 	if a.Detected {
 		t.Errorf("random traffic detected as covert: %+v", a)
 	}
@@ -129,19 +129,19 @@ func TestOscillationRejectsBriefPeriodicity(t *testing.T) {
 			Actor: uint8(rng.Intn(8)), Victim: uint8(rng.Intn(8)), Unit: uint32(rng.Intn(512))})
 		cycle += 10
 	}
-	a := AnalyzeOscillation(tr, DefaultOscillationConfig(8))
+	a := analyzeOscillation(tr, DefaultOscillationConfig(8))
 	if a.Detected {
 		t.Errorf("brief periodicity flagged as covert: %+v", a)
 	}
 }
 
 func TestOscillationEmptyAndTiny(t *testing.T) {
-	if a := AnalyzeOscillation(nil, DefaultOscillationConfig(8)); a.Detected {
+	if a := analyzeOscillation(nil, DefaultOscillationConfig(8)); a.Detected {
 		t.Error("nil train detected")
 	}
 	tr := trace.NewTrain(2)
 	tr.Append(trace.Event{Cycle: 1, Actor: 0, Victim: 1})
-	if a := AnalyzeOscillation(tr, DefaultOscillationConfig(8)); a.Detected || a.Events != 1 {
+	if a := analyzeOscillation(tr, DefaultOscillationConfig(8)); a.Detected || a.Events != 1 {
 		t.Error("tiny train should not be analyzable")
 	}
 }
@@ -152,7 +152,7 @@ func TestOscillationConstantPairNotDetected(t *testing.T) {
 	for i := uint64(0); i < 512; i++ {
 		tr.Append(trace.Event{Cycle: i, Kind: trace.KindConflictMiss, Actor: 0, Victim: 1, Unit: uint32(i % 7)})
 	}
-	if a := AnalyzeOscillation(tr, DefaultOscillationConfig(8)); a.Detected {
+	if a := analyzeOscillation(tr, DefaultOscillationConfig(8)); a.Detected {
 		t.Error("constant series detected as oscillation")
 	}
 }
@@ -161,7 +161,7 @@ func TestAnalyzeOscillationWindows(t *testing.T) {
 	// Channel active only in [0, 100k); the rest quiet. Windowed
 	// analysis isolates the active window.
 	tr := channelTrain(4, 128, 100) // spans 4*128*100 = 51200 cycles
-	analyses := AnalyzeOscillationWindows(tr, 0, 400_000, 100_000, DefaultOscillationConfig(8))
+	analyses := analyzeWindows(tr, 0, 400_000, 100_000, DefaultOscillationConfig(8))
 	if len(analyses) != 1 {
 		t.Fatalf("non-empty windows = %d, want 1", len(analyses))
 	}
@@ -175,11 +175,11 @@ func TestAnalyzeOscillationWindows(t *testing.T) {
 	if _, ok := BestWindow(nil); ok {
 		t.Error("BestWindow of empty should be !ok")
 	}
-	if AnalyzeOscillationWindows(nil, 0, 10, 5, DefaultOscillationConfig(8)) != nil {
-		t.Error("nil train should give nil windows")
+	if analyzeWindows(nil, 0, 10, 5, DefaultOscillationConfig(8)) != nil {
+		t.Error("nil train should give no windows")
 	}
-	if AnalyzeOscillationWindows(tr, 0, 10, 0, DefaultOscillationConfig(8)) != nil {
-		t.Error("zero window should give nil")
+	if analyzeWindows(tr, 0, 10, 0, DefaultOscillationConfig(8)) != nil {
+		t.Error("zero window should give no windows")
 	}
 }
 
@@ -222,8 +222,8 @@ func TestFinerWindowsHelpLowBandwidth(t *testing.T) {
 		cycle += 350
 	}
 	cfg := DefaultOscillationConfig(8)
-	full := AnalyzeOscillation(tr, cfg)
-	quarters := AnalyzeOscillationWindows(tr, 0, 1_000_000, 250_000, cfg)
+	full := analyzeOscillation(tr, cfg)
+	quarters := analyzeWindows(tr, 0, 1_000_000, 250_000, cfg)
 	best, ok := BestWindow(quarters)
 	if !ok {
 		t.Fatal("no quarter windows")
@@ -241,7 +241,7 @@ func TestRawPairSeriesMode(t *testing.T) {
 	// Clean channel: raw mode detects like couple mode.
 	cfg := DefaultOscillationConfig(8)
 	cfg.RawPairSeries = true
-	clean := AnalyzeOscillation(channelTrain(8, 256, 100), cfg)
+	clean := analyzeOscillation(channelTrain(8, 256, 100), cfg)
 	if !clean.Detected {
 		t.Fatalf("raw mode missed a clean channel: %+v", clean)
 	}
@@ -255,9 +255,9 @@ func TestRawPairSeriesMode(t *testing.T) {
 	// Noisy channel: the raw series dilutes with the noise share while
 	// the couple projection holds up — the Figure 11 mechanism.
 	noisy := noisyChannelTrain(8, 256, 100, 0.4, 5)
-	rawA := AnalyzeOscillation(noisy, cfg)
+	rawA := analyzeOscillation(noisy, cfg)
 	cfg.RawPairSeries = false
-	coupleA := AnalyzeOscillation(noisy, cfg)
+	coupleA := analyzeOscillation(noisy, cfg)
 	if !coupleA.Detected {
 		t.Fatalf("couple mode missed the noisy channel: %+v", coupleA)
 	}

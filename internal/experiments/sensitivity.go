@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"cchunter"
@@ -194,10 +195,15 @@ func Figure11(o Options) Figure11Result {
 	// a strong fundamental.
 	cfg.MinHarmonics = 1
 	cfg.PeakThreshold = 0.45
+	ws := core.BorrowWorkspace()
+	defer ws.Release()
 	var out Figure11Result
 	for _, frac := range []float64{1.0, 0.75, 0.5, 0.25} {
 		window := uint64(float64(res.QuantumCycles) * frac)
-		analyses := core.AnalyzeOscillationWindows(res.ConflictTrain, 0, res.EndCycle, window, cfg)
+		var analyses []core.OscillationAnalysis
+		// A background context never stops the loop, so it returns nil.
+		_ = core.AnalyzeOscillationWindows(context.Background(), res.ConflictTrain, 0, res.EndCycle, window, cfg, ws,
+			func(_ uint64, a core.OscillationAnalysis) { analyses = append(analyses, a) })
 		best, ok := core.BestWindow(analyses)
 		row := Figure11Row{Fraction: frac}
 		if ok {

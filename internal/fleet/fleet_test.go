@@ -1,8 +1,11 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -200,4 +203,49 @@ func TestFleetFlightCapture(t *testing.T) {
 	if again := f.Flights(); len(again) != 0 {
 		t.Errorf("Flights did not drain: %d left", len(again))
 	}
+}
+
+// TestFleetRepeatedWatchdogFires: every shard's finalize overruns a
+// nanosecond watchdog, epoch after epoch. Each final verdict is a
+// degraded placeholder and the watchdog counter matches, and no
+// abandoned analysis outlives its job: the cancelled finalize stops at
+// its next observation window, so once Run returns the goroutine count
+// settles back to where it started with no finalize left on any stack.
+func TestFleetRepeatedWatchdogFires(t *testing.T) {
+	before := runtime.NumGoroutine()
+	const epochs = 4
+	reg := obs.NewRegistry()
+	cfg := testFleetConfig()
+	cfg.Watchdog = time.Nanosecond // no finalize completes in 1ns
+	cfg.Metrics = reg
+	f, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Run(context.Background(), epochs); err != nil {
+		t.Fatal(err)
+	}
+	streams := cfg.Hosts * cfg.StreamsPerHost
+	for _, s := range f.Hub().State().Streams {
+		if s.FinalEpochs != epochs || !strings.Contains(s.Failure, "watchdog") {
+			t.Errorf("%s: %d final epochs, failure %q; want %d watchdog placeholders", s.Key, s.FinalEpochs, s.Failure, epochs)
+		}
+	}
+	if got := reg.Snapshot().Counters["runner.watchdog_fired"]; got != uint64(streams*epochs) {
+		t.Errorf("runner.watchdog_fired = %d, want %d", got, streams*epochs)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	var stacks []byte
+	for {
+		buf := make([]byte, 1<<20)
+		stacks = buf[:runtime.Stack(buf, true)]
+		if runtime.NumGoroutine() <= before && !bytes.Contains(stacks, []byte("FinalizeContext")) {
+			return
+		}
+		if time.Now().After(deadline) {
+			break
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	t.Fatalf("goroutines: %d before, %d after\n%s", before, runtime.NumGoroutine(), stacks)
 }

@@ -187,8 +187,8 @@ func (s *shard) finalizeEpoch(hub *Hub) {
 
 	det := s.det
 	v, err := runner.Supervise(context.Background(), s.key.String(),
-		s.cfg.Watchdog, s.cfg.Metrics, func(context.Context) (interface{}, error) {
-			return det.Finalize(end), nil
+		s.cfg.Watchdog, s.cfg.Metrics, func(ctx context.Context) (interface{}, error) {
+			return det.FinalizeContext(ctx, end), nil
 		})
 	var rep core.Report
 	if err != nil {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math/bits"
 
 	"cchunter/internal/cache"
@@ -210,6 +211,8 @@ func (s *System) execute(c *hwContext, op *Op) OpResult {
 	c.clock = t0 + latency
 	if latency != 0 {
 		s.heapFix(c)
+	} else {
+		c.zeroTime()
 	}
 	observedLat := latency
 	observedNow := c.clock
@@ -224,6 +227,39 @@ func (s *System) execute(c *hwContext, op *Op) OpResult {
 		observedNow = f.ObserveClock(c.clock)
 	}
 	return OpResult{Now: observedNow, Latency: observedLat}
+}
+
+// maxZeroTimeOps bounds how many zero-latency ops (a clock read, a
+// zero-cycle compute, a wait for a past cycle) one context may execute
+// without its clock advancing. A context whose clock never advances
+// holds the minimum forever: neither Run's exit nor a quantum boundary
+// can fire, and Run never returns. The longest run the built-in
+// programs reach is 2 over the golden scenarios and 6 over every
+// ccrepro figure (the bus trojan); the bound sits five orders of
+// magnitude above that.
+const maxZeroTimeOps = 1 << 20
+
+// zeroTime counts a zero-latency op on c. Consecutive zero-latency ops
+// share the clock they leave unchanged, so a run is counted from the
+// first op at a new clock value; past maxZeroTimeOps the context has
+// stalled and the engine panics.
+func (c *hwContext) zeroTime() {
+	c.zeroOps++
+	if c.zeroClock != c.clock {
+		c.zeroClock, c.zeroOps = c.clock, 1
+	} else if c.zeroOps > maxZeroTimeOps {
+		panic(stallError{c})
+	}
+}
+
+// stallError is the panic value of a stalled context; its message
+// names the program that stalled the clock. Formatting it lazily keeps
+// zeroTime within the inlining budget of the op loop.
+type stallError struct{ c *hwContext }
+
+func (e stallError) Error() string {
+	return fmt.Sprintf("sim: program %q on context %d issued %d zero-latency ops at cycle %d; its clock can never advance",
+		e.c.runq[0].Name(), e.c.id, e.c.zeroOps, e.c.clock)
 }
 
 // dividerSlot applies the divider time-multiplexing mitigation: the

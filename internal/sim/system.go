@@ -80,6 +80,10 @@ type hwContext struct {
 	quantumEnd uint64
 	runq       []*Process // runq[0] is the currently scheduled process
 	heapIdx    int        // position in System.heap, -1 when idle
+	// zeroClock and zeroOps track the current run of zero-latency ops
+	// (see zeroTime).
+	zeroClock uint64
+	zeroOps   int
 }
 
 // System is the simulated machine plus its OS layer.

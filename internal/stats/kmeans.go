@@ -11,18 +11,94 @@ import (
 // instead of crashing.
 var ErrBadInput = errors.New("stats: bad input")
 
-// KMeans clusters fixed-dimension float vectors with Lloyd's algorithm.
-// The recurrent-burst detector (§IV-B step 5) discretizes each quantum's
-// event-density histogram into a short string and clusters the string
-// feature vectors to find recurring burst shapes across a 512-quantum
-// window. Initialization is deterministic k-means++ driven by the
-// provided RNG, so detection runs are reproducible.
+// KmeansWorkspace owns the scratch buffers of one k-means clustering —
+// the assignment and count arrays, the flat centroid arena and the
+// k-means++ distance vector — so repeated clusterings (one per
+// analyzed quantum window, thousands per calibration corpus replay)
+// run without a single heap allocation after warm-up.
+//
+// The zero value is ready to use. A workspace is not safe for
+// concurrent use; slices returned by its methods alias the workspace
+// and are valid only until its next call. The allocating reference
+// build it is pinned against lives in kmeans_ref_test.go (see
+// TestKmeansWorkspaceMatchesReference).
+type KmeansWorkspace struct {
+	assign    []int
+	counts    []int
+	centroids [][]float64
+	cbuf      []float64 // flat k×dim centroid backing
+	d2        []float64
+	sizes     []int
+	points    [][]float64
+}
+
+// PointRows returns a length-0 row-header slice with capacity for at
+// least capHint points, so callers can assemble a point matrix by
+// appending without allocating the header array on every analysis.
+// The headers alias the workspace; they are valid until the next
+// PointRows call.
+func (w *KmeansWorkspace) PointRows(capHint int) [][]float64 {
+	if cap(w.points) < capHint {
+		w.points = make([][]float64, 0, capHint)
+	}
+	return w.points[:0]
+}
+
+// intsScratch returns a zeroed length-n view of *buf, growing it only
+// when capacity is short.
+func intsScratch(buf *[]int, n int) []int {
+	if cap(*buf) < n {
+		*buf = make([]int, n)
+	}
+	s := (*buf)[:n]
+	for i := range s {
+		s[i] = 0
+	}
+	return s
+}
+
+// floatsScratch returns a zeroed length-n view of *buf.
+func floatsScratch(buf *[]float64, n int) []float64 {
+	if cap(*buf) < n {
+		*buf = make([]float64, n)
+	}
+	s := (*buf)[:n]
+	for i := range s {
+		s[i] = 0
+	}
+	return s
+}
+
+// centroidRows shapes the workspace's centroid arena into k rows of
+// dim, each row capped so row-local appends can never bleed across.
+func (w *KmeansWorkspace) centroidRows(k, dim int) [][]float64 {
+	if cap(w.cbuf) < k*dim {
+		w.cbuf = make([]float64, k*dim)
+	}
+	w.cbuf = w.cbuf[:k*dim]
+	if cap(w.centroids) < k {
+		w.centroids = make([][]float64, k)
+	}
+	w.centroids = w.centroids[:k]
+	for i := range w.centroids {
+		w.centroids[i] = w.cbuf[i*dim : (i+1)*dim : (i+1)*dim]
+	}
+	return w.centroids
+}
+
+// KMeans clusters fixed-dimension float vectors with Lloyd's algorithm,
+// entirely in the workspace. The recurrent-burst detector (§IV-B step
+// 5) discretizes each quantum's event-density histogram into a short
+// string and clusters the string feature vectors to find recurring
+// burst shapes across a 512-quantum window. Initialization is
+// deterministic k-means++ driven by the provided RNG, so detection runs
+// are reproducible.
 //
 // It returns the cluster assignment for each point and the final
-// centroids. k is clamped to len(points); empty input returns nils.
-// Points of mixed dimensionality are an ErrBadInput: there is no
-// meaningful distance between them.
-func KMeans(points [][]float64, k int, maxIter int, rng *RNG) (assign []int, centroids [][]float64, err error) {
+// centroids; both alias the workspace. k is clamped to len(points);
+// empty input returns nils. Points of mixed dimensionality are an
+// ErrBadInput: there is no meaningful distance between them.
+func (w *KmeansWorkspace) KMeans(points [][]float64, k int, maxIter int, rng *RNG) (assign []int, centroids [][]float64, err error) {
 	n := len(points)
 	if n == 0 || k <= 0 {
 		return nil, nil, nil
@@ -37,9 +113,9 @@ func KMeans(points [][]float64, k int, maxIter int, rng *RNG) (assign []int, cen
 				ErrBadInput, i, len(p), dim)
 		}
 	}
-	centroids = kmeansppInit(points, k, rng)
-	assign = make([]int, n)
-	counts := make([]int, k)
+	centroids = w.kmeansppInit(points, k, dim, rng)
+	assign = intsScratch(&w.assign, n)
+	counts := intsScratch(&w.counts, k)
 	for iter := 0; iter < maxIter; iter++ {
 		changed := false
 		for i, p := range points {
@@ -95,21 +171,23 @@ func KMeans(points [][]float64, k int, maxIter int, rng *RNG) (assign []int, cen
 	return assign, centroids, nil
 }
 
-// kmeansppInit chooses k starting centroids with the k-means++ weighting.
-func kmeansppInit(points [][]float64, k int, rng *RNG) [][]float64 {
+// kmeansppInit chooses k starting centroids with the k-means++
+// weighting, writing them into the centroid arena.
+func (w *KmeansWorkspace) kmeansppInit(points [][]float64, k, dim int, rng *RNG) [][]float64 {
 	if rng == nil {
 		rng = NewRNG(1)
 	}
 	n := len(points)
-	centroids := make([][]float64, 0, k)
+	rows := w.centroidRows(k, dim)
 	first := rng.Intn(n)
-	centroids = append(centroids, append([]float64(nil), points[first]...))
-	d2 := make([]float64, n)
-	for len(centroids) < k {
+	copy(rows[0], points[first])
+	m := 1
+	d2 := floatsScratch(&w.d2, n)
+	for m < k {
 		var sum float64
 		for i, p := range points {
-			best := sqDist(p, centroids[0])
-			for _, c := range centroids[1:] {
+			best := sqDist(p, rows[0])
+			for _, c := range rows[1:m] {
 				if d := sqDist(p, c); d < best {
 					best = d
 				}
@@ -131,9 +209,22 @@ func kmeansppInit(points [][]float64, k int, rng *RNG) [][]float64 {
 		} else {
 			idx = rng.Intn(n)
 		}
-		centroids = append(centroids, append([]float64(nil), points[idx]...))
+		copy(rows[m], points[idx])
+		m++
 	}
-	return centroids
+	return rows
+}
+
+// ClusterSizes returns how many points landed in each of k clusters;
+// the result aliases the workspace.
+func (w *KmeansWorkspace) ClusterSizes(assign []int, k int) []int {
+	sizes := intsScratch(&w.sizes, k)
+	for _, a := range assign {
+		if a >= 0 && a < k {
+			sizes[a]++
+		}
+	}
+	return sizes
 }
 
 func sqDist(a, b []float64) float64 {
@@ -143,72 +234,4 @@ func sqDist(a, b []float64) float64 {
 		s += d * d
 	}
 	return s
-}
-
-// ClusterSizes returns how many points landed in each of k clusters.
-func ClusterSizes(assign []int, k int) []int {
-	sizes := make([]int, k)
-	for _, a := range assign {
-		if a >= 0 && a < k {
-			sizes[a]++
-		}
-	}
-	return sizes
-}
-
-// Silhouette returns the mean silhouette coefficient of a clustering, a
-// quick quality measure in [-1, 1] used by tests to sanity-check that
-// the recurrence clusters are actually compact.
-func Silhouette(points [][]float64, assign []int, k int) float64 {
-	n := len(points)
-	if n < 2 || k < 2 {
-		return 0
-	}
-	sizes := ClusterSizes(assign, k)
-	var total float64
-	counted := 0
-	for i := range points {
-		ci := assign[i]
-		if sizes[ci] < 2 {
-			continue // silhouette undefined for singleton clusters
-		}
-		var a float64
-		b := -1.0
-		meanTo := make([]float64, k)
-		cnt := make([]int, k)
-		for j := range points {
-			if i == j {
-				continue
-			}
-			d := sqrt(sqDist(points[i], points[j]))
-			meanTo[assign[j]] += d
-			cnt[assign[j]]++
-		}
-		for c := 0; c < k; c++ {
-			if cnt[c] == 0 {
-				continue
-			}
-			m := meanTo[c] / float64(cnt[c])
-			if c == ci {
-				a = m
-			} else if b < 0 || m < b {
-				b = m
-			}
-		}
-		if b < 0 {
-			continue
-		}
-		den := a
-		if b > den {
-			den = b
-		}
-		if den > 0 {
-			total += (b - a) / den
-			counted++
-		}
-	}
-	if counted == 0 {
-		return 0
-	}
-	return total / float64(counted)
 }

@@ -7,8 +7,11 @@
 // recorded at the end of a run; its memory grows with trace length.
 // The streaming detector holds a ring of the last WindowQuanta quantum
 // histograms and the conflict events of the currently open observation
-// window, so its footprint is O(window) no matter how long the run is,
-// and its final verdict is byte-identical to the batch path's.
+// window, so its footprint is O(window) no matter how long the run is.
+// It only gathers analyses: its windows go through core's one window
+// loop and its verdicts through core.Assemble, the assembler the batch
+// detector uses, so its final verdict is byte-identical to the batch
+// path's.
 package stream
 
 import (

@@ -1,6 +1,8 @@
 package stream
 
 import (
+	"context"
+
 	"cchunter/internal/auditor"
 	"cchunter/internal/core"
 	"cchunter/internal/stats"
@@ -21,14 +23,12 @@ type Config struct {
 	// verdict fields (Detected, Best, DetectedWindows, Degradation)
 	// stay identical either way.
 	RetainWindows int
-	// SegmentLen is the chunk size of the segmented Wiener–Khinchin
-	// estimate interim verdicts use for the still-open observation
-	// window (default 2048). Final analyses always use the exact
-	// correlogram.
-	SegmentLen int
-	// Cusum tunes the onset change detectors (zero value = defaults).
-	Cusum CUSUMConfig
 }
+
+// segmentLen is the chunk size of the segmented Wiener–Khinchin
+// estimate interim verdicts use for the still-open observation window.
+// Final analyses always use the exact correlogram.
+const segmentLen = 2048
 
 // kindState is the sliding burst-detection state for one monitored
 // combinational unit: a ring of the last WindowQuanta quantum
@@ -74,14 +74,16 @@ func (ks *kindState) push(rec auditor.QuantumHistogram, quantumLen uint64) {
 //   - CUSUM change detectors over the likelihood-ratio and peak series
 //     estimate each channel's onset cycle.
 //
-// Finalize renders a Report whose verdict fields are byte-identical to
-// core.Detector.Analyze over the same run. Not safe for concurrent
-// use; wrap it in an Ingest queue to decouple producers.
+// Interim and Finalize hand their analyses to core.Assemble, the
+// verdict assembler the batch detector uses, so on the same event
+// sequence Finalize's verdict fields are byte-identical to
+// core.Detector.Analyze's. Not safe for concurrent use; wrap it in an
+// Ingest queue to decouple producers.
 type Detector struct {
-	aud  *auditor.Auditor
-	cfg  Config
-	dcfg core.DetectorConfig
-	ws   *stats.Workspace
+	aud    *auditor.Auditor
+	dcfg   core.DetectorConfig
+	retain int
+	ws     *core.Workspace
 
 	quantumLen  uint64
 	lastQuantum uint64
@@ -94,18 +96,17 @@ type Detector struct {
 	analyses        []core.OscillationAnalysis
 	windowsAnalyzed int
 	best            core.OscillationAnalysis
-	bestOK          bool
 	detectedWindows int
 	peakRetained    int
 	peakCusum       *CUSUM
 
-	shed      uint64
-	finalized bool
+	shed uint64
 }
 
 // New wraps an already-programmed auditor (Monitor/MonitorConflicts
-// done) in a streaming daemon. Register the returned Detector — not
-// the auditor — as the simulator's listener.
+// done) in a streaming daemon that borrows a pooled analysis workspace
+// until Finalize. Register the returned Detector — not the auditor —
+// as the simulator's listener.
 func New(aud *auditor.Auditor, cfg Config) *Detector {
 	if aud == nil {
 		panic("stream: detector needs an auditor")
@@ -113,27 +114,12 @@ func New(aud *auditor.Auditor, cfg Config) *Detector {
 	if cfg.Detector.QuantumCycles == 0 {
 		panic("stream: detector needs the quantum length")
 	}
-	if cfg.Detector.ObservationDivisor <= 0 {
-		cfg.Detector.ObservationDivisor = 1
-	}
-	if cfg.SegmentLen <= 0 {
-		cfg.SegmentLen = 2048
-	}
 	d := &Detector{
 		aud:        aud,
-		cfg:        cfg,
 		dcfg:       cfg.Detector,
+		retain:     cfg.RetainWindows,
+		ws:         core.BorrowWorkspace(),
 		quantumLen: cfg.Detector.QuantumCycles,
-	}
-	if d.dcfg.Oscillation.Workspace == nil {
-		d.ws = stats.NewWorkspace()
-		d.dcfg.Oscillation.Workspace = d.ws
-	}
-	if d.dcfg.Burst.Workspace == nil {
-		// One k-means scratch for every interim and final burst
-		// analysis this daemon ever runs; analyses are sequential, so
-		// the borrow never overlaps.
-		d.dcfg.Burst.Workspace = new(stats.KmeansWorkspace)
 	}
 	for _, kind := range core.BurstKinds {
 		if aud.DeltaT(kind) == 0 {
@@ -147,16 +133,13 @@ func New(aud *auditor.Auditor, cfg Config) *Detector {
 			kind:    kind,
 			ringCap: d.dcfg.Burst.WindowQuanta,
 			merged:  stats.NewHistogram(bins),
-			cus:     NewCUSUM(cfg.Cusum),
+			cus:     NewCUSUM(DefaultCUSUMConfig()),
 		})
 	}
 	if aud.ConflictTrain() != nil {
 		d.oscOn = true
-		d.window = d.quantumLen / uint64(d.dcfg.ObservationDivisor)
-		if d.window == 0 {
-			d.window = d.quantumLen
-		}
-		d.peakCusum = NewCUSUM(cfg.Cusum)
+		d.window = d.dcfg.ObservationWindow()
+		d.peakCusum = NewCUSUM(DefaultCUSUMConfig())
 	}
 	return d
 }
@@ -209,45 +192,45 @@ func (d *Detector) drainQuanta() {
 // past. A window [ws, ws+w) is closed only once an event at or beyond
 // its end is *recorded* (post-dedup, post-clamp): recorded cycles are
 // monotonic, so nothing can land in the window afterwards and its
-// analysis equals the batch one. The train is trimmed behind each
-// closed window, which is the O(window) memory bound.
+// analysis equals the batch one. The train is then trimmed behind the
+// last closed window, which is the O(window) memory bound.
 func (d *Detector) closeWindows() {
 	train := d.aud.ConflictTrain()
-	if n := train.Len(); n > d.peakRetained {
+	n := train.Len()
+	if n > d.peakRetained {
 		d.peakRetained = n
 	}
-	for train.Len() > 0 && train.At(train.Len()-1).Cycle >= d.curWs+d.window {
-		we := d.curWs + d.window
-		d.analyzeWindow(train, d.curWs, we)
-		d.curWs = we
-		d.aud.TrimConflicts(we)
-	}
-}
-
-// analyzeWindow runs the exact oscillation analysis over one closed
-// window and folds it into the running verdict.
-func (d *Detector) analyzeWindow(train *trace.Train, ws, we uint64) {
-	w := train.Window(ws, we)
-	if w.Len() == 0 {
+	if n == 0 {
 		return
 	}
-	a := core.AnalyzeOscillation(w, d.dcfg.Oscillation)
+	last := train.At(n - 1).Cycle
+	if last < d.curWs+d.window {
+		return
+	}
+	closed := last - (last-d.curWs)%d.window
+	// A background context never stops the loop, so it returns nil.
+	_ = core.AnalyzeOscillationWindows(context.Background(), train, d.curWs, closed, d.window, d.dcfg.Oscillation, d.ws, d.fold)
+	d.curWs = closed
+	d.aud.TrimConflicts(closed)
+}
+
+// fold adds one closed window's analysis, starting at cycle start, to
+// the running oscillation verdict.
+func (d *Detector) fold(start uint64, a core.OscillationAnalysis) {
+	if d.windowsAnalyzed == 0 || core.BetterOscillation(a, d.best) {
+		d.best = a
+	}
 	d.windowsAnalyzed++
-	if d.cfg.RetainWindows > 0 && len(d.analyses) == d.cfg.RetainWindows {
+	if d.retain > 0 && len(d.analyses) == d.retain {
 		copy(d.analyses, d.analyses[1:])
 		d.analyses[len(d.analyses)-1] = a
 	} else {
 		d.analyses = append(d.analyses, a)
 	}
-	if !d.bestOK {
-		d.best, d.bestOK = a, true
-	} else if core.BetterOscillation(a, d.best) {
-		d.best = a
-	}
 	if a.Detected {
 		d.detectedWindows++
 	}
-	d.peakCusum.Add(a.PeakValue, ws)
+	d.peakCusum.Add(a.PeakValue, start)
 }
 
 // SetUpstreamLoss updates the upstream (sensor-path) loss rate folded
@@ -276,127 +259,73 @@ func (d *Detector) RetainedEvents() int {
 // estimate of the still-open window. It does not flush the auditor, so
 // it never perturbs the final verdict.
 func (d *Detector) Interim(cycle uint64) core.Report {
-	rep := core.Report{Confidence: 1}
-	for _, ks := range d.kinds {
-		a := core.AnalyzeBursts(ks.ring, d.dcfg.Burst)
-		integ := d.aud.Integrity(ks.kind)
-		deg := core.NewDegradation(d.dcfg.UpstreamLossRate, integ.SaturationRate(), 0, integ.Windows)
-		rep.Contention = append(rep.Contention, core.ContentionVerdict{Kind: ks.kind, Analysis: a, Degradation: deg})
-		if a.Detected {
-			rep.Detected = true
-		}
-		if deg.Confidence < rep.Confidence {
-			rep.Confidence = deg.Confidence
-		}
-	}
+	contention := d.contention()
+	var osc *core.OscillationVerdict
 	if d.oscOn {
 		d.aud.ForceDrainConflicts()
-		train := d.aud.ConflictTrain()
-		v := &core.OscillationVerdict{}
-		best, bestOK := d.best, d.bestOK
-		detected := d.detectedWindows
-		if open := train.Window(d.curWs, cycle+1); open.Len() > 0 {
+		osc = &core.OscillationVerdict{Best: d.best, DetectedWindows: d.detectedWindows}
+		if open := d.aud.ConflictTrain().Window(d.curWs, cycle+1); open.Len() > 0 {
 			cfg := d.dcfg.Oscillation
-			cfg.SegmentLen = d.cfg.SegmentLen
-			a := core.AnalyzeOscillation(open, cfg)
-			if !bestOK {
-				best, bestOK = a, true
-			} else if core.BetterOscillation(a, best) {
-				best = a
+			cfg.SegmentLen = segmentLen
+			a := core.AnalyzeOscillation(open, cfg, d.ws)
+			if d.windowsAnalyzed == 0 || core.BetterOscillation(a, osc.Best) {
+				osc.Best = a
 			}
 			if a.Detected {
-				detected++
+				osc.DetectedWindows++
 			}
 		}
-		if bestOK {
-			v.Best = best
-		}
-		v.DetectedWindows = detected
-		v.Detected = detected >= 1
-		ci := d.aud.ConflictIntegrity()
-		loss := 1 - (1-clamp01(d.dcfg.UpstreamLossRate))*(1-ci.LossRate())
-		v.Degradation = core.NewDegradation(loss, 0, ci.ClampedTimestamps, ci.Recorded)
-		rep.Oscillation = v
-		if v.Detected {
-			rep.Detected = true
-		}
-		if v.Degradation.Confidence < rep.Confidence {
-			rep.Confidence = v.Degradation.Confidence
-		}
 	}
+	rep := core.Assemble(d.aud, d.dcfg.UpstreamLossRate, contention, osc, d.ws, nil)
 	rep.Streaming = d.streamingInfo()
 	return rep
 }
 
 // Finalize flushes the auditor at endCycle, closes every remaining
-// observation window, and renders the final verdict. The assembly
-// mirrors core.Detector.Analyze operation for operation, so on the
-// same event sequence the two reports' verdict fields are
-// byte-identical (the streaming report additionally carries
-// Report.Streaming, which the batch path leaves nil).
+// observation window, renders the final verdict, and gives the
+// detector's workspace back. The detector must not be used afterwards.
 func (d *Detector) Finalize(endCycle uint64) core.Report {
-	reg := d.dcfg.Metrics
+	return d.FinalizeContext(context.Background(), endCycle)
+}
+
+// FinalizeContext is Finalize under a context: the observation-window
+// loop checks ctx between windows and, once ctx is done, abandons the
+// analysis and returns a DegradedReport.
+func (d *Detector) FinalizeContext(ctx context.Context, endCycle uint64) core.Report {
+	defer func() {
+		d.ws.Release()
+		d.ws = nil
+	}()
 	d.aud.Flush(endCycle)
 	d.drainQuanta()
+	var osc *core.OscillationVerdict
 	if d.oscOn {
 		train := d.aud.ConflictTrain()
 		if n := train.Len(); n > d.peakRetained {
 			d.peakRetained = n
 		}
-		for d.curWs < endCycle {
-			we := d.curWs + d.window
-			if we > endCycle {
-				we = endCycle
-			}
-			d.analyzeWindow(train, d.curWs, we)
-			d.curWs = we
-			d.aud.TrimConflicts(we)
+		err := core.AnalyzeOscillationWindows(ctx, train, d.curWs, endCycle, d.window, d.dcfg.Oscillation, d.ws, d.fold)
+		if err != nil {
+			return core.DegradedReport("analysis cancelled: " + err.Error())
 		}
+		d.aud.TrimConflicts(endCycle)
+		osc = &core.OscillationVerdict{Windows: d.analyses, Best: d.best, DetectedWindows: d.detectedWindows}
 	}
-	d.finalized = true
-
-	rep := core.Report{Confidence: 1}
-	for _, ks := range d.kinds {
-		a := core.AnalyzeBursts(ks.ring, d.dcfg.Burst)
-		integ := d.aud.Integrity(ks.kind)
-		deg := core.NewDegradation(d.dcfg.UpstreamLossRate, integ.SaturationRate(), 0, integ.Windows)
-		rep.Contention = append(rep.Contention, core.ContentionVerdict{Kind: ks.kind, Analysis: a, Degradation: deg})
-		if a.Detected {
-			rep.Detected = true
-		}
-		if deg.Confidence < rep.Confidence {
-			rep.Confidence = deg.Confidence
-		}
-	}
-	if d.oscOn {
-		v := &core.OscillationVerdict{Windows: d.analyses}
-		if d.bestOK {
-			v.Best = d.best
-		}
-		v.DetectedWindows = d.detectedWindows
-		v.Detected = v.DetectedWindows >= 1
-		ci := d.aud.ConflictIntegrity()
-		loss := 1 - (1-clamp01(d.dcfg.UpstreamLossRate))*(1-ci.LossRate())
-		v.Degradation = core.NewDegradation(loss, 0, ci.ClampedTimestamps, ci.Recorded)
-		rep.Oscillation = v
-		if v.Detected {
-			rep.Detected = true
-		}
-		if v.Degradation.Confidence < rep.Confidence {
-			rep.Confidence = v.Degradation.Confidence
-		}
-	}
+	reg := d.dcfg.Metrics
+	reg.Counter("stream.windows_closed").Add(uint64(d.windowsAnalyzed))
+	rep := core.Assemble(d.aud, d.dcfg.UpstreamLossRate, d.contention(), osc, d.ws, reg)
 	rep.Streaming = d.streamingInfo()
-	if reg != nil {
-		if d.ws != nil {
-			fft, naive := d.ws.PathCounts()
-			reg.Gauge("stats.autocorr.fft").Set(int64(fft))
-			reg.Gauge("stats.autocorr.naive").Set(int64(naive))
-		}
-		reg.Counter("stream.windows_closed").Add(uint64(d.windowsAnalyzed))
-		rep.Metrics = reg.Snapshot()
-	}
 	return rep
+}
+
+// contention runs the burst analysis over every monitored kind's
+// sliding ring.
+func (d *Detector) contention() []core.ContentionVerdict {
+	var out []core.ContentionVerdict
+	for _, ks := range d.kinds {
+		out = append(out, core.ContentionVerdict{Kind: ks.kind, Analysis: core.AnalyzeBursts(ks.ring, d.dcfg.Burst, d.ws)})
+	}
+	return out
 }
 
 // streamingInfo assembles the streaming-only evidence block.
@@ -421,14 +350,4 @@ func (d *Detector) streamingInfo() *core.StreamingInfo {
 		info.Onsets = append(info.Onsets, r)
 	}
 	return info
-}
-
-func clamp01(x float64) float64 {
-	if x < 0 {
-		return 0
-	}
-	if x > 1 {
-		return 1
-	}
-	return x
 }

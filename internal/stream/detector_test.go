@@ -2,6 +2,7 @@ package stream
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"testing"
 
@@ -269,5 +270,21 @@ func TestStreamingInfoShape(t *testing.T) {
 	}
 	if rep.Onset(trace.KindBusLock) == nil {
 		t.Error("Report.Onset lookup failed for bus-lock")
+	}
+}
+
+// TestFinalizeContextCancelled: a done context — a watchdog that fired
+// — stops Finalize's window loop, and the daemon hands back a degraded
+// placeholder instead of a verdict.
+func TestFinalizeContextCancelled(t *testing.T) {
+	const quanta = 20
+	events := synthTrain(11, quanta, testQuantum)
+	d := New(newAuditor(t, testQuantum), Config{Detector: core.DefaultDetectorConfig(testQuantum, 4)})
+	d.OnEvents(events[:len(events)/2]) // leaves windows for Finalize to close
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	rep := d.FinalizeContext(ctx, uint64(quanta)*testQuantum)
+	if !rep.Failed() || rep.Detected || rep.Confidence != 0 {
+		t.Errorf("cancelled finalize rendered %+v, want a degraded placeholder", rep)
 	}
 }

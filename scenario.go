@@ -380,14 +380,15 @@ func (sc Scenario) Run() (*Result, error) {
 		res.FaultStats = &stats
 	}
 	anSpan := sc.Metrics.Timer("scenario.analyze_ns").Start()
-	analyze := func(context.Context) (interface{}, error) {
+	// The analysis honours the watchdog's context: once it fires, the
+	// window loop stops and the supervised goroutine returns.
+	analyze := func(ctx context.Context) (interface{}, error) {
 		if streamDet != nil {
-			return streamDet.Finalize(end), nil
+			return streamDet.FinalizeContext(ctx, end), nil
 		}
 		det := core.NewDetector(aud, detCfg)
-		rep := det.Analyze(end)
-		det.Release()
-		return rep, nil
+		defer det.Release()
+		return det.AnalyzeContext(ctx, end), nil
 	}
 	degraded := false
 	if sc.Watchdog > 0 {

@@ -372,25 +372,36 @@ func TestEvasionNoiseRaisesErrors(t *testing.T) {
 // with every goroutine it started finished: the watchdog's supervised
 // analysis, and anything the streaming detector or flight recorder
 // spins up (the simulator itself starts none). Each goldenCases
-// scenario runs plain, streaming, supervised and flight-recorded, and
-// the goroutine count must settle back to where it started.
+// scenario runs plain, streaming, supervised, flight-recorded, and
+// with a watchdog that fires (batch and streaming): the abandoned
+// analysis sees its context cancelled and stops at the next
+// observation window. The goroutine count must settle back to where
+// it started.
 func TestScenarioRunLeavesNoGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 	modes := []struct {
-		name string
-		set  func(*Scenario)
+		name  string
+		set   func(*Scenario)
+		fires bool
 	}{
-		{"plain", func(*Scenario) {}},
-		{"stream", func(sc *Scenario) { sc.Stream = true }},
-		{"watchdog", func(sc *Scenario) { sc.Watchdog = time.Minute }},
-		{"flight", func(sc *Scenario) { sc.FlightEvents = 64 }},
+		{"plain", func(*Scenario) {}, false},
+		{"stream", func(sc *Scenario) { sc.Stream = true }, false},
+		{"watchdog", func(sc *Scenario) { sc.Watchdog = time.Minute }, false},
+		{"flight", func(sc *Scenario) { sc.FlightEvents = 64 }, false},
+		// No analysis finishes in a nanosecond.
+		{"watchdog-fires", func(sc *Scenario) { sc.Watchdog = time.Nanosecond }, true},
+		{"stream-watchdog-fires", func(sc *Scenario) { sc.Stream, sc.Watchdog = true, time.Nanosecond }, true},
 	}
 	for _, tc := range goldenCases() {
 		for _, m := range modes {
 			sc := tc.sc
 			m.set(&sc)
-			if _, err := sc.Run(); err != nil {
+			res, err := sc.Run()
+			if err != nil {
 				t.Fatalf("%s/%s: %v", tc.name, m.name, err)
+			}
+			if res.Report.Failed() != m.fires {
+				t.Errorf("%s/%s: report failure %q, want failed=%v", tc.name, m.name, res.Report.Failure, m.fires)
 			}
 		}
 	}
