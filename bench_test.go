@@ -222,9 +222,10 @@ func BenchmarkAutocorrelationCost(b *testing.B) {
 // BenchmarkAutocorrelogram compares the O(n·maxLag) direct
 // autocorrelation against the Wiener–Khinchin FFT path at paper-scale
 // train lengths (a busy quantum's conflict train and the detector's
-// deepest lag budget). The fft-workspace sub-benchmark is the
+// deepest lag budget). The fft sub-benchmark gives every call a fresh
+// stats.Workspace, as a one-off caller would; fft-workspace is the
 // detector's steady-state path and must report 0 allocs/op: the
-// caller-held stats.Workspace owns every scratch buffer after warmup.
+// caller-held workspace owns every scratch buffer after warmup.
 func BenchmarkAutocorrelogram(b *testing.B) {
 	const n, maxLag = 65536, 4096
 	xs := make([]float64, n)
@@ -241,7 +242,8 @@ func BenchmarkAutocorrelogram(b *testing.B) {
 	b.Run("fft", func(b *testing.B) {
 		var acf []float64
 		for i := 0; i < b.N; i++ {
-			acf = stats.Autocorrelogram(xs, maxLag)
+			var w stats.Workspace // fresh scratch buffers every call
+			acf = w.Autocorrelogram(xs, maxLag)
 		}
 		b.ReportMetric(acf[0], "r0")
 	})

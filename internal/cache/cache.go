@@ -82,18 +82,28 @@ func ownerOf(enc uint64) uint8 { return uint8(enc) }
 // nibbles down behind it; the eviction victim is the first
 // in-partition way reading the nibbles from the LRU end. No
 // per-access timestamp scan and no per-access allocation.
+//
+// Two checks give the common cases constant work. A hit in the MRU
+// way (rank 0, the stack's low nibble) needs no scan and no touch:
+// moving the front way to the front leaves the stack as it is. And a
+// per-set count of invalid ways tells a miss in a full set without a
+// second scan: it evicts the bottom of the stack, and moving that way
+// to the front shifts every other rank down one nibble at once.
 type Cache struct {
 	cfg       Config
 	nsets     int
 	lineShift uint
 	setMask   uint64
 	lruNibble uint     // 4*(Ways-1): the bit offset of the LRU nibble
+	stackMask uint64   // the Ways low nibbles of a recency stack
 	tags      []uint64 // packed tag+owner words; invalidTag = empty way
 
 	// recency[s] is set s's recency stack: nibble i (bits 4i..4i+3)
 	// is the way with recency rank i, rank 0 the most recently used.
 	// Nibbles at and above Ways stay zero.
 	recency []uint64
+	// holes[s] is the number of invalid ways in set s.
+	holes []uint8
 
 	hits, misses, evictions uint64
 }
@@ -142,8 +152,10 @@ func New(cfg Config) (*Cache, error) {
 		lineShift: shift,
 		setMask:   uint64(nsets - 1),
 		lruNibble: 4 * uint(cfg.Ways-1),
+		stackMask: ^uint64(0) >> (64 - 4*uint(cfg.Ways)),
 		tags:      make([]uint64, blocks),
 		recency:   make([]uint64, nsets),
+		holes:     make([]uint8, nsets),
 	}
 	// Initial order is way index order, way 0 most recent; it only
 	// matters once all in-partition ways are valid, by which time every
@@ -154,6 +166,7 @@ func New(cfg Config) (*Cache, error) {
 	}
 	for s := range c.recency {
 		c.recency[s] = initial
+		c.holes[s] = uint8(cfg.Ways)
 	}
 	return c, nil
 }
@@ -181,6 +194,47 @@ func (c *Cache) lruWayIn(set uint64, lo, hi int) int {
 			return w
 		}
 	}
+}
+
+// miss counts a miss in set s and picks the way within [lo, hi) that
+// the missing line is installed in, moving it to the front of the
+// recency stack: the lowest invalid way in range, else the least
+// recently used way in range, whose line the caller reads from the
+// tags before overwriting it. evicted reports the latter.
+//
+// A full set missed over its whole range evicts the bottom of the
+// stack: the way at rank Ways-1 moves to rank 0 and every other way
+// one rank down, which is the stack shifted up one nibble.
+func (c *Cache) miss(set uint64, ways []uint64, lo, hi int) (victim int, evicted bool) {
+	c.misses++
+	if c.holes[set] == 0 && lo == 0 && hi == len(ways) {
+		stack := c.recency[set]
+		victim = int(stack >> c.lruNibble) // the nibbles above Ways are zero
+		c.recency[set] = stack<<4&c.stackMask | uint64(victim)
+		c.evictions++
+		return victim, true
+	}
+	victim = -1
+	if c.holes[set] > 0 {
+		for i := lo; i < hi; i++ {
+			if ways[i] == invalidTag {
+				victim = i
+				break
+			}
+		}
+	}
+	if victim >= 0 {
+		c.holes[set]--
+	} else {
+		// Every in-partition way is valid, and the stack order of
+		// valid ways is exactly last-touch order, so the walk lands on
+		// the same victim a timestamp scan would find.
+		victim = c.lruWayIn(set, lo, hi)
+		evicted = true
+		c.evictions++
+	}
+	c.touch(set, victim)
+	return victim, evicted
 }
 
 // MustNew is New for geometries known to be valid (tests, hardcoded
@@ -240,32 +294,21 @@ func (c *Cache) AccessHit(addr uint64, ctx uint8) (hit bool, block uint32, evict
 	ways := c.tags[setBase : setBase+c.cfg.Ways]
 	key := tagKey(lineAddr)
 	enc := key<<8 | uint64(ctx)
-	// One pass finds both the hit way and the first invalid way: L1
-	// working sets of the probing channels are built to always miss, so
-	// the miss path shouldn't rescan the tags it just read.
-	victim := -1
+	if i := int(c.recency[set] & 0xf); tagOf(ways[i]) == key {
+		ways[i] = enc
+		c.hits++
+		return true, uint32(setBase + i), false
+	}
 	for i := range ways {
-		w := ways[i]
-		if tagOf(w) == key {
+		if tagOf(ways[i]) == key {
 			ways[i] = enc
 			c.touch(set, i)
 			c.hits++
 			return true, uint32(setBase + i), false
 		}
-		if w == invalidTag && victim < 0 {
-			victim = i
-		}
 	}
-	c.misses++
-	if victim < 0 {
-		// Unpartitioned access: the bottom of the recency stack is the
-		// victim, the same choice AccessInWays makes with a full range.
-		victim = int(c.recency[set]>>c.lruNibble) & 0xf
-		evicted = true
-		c.evictions++
-	}
+	victim, evicted := c.miss(set, ways, 0, len(ways))
 	ways[victim] = enc
-	c.touch(set, victim)
 	return false, uint32(setBase + victim), evicted
 }
 
@@ -295,6 +338,13 @@ func (c *Cache) AccessInto(res *Result, addr uint64, ctx uint8, lo, hi int) {
 	key := tagKey(lineAddr)
 	enc := key<<8 | uint64(ctx)
 	*res = Result{Set: uint32(set), LineAddr: lineAddr}
+	if i := int(c.recency[set] & 0xf); tagOf(ways[i]) == key {
+		ways[i] = enc
+		res.Hit = true
+		res.Block = uint32(setBase + i)
+		c.hits++
+		return
+	}
 	for i := range ways {
 		if tagOf(ways[i]) == key {
 			ways[i] = enc
@@ -305,29 +355,13 @@ func (c *Cache) AccessInto(res *Result, addr uint64, ctx uint8, lo, hi int) {
 			return
 		}
 	}
-	c.misses++
-	// Miss: find an invalid way in range, else the LRU way in range —
-	// the first in-partition way reading the recency stack from the
-	// bottom. Every in-partition way is valid on that walk (the
-	// invalid scan just failed), and the stack order of valid ways is
-	// exactly last-touch order, so the walk lands on the same victim a
-	// timestamp scan would find.
-	victim := -1
-	for i := lo; i < hi; i++ {
-		if ways[i] == invalidTag {
-			victim = i
-			break
-		}
-	}
-	if victim < 0 {
-		victim = c.lruWayIn(set, lo, hi)
+	victim, evicted := c.miss(set, ways, lo, hi)
+	if evicted {
 		res.Evicted = true
 		res.EvictedLine = decodeTag(ways[victim])
 		res.EvictedOwner = ownerOf(ways[victim])
-		c.evictions++
 	}
 	ways[victim] = enc
-	c.touch(set, victim)
 	res.Block = uint32(setBase + victim)
 }
 
@@ -339,11 +373,13 @@ func (c *Cache) AccessInto(res *Result, addr uint64, ctx uint8, lo, hi int) {
 // stale private-cache copies would hide exactly the misses the covert
 // channel and its detector both live on.
 func (c *Cache) InvalidateLine(lineAddr uint64) bool {
-	setBase := int(lineAddr&c.setMask) * c.cfg.Ways
+	set := lineAddr & c.setMask
+	setBase := int(set) * c.cfg.Ways
 	key := tagKey(lineAddr)
 	for i := 0; i < c.cfg.Ways; i++ {
 		if tagOf(c.tags[setBase+i]) == key {
 			c.tags[setBase+i] = invalidTag
+			c.holes[set]++
 			return true
 		}
 	}

@@ -232,7 +232,7 @@ func TestCacheChannelOscillationPeriod(t *testing.T) {
 				series[i] = -1
 			}
 		}
-		acf := stats.Autocorrelogram(series, sets*3/2)
+		acf := stats.NewWorkspace().Autocorrelogram(series, sets*3/2)
 		peaks := stats.Peaks(acf, 0.5)
 		found := false
 		for _, p := range peaks {

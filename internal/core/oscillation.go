@@ -445,8 +445,9 @@ func analyzeSeries(series []float64, cfg OscillationConfig, w *stats.Workspace) 
 // the precomputed correlogram are read from it; harmonics beyond
 // MaxLag (a long fundamental in a short plot) are verified with
 // targeted autocorrelation probes that reuse the centered copy and
-// energy the correlogram pass just left in w (bit-identical to
-// stats.Autocorrelation, none of the per-lag mean/energy rework).
+// energy the correlogram pass just left in w (bit-identical to the
+// coefficient computed from scratch, none of the per-lag mean/energy
+// rework).
 // Periodicity must be sustained, so counting stops at the first
 // missing harmonic; harmonics the series is too short to verify cannot
 // be counted.

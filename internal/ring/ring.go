@@ -36,9 +36,14 @@ func DefaultConfig() Config {
 type Ring struct {
 	cfg       Config
 	sliceMask uint64 // stops-1 when Stops is a power of two, else 0
-	busyFrom  []uint64
 	busyUntil []uint64
 	occupant  []uint8
+
+	// cw and ccw list, twice over, the segments a transit crosses in
+	// hop order going round the ring in each direction, so every route
+	// is a window of one of them: h clockwise hops from stop s cross
+	// cw[s:s+h], h counter-clockwise hops ccw[Stops-s:Stops-s+h].
+	cw, ccw []int
 
 	listener trace.Listener
 
@@ -58,10 +63,18 @@ func New(cfg Config, l trace.Listener) *Ring {
 	n := 2 * cfg.Stops
 	r := &Ring{
 		cfg:       cfg,
-		busyFrom:  make([]uint64, n),
 		busyUntil: make([]uint64, n),
 		occupant:  make([]uint8, n),
+		cw:        make([]int, n),
+		ccw:       make([]int, n),
 		listener:  l,
+	}
+	for i := range r.cw {
+		// Clockwise, stop j leaves on segment j; counter-clockwise,
+		// the hop into stop j uses segment Stops+j, and the stops
+		// count down.
+		r.cw[i] = i % cfg.Stops
+		r.ccw[i] = cfg.Stops + (cfg.Stops - 1 - i%cfg.Stops)
 	}
 	if s := uint64(cfg.Stops); s&(s-1) == 0 {
 		r.sliceMask = s - 1
@@ -99,34 +112,22 @@ func (r *Ring) Transit(now, stamp uint64, ctx uint8, core int, lineAddr uint64) 
 	}
 	// Both stops lie in [0, stops), so the clockwise distance is one
 	// wrap away from dst-src and the two directions sum to a full
-	// circle: no division on the per-miss path.
+	// circle: no division on the per-miss path. The shorter direction
+	// wins, clockwise on ties; a route is under a full circle, so its
+	// window fits in the doubled segment lists.
 	cw := dst - src
 	if cw < 0 {
 		cw += stops
 	}
-	ccw := stops - cw
-	dir, hops := 1, cw
-	if ccw < cw {
-		dir, hops = -1, ccw
+	route := r.cw[src : src+cw]
+	if ccw := stops - cw; ccw < cw {
+		route = r.ccw[stops-src : stops-src+ccw]
 	}
 	hop := r.cfg.HopCycles
 	busyUntil := r.busyUntil
 	cursor := now
 	emitted := false
-	stop := src
-	for h := 0; h < hops; h++ {
-		// dir is ±1 and stop stays in [0, stops): a compare-and-wrap
-		// replaces the per-hop modulo.
-		next := stop + dir
-		if next == stops {
-			next = 0
-		} else if next < 0 {
-			next = stops - 1
-		}
-		seg := stop // clockwise: segment index = source stop
-		if dir < 0 {
-			seg = stops + next // counter-clockwise: indexed by destination stop
-		}
+	for _, seg := range route {
 		start := cursor
 		if busyUntil[seg] > start {
 			waited += busyUntil[seg] - start
@@ -145,11 +146,9 @@ func (r *Ring) Transit(now, stamp uint64, ctx uint8, core int, lineAddr uint64) 
 				}
 			}
 		}
-		r.busyFrom[seg] = start
 		busyUntil[seg] = start + hop
 		r.occupant[seg] = ctx
 		cursor = start + hop
-		stop = next
 	}
 	return cursor, waited
 }

@@ -84,9 +84,9 @@ func TestTransitPathMatchesModuloFormula(t *testing.T) {
 					}
 					// Hop h starts h hops after issue and holds its
 					// segment for one hop time.
-					if from, until := r.busyFrom[seg], r.busyUntil[seg]; from != now+uint64(h)*3 || until != from+3 {
-						t.Errorf("stops %d core %d slice %d: segment %d held [%d, %d), want [%d, %d)",
-							stops, core, slice, seg, from, until, now+uint64(h)*3, now+uint64(h+1)*3)
+					if until := r.busyUntil[seg]; until != now+uint64(h+1)*3 {
+						t.Errorf("stops %d core %d slice %d: segment %d held until %d, want %d",
+							stops, core, slice, seg, until, now+uint64(h+1)*3)
 					}
 				}
 				if st := r.Stats(); st.Transits != 1 || st.Contention != 0 {

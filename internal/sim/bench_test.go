@@ -1,6 +1,11 @@
 package sim
 
-import "testing"
+import (
+	"testing"
+
+	"cchunter/internal/cache"
+	"cchunter/internal/ring"
+)
 
 // sweepProgram issues n loads, then finishes. The loads alternate,
 // starting with a streaming one: streaming loads walk a working set
@@ -49,5 +54,50 @@ func BenchmarkL2MissPath(b *testing.B) {
 	b.StopTimer()
 	if misses := s.L2Stats().Misses; misses < 4*per/2 {
 		b.Fatalf("%d L2 misses in %d loads: the benchmark does not load the miss path", misses, 4*per)
+	}
+}
+
+// cycleProgram issues n loads round robin over its first `lines`
+// lines, then finishes.
+type cycleProgram struct{ n, lines, next uint64 }
+
+func (*cycleProgram) Name() string   { return "cycle" }
+func (*cycleProgram) Begin(*Machine) {}
+func (w *cycleProgram) Step(_ OpResult, op *Op) bool {
+	if w.n == 0 {
+		return false
+	}
+	w.n--
+	*op = Op{Kind: OpLoad, Addr: w.next << 6}
+	if w.next++; w.next == w.lines {
+		w.next = 0
+	}
+	return true
+}
+
+// BenchmarkRingProbePath times the load path of the ring channel's
+// probes: with the ring on and a one-set 8-way L1, one program cycles
+// 16 lines, so every load misses the L1 (evicting the line loaded 8
+// loads earlier), transits the ring to the line's slice (local, one
+// hop either way, or two), and hits the L2, where each line has a set
+// to itself and so sits in the MRU way. One op is one load; allocs/op
+// must read 0.
+func BenchmarkRingProbePath(b *testing.B) {
+	cfg := TestConfig()
+	cfg.Ring = ring.DefaultConfig()
+	cfg.L1 = cache.Config{SizeBytes: 8 * 64, LineBytes: 64, Ways: 8, HitLatency: 4}
+	s := MustNew(cfg)
+	const lines = 16
+	loads := uint64(b.N) + lines
+	s.Spawn(&cycleProgram{n: loads, lines: lines}, Pin(0))
+	b.ReportAllocs()
+	b.ResetTimer()
+	s.Run(^uint64(0))
+	b.StopTimer()
+	l2 := s.L2Stats()
+	rs, _ := s.RingStats()
+	if l2.Misses != lines || l2.Hits != loads-lines || rs.Transits != loads {
+		b.Fatalf("%d loads: L2 %+v, ring %+v; want %d L2 misses, every later load an L2 hit, every load a transit",
+			loads, l2, rs, lines)
 	}
 }

@@ -9,8 +9,10 @@ package sim
 //
 // Membership tracks runq occupancy: a context is in the heap iff its
 // run queue is non-empty. Each hwContext carries its own heap index
-// so key updates (every executed op moves a clock) are O(log n)
-// sift operations with no search.
+// so key updates are O(log n) sift operations with no search. The
+// engine runs ops on the root until it no longer sorts before
+// heapNext (engine.go, runOps), so an op costs one compare and a run
+// one sift.
 
 // ctxLess is the engine's documented scheduling order.
 func ctxLess(a, b *hwContext) bool {
@@ -67,20 +69,23 @@ func (s *System) heapRemove(c *hwContext) {
 	}
 }
 
+// heapNext returns the root's smaller child, the context the
+// min-clock rule picks once the root no longer sorts first, or nil
+// when the root is the only non-idle context.
+func (s *System) heapNext() *hwContext {
+	h := s.heap
+	switch {
+	case len(h) < 2:
+		return nil
+	case len(h) == 2 || ctxLess(h[1], h[2]):
+		return h[1]
+	}
+	return h[2]
+}
+
 // heapFix restores heap order after c's clock changed.
 func (s *System) heapFix(c *hwContext) {
 	if c.heapIdx < 0 {
-		return
-	}
-	if len(s.heap) == 2 {
-		// Two runnable contexts — the trojan/spy steady state of every
-		// channel scenario, hit once per executed op: order is a single
-		// compare-and-swap, no sift needed.
-		h := s.heap
-		if ctxLess(h[1], h[0]) {
-			h[0], h[1] = h[1], h[0]
-			h[0].heapIdx, h[1].heapIdx = 0, 1
-		}
 		return
 	}
 	if !s.heapDown(c.heapIdx) {

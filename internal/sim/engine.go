@@ -18,7 +18,11 @@ import (
 //
 // The engine pulls each op with a direct Step call that writes it
 // straight into the process's pending-op slot, so the steady-state op
-// loop performs no heap allocation and no Op copy.
+// loop performs no heap allocation and no Op copy. Programs are parked
+// at an op boundary (quiesce) only when Run returns normally: a panic
+// from a program, a listener or the zero-time guard unwinds with no
+// further Step call and without flushing the events still buffered,
+// so no second panic can replace the first.
 func (s *System) Run(until uint64) {
 	if !s.started {
 		s.started = true
@@ -26,27 +30,49 @@ func (s *System) Run(until uint64) {
 	}
 	span := s.mRunNS.Start() // zero Span when metrics are off: no clock read
 	defer span.End()
-	defer s.quiesce()
 	for {
 		c := s.heapMin()
 		if c == nil || c.clock >= until {
+			s.quiesce()
 			return
 		}
-		p := c.runq[0]
-		if !p.started {
-			p.started = true
-			p.prog.Begin(p.machine)
-		}
+		s.runOps(c, until)
+	}
+}
+
+// runOps executes a run of ops on c, the heap root. Only c's clock
+// moves during the run, so the heap stays valid with c at the root
+// while c still sorts before the root's smaller child: the context the
+// min-clock rule would pick after each op is c itself, and the run
+// executes exactly the ops a re-pick per op would. The run ends at the
+// first op after which c no longer sorts first (the one heap fix of
+// the run), at until, at a quantum boundary or when the process
+// finishes; the last two restore the heap themselves.
+func (s *System) runOps(c *hwContext, until uint64) {
+	p := c.runq[0]
+	if !p.started {
+		p.started = true
+		p.prog.Begin(p.machine)
+	}
+	next := s.heapNext()
+	for {
 		if !p.hasPend && !s.fetchOp(p) {
 			s.reapProc(c, p)
-			continue
+			return
 		}
 		if c.clock >= c.quantumEnd {
 			s.quantumBoundary(c)
-			continue // placement may have changed; re-pick
+			return // placement may have changed; re-pick
 		}
 		p.hasPend = false
 		p.last = s.execute(c, &p.pendOp)
+		if next != nil && !ctxLess(c, next) {
+			s.heapDown(0)
+			return
+		}
+		if c.clock >= until {
+			return
+		}
 	}
 }
 
@@ -209,9 +235,7 @@ func (s *System) execute(c *hwContext, op *Op) OpResult {
 		panic("sim: unknown op")
 	}
 	c.clock = t0 + latency
-	if latency != 0 {
-		s.heapFix(c)
-	} else {
+	if latency == 0 {
 		c.zeroTime()
 	}
 	observedLat := latency

@@ -1,50 +1,5 @@
 package stats
 
-// Autocorrelation implements the autocorrelation coefficient of §IV-D:
-//
-//	r_p = Σ_{i=1..n-p} (X_i - X̄)(X_{i+p} - X̄)  /  Σ_{i=1..n} (X_i - X̄)²
-//
-// for a single lag p. It returns 0 when the series is constant (zero
-// denominator) or when p is out of the usable range [0, len(xs)-1].
-// Numerator and denominator accumulate in one fused walk after the
-// mean, matching the centered pass Autocorrelogram's paths share.
-func Autocorrelation(xs []float64, p int) float64 {
-	n := len(xs)
-	if p < 0 || p >= n {
-		return 0
-	}
-	m := Mean(xs)
-	var num, den float64
-	for i, x := range xs {
-		d := x - m
-		den += d * d
-		if i+p < n {
-			num += d * (xs[i+p] - m)
-		}
-	}
-	if den == 0 {
-		return 0
-	}
-	return num / den
-}
-
-// Autocorrelogram returns the autocorrelation coefficients for lags
-// 0..maxLag inclusive (out[0] is always 1 for a non-constant series).
-// This is the chart the oscillatory-pattern detector inspects for
-// periodic peaks. maxLag is clamped to len(xs)-1.
-//
-// Above the measured size crossover the Wiener–Khinchin FFT path
-// (O(n log n)) is selected automatically; below it the direct §IV-D
-// sum runs (see fft.go and DESIGN.md §10). Callers on a hot path
-// should hold a Workspace instead, which computes the same values
-// without allocating.
-func Autocorrelogram(xs []float64, maxLag int) []float64 {
-	var w Workspace
-	// The workspace is function-local, so handing its output buffer to
-	// the caller is safe: nothing else will overwrite it.
-	return w.Autocorrelogram(xs, maxLag)
-}
-
 // Peak describes a local maximum in an autocorrelogram.
 type Peak struct {
 	Lag   int     // lag at which the peak occurs

@@ -159,9 +159,10 @@ func (w *Workspace) ensureFFT(nfft int) {
 }
 
 // Autocorrelogram computes the autocorrelation coefficients for lags
-// 0..maxLag inclusive, exactly as the package-level Autocorrelogram,
-// selecting the FFT path above the measured crossover and reusing the
-// workspace's buffers throughout.
+// 0..maxLag inclusive (out[0] is always 1 for a non-constant series;
+// maxLag is clamped to len(xs)-1), selecting the Wiener–Khinchin FFT
+// path above the measured crossover and the direct §IV-D sum below it,
+// and reusing the workspace's buffers throughout.
 //
 // The returned slice is owned by the workspace and is overwritten by
 // the next call; callers that keep a correlogram must copy it.
@@ -250,7 +251,8 @@ func (w *Workspace) SegmentedAutocorrelogram(xs []float64, segLen, maxLag int) [
 
 // CenteredAutocorrelation returns r_p of the series most recently
 // passed to Autocorrelogram, reusing its mean-centered copy and
-// energy. The value is bit-identical to Autocorrelation(series, p):
+// energy. The value is bit-identical to the §IV-D coefficient r_p
+// computed from scratch (the tests' Autocorrelation(series, p)):
 // the centered entries are the very (x−mean) differences that call
 // would recompute, and the numerator accumulates over ascending i in
 // the same order, so every IEEE operation matches. The oscillation
@@ -331,8 +333,8 @@ func centerInto(dst, xs []float64) float64 {
 // AutocorrelogramNaive always takes the direct O(n·maxLag) path. It is
 // the property-test oracle for the FFT path and the baseline the
 // BenchmarkAutocorrelogram speedup is measured against; detection code
-// should call Autocorrelogram (or a Workspace), which select the
-// faster path automatically.
+// should call Workspace.Autocorrelogram, which selects the faster path
+// automatically.
 func AutocorrelogramNaive(xs []float64, maxLag int) []float64 {
 	n := len(xs)
 	if n == 0 {
