@@ -219,10 +219,11 @@ func BenchmarkAutocorrelationCost(b *testing.B) {
 	}
 }
 
-// BenchmarkAutocorrelogram compares the O(n·maxLag) direct
-// autocorrelation against the Wiener–Khinchin FFT path at paper-scale
-// train lengths (a busy quantum's conflict train and the detector's
-// deepest lag budget). The fft sub-benchmark gives every call a fresh
+// BenchmarkAutocorrelogram times the Wiener–Khinchin FFT path at
+// paper-scale train lengths (a busy quantum's conflict train and the
+// detector's deepest lag budget); internal/stats'
+// BenchmarkAutocorrelogramCrossover times the direct O(n·maxLag) path
+// against it. The fft sub-benchmark gives every call a fresh
 // stats.Workspace, as a one-off caller would; fft-workspace is the
 // detector's steady-state path and must report 0 allocs/op: the
 // caller-held workspace owns every scratch buffer after warmup.
@@ -232,13 +233,6 @@ func BenchmarkAutocorrelogram(b *testing.B) {
 	for i := range xs {
 		xs[i] = float64(i%17) - 8
 	}
-	b.Run("naive", func(b *testing.B) {
-		var acf []float64
-		for i := 0; i < b.N; i++ {
-			acf = stats.AutocorrelogramNaive(xs, maxLag)
-		}
-		b.ReportMetric(acf[0], "r0")
-	})
 	b.Run("fft", func(b *testing.B) {
 		var acf []float64
 		for i := 0; i < b.N; i++ {

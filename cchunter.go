@@ -52,6 +52,16 @@ const (
 	ChannelTLB              Channel = "tlb"
 )
 
+// ChannelNames lists the channel names a Scenario accepts: one per row
+// of the channel table, then ChannelNone.
+func ChannelNames() []string {
+	names := make([]string, 0, len(channels.Table)+1)
+	for _, ch := range channels.Table {
+		names = append(names, ch.Name)
+	}
+	return append(names, string(ChannelNone))
+}
+
 // RandomMessage generates an n-bit random message, the experiments'
 // stand-in for the paper's randomly-chosen 64-bit credit card number.
 func RandomMessage(n int, seed uint64) []int {

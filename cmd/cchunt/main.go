@@ -31,13 +31,14 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 
 	"cchunter"
 )
 
 func main() {
-	channel := flag.String("channel", "bus", "covert channel: bus, divider, cache, ring, tlb, none")
+	channel := flag.String("channel", "bus", "covert channel: "+strings.Join(cchunter.ChannelNames(), ", "))
 	bps := flag.Float64("bps", 1000, "channel bandwidth in bits per second")
 	bits := flag.Int("bits", 64, "random message length in bits")
 	sets := flag.Int("sets", 512, "cache sets used by the cache channel")
@@ -71,10 +72,8 @@ func main() {
 
 	// Validate enumerated flags up front: a typo'd channel or mitigation
 	// is a usage error (exit 2 with usage), not a runtime failure.
-	switch *channel {
-	case "bus", "divider", "cache", "ring", "tlb", "none", "":
-	default:
-		usageError("unknown channel %q (want bus, divider, cache, ring, tlb, or none)", *channel)
+	if *channel != "" && !slices.Contains(cchunter.ChannelNames(), *channel) {
+		usageError("unknown channel %q (want one of %s)", *channel, strings.Join(cchunter.ChannelNames(), ", "))
 	}
 	switch *mitigation {
 	case "", "buslimit", "partition", "tdm", "clockfuzz":
@@ -139,7 +138,7 @@ func main() {
 
 	fmt.Printf("simulated %.3f s of machine time (%d quanta)\n",
 		float64(res.EndCycle)/2.5e9, res.EndCycle/res.QuantumCycles)
-	if sc.Channel != cchunter.ChannelNone {
+	if res.Sent != nil { // a channel ran
 		fmt.Printf("channel: %s at %g bps, %d bits decoded, %d errors\n",
 			sc.Channel, *bps, len(res.Decoded), res.BitErrors)
 	}

@@ -25,7 +25,7 @@ func main() {
 		replayMain(os.Args[2:])
 		return
 	}
-	channel := flag.String("channel", "bus", "covert channel: bus, divider, cache, ring, tlb, none")
+	channel := flag.String("channel", "bus", "covert channel: "+strings.Join(cchunter.ChannelNames(), ", "))
 	bps := flag.Float64("bps", 1000, "channel bandwidth in bits per second")
 	bits := flag.Int("bits", 16, "random message length")
 	sets := flag.Int("sets", 512, "cache sets for the cache channel")

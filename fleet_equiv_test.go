@@ -32,8 +32,12 @@ func TestFleetPathMatchesGoldenCorpus(t *testing.T) {
 
 			// The fleet shard must program the same monitoring pair the
 			// scenario did, or the ring/tlb events fall on deaf slots.
+			cfg, err := tc.sc.normalize()
+			if err != nil {
+				t.Fatal(err)
+			}
 			rep, err := fleet.AnalyzeTrain(res.RawTrain.Events(),
-				res.QuantumCycles, res.Contexts, res.EndCycle, tc.sc.monitorKinds()...)
+				res.QuantumCycles, res.Contexts, res.EndCycle, cfg.monitor[:]...)
 			if err != nil {
 				t.Fatal(err)
 			}

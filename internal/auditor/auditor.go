@@ -59,6 +59,14 @@ func DefaultConfig(quantum uint64) Config {
 // given time").
 const MaxMonitoredUnits = 2
 
+// Pair is one programming of the monitoring slots.
+type Pair [MaxMonitoredUnits]trace.Kind
+
+// ClassicPair is the slot programming of the paper's evaluation: bus
+// locks and divider contention. A flight whose metadata names no kinds
+// was monitored with it.
+var ClassicPair = Pair{trace.KindBusLock, trace.KindDivContention}
+
 // ErrNotPrivileged is returned when an unprivileged principal tries to
 // program the auditor.
 var ErrNotPrivileged = errors.New("auditor: programming requires privilege")

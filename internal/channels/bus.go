@@ -88,7 +88,7 @@ func (t *BusTrojan) Begin(m *sim.Machine) {
 	geo := m.Geometry()
 	t.rng = stats.NewRNG(t.cfg.Seed ^ 0xe7a510)
 	t.slot = t.cfg.slotCycles(geo)
-	t.burst = minU64(t.slot, t.cfg.MaxBurstCycles)
+	t.burst = min(t.slot, t.cfg.MaxBurstCycles)
 	t.pc = btSlot
 }
 
@@ -142,12 +142,10 @@ func (t *BusTrojan) Step(prev sim.OpResult, op *sim.Op) bool {
 // BusSpy decodes the message from memory access latencies. It is a
 // sim.Program state machine.
 type BusSpy struct {
+	// readout's series is the average memory latency per bit (cycles),
+	// the observable of Figure 2.
+	readout
 	cfg     BusConfig
-	decoded []int
-	// perBitLatency records the spy's average memory latency for each
-	// bit — the series of Figure 2.
-	perBitLatency []float64
-
 	m       *sim.Machine
 	slot    uint64
 	spacing uint64
@@ -184,7 +182,7 @@ func (s *BusSpy) Begin(m *sim.Machine) {
 	geo := m.Geometry()
 	s.m = m
 	s.slot = s.cfg.slotCycles(geo)
-	burst := minU64(s.slot, s.cfg.MaxBurstCycles)
+	burst := min(s.slot, s.cfg.MaxBurstCycles)
 	s.spacing = burst / uint64(s.cfg.SamplesPerBit)
 	if s.spacing == 0 {
 		s.spacing = 1
@@ -215,12 +213,7 @@ func (s *BusSpy) Step(prev sim.OpResult, op *sim.Op) bool {
 				return true
 			}
 			avg := s.total / uint64(s.cfg.SamplesPerBit)
-			s.perBitLatency = append(s.perBitLatency, float64(avg))
-			if avg > s.cfg.DecisionLatency {
-				s.decoded = append(s.decoded, 1)
-			} else {
-				s.decoded = append(s.decoded, 0)
-			}
+			s.decide(float64(avg), avg > s.cfg.DecisionLatency)
 			s.i++
 			s.pc = bsSlot
 
@@ -239,10 +232,3 @@ func (s *BusSpy) Step(prev sim.OpResult, op *sim.Op) bool {
 		}
 	}
 }
-
-// Decoded returns the bits the spy inferred so far.
-func (s *BusSpy) Decoded() []int { return s.decoded }
-
-// PerBitLatency returns the spy's average memory latency per bit slot
-// (in cycles) — the observable plotted in Figure 2.
-func (s *BusSpy) PerBitLatency() []float64 { return s.perBitLatency }

@@ -63,7 +63,7 @@ func selectSets(cfg CacheConfig, geo sim.Geometry) (g1, g0 []uint32) {
 
 // roundLen returns the length of one prime/probe round in cycles.
 func (cfg CacheConfig) roundLen(slot uint64) uint64 {
-	burst := minU64(slot, cfg.MaxBurstCycles)
+	burst := min(slot, cfg.MaxBurstCycles)
 	return burst / uint64(cfg.RoundsPerBit)
 }
 
@@ -173,12 +173,10 @@ func (t *CacheTrojan) Step(prev sim.OpResult, op *sim.Op) bool {
 // (csProbe*) that accumulates each LoadN's latency and then jumps to
 // the state stored in afterProbe.
 type CacheSpy struct {
-	cfg     CacheConfig
-	decoded []int
-	// perBitRatio is the spy's G1/G0 access-time ratio per bit — the
-	// Figure 7 series: >1 decodes '1', <1 decodes '0'.
-	perBitRatio []float64
-
+	// readout's series is the G1/G0 access-time ratio per bit, the
+	// observable of Figure 7: >1 decodes '1', <1 decodes '0'.
+	readout
+	cfg    CacheConfig
 	m      *sim.Machine
 	g1, g0 []uint32
 	slot   uint64
@@ -279,12 +277,7 @@ func (s *CacheSpy) Step(prev sim.OpResult, op *sim.Op) bool {
 				return true
 			}
 			ratio := float64(s.lat1) / float64(s.lat0)
-			s.perBitRatio = append(s.perBitRatio, ratio)
-			if ratio > 1 {
-				s.decoded = append(s.decoded, 1)
-			} else {
-				s.decoded = append(s.decoded, 0)
-			}
+			s.decide(ratio, ratio > 1)
 			s.i++
 			s.pc = csSlot
 
@@ -319,10 +312,3 @@ func (s *CacheSpy) Step(prev sim.OpResult, op *sim.Op) bool {
 		}
 	}
 }
-
-// Decoded returns the bits the spy inferred so far.
-func (s *CacheSpy) Decoded() []int { return s.decoded }
-
-// PerBitRatio returns the spy's G1/G0 access-time ratio per bit — the
-// observable of Figure 7.
-func (s *CacheSpy) PerBitRatio() []float64 { return s.perBitRatio }

@@ -1,5 +1,5 @@
-// Package channels implements the three realistic covert timing
-// channels the paper evaluates CC-Hunter against (§IV):
+// Package channels implements the covert timing channels CC-Hunter is
+// evaluated against. Three are the paper's (§IV):
 //
 //   - a memory bus channel after Wu et al. [9]: the trojan signals '1'
 //     by issuing atomic unaligned accesses that lock the bus, and the
@@ -12,9 +12,17 @@
 //     (G1 for '1', G0 for '0') and the spy compares its probe
 //     latencies over the two groups.
 //
+// Two more run on the same detection machinery: a ring interconnect
+// channel, where the trojan's loads occupy the ring path into one LLC
+// slice and the spy times its own transits, and a TLB channel, where
+// the trojan evicts one of four TLB-set groups per 2-bit symbol and
+// the spy counts its probes' page walks.
+//
 // Each channel is a (Trojan, Spy) pair of sim.Programs synchronized by
 // bit slots derived from the configured bandwidth, as real
-// implementations synchronize on wall-clock slots.
+// implementations synchronize on wall-clock slots. Table declares all
+// five, one row each; adding a channel is adding a row. Every spy
+// reports one Observation.
 package channels
 
 import (
@@ -191,11 +199,4 @@ func BitErrors(sent, decoded []int) int {
 		}
 	}
 	return errs
-}
-
-func minU64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
 }

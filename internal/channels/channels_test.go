@@ -91,8 +91,8 @@ func runBusChannel(t *testing.T, message []int, bps float64) (*BusSpy, *trace.Tr
 func TestBusChannelDecodes(t *testing.T) {
 	msg := RandomMessage(16, 7)
 	spy, train := runBusChannel(t, msg, 25_000)
-	if errs := BitErrors(msg, spy.Decoded()); errs != 0 {
-		t.Errorf("bus channel bit errors = %d (decoded %v)", errs, spy.Decoded())
+	if errs := BitErrors(msg, spy.Observation().Decoded); errs != 0 {
+		t.Errorf("bus channel bit errors = %d (decoded %v)", errs, spy.Observation().Decoded)
 	}
 	if train.Len() == 0 {
 		t.Fatal("no bus lock events")
@@ -113,7 +113,7 @@ func TestBusChannelDecodes(t *testing.T) {
 func TestBusChannelLatencySeparation(t *testing.T) {
 	msg := []int{1, 0, 1, 0, 1, 0}
 	spy, _ := runBusChannel(t, msg, 25_000)
-	lat := spy.PerBitLatency()
+	lat := spy.Observation().Series
 	if len(lat) != len(msg) {
 		t.Fatalf("latency samples = %d", len(lat))
 	}
@@ -142,8 +142,8 @@ func runDivChannel(t *testing.T, message []int, bps float64) (*DivSpy, *trace.Tr
 func TestDivChannelDecodes(t *testing.T) {
 	msg := RandomMessage(12, 9)
 	spy, train := runDivChannel(t, msg, 5_000)
-	if errs := BitErrors(msg, spy.Decoded()); errs != 0 {
-		t.Errorf("div channel bit errors = %d (decoded %v)", errs, spy.Decoded())
+	if errs := BitErrors(msg, spy.Observation().Decoded); errs != 0 {
+		t.Errorf("div channel bit errors = %d (decoded %v)", errs, spy.Observation().Decoded)
 	}
 	if train.Len() == 0 {
 		t.Fatal("no contention events")
@@ -196,13 +196,13 @@ func runCacheChannel(t *testing.T, message []int, bps float64, sets int) (*Cache
 func TestCacheChannelDecodes(t *testing.T) {
 	msg := RandomMessage(10, 21)
 	spy, _, _ := runCacheChannel(t, msg, 1000, 512)
-	if errs := BitErrors(msg, spy.Decoded()); errs != 0 {
+	if errs := BitErrors(msg, spy.Observation().Decoded); errs != 0 {
 		t.Errorf("cache channel bit errors = %d (decoded %v, ratios %v)",
-			errs, spy.Decoded(), spy.PerBitRatio())
+			errs, spy.Observation().Decoded, spy.Observation().Series)
 	}
 	// Figure 7's shape: ratio > 1 for '1', < 1 for '0'.
 	for i, bit := range msg {
-		r := spy.PerBitRatio()[i]
+		r := spy.Observation().Series[i]
 		if bit == 1 && r <= 1 {
 			t.Errorf("bit %d: '1' ratio %v", i, r)
 		}

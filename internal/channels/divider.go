@@ -74,7 +74,7 @@ func (t *DivTrojan) Name() string { return "div-trojan" }
 func (t *DivTrojan) Begin(m *sim.Machine) {
 	geo := m.Geometry()
 	t.slot = t.cfg.slotCycles(geo)
-	t.burst = minU64(t.slot, t.cfg.MaxBurstCycles)
+	t.burst = min(t.slot, t.cfg.MaxBurstCycles)
 	t.pc = dtSlot
 }
 
@@ -144,12 +144,10 @@ func (t *DivTrojan) Step(prev sim.OpResult, op *sim.Op) bool {
 // DivSpy decodes by timing constant-length division loops. It is a
 // sim.Program state machine.
 type DivSpy struct {
-	cfg     DivConfig
-	decoded []int
-	// perBitLatency is the spy's average loop latency per bit — the
-	// Figure 3 series.
-	perBitLatency []float64
-
+	// readout's series is the average division-loop latency per bit
+	// (cycles), the observable of Figure 3.
+	readout
+	cfg   DivConfig
 	slot  uint64
 	burst uint64
 	i     int    // slot index
@@ -188,7 +186,7 @@ func (s *DivSpy) Name() string { return "div-spy" }
 func (s *DivSpy) Begin(m *sim.Machine) {
 	geo := m.Geometry()
 	s.slot = s.cfg.slotCycles(geo)
-	s.burst = minU64(s.slot, s.cfg.MaxBurstCycles)
+	s.burst = min(s.slot, s.cfg.MaxBurstCycles)
 	s.pc = dsSlot
 }
 
@@ -218,12 +216,7 @@ func (s *DivSpy) Step(prev sim.OpResult, op *sim.Op) bool {
 				continue
 			}
 			avg := s.total / s.iters
-			s.perBitLatency = append(s.perBitLatency, float64(avg))
-			if avg > s.cfg.DecisionLatency {
-				s.decoded = append(s.decoded, 1)
-			} else {
-				s.decoded = append(s.decoded, 0)
-			}
+			s.decide(float64(avg), avg > s.cfg.DecisionLatency)
 			s.i++
 			s.pc = dsSlot
 
@@ -248,10 +241,3 @@ func (s *DivSpy) Step(prev sim.OpResult, op *sim.Op) bool {
 		}
 	}
 }
-
-// Decoded returns the bits the spy inferred so far.
-func (s *DivSpy) Decoded() []int { return s.decoded }
-
-// PerBitLatency returns the spy's average division-loop latency per
-// bit (cycles) — the observable of Figure 3.
-func (s *DivSpy) PerBitLatency() []float64 { return s.perBitLatency }

@@ -34,69 +34,42 @@ func TestStepWritesWholeOpSlot(t *testing.T) {
 		series  []float64
 		events  []trace.Event
 	}
-	run := func(channel string, poison bool) outcome {
+	run := func(spec Spec, poison bool) outcome {
 		cfg := sim.TestConfig()
-		if channel == "ring" {
+		if spec.Ring {
 			cfg.Ring = ring.DefaultConfig()
 		}
 		s := sim.MustNew(cfg)
 		rec := trace.NewRecorder()
 		s.AddListener(rec)
-		msg := RandomMessage(12, 11)
 		spawn := func(p sim.Program, ctx int) {
 			if poison {
 				p = &poisonedSlot{p}
 			}
 			s.Spawn(p, sim.Pin(ctx))
 		}
-		var dur uint64
-		var decoded func() []int
-		var series func() []float64
-		switch channel {
-		case "bus":
-			c := DefaultBusConfig(msg, 25_000)
-			spy := NewBusSpy(c)
-			spawn(NewBusTrojan(c), 0)
-			spawn(spy, 2)
-			dur = uint64(len(msg)+1) * c.slotCycles(s.Geometry())
-			decoded, series = spy.Decoded, spy.PerBitLatency
-		case "div":
-			c := DefaultDivConfig(msg, 25_000)
-			spy := NewDivSpy(c)
-			spawn(NewDivTrojan(c), 0)
-			spawn(spy, 1)
-			dur = uint64(len(msg)+1) * c.slotCycles(s.Geometry())
-			decoded, series = spy.Decoded, spy.PerBitLatency
-		case "cache":
-			c := DefaultCacheConfig(msg, 2_000)
-			c.SetsUsed = 256
-			spy := NewCacheSpy(c)
-			spawn(NewCacheTrojan(c), 0)
-			spawn(spy, 1)
-			dur = uint64(len(msg)+2) * c.slotCycles(s.Geometry())
-			decoded, series = spy.Decoded, spy.PerBitRatio
-		case "ring":
-			c := DefaultRingConfig(msg, 25_000)
-			spy := NewRingSpy(c)
-			spawn(NewRingTrojan(c), 0)
-			spawn(spy, 2)
-			dur = uint64(len(msg)+1) * c.slotCycles(s.Geometry())
-			decoded, series = spy.Decoded, spy.PerBitSlowFrac
-		case "tlb":
-			c := DefaultTLBConfig(msg, 25_000)
-			spy := NewTLBSpy(c)
-			spawn(NewTLBTrojan(c), 0)
-			spawn(spy, 1)
-			dur = uint64(len(msg)/c.SymbolBits+2) * c.symbolSlot(s.Geometry())
-			decoded, series = spy.Decoded, spy.PerSymbolMissFrac
+		// The cache channel's prime/probe rounds need a longer slot.
+		bps := 25_000.0
+		if spec.Oscillatory() {
+			bps = 2_000
 		}
-		s.Run(dur)
-		return outcome{decoded(), series(), rec.Train().Events()}
+		msg := RandomMessage(12, 11)
+		trojan, spy := spec.New(Params{
+			Protocol:  Protocol{Message: msg, BPS: bps, Seed: 1},
+			CacheSets: 256,
+		})
+		spawn(trojan, spec.TrojanCtx)
+		spawn(spy, spec.SpyCtx)
+		// Four spare slots cover the TLB channel's trailing symbol and
+		// the cache channel's warm-up slot.
+		s.Run(uint64(len(msg)+4) * cfg.CyclesPerBit(bps))
+		obs := spy.Observation()
+		return outcome{obs.Decoded, obs.Series, rec.Train().Events()}
 	}
-	for _, channel := range []string{"bus", "div", "cache", "ring", "tlb"} {
-		t.Run(channel, func(t *testing.T) {
-			plain := run(channel, false)
-			poisoned := run(channel, true)
+	for _, spec := range Table {
+		t.Run(spec.Name, func(t *testing.T) {
+			plain := run(spec, false)
+			poisoned := run(spec, true)
 			if !reflect.DeepEqual(plain.decoded, poisoned.decoded) {
 				t.Errorf("decoded bits differ: plain %v vs poisoned %v", plain.decoded, poisoned.decoded)
 			}

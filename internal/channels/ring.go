@@ -99,7 +99,7 @@ func (t *RingTrojan) Begin(m *sim.Machine) {
 	}
 	t.m = m
 	t.slot = t.cfg.slotCycles(geo)
-	t.burst = minU64(t.slot, t.cfg.MaxBurstCycles)
+	t.burst = min(t.slot, t.cfg.MaxBurstCycles)
 	t.slice = ringTargetSlice(geo.RingStops)
 	t.addrs = ringWorkingSet(m, geo.L1Sets, t.slice, t.cfg.LinesPerSide)
 	t.pc = rtSlot
@@ -185,12 +185,10 @@ func (t *RingTrojan) Step(prev sim.OpResult, op *sim.Op) bool {
 // back slower than the calibrated uncontended baseline. It is a
 // sim.Program state machine.
 type RingSpy struct {
+	// readout's series is the fraction of each slot's probes that ran
+	// slower than the calibrated baseline.
+	readout
 	cfg     RingConfig
-	decoded []int
-	// perBitSlowFrac is the fraction of each slot's probes that ran
-	// slower than baseline — the channel's per-bit observable.
-	perBitSlowFrac []float64
-
 	m       *sim.Machine
 	addrs   []uint64 // working-set addresses, precomputed at Begin
 	slot    uint64
@@ -237,7 +235,7 @@ func (s *RingSpy) Begin(m *sim.Machine) {
 	}
 	s.m = m
 	s.slot = s.cfg.slotCycles(geo)
-	s.burst = minU64(s.slot, s.cfg.MaxBurstCycles)
+	s.burst = min(s.slot, s.cfg.MaxBurstCycles)
 	s.slice = ringTargetSlice(geo.RingStops)
 	s.addrs = ringWorkingSet(m, geo.L1Sets, s.slice, s.cfg.LinesPerSide)
 	s.pc = rsWarm
@@ -298,7 +296,6 @@ func (s *RingSpy) Step(prev sim.OpResult, op *sim.Op) bool {
 				*op = sim.Op{Kind: sim.OpLoad, Addr: s.addr()}
 				return true
 			}
-			s.perBitSlowFrac = append(s.perBitSlowFrac, float64(s.slow)/float64(s.samples))
 			// Both ends know the evader's duty cycle, so the spy scales
 			// its decision threshold with it: a thinned '1' still clears
 			// the (equally thinned) bar.
@@ -306,11 +303,7 @@ func (s *RingSpy) Step(prev sim.OpResult, op *sim.Op) bool {
 			if d := s.cfg.Evader.DutyFrac; d > 0 && d < 1 {
 				thresh = uint64(float64(s.samples) * d)
 			}
-			if s.slow*uint64(s.cfg.SlowFracDen) > thresh {
-				s.decoded = append(s.decoded, 1)
-			} else {
-				s.decoded = append(s.decoded, 0)
-			}
+			s.decide(float64(s.slow)/float64(s.samples), s.slow*uint64(s.cfg.SlowFracDen) > thresh)
 			s.i++
 			s.pc = rsSlot
 
@@ -324,10 +317,3 @@ func (s *RingSpy) Step(prev sim.OpResult, op *sim.Op) bool {
 		}
 	}
 }
-
-// Decoded returns the bits the spy inferred so far.
-func (s *RingSpy) Decoded() []int { return s.decoded }
-
-// PerBitSlowFrac returns the fraction of probes per bit slot that ran
-// slower than the calibrated baseline.
-func (s *RingSpy) PerBitSlowFrac() []float64 { return s.perBitSlowFrac }

@@ -51,9 +51,9 @@ func runTLBChannel(t *testing.T, cfg TLBConfig) (*TLBSpy, *trace.Train) {
 func TestRingChannelTransmits(t *testing.T) {
 	msg := RandomMessage(24, 21)
 	spy, train := runRingChannel(t, DefaultRingConfig(msg, 25_000))
-	if errs := BitErrors(msg, spy.Decoded()); errs != 0 {
+	if errs := BitErrors(msg, spy.Observation().Decoded); errs != 0 {
 		t.Errorf("ring channel at 25 kbps: %d bit errors\nsent    %v\ndecoded %v",
-			errs, msg, spy.Decoded())
+			errs, msg, spy.Observation().Decoded)
 	}
 	if train.Len() == 0 {
 		t.Fatal("ring channel emitted no ring-contention events")
@@ -68,14 +68,14 @@ func TestRingChannelTransmits(t *testing.T) {
 func TestTLBChannelTransmits(t *testing.T) {
 	msg := RandomMessage(24, 22)
 	spy, train := runTLBChannel(t, DefaultTLBConfig(msg, 25_000))
-	if errs := BitErrors(msg, spy.Decoded()); errs != 0 {
+	if errs := BitErrors(msg, spy.Observation().Decoded); errs != 0 {
 		t.Errorf("tlb channel at 25 kbps: %d bit errors\nsent    %v\ndecoded %v",
-			errs, msg, spy.Decoded())
+			errs, msg, spy.Observation().Decoded)
 	}
 	if train.Len() == 0 {
 		t.Fatal("tlb channel emitted no tlb-conflict events")
 	}
-	if got := len(spy.PerSymbolMissFrac()); got < len(msg)/2 {
+	if got := len(spy.Observation().Series); got < len(msg)/2 {
 		t.Errorf("only %d per-symbol observables for a %d-bit message", got, len(msg))
 	}
 }
@@ -86,10 +86,10 @@ func TestTLBChannelTransmits(t *testing.T) {
 func TestTLBChannelOddMessage(t *testing.T) {
 	msg := RandomMessage(13, 23)
 	spy, _ := runTLBChannel(t, DefaultTLBConfig(msg, 25_000))
-	if len(spy.Decoded()) != len(msg) {
-		t.Fatalf("decoded %d bits for a %d-bit message", len(spy.Decoded()), len(msg))
+	if len(spy.Observation().Decoded) != len(msg) {
+		t.Fatalf("decoded %d bits for a %d-bit message", len(spy.Observation().Decoded), len(msg))
 	}
-	if errs := BitErrors(msg, spy.Decoded()); errs != 0 {
+	if errs := BitErrors(msg, spy.Observation().Decoded); errs != 0 {
 		t.Errorf("odd-length tlb message: %d bit errors", errs)
 	}
 }
@@ -167,7 +167,7 @@ func TestEvaderUnitDutyIsIdentity(t *testing.T) {
 	unit.Evader = Evader{DutyFrac: 1}
 	spyA, trainA := runRingChannel(t, base)
 	spyB, trainB := runRingChannel(t, unit)
-	if !reflect.DeepEqual(spyA.Decoded(), spyB.Decoded()) {
+	if !reflect.DeepEqual(spyA.Observation().Decoded, spyB.Observation().Decoded) {
 		t.Error("ring: DutyFrac 1 changed the decoded bits")
 	}
 	if !reflect.DeepEqual(trainA.Events(), trainB.Events()) {
@@ -179,7 +179,7 @@ func TestEvaderUnitDutyIsIdentity(t *testing.T) {
 	tunit.Evader = Evader{DutyFrac: 1}
 	tspyA, ttrainA := runTLBChannel(t, tbase)
 	tspyB, ttrainB := runTLBChannel(t, tunit)
-	if !reflect.DeepEqual(tspyA.Decoded(), tspyB.Decoded()) {
+	if !reflect.DeepEqual(tspyA.Observation().Decoded, tspyB.Observation().Decoded) {
 		t.Error("tlb: DutyFrac 1 changed the decoded bits")
 	}
 	if !reflect.DeepEqual(ttrainA.Events(), ttrainB.Events()) {
@@ -197,7 +197,7 @@ func TestEvaderPreservesFidelity(t *testing.T) {
 	rcfg := DefaultRingConfig(msg, 25_000)
 	rcfg.Evader = Evader{JitterFrac: 0.2, DutyFrac: 0.5}
 	spy, train := runRingChannel(t, rcfg)
-	if errs := BitErrors(msg, spy.Decoded()); errs != 0 {
+	if errs := BitErrors(msg, spy.Observation().Decoded); errs != 0 {
 		t.Errorf("evading ring channel: %d bit errors", errs)
 	}
 	if train.Len() == 0 {
@@ -207,7 +207,7 @@ func TestEvaderPreservesFidelity(t *testing.T) {
 	tcfg := DefaultTLBConfig(msg, 25_000)
 	tcfg.Evader = Evader{JitterFrac: 0.2, DutyFrac: 0.5}
 	tspy, ttrain := runTLBChannel(t, tcfg)
-	if errs := BitErrors(msg, tspy.Decoded()); errs != 0 {
+	if errs := BitErrors(msg, tspy.Observation().Decoded); errs != 0 {
 		t.Errorf("evading tlb channel: %d bit errors", errs)
 	}
 	if ttrain.Len() == 0 {
@@ -247,8 +247,7 @@ func TestRingTLBSteppersAllocationFree(t *testing.T) {
 		c := DefaultRingConfig(msg, 25_000)
 		c.Repeat = true
 		spy := NewRingSpy(c)
-		spy.decoded = make([]int, 0, 1<<16)
-		spy.perBitSlowFrac = make([]float64, 0, 1<<16)
+		spy.obs = Observation{make([]int, 0, 1<<16), make([]float64, 0, 1<<16)}
 		s.Spawn(NewRingTrojan(c), sim.Pin(0))
 		s.Spawn(spy, sim.Pin(2))
 		until := uint64(300_000)
@@ -266,8 +265,7 @@ func TestRingTLBSteppersAllocationFree(t *testing.T) {
 		c := DefaultTLBConfig(msg, 25_000)
 		c.Repeat = true
 		spy := NewTLBSpy(c)
-		spy.decoded = make([]int, 0, 1<<16)
-		spy.perSymbolMissFrac = make([]float64, 0, 1<<16)
+		spy.obs = Observation{make([]int, 0, 1<<16), make([]float64, 0, 1<<16)}
 		s.Spawn(NewTLBTrojan(c), sim.Pin(0))
 		s.Spawn(spy, sim.Pin(1))
 		until := uint64(500_000)

@@ -127,7 +127,7 @@ func (t *TLBTrojan) Begin(m *sim.Machine) {
 	geo := m.Geometry()
 	t.m = m
 	t.slot = t.cfg.symbolSlot(geo)
-	burst := minU64(t.slot, t.cfg.MaxBurstCycles)
+	burst := min(t.slot, t.cfg.MaxBurstCycles)
 	t.round = burst / uint64(t.cfg.RoundsPerSymbol)
 	t.sets = geo.TLBSets / t.cfg.groups()
 	if t.sets == 0 {
@@ -188,12 +188,10 @@ func (t *TLBTrojan) Step(prev sim.OpResult, op *sim.Op) bool {
 // back as page walks. Probing re-primes, so one pass serves both
 // roles. It is a sim.Program state machine.
 type TLBSpy struct {
-	cfg     TLBConfig
-	decoded []int
-	// perSymbolMissFrac is the winning group's share of each symbol's
-	// probe misses — the channel's confidence observable.
-	perSymbolMissFrac []float64
-
+	// readout's series is the winning group's share of each symbol's
+	// probe misses, one value per symbol slot.
+	readout
+	cfg    TLBConfig
 	m      *sim.Machine
 	slot   uint64
 	round  uint64
@@ -235,7 +233,7 @@ func (s *TLBSpy) Begin(m *sim.Machine) {
 	geo := m.Geometry()
 	s.m = m
 	s.slot = s.cfg.symbolSlot(geo)
-	burst := minU64(s.slot, s.cfg.MaxBurstCycles)
+	burst := min(s.slot, s.cfg.MaxBurstCycles)
 	s.round = burst / uint64(s.cfg.RoundsPerSymbol)
 	s.sets = geo.TLBSets
 	s.ways = geo.TLBWays
@@ -296,12 +294,12 @@ func (s *TLBSpy) Step(prev sim.OpResult, op *sim.Op) bool {
 			if total > 0 {
 				frac = float64(win) / float64(total)
 			}
-			s.perSymbolMissFrac = append(s.perSymbolMissFrac, frac)
+			s.obs.Series = append(s.obs.Series, frac)
 			for k := 0; k < s.cfg.SymbolBits; k++ {
 				if _, d := s.cfg.bitAt(s.si*s.cfg.SymbolBits + k); d {
 					break // trailing pad bits of the last symbol
 				}
-				s.decoded = append(s.decoded, (sym>>uint(s.cfg.SymbolBits-1-k))&1)
+				s.obs.Decoded = append(s.obs.Decoded, (sym>>uint(s.cfg.SymbolBits-1-k))&1)
 			}
 			s.si++
 			s.pc = tsSlot
@@ -323,10 +321,3 @@ func (s *TLBSpy) Step(prev sim.OpResult, op *sim.Op) bool {
 		}
 	}
 }
-
-// Decoded returns the bits the spy inferred so far.
-func (s *TLBSpy) Decoded() []int { return s.decoded }
-
-// PerSymbolMissFrac returns the winning group's share of probe misses
-// per symbol slot.
-func (s *TLBSpy) PerSymbolMissFrac() []float64 { return s.perSymbolMissFrac }

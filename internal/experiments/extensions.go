@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"cchunter"
+	"cchunter/internal/channels"
 	"cchunter/internal/runner"
 )
 
@@ -60,12 +61,11 @@ func ExtMitigation(o Options) MitigationResult {
 			Seed:       o.Seed,
 			Metrics:    o.Metrics,
 		}
-		switch c.ch {
-		case cchunter.ChannelSharedCache:
+		if channelSpec(c.ch).Oscillatory() {
 			sc.BandwidthBPS = o.cacheBPS(100)
 			sc.QuantumCycles = o.cacheQuantum()
 			sc.CacheSets = 256
-		default:
+		} else {
 			sc.BandwidthBPS = o.rowBPS(1000)
 			sc.QuantumCycles = o.rowQuantum(1000)
 			sc.DurationQuanta = 2
@@ -177,28 +177,17 @@ var frontierSettings = []struct{ Jitter, Duty float64 }{
 	{0.5, 0},   // ±50% slot phase jitter
 }
 
-// frontierChannels are the media the frontier sweeps — all five
-// modelled channels.
-var frontierChannels = []cchunter.Channel{
-	cchunter.ChannelMemoryBus,
-	cchunter.ChannelIntegerDivider,
-	cchunter.ChannelSharedCache,
-	cchunter.ChannelRingInterconnect,
-	cchunter.ChannelTLB,
-}
-
 // frontierScenario builds the channel's pinned frontier configuration:
 // burst channels run the Figure 10 style row setup; the cache runs the
 // golden-corpus oscillation configuration (256 sets, ≤10 bits).
-func (o Options) frontierScenario(ch cchunter.Channel) cchunter.Scenario {
-	sc := cchunter.Scenario{Channel: ch, Seed: o.Seed}
-	switch ch {
-	case cchunter.ChannelSharedCache:
+func (o Options) frontierScenario(spec channels.Spec) cchunter.Scenario {
+	sc := cchunter.Scenario{Channel: cchunter.Channel(spec.Name), Seed: o.Seed}
+	if spec.Oscillatory() {
 		sc.BandwidthBPS = o.cacheBPS(100)
 		sc.QuantumCycles = o.cacheQuantum()
 		sc.CacheSets = 256
 		sc.Message = cchunter.RandomMessage(min(o.MessageBits, 10), o.Seed)
-	default:
+	} else {
 		sc.BandwidthBPS = o.rowBPS(1000)
 		sc.QuantumCycles = o.rowQuantum(1000)
 		sc.DurationQuanta = 2
@@ -210,21 +199,15 @@ func (o Options) frontierScenario(ch cchunter.Channel) cchunter.Scenario {
 // frontierStat reads the channel's own decision statistic out of a
 // report: the burst likelihood ratio of the channel's event kind, or
 // the cache's autocorrelation peak.
-func frontierStat(ch cchunter.Channel, res *cchunter.Result) (stat float64, detected bool) {
-	if ch == cchunter.ChannelSharedCache {
+func frontierStat(spec channels.Spec, res *cchunter.Result) (stat float64, detected bool) {
+	if spec.Oscillatory() {
 		if osc := res.Report.Oscillation; osc != nil {
 			return osc.Best.PeakValue, osc.Detected
 		}
 		return 0, false
 	}
-	kind := map[cchunter.Channel]cchunter.EventKind{
-		cchunter.ChannelMemoryBus:        cchunter.EventBusLock,
-		cchunter.ChannelIntegerDivider:   cchunter.EventDivContention,
-		cchunter.ChannelRingInterconnect: cchunter.EventRingContention,
-		cchunter.ChannelTLB:              cchunter.EventTLBConflict,
-	}[ch]
 	for _, v := range res.Report.Contention {
-		if v.Kind == kind {
+		if v.Kind == spec.Indicator {
 			return v.Analysis.LikelihoodRatio, v.Analysis.Detected
 		}
 	}
@@ -262,13 +245,14 @@ func ExtEvasion(o Options) EvasionResult {
 				Seed:           o.Seed,
 			}))
 	}
-	for _, ch := range frontierChannels {
+	// The frontier sweeps every channel of the table.
+	for _, spec := range channels.Table {
 		for _, set := range frontierSettings {
-			sc := o.frontierScenario(ch)
+			sc := o.frontierScenario(spec)
 			sc.EvaderJitter = set.Jitter
 			sc.EvaderDuty = set.Duty
 			jobs = append(jobs, o.scenarioJob(
-				fmt.Sprintf("evade/%s/j%g-d%g", ch, set.Jitter, set.Duty), sc))
+				fmt.Sprintf("evade/%s/j%g-d%g", spec.Name, set.Jitter, set.Duty), sc))
 		}
 	}
 	results := o.runJobs(jobs)
@@ -292,13 +276,13 @@ func ExtEvasion(o Options) EvasionResult {
 		out.Rows = append(out.Rows, row)
 	}
 	i := len(noises)
-	for _, ch := range frontierChannels {
+	for _, spec := range channels.Table {
 		for _, set := range frontierSettings {
 			res := results[i].Value.(*cchunter.Result)
 			i++
-			stat, detected := frontierStat(ch, res)
+			stat, detected := frontierStat(spec, res)
 			out.Frontier = append(out.Frontier, FrontierRow{
-				Channel:    ch,
+				Channel:    cchunter.Channel(spec.Name),
 				Jitter:     set.Jitter,
 				Duty:       set.Duty,
 				Statistic:  stat,

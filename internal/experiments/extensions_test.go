@@ -3,6 +3,8 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"cchunter/internal/channels"
 )
 
 func TestExtMitigation(t *testing.T) {
@@ -81,7 +83,7 @@ func TestExtEvasion(t *testing.T) {
 
 	// The adaptive-evader frontier: every channel × every setting,
 	// baseline first per channel.
-	if want := len(frontierChannels) * len(frontierSettings); len(r.Frontier) != want {
+	if want := len(channels.Table) * len(frontierSettings); len(r.Frontier) != want {
 		t.Fatalf("frontier rows = %d, want %d", len(r.Frontier), want)
 	}
 	degraded := map[string]bool{}
@@ -103,9 +105,9 @@ func TestExtEvasion(t *testing.T) {
 	}
 	// The acceptance bar: at least one adaptive-evader setting per
 	// channel where detection degrades.
-	for _, ch := range frontierChannels {
-		if !degraded[string(ch)] {
-			t.Errorf("%s never crossed the detection frontier", ch)
+	for _, spec := range channels.Table {
+		if !degraded[spec.Name] {
+			t.Errorf("%s never crossed the detection frontier", spec.Name)
 		}
 	}
 	// And the frontier is a real trade, not a dead channel: some

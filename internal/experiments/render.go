@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"cchunter"
 	"cchunter/internal/stats"
 	"cchunter/internal/trace"
 )
@@ -82,11 +83,10 @@ func (r Figure10Result) Summary() string {
 	var sb strings.Builder
 	sb.WriteString("Figure 10 (bandwidth sweep 0.1 / 10 / 1000 bps):\n")
 	for _, row := range r.Rows {
-		switch row.Channel {
-		case "cache":
+		if channelSpec(row.Channel).Oscillatory() {
 			fmt.Fprintf(&sb, "  %-8s %7.1f bps: peak %.3f at lag %d, detected=%v, bit errors=%d\n",
 				row.Channel, row.PaperBPS, row.PeakValue, row.PeakLag, row.Detected, row.BitErrors)
-		default:
+		} else {
 			fmt.Fprintf(&sb, "  %-8s %7.1f bps: LR=%.3f burst-mean=%.1f, detected=%v, bit errors=%d\n",
 				row.Channel, row.PaperBPS, row.LikelihoodRatio, row.BurstMean, row.Detected, row.BitErrors)
 		}
@@ -131,11 +131,10 @@ func (r RobustnessResult) Summary() string {
 	fmt.Fprintf(&sb, "Robustness (sensor fault sweep, uniform event drop): pass-through identical=%v\n",
 		r.BaselineIdentical)
 	for _, row := range r.Rows {
-		switch row.Channel {
-		case "cache":
+		if channelSpec(row.Channel).Oscillatory() {
 			fmt.Fprintf(&sb, "  %-8s drop=%.2f: peak=%.3f detected=%v confidence=%.3f measured-loss=%.3f\n",
 				row.Channel, row.DropRate, row.PeakValue, row.Detected, row.Confidence, row.MeasuredLoss)
-		default:
+		} else {
 			fmt.Fprintf(&sb, "  %-8s drop=%.2f: LR=%.3f detected=%v confidence=%.3f measured-loss=%.3f\n",
 				row.Channel, row.DropRate, row.LikelihoodRatio, row.Detected, row.Confidence, row.MeasuredLoss)
 		}
@@ -316,7 +315,7 @@ func SeriesForCSV(id string, result interface{}) []csvSeries {
 		rows := append(append([]RobustnessRow(nil), r.Rows...), r.BenignRows...)
 		for _, row := range rows {
 			name := string(row.Channel)
-			if name == "none" || name == "" {
+			if row.Channel == cchunter.ChannelNone || name == "" {
 				name = "benign"
 			}
 			c, ok := byChannel[name]
@@ -326,7 +325,7 @@ func SeriesForCSV(id string, result interface{}) []csvSeries {
 				order = append(order, name)
 			}
 			strength := row.LikelihoodRatio
-			if row.Channel == "cache" {
+			if channelSpec(row.Channel).Oscillatory() {
 				strength = row.PeakValue
 			}
 			c.strength = append(c.strength, strength)

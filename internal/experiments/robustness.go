@@ -102,7 +102,7 @@ func Robustness(o Options) RobustnessResult {
 					if err != nil {
 						return nil, err
 					}
-					s := summarizeBurst(sc.Channel, 1000, res)
+					s := summarize(sc.Channel, 1000, res)
 					return robustnessRow(sc.Channel, rate, res, s.LikelihoodRatio, 0), nil
 				},
 			})
@@ -126,7 +126,7 @@ func Robustness(o Options) RobustnessResult {
 				if err != nil {
 					return nil, err
 				}
-				s := summarizeCache(100, res)
+				s := summarize(sc.Channel, 100, res)
 				return robustnessRow(cchunter.ChannelSharedCache, rate, res, 0, s.PeakValue), nil
 			},
 		})

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"cchunter"
+	"cchunter/internal/channels"
 	"cchunter/internal/core"
 	"cchunter/internal/runner"
 	"cchunter/internal/stats"
@@ -67,7 +68,7 @@ func Figure10(o Options) Figure10Result {
 					if err != nil {
 						return nil, err
 					}
-					return summarizeBurst(sc.Channel, paperBPS, res), nil
+					return summarize(sc.Channel, paperBPS, res), nil
 				},
 			})
 		}
@@ -94,7 +95,7 @@ func Figure10(o Options) Figure10Result {
 				if err != nil {
 					return nil, err
 				}
-				return summarizeCache(paperBPS, res), nil
+				return summarize(sc.Channel, paperBPS, res), nil
 			},
 		})
 	}
@@ -120,31 +121,37 @@ func bitsForBandwidth(o Options, paperBPS float64) int {
 	}
 }
 
-func summarizeBurst(ch cchunter.Channel, paperBPS float64, res *cchunter.Result) ChannelSummary {
+// channelSpec returns ch's row of the channel table, or the zero Spec
+// for ChannelNone.
+func channelSpec(ch cchunter.Channel) channels.Spec {
+	spec, _ := channels.Lookup(string(ch))
+	return spec
+}
+
+// summarize condenses one channel run: the cache channel's oscillation,
+// or the burst statistics of a bus or divider channel's indicator.
+func summarize(ch cchunter.Channel, paperBPS float64, res *cchunter.Result) ChannelSummary {
 	s := ChannelSummary{Channel: ch, PaperBPS: paperBPS, BitErrors: res.BitErrors}
-	kind := cchunter.EventBusLock
+	spec := channelSpec(ch)
+	if spec.Oscillatory() {
+		if osc := res.Report.Oscillation; osc != nil {
+			s.Autocorrelogram = osc.Best.Autocorrelogram
+			s.PeakLag = osc.Best.FundamentalLag
+			s.PeakValue = osc.Best.PeakValue
+			s.Detected = osc.Detected
+		}
+		return s
+	}
 	s.Hist = res.BusHistogram
-	if ch == cchunter.ChannelIntegerDivider {
-		kind = cchunter.EventDivContention
+	if spec.Indicator == cchunter.EventDivContention {
 		s.Hist = res.DivHistogram
 	}
 	for _, v := range res.Report.Contention {
-		if v.Kind == kind {
+		if v.Kind == spec.Indicator {
 			s.LikelihoodRatio = v.Analysis.LikelihoodRatio
 			s.BurstMean = v.Analysis.BurstMean
 			s.Detected = v.Analysis.Detected
 		}
-	}
-	return s
-}
-
-func summarizeCache(paperBPS float64, res *cchunter.Result) ChannelSummary {
-	s := ChannelSummary{Channel: cchunter.ChannelSharedCache, PaperBPS: paperBPS, BitErrors: res.BitErrors}
-	if osc := res.Report.Oscillation; osc != nil {
-		s.Autocorrelogram = osc.Best.Autocorrelogram
-		s.PeakLag = osc.Best.FundamentalLag
-		s.PeakValue = osc.Best.PeakValue
-		s.Detected = osc.Detected
 	}
 	return s
 }
@@ -288,9 +295,9 @@ func Figure12(o Options, messages int) Figure12Result {
 				return figure12Run{
 					busBins: histFloats(bus.BusHistogram),
 					divBins: histFloats(div.DivHistogram),
-					bus:     summarizeBurst(cchunter.ChannelMemoryBus, 1000, bus),
-					div:     summarizeBurst(cchunter.ChannelIntegerDivider, 1000, div),
-					cache:   summarizeCache(100, cache),
+					bus:     summarize(cchunter.ChannelMemoryBus, 1000, bus),
+					div:     summarize(cchunter.ChannelIntegerDivider, 1000, div),
+					cache:   summarize(cchunter.ChannelSharedCache, 100, cache),
 				}, nil
 			},
 		}

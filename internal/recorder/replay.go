@@ -6,7 +6,6 @@ import (
 	"cchunter/internal/auditor"
 	"cchunter/internal/core"
 	"cchunter/internal/stream"
-	"cchunter/internal/trace"
 )
 
 // rebuild wires a fresh auditor exactly as a scenario run does: the
@@ -20,7 +19,7 @@ func rebuild(f Flight) (*auditor.Auditor, core.DetectorConfig, uint64, error) {
 	}
 	kinds := f.Meta.Kinds
 	if len(kinds) == 0 {
-		kinds = []trace.Kind{trace.KindBusLock, trace.KindDivContention}
+		kinds = auditor.ClassicPair[:]
 	}
 	for _, k := range kinds {
 		if err := aud.Monitor(k, core.DefaultDeltaT(k)); err != nil {

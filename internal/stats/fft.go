@@ -329,29 +329,3 @@ func centerInto(dst, xs []float64) float64 {
 	}
 	return den
 }
-
-// AutocorrelogramNaive always takes the direct O(n·maxLag) path. It is
-// the property-test oracle for the FFT path and the baseline the
-// BenchmarkAutocorrelogram speedup is measured against; detection code
-// should call Workspace.Autocorrelogram, which selects the faster path
-// automatically.
-func AutocorrelogramNaive(xs []float64, maxLag int) []float64 {
-	n := len(xs)
-	if n == 0 {
-		return nil
-	}
-	if maxLag >= n {
-		maxLag = n - 1
-	}
-	if maxLag < 0 {
-		maxLag = 0
-	}
-	out := make([]float64, maxLag+1)
-	centered := make([]float64, n)
-	den := centerInto(centered, xs)
-	if den == 0 {
-		return out
-	}
-	naiveAutocorr(centered, den, out)
-	return out
-}

@@ -6,6 +6,31 @@ import (
 	"testing"
 )
 
+// AutocorrelogramNaive always takes the direct O(n·maxLag) path. It is
+// the property-test oracle for the FFT path and the baseline of
+// BenchmarkAutocorrelogramCrossover; detection code calls
+// Workspace.Autocorrelogram, which selects the faster path.
+func AutocorrelogramNaive(xs []float64, maxLag int) []float64 {
+	n := len(xs)
+	if n == 0 {
+		return nil
+	}
+	if maxLag >= n {
+		maxLag = n - 1
+	}
+	if maxLag < 0 {
+		maxLag = 0
+	}
+	out := make([]float64, maxLag+1)
+	centered := make([]float64, n)
+	den := centerInto(centered, xs)
+	if den == 0 {
+		return out
+	}
+	naiveAutocorr(centered, den, out)
+	return out
+}
+
 // maxAbsDiff returns the largest absolute element difference.
 func maxAbsDiff(a, b []float64) float64 {
 	var worst float64

@@ -171,8 +171,9 @@ type Result struct {
 	BitErrors int
 	// PerBitSeries is the spy's per-bit observable: average memory
 	// latency (bus, Figure 2), average division-loop latency
-	// (divider, Figure 3), or G1/G0 access-time ratio (cache,
-	// Figure 7).
+	// (divider, Figure 3), G1/G0 access-time ratio (cache, Figure 7),
+	// slow-probe fraction (ring), or the winning group's miss share
+	// per 2-bit symbol (tlb).
 	PerBitSeries []float64
 	// BusHistogram and DivHistogram are the merged event density
 	// histograms (Figure 6).
@@ -263,10 +264,7 @@ func (sc Scenario) Run() (*Result, error) {
 	simCfg.Faults = faults.Config(sc.Faults)
 	simCfg.EventBatch = sc.eventBatch
 	simCfg.Metrics = sc.Metrics
-	if sc.Channel == ChannelRingInterconnect {
-		// The ring interconnect only exists for the channel that needs
-		// it: every other scenario stays bit-for-bit identical to a
-		// ring-less machine.
+	if cfg.channel != nil && cfg.channel.Ring {
 		simCfg.Ring = ring.DefaultConfig()
 	}
 	system, err := sim.New(simCfg)
@@ -280,8 +278,7 @@ func (sc Scenario) Run() (*Result, error) {
 	}
 	// The auditor has two monitoring slots (§V-A); program them with
 	// the pair that covers this scenario's channel.
-	kinds := sc.monitorKinds()
-	for _, k := range kinds {
+	for _, k := range cfg.monitor {
 		if err := aud.Monitor(k, core.DefaultDeltaT(k)); err != nil {
 			return nil, fmt.Errorf("cchunter: monitoring %v: %w", k, err)
 		}
@@ -329,19 +326,35 @@ func (sc Scenario) Run() (*Result, error) {
 	}
 
 	res := &Result{
-		Sent:          append([]int(nil), cfg.Message...),
 		QuantumCycles: cfg.QuantumCycles,
 		Contexts:      simCfg.Contexts(),
 	}
-	spyDone := sc.spawnChannel(system, cfg, res)
-	var firstFreeCore int
-	switch sc.Channel {
-	case ChannelMemoryBus, ChannelSharedCache, ChannelRingInterconnect:
-		firstFreeCore = 2 // trojan on core 0, spy on core 1
-	case ChannelIntegerDivider, ChannelTLB:
-		firstFreeCore = 1 // trojan+spy are hyperthreads of core 0
-	default:
-		firstFreeCore = 0
+	var spy channels.Spy
+	firstFreeCore := 0
+	if ch := cfg.channel; ch != nil {
+		// The trojan exfiltrates continuously (Repeat): detection's
+		// recurrence step needs bursts across multiple OS time quanta,
+		// and a real spy keeps listening for as long as it can.
+		var trojan sim.Program
+		trojan, spy = ch.New(channels.Params{
+			Protocol: channels.Protocol{
+				Message: cfg.Message,
+				BPS:     cfg.BandwidthBPS,
+				Start:   uint64(cfg.ChannelStartQuanta) * cfg.QuantumCycles,
+				Seed:    cfg.Seed,
+				Repeat:  true,
+				Evader: channels.Evader{
+					JitterFrac: sc.EvaderJitter,
+					DutyFrac:   sc.EvaderDuty,
+				},
+			},
+			EvasionNoise: sc.EvasionNoise,
+			CacheSets:    cfg.CacheSets,
+			CacheRounds:  sc.CacheRounds,
+		})
+		system.Spawn(trojan, sim.Pin(ch.TrojanCtx))
+		system.Spawn(spy, sim.Pin(ch.SpyCtx))
+		firstFreeCore = ch.FirstFreeCore(simCfg.ThreadsPerCore)
 	}
 	for i, name := range cfg.Workloads {
 		spec, ok := workload.All()[name]
@@ -421,12 +434,11 @@ func (sc Scenario) Run() (*Result, error) {
 			reason = "detection"
 		}
 		var metaKinds []trace.Kind
-		switch sc.Channel {
-		case ChannelRingInterconnect, ChannelTLB:
-			// Non-default monitoring pair: the replayer must program the
-			// same slots. The classic pair stays implicit so pre-existing
-			// flights (and their byte-identical captures) keep replaying.
-			metaKinds = kinds
+		if cfg.monitor != auditor.ClassicPair {
+			// The replayer must program the same slots. The classic pair
+			// stays implicit so pre-existing flights (and their
+			// byte-identical captures) keep replaying.
+			metaKinds = cfg.monitor[:]
 		}
 		f := flight.Capture(reason, recorder.Meta{
 			Seed:               cfg.Seed,
@@ -439,16 +451,18 @@ func (sc Scenario) Run() (*Result, error) {
 		res.Flight = &f
 	}
 
-	spyDone(res)
-	if sc.FECFrame && sc.Channel != ChannelNone && sc.Channel != "" {
-		// The spy decoded the coded stream; run the FEC decoder over each
-		// complete coded block so BitErrors counts data-bit errors.
-		res.Sent = append([]int(nil), cfg.DataBits...)
-		res.Decoded = decodeFECStream(res.Decoded, len(cfg.Message), len(cfg.DataBits))
-	}
-	res.BitErrors = repeatedBitErrors(res.Sent, res.Decoded)
-	if sc.Channel == ChannelNone {
-		res.Sent, res.Decoded, res.BitErrors = nil, nil, 0
+	if spy != nil {
+		obs := spy.Observation()
+		res.Sent = append([]int(nil), cfg.Message...)
+		res.Decoded, res.PerBitSeries = obs.Decoded, obs.Series
+		if sc.FECFrame {
+			// The spy decoded the coded stream; run the FEC decoder over
+			// each complete coded block so BitErrors counts data-bit
+			// errors.
+			res.Sent = append([]int(nil), cfg.DataBits...)
+			res.Decoded = decodeFECStream(res.Decoded, len(cfg.Message), len(cfg.DataBits))
+		}
+		res.BitErrors = repeatedBitErrors(res.Sent, res.Decoded)
 	}
 	if !degraded {
 		// After a watchdog abandonment the stuck analysis goroutine may
@@ -469,43 +483,24 @@ func (sc Scenario) Run() (*Result, error) {
 
 // normalized carries a Scenario with every default resolved.
 type normalized struct {
-	Message            []int
-	DataBits           []int // pre-FEC message when FECFrame is set
-	Workloads          []string
-	Background         int
-	ChannelStartQuanta int
-	DurationQuanta     int
-	QuantumCycles      uint64
-	ObservationDivisor int
-	IdealTracker       bool
-	MigrationProb      float64
-	Seed               uint64
-	RecordRaw          bool
-	BandwidthBPS       float64
-	CacheSets          int
+	Scenario
+	DataBits []int // pre-FEC message when FECFrame is set
+	// channel is the scenario's channel table row; nil for none.
+	channel *channels.Spec
+	// monitor is the event pair the auditor's two slots watch: the
+	// channel's, or the paper's classic pair without one.
+	monitor auditor.Pair
 }
 
 func (sc Scenario) normalize() (normalized, error) {
-	cfg := normalized{
-		Message:            sc.Message,
-		Workloads:          sc.Workloads,
-		Background:         sc.Background,
-		ChannelStartQuanta: sc.ChannelStartQuanta,
-		DurationQuanta:     sc.DurationQuanta,
-		QuantumCycles:      sc.QuantumCycles,
-		ObservationDivisor: sc.ObservationDivisor,
-		IdealTracker:       sc.IdealTracker,
-		MigrationProb:      sc.MigrationProb,
-		Seed:               sc.Seed,
-		RecordRaw:          sc.RecordRaw,
-		BandwidthBPS:       sc.BandwidthBPS,
-		CacheSets:          sc.CacheSets,
-	}
-	switch sc.Channel {
-	case "", ChannelNone, ChannelMemoryBus, ChannelIntegerDivider, ChannelSharedCache,
-		ChannelRingInterconnect, ChannelTLB:
-	default:
-		return cfg, fmt.Errorf("cchunter: unknown channel %q", sc.Channel)
+	cfg := normalized{Scenario: sc}
+	cfg.monitor = auditor.ClassicPair
+	if sc.Channel != "" && sc.Channel != ChannelNone {
+		ch, ok := channels.Lookup(string(sc.Channel))
+		if !ok {
+			return cfg, fmt.Errorf("cchunter: unknown channel %q", sc.Channel)
+		}
+		cfg.channel, cfg.monitor = &ch, ch.Monitor
 	}
 	if sc.EvaderJitter < 0 || sc.EvaderJitter > 0.5 {
 		return cfg, fmt.Errorf("cchunter: EvaderJitter %v outside [0, 0.5]", sc.EvaderJitter)
@@ -560,21 +555,6 @@ func (sc Scenario) normalize() (normalized, error) {
 	return cfg, nil
 }
 
-// monitorKinds returns the burst-event pair this scenario programs into
-// the CC-Auditor's two monitoring slots. The classic channels keep the
-// paper's bus + divider pair (so their recorded runs stay byte-
-// identical); the ring and TLB channels trade one slot for their own
-// indicator event.
-func (sc Scenario) monitorKinds() []trace.Kind {
-	switch sc.Channel {
-	case ChannelRingInterconnect:
-		return []trace.Kind{trace.KindBusLock, trace.KindRingContention}
-	case ChannelTLB:
-		return []trace.Kind{trace.KindDivContention, trace.KindTLBConflict}
-	}
-	return []trace.Kind{trace.KindBusLock, trace.KindDivContention}
-}
-
 // decodeFECStream splits the spy's decoded bit stream into complete
 // coded blocks of blockLen bits and FEC-decodes each back to dataLen
 // data bits; a trailing partial block is dropped.
@@ -603,105 +583,4 @@ func repeatedBitErrors(sent, decoded []int) int {
 		}
 	}
 	return errs
-}
-
-// spawnChannel wires the trojan/spy pair for the selected channel and
-// returns a closure that harvests the spy's observables into the
-// result after the run.
-func (sc Scenario) spawnChannel(system *sim.System, cfg normalized, res *Result) func(*Result) {
-	// The trojan exfiltrates continuously (Repeat): detection's
-	// recurrence step needs bursts across multiple OS time quanta, and
-	// a real spy keeps listening for as long as it can.
-	proto := channels.Protocol{
-		Message: cfg.Message,
-		BPS:     cfg.BandwidthBPS,
-		Start:   uint64(cfg.ChannelStartQuanta) * cfg.QuantumCycles,
-		Seed:    cfg.Seed,
-		Repeat:  true,
-		Evader: channels.Evader{
-			JitterFrac: sc.EvaderJitter,
-			DutyFrac:   sc.EvaderDuty,
-		},
-	}
-	switch sc.Channel {
-	case ChannelMemoryBus:
-		c := channels.DefaultBusConfig(cfg.Message, cfg.BandwidthBPS)
-		c.Protocol = proto
-		c.EvasionNoise = sc.EvasionNoise
-		spy := channels.NewBusSpy(c)
-		system.Spawn(channels.NewBusTrojan(c), sim.Pin(0))
-		system.Spawn(spy, sim.Pin(2))
-		return func(r *Result) {
-			r.Decoded = spy.Decoded()
-			r.PerBitSeries = spy.PerBitLatency()
-		}
-	case ChannelIntegerDivider:
-		c := channels.DefaultDivConfig(cfg.Message, cfg.BandwidthBPS)
-		c.Protocol = proto
-		spy := channels.NewDivSpy(c)
-		system.Spawn(channels.NewDivTrojan(c), sim.Pin(0))
-		system.Spawn(spy, sim.Pin(1))
-		return func(r *Result) {
-			r.Decoded = spy.Decoded()
-			r.PerBitSeries = spy.PerBitLatency()
-		}
-	case ChannelSharedCache:
-		c := channels.DefaultCacheConfig(cfg.Message, cfg.BandwidthBPS)
-		c.Protocol = proto
-		c.SetsUsed = cfg.CacheSets
-		// Redundancy scales with the slot: low-bandwidth bits repeat
-		// their prime/probe rounds (the "certain number of conflicts
-		// needed to reliably transmit a bit", §VI-A), which also puts
-		// several oscillation periods into each observation window.
-		slot := uint64(2_500_000_000 / cfg.BandwidthBPS)
-		roundCost := uint64(cfg.CacheSets) * 2_700 // fill + double probe
-		rounds := sc.CacheRounds
-		if rounds <= 0 {
-			rounds = int(slot / (2 * roundCost))
-		}
-		if rounds < 1 {
-			rounds = 1
-		}
-		if rounds > 8 {
-			rounds = 8
-		}
-		c.RoundsPerBit = rounds
-		c.MaxBurstCycles = uint64(rounds) * roundCost * 13 / 10
-		spy := channels.NewCacheSpy(c)
-		// Trojan and spy on different cores, sharing only the L2 — the
-		// cross-VM arrangement of Xu et al.
-		system.Spawn(channels.NewCacheTrojan(c), sim.Pin(0))
-		system.Spawn(spy, sim.Pin(2))
-		return func(r *Result) {
-			r.Decoded = spy.Decoded()
-			r.PerBitSeries = spy.PerBitRatio()
-		}
-	case ChannelRingInterconnect:
-		c := channels.DefaultRingConfig(cfg.Message, cfg.BandwidthBPS)
-		c.Protocol = proto
-		spy := channels.NewRingSpy(c)
-		// Different cores sharing only the ring path into one LLC slice:
-		// trojan on core 0, spy on core 1, both routing clockwise into
-		// the slice across the ring.
-		system.Spawn(channels.NewRingTrojan(c), sim.Pin(0))
-		system.Spawn(spy, sim.Pin(2))
-		return func(r *Result) {
-			r.Decoded = spy.Decoded()
-			r.PerBitSeries = spy.PerBitSlowFrac()
-		}
-	case ChannelTLB:
-		c := channels.DefaultTLBConfig(cfg.Message, cfg.BandwidthBPS)
-		c.Protocol = proto
-		spy := channels.NewTLBSpy(c)
-		// The sTLB is per-core: trojan and spy are the two hyperthreads
-		// of core 0, like the divider channel.
-		system.Spawn(channels.NewTLBTrojan(c), sim.Pin(0))
-		system.Spawn(spy, sim.Pin(1))
-		return func(r *Result) {
-			r.Decoded = spy.Decoded()
-			r.PerBitSeries = spy.PerSymbolMissFrac()
-		}
-	default:
-		return func(*Result) {}
-	}
 }

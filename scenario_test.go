@@ -1,6 +1,7 @@
 package cchunter
 
 import (
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -117,13 +118,16 @@ func TestCacheScenarioDetected(t *testing.T) {
 	}
 }
 
+// TestBenignScenarioNoFalseAlarm also pins that the zero Channel is
+// ChannelNone: both spellings give the same Result.
 func TestBenignScenarioNoFalseAlarm(t *testing.T) {
-	res, err := Scenario{
+	sc := Scenario{
 		Channel:        ChannelNone,
 		Workloads:      []string{"gobmk", "sjeng", "bzip2", "h264ref"},
 		DurationQuanta: 8,
 		QuantumCycles:  testQuantum,
-	}.Run()
+	}
+	res, err := sc.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,6 +136,14 @@ func TestBenignScenarioNoFalseAlarm(t *testing.T) {
 	}
 	if res.Sent != nil || res.Decoded != nil {
 		t.Error("benign scenario should carry no message")
+	}
+	sc.Channel = ""
+	zero, err := sc.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(zero, res) {
+		t.Errorf("zero Channel differs from ChannelNone: sent %d bits vs %d", len(zero.Sent), len(res.Sent))
 	}
 }
 

@@ -5,8 +5,12 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
+
+	"cchunter/internal/auditor"
+	"cchunter/internal/channels"
 )
 
 // streamCases are the golden-corpus scenarios, the same configurations
@@ -263,19 +267,32 @@ func TestScenarioWatchdogGenerous(t *testing.T) {
 	}
 }
 
-// TestFlightReplayDeterministic pins the flight recorder: a capture of
-// the full run replays to the live verdict, replaying twice gives the
-// same bytes, the file roundtrip preserves the flight, and the
-// streaming replay agrees with the batch replay.
+// TestFlightReplayDeterministic pins the flight recorder for every row
+// of the channel table: a capture of the full run replays to the live
+// verdict, replaying twice gives the same bytes, the file roundtrip
+// preserves the flight, and the streaming replay agrees with the batch
+// replay. The flight names its monitoring pair exactly when the row's
+// pair is not the classic one, so pre-existing flights keep replaying.
 func TestFlightReplayDeterministic(t *testing.T) {
-	sc := Scenario{
-		Channel:       ChannelMemoryBus,
-		BandwidthBPS:  1000,
-		Message:       RandomMessage(16, 3),
-		QuantumCycles: testQuantum,
-		Seed:          3,
-		FlightEvents:  1 << 21, // hold the whole run: replay == live verdict
+	cases := map[Channel]Scenario{}
+	for _, tc := range streamCases() {
+		cases[tc.sc.Channel] = tc.sc
 	}
+	for _, row := range channels.Table {
+		t.Run(row.Name, func(t *testing.T) {
+			sc, ok := cases[Channel(row.Name)]
+			if !ok {
+				t.Fatalf("streamCases has no %s scenario", row.Name)
+			}
+			sc.FlightEvents = 1 << 21 // hold the whole run: replay == live verdict
+			flightReplaysLive(t, sc, row.Monitor)
+		})
+	}
+}
+
+// flightReplaysLive runs sc, whose channel's row monitors monitor, and
+// checks its flight as TestFlightReplayDeterministic describes.
+func flightReplaysLive(t *testing.T, sc Scenario, monitor auditor.Pair) {
 	res, err := sc.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -288,6 +305,13 @@ func TestFlightReplayDeterministic(t *testing.T) {
 	}
 	if res.Flight.Reason != "detection" {
 		t.Errorf("flight reason = %q, want detection", res.Flight.Reason)
+	}
+	if kinds := res.Flight.Meta.Kinds; monitor == auditor.ClassicPair {
+		if kinds != nil {
+			t.Errorf("classic-pair flight names its kinds %v; want them implicit", kinds)
+		}
+	} else if !slices.Equal(kinds, monitor[:]) {
+		t.Errorf("flight kinds = %v, want %v", kinds, monitor)
 	}
 
 	marshal := func(r Report) []byte {
