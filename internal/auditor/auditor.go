@@ -21,6 +21,7 @@ package auditor
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"cchunter/internal/obs"
 	"cchunter/internal/stats"
@@ -128,8 +129,25 @@ func newSlot(kind trace.Kind, deltaT uint64, bins int, quantumLen uint64) *slot 
 		deltaT:     deltaT,
 		bins:       bins,
 		quantumLen: quantumLen,
-		hist:       stats.NewHistogram(bins),
+		hist:       newHistogram(bins),
 	}
+}
+
+// histograms recycles quantum histogram buffers: RecycleHistogram and
+// Release put dead ones back, and every slot's quantum roll takes its
+// next buffer from here.
+var histograms sync.Pool
+
+// newHistogram takes a histogram of the given depth from the pool,
+// zeroed like a fresh stats.NewHistogram (bins, clamped and invalid
+// tallies), or allocates one. A pooled buffer of another depth is left
+// to the collector.
+func newHistogram(bins int) *stats.Histogram {
+	if h, _ := histograms.Get().(*stats.Histogram); h != nil && h.NumBins() == bins {
+		h.Reset()
+		return h
+	}
+	return stats.NewHistogram(bins)
 }
 
 // advance closes out all Δt windows and quanta strictly before cycle.
@@ -160,7 +178,7 @@ func (s *slot) closeWindow() {
 	s.windowStart += s.deltaT
 	if s.windowStart >= (s.quantum+1)*s.quantumLen {
 		s.records = append(s.records, QuantumHistogram{Quantum: s.quantum, Hist: s.hist})
-		s.hist = stats.NewHistogram(s.bins)
+		s.hist = newHistogram(s.bins)
 		s.quantum = s.windowStart / s.quantumLen
 		s.mQuanta.Inc()
 		s.flushMetrics()
@@ -342,7 +360,7 @@ func (a *Auditor) MonitorConflicts() error {
 	if a.osc != nil {
 		return errors.New("auditor: conflict monitoring already enabled")
 	}
-	a.osc = newOscillator(a.cfg.VectorBytes, a.cfg.QuantumCycles)
+	a.osc = newOscillator(a.cfg.VectorBytes)
 	a.osc.instrument(a.reg)
 	return nil
 }
@@ -425,15 +443,48 @@ func (a *Auditor) DrainHistograms(kind trace.Kind, dst []QuantumHistogram) []Qua
 	return dst
 }
 
+// RecycleHistogram hands a dead histogram back: one the caller drained
+// with DrainHistograms or took from MergedHistogram, and no longer
+// reads. Its buffer goes to the pool every slot's next quantum roll
+// draws from; the caller must not touch it afterwards. Nil is ignored.
+func (a *Auditor) RecycleHistogram(h *stats.Histogram) {
+	if h != nil {
+		histograms.Put(h)
+	}
+}
+
+// Release gives the auditor's buffers back to the pools its successors
+// draw from: the conflict vector register and train, every recorded
+// quantum histogram still held, and each slot's open histogram. Call
+// it once no verdict or result reads the auditor any more; neither the
+// auditor nor anything read from it (ConflictTrain, Histograms) may be
+// used afterwards. An auditor that is never released is simply
+// collected.
+func (a *Auditor) Release() {
+	for _, s := range a.slots {
+		for _, rec := range s.records {
+			a.RecycleHistogram(rec.Hist)
+		}
+		a.RecycleHistogram(s.hist)
+		s.records, s.hist = nil, nil
+	}
+	a.slots = nil
+	if a.osc != nil {
+		oscillators.Put(a.osc)
+		a.osc = nil
+	}
+}
+
 // MergedHistogram returns the union of all per-quantum histograms for
-// kind — the full-run event density histogram of Figure 6.
+// kind — the full-run event density histogram of Figure 6. The result
+// is the caller's; it can go back with RecycleHistogram.
 func (a *Auditor) MergedHistogram(kind trace.Kind) *stats.Histogram {
 	var out *stats.Histogram
 	for _, s := range a.slots {
 		if s.kind != kind {
 			continue
 		}
-		out = stats.NewHistogram(s.bins)
+		out = newHistogram(s.bins)
 		for _, rec := range s.records {
 			out.Merge(rec.Hist)
 		}

@@ -1,6 +1,8 @@
 package auditor
 
 import (
+	"sync"
+
 	"cchunter/internal/obs"
 	"cchunter/internal/trace"
 )
@@ -51,12 +53,32 @@ func (o *oscillator) instrument(reg *obs.Registry) {
 	o.mSwaps = reg.Counter("auditor.conflicts.swaps")
 }
 
-func newOscillator(vectorBytes int, _ uint64) *oscillator {
-	return &oscillator{
-		capacity: vectorBytes,
-		active:   make([]trace.Event, 0, vectorBytes),
-		train:    trace.NewTrain(4096),
+// oscillators recycles capture paths across auditors: Release puts an
+// auditor's oscillator back, vector register and train included, and
+// the next MonitorConflicts takes it, so a recycled train keeps the
+// capacity an earlier run grew it to instead of regrowing from the
+// construction hint.
+var oscillators sync.Pool
+
+// newOscillator takes a capture path from the pool, reset to the state
+// of a freshly built one, or builds one when the pool is empty.
+func newOscillator(vectorBytes int) *oscillator {
+	o, _ := oscillators.Get().(*oscillator)
+	if o == nil {
+		return &oscillator{
+			capacity: vectorBytes,
+			active:   make([]trace.Event, 0, vectorBytes),
+			train:    trace.NewTrain(4096),
+		}
 	}
+	active := o.active[:0]
+	if cap(active) < vectorBytes {
+		active = make([]trace.Event, 0, vectorBytes)
+	}
+	train := o.train
+	train.Reset()
+	*o = oscillator{capacity: vectorBytes, active: active, train: train}
+	return o
 }
 
 func (o *oscillator) onEvent(e trace.Event) {

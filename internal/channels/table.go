@@ -101,6 +101,10 @@ var Table = []Spec{{
 	Name: "cache", TrojanCtx: 0, SpyCtx: 2,
 	Monitor: auditor.ClassicPair, Indicator: trace.KindConflictMiss,
 	New: func(p Params) (sim.Program, Spy) {
+		if p.CacheSets <= 0 {
+			// The round sizing below divides by the set count.
+			panic("channels: cache channel needs CacheSets > 0")
+		}
 		c := DefaultCacheConfig(p.Message, p.BPS)
 		c.Protocol, c.SetsUsed = p.Protocol, p.CacheSets
 		// Redundancy scales with the slot: low-bandwidth bits repeat

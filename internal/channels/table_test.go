@@ -48,3 +48,24 @@ func TestChannelTable(t *testing.T) {
 		t.Error(`"none" is a scenario without a channel, not a table row`)
 	}
 }
+
+// TestCacheRowRejectsNoSets: the cache row sizes its prime/probe rounds
+// by the set count, so a zero or negative CacheSets must fail with a
+// message that names it, not with an integer division by zero.
+func TestCacheRowRejectsNoSets(t *testing.T) {
+	spec, ok := Lookup("cache")
+	if !ok {
+		t.Fatal("no cache row")
+	}
+	const want = "channels: cache channel needs CacheSets > 0"
+	for _, sets := range []int{0, -1} {
+		func() {
+			defer func() {
+				if r := recover(); r != want {
+					t.Errorf("CacheSets %d: panic %v, want %q", sets, r, want)
+				}
+			}()
+			spec.New(Params{Protocol: Protocol{Message: []int{1}, BPS: 100}, CacheSets: sets})
+		}()
+	}
+}

@@ -127,28 +127,22 @@ func ThresholdDensity(h *stats.Histogram) int {
 	if top <= 0 {
 		return 0
 	}
-	bins := h.Bins()
+	// Bin reads in place (0 past the top bin); the streaming daemon
+	// calls this every quantum, so it copies nothing.
 	for i := 1; i <= top; i++ {
-		prev := bins[i-1]
-		var next uint64
-		if i+1 < len(bins) {
-			next = bins[i+1]
-		}
-		if bins[i] < prev && bins[i] <= next {
+		if b := h.Bin(i); b < h.Bin(i-1) && b <= h.Bin(i+1) {
 			return i
 		}
 	}
 	// Fallback: first bin where the downward slope flattens to under
 	// 5% of the peak per bin.
 	var peak uint64
-	for _, b := range bins[:top+1] {
-		if b > peak {
-			peak = b
-		}
+	for i := 0; i <= top; i++ {
+		peak = max(peak, h.Bin(i))
 	}
 	gentle := peak / 20
 	for i := 1; i <= top; i++ {
-		drop := int64(bins[i-1]) - int64(bins[i])
+		drop := int64(h.Bin(i-1)) - int64(h.Bin(i))
 		if drop >= 0 && uint64(drop) <= gentle {
 			return i
 		}

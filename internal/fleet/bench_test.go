@@ -29,16 +29,20 @@ func benchFleetConfig() Config {
 // BenchmarkFleetPipeline drives the full cchuntd pipeline — sources,
 // bounded ingest queues, sharded streaming detectors, hub aggregation
 // — over ≥1,000 streams and reports end-to-end throughput as
-// processed events (produced minus shed) per wall-clock second. Set
-// FLEET_BENCH_OUT=path to also write the machine-readable report that
-// BENCH_pipeline.json pins:
+// processed events (produced minus shed) per wall-clock second, and
+// heap bytes allocated per stream-epoch (fleet construction included).
+// Set FLEET_BENCH_OUT=path to also write the machine-readable report
+// that BENCH_pipeline.json pins; a relative path lands in the package
+// directory, so regenerate it from the repository root with:
 //
-//	FLEET_BENCH_OUT=BENCH_pipeline.json \
-//	  go test -run NONE -bench BenchmarkFleetPipeline -benchtime 3x ./internal/fleet/
+//	FLEET_BENCH_OUT=$PWD/BENCH_pipeline.json \
+//	  go test -run NONE -bench BenchmarkFleetPipeline -benchtime 3x -cpu 1 ./internal/fleet/
 func BenchmarkFleetPipeline(b *testing.B) {
 	cfg := benchFleetConfig()
 	var produced, shed, finals uint64
 	var lastState State
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -58,20 +62,23 @@ func BenchmarkFleetPipeline(b *testing.B) {
 		lastState = st
 	}
 	b.StopTimer()
+	runtime.ReadMemStats(&after)
 
 	elapsed := b.Elapsed().Seconds()
 	processed := produced - shed
 	eventsPerSec := float64(processed) / elapsed
+	allocPerStreamEpoch := float64(after.TotalAlloc-before.TotalAlloc) / float64(b.N*cfg.Hosts*cfg.StreamsPerHost)
 	b.ReportMetric(eventsPerSec, "events/sec")
 	b.ReportMetric(float64(cfg.Hosts*cfg.StreamsPerHost), "streams")
 	b.ReportMetric(float64(shed)/float64(b.N), "shed/op")
+	b.ReportMetric(allocPerStreamEpoch, "B/stream-epoch")
 
 	if want := uint64(b.N * cfg.Hosts * cfg.StreamsPerHost); finals != want {
 		b.Fatalf("finals = %d, want %d — a stream missed its verdict", finals, want)
 	}
 
 	if out := os.Getenv("FLEET_BENCH_OUT"); out != "" {
-		writeFleetBench(b, out, cfg, lastState, processed, shed, eventsPerSec)
+		writeFleetBench(b, out, cfg, lastState, processed, shed, eventsPerSec, allocPerStreamEpoch)
 	}
 }
 
@@ -88,12 +95,13 @@ type fleetBenchDoc struct {
 	Processed    uint64                 `json:"processed_events"`
 	Shed         uint64                 `json:"shed_events"`
 	EventsPerSec float64                `json:"events_per_sec"`
+	AllocPerSE   float64                `json:"alloc_bytes_per_stream_epoch"`
 	TenantStats  map[string]TenantStats `json:"tenant_stats"`
 	Detected     int                    `json:"detected_streams"`
 	Correlations int                    `json:"correlations"`
 }
 
-func writeFleetBench(b *testing.B, path string, cfg Config, st State, processed, shed uint64, eps float64) {
+func writeFleetBench(b *testing.B, path string, cfg Config, st State, processed, shed uint64, eps, allocPerSE float64) {
 	b.Helper()
 	doc := fleetBenchDoc{
 		Schema:       "cchunter-fleet-bench/1",
@@ -107,6 +115,7 @@ func writeFleetBench(b *testing.B, path string, cfg Config, st State, processed,
 		Processed:    processed,
 		Shed:         shed,
 		EventsPerSec: eps,
+		AllocPerSE:   allocPerSE,
 		TenantStats:  st.Tenants,
 		Detected:     st.DetectedStreams,
 		Correlations: len(st.Correlations),

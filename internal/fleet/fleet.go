@@ -158,7 +158,7 @@ func New(cfg Config) (*Fleet, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
-	f := &Fleet{cfg: cfg, hub: NewHub(cfg.Metrics)}
+	f := &Fleet{cfg: cfg, hub: newHub(cfg.Metrics, cfg.Hosts*cfg.StreamsPerHost)}
 	for hi := 0; hi < cfg.Hosts; hi++ {
 		h := &host{
 			name:   fmt.Sprintf("host-%03d", hi),
@@ -251,13 +251,14 @@ func (f *Fleet) runHost(ctx context.Context, h *host, epochs int) {
 	if cfg.RatePerStream > 0 {
 		pace = newPacer(cfg.RatePerStream * float64(len(h.shards)))
 	}
+	var gen []trace.Event
 	for epoch := 0; epochs <= 0 || epoch < epochs; epoch++ {
 		for _, s := range h.shards {
 			s.beginEpoch(epoch)
 		}
 		for q := 0; q < cfg.EpochQuanta; q++ {
 			for _, s := range h.shards {
-				s.pumpQuantum(cfg.BatchEvents)
+				gen = s.pumpQuantum(gen, cfg.BatchEvents)
 				if pace != nil {
 					pace.produced(s.lastQuantumEvents)
 				}

@@ -110,9 +110,13 @@ type Hub struct {
 
 // NewHub returns an empty hub recording aggregates into reg (nil is
 // fine).
-func NewHub(reg *obs.Registry) *Hub {
+func NewHub(reg *obs.Registry) *Hub { return newHub(reg, 0) }
+
+// newHub is NewHub with the stream map sized for the given number of
+// streams, so registering a fleet's streams never rehashes it.
+func newHub(reg *obs.Registry, streams int) *Hub {
 	return &Hub{
-		streams: make(map[Key]*StreamState),
+		streams: make(map[Key]*StreamState, streams),
 		tenants: make(map[string]*TenantStats),
 		reg:     reg,
 	}

@@ -58,13 +58,12 @@ type shard struct {
 	cfg shardConfig
 	src *source
 
+	aud   *auditor.Auditor
 	det   *stream.Detector
 	in    *stream.Ingest
 	rec   *recorder.Recorder
 	epoch int
 	seq   uint64
-	batch []trace.Event
-	gen   []trace.Event
 
 	produced          uint64
 	shedTotal         uint64
@@ -89,40 +88,42 @@ func newShard(key Key, cfg shardConfig) (*shard, error) {
 // to single-host ones for identical trains. kinds selects the burst
 // events to monitor with their paper Δt (the auditor watches at most
 // auditor.MaxMonitoredUnits of them); empty means the classic bus +
-// divider pair every pre-ring caller programmed.
-func buildDetector(quantum uint64, contexts int, kinds ...trace.Kind) (*stream.Detector, error) {
+// divider pair every pre-ring caller programmed. The caller owns the
+// auditor and releases it once the detector has finalized.
+func buildDetector(quantum uint64, contexts int, kinds ...trace.Kind) (*auditor.Auditor, *stream.Detector, error) {
 	aud, err := auditor.New(auditor.DefaultConfig(quantum))
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if len(kinds) == 0 {
-		kinds = []trace.Kind{trace.KindBusLock, trace.KindDivContention}
+		kinds = auditor.ClassicPair[:]
 	}
 	for _, k := range kinds {
 		if err := aud.Monitor(k, core.DefaultDeltaT(k)); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
 	if err := aud.MonitorConflicts(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	cfg := core.DefaultDetectorConfig(quantum, contexts)
-	return stream.New(aud, stream.Config{Detector: cfg}), nil
+	return aud, stream.New(aud, stream.Config{Detector: cfg}), nil
 }
 
 // beginEpoch resets the source and stands up a fresh detector behind a
-// fresh ingest queue.
+// fresh ingest queue. The auditor, queue batches and histograms come
+// from the pools the previous epoch's finalize filled.
 func (s *shard) beginEpoch(epoch int) {
 	s.epoch = epoch
 	s.endCycle = 0
 	s.src.reset(epoch)
-	det, err := buildDetector(s.cfg.Quantum, s.cfg.Contexts)
+	aud, det, err := buildDetector(s.cfg.Quantum, s.cfg.Contexts)
 	if err != nil {
 		// Construction can only fail on bad static config, which New
 		// validated; a failure here is a bug worth crashing on.
 		panic(fmt.Sprintf("fleet: rebuilding %s: %v", s.key, err))
 	}
-	s.det = det
+	s.aud, s.det = aud, det
 	var dst trace.Listener = det
 	if s.cfg.FlightEvents != 0 {
 		s.rec = recorder.New(s.cfg.FlightEvents)
@@ -136,20 +137,19 @@ func (s *shard) beginEpoch(epoch int) {
 	s.in = stream.NewIngest(dst, s.cfg.QueueLen, s.cfg.Metrics)
 }
 
-// pumpQuantum generates one quantum of source events and enqueues them
-// in BatchEvents-sized batches.
-func (s *shard) pumpQuantum(batchEvents int) {
-	s.gen = s.src.genQuantum(s.gen[:0])
-	s.lastQuantumEvents = uint64(len(s.gen))
-	s.produced += uint64(len(s.gen))
-	for i := 0; i < len(s.gen); i += batchEvents {
-		j := i + batchEvents
-		if j > len(s.gen) {
-			j = len(s.gen)
-		}
-		s.in.OnEvents(s.gen[i:j])
+// pumpQuantum generates one quantum of source events into gen, enqueues
+// them in BatchEvents-sized batches, and returns gen for the next call.
+// The queue copies every batch, so one gen buffer serves all of a
+// host's shards.
+func (s *shard) pumpQuantum(gen []trace.Event, batchEvents int) []trace.Event {
+	gen = s.src.genQuantum(gen[:0])
+	s.lastQuantumEvents = uint64(len(gen))
+	s.produced += uint64(len(gen))
+	for i := 0; i < len(gen); i += batchEvents {
+		s.in.OnEvents(gen[i:min(i+batchEvents, len(gen))])
 	}
 	s.endCycle = s.src.quantum0
+	return gen
 }
 
 // interim submits a mid-epoch verdict. The analysis runs on the
@@ -192,9 +192,12 @@ func (s *shard) finalizeEpoch(hub *Hub) {
 		})
 	var rep core.Report
 	if err != nil {
+		// A finalize the watchdog abandoned may still be reading the
+		// auditor, so its buffers are left to the collector.
 		rep = core.DegradedReport(err.Error())
 	} else {
 		rep = v.(core.Report)
+		s.aud.Release()
 	}
 	hub.Submit(Update{
 		Key: s.key, Seq: s.nextSeq(), Epoch: s.epoch,
@@ -211,7 +214,7 @@ func (s *shard) finalizeEpoch(hub *Hub) {
 		})
 		s.flights = append(s.flights, CapturedFlight{Key: s.key, Flight: f})
 	}
-	s.det, s.in = nil, nil
+	s.aud, s.det, s.in = nil, nil, nil
 }
 
 // takeFlights drains the shard's captured flights.

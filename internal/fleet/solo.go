@@ -19,10 +19,11 @@ func AnalyzeTrain(events []trace.Event, quantum uint64, contexts int, end uint64
 	if contexts <= 0 {
 		contexts = defaultContexts
 	}
-	det, err := buildDetector(quantum, contexts, kinds...)
+	aud, det, err := buildDetector(quantum, contexts, kinds...)
 	if err != nil {
 		return core.Report{}, err
 	}
+	defer aud.Release()
 	batches := len(events)/trace.DefaultBatchSize + 2
 	in := stream.NewIngest(det, batches, nil)
 	for i := 0; i < len(events); i += trace.DefaultBatchSize {

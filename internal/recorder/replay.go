@@ -56,6 +56,7 @@ func Replay(f Flight) (core.Report, error) {
 	det := core.NewDetector(aud, cfg)
 	rep := det.Analyze(end)
 	det.Release()
+	aud.Release()
 	return rep, nil
 }
 
@@ -76,5 +77,7 @@ func ReplayStreaming(f Flight) (core.Report, error) {
 	// how much evidence the verdict rests on.
 	det.SetShed(f.Meta.EventsShed)
 	det.OnEvents(f.Events)
-	return det.Finalize(end), nil
+	rep := det.Finalize(end)
+	aud.Release()
+	return rep, nil
 }

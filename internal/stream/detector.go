@@ -45,10 +45,14 @@ type kindState struct {
 	lastLR  float64
 }
 
-func (ks *kindState) push(rec auditor.QuantumHistogram, quantumLen uint64) {
+// push slides rec into the ring and returns the histogram a full ring
+// evicted (nil while the ring is filling). The evicted histogram is
+// dead: nothing reads it again.
+func (ks *kindState) push(rec auditor.QuantumHistogram, quantumLen uint64) (evicted *stats.Histogram) {
 	ks.merged.Merge(rec.Hist)
 	if ks.ringCap > 0 && len(ks.ring) == ks.ringCap {
-		ks.merged.Unmerge(ks.ring[0].Hist)
+		evicted = ks.ring[0].Hist
+		ks.merged.Unmerge(evicted)
 		copy(ks.ring, ks.ring[1:])
 		ks.ring[len(ks.ring)-1] = rec
 	} else {
@@ -57,6 +61,7 @@ func (ks *kindState) push(rec auditor.QuantumHistogram, quantumLen uint64) {
 	ks.quanta++
 	ks.lastLR = core.LikelihoodRatio(ks.merged, core.ThresholdDensity(ks.merged))
 	ks.cus.Add(ks.lastLR, rec.Quantum*quantumLen)
+	return evicted
 }
 
 // Detector is the streaming CC-Hunter daemon. It wraps a programmed
@@ -125,14 +130,14 @@ func New(aud *auditor.Auditor, cfg Config) *Detector {
 		if aud.DeltaT(kind) == 0 {
 			continue
 		}
-		bins := 1
-		if h := aud.MergedHistogram(kind); h != nil {
-			bins = h.NumBins()
-		}
+		// A monitored kind always has a merged histogram; emptied, it
+		// is the sliding window's starting state at the auditor's depth.
+		merged := aud.MergedHistogram(kind)
+		merged.Reset()
 		d.kinds = append(d.kinds, &kindState{
 			kind:    kind,
 			ringCap: d.dcfg.Burst.WindowQuanta,
-			merged:  stats.NewHistogram(bins),
+			merged:  merged,
 			cus:     NewCUSUM(DefaultCUSUMConfig()),
 		})
 	}
@@ -182,7 +187,7 @@ func (d *Detector) drainQuanta() {
 	for _, ks := range d.kinds {
 		d.scratch = d.aud.DrainHistograms(ks.kind, d.scratch[:0])
 		for _, rec := range d.scratch {
-			ks.push(rec, d.quantumLen)
+			d.aud.RecycleHistogram(ks.push(rec, d.quantumLen))
 		}
 	}
 	d.scratch = d.scratch[:0]
@@ -283,7 +288,9 @@ func (d *Detector) Interim(cycle uint64) core.Report {
 
 // Finalize flushes the auditor at endCycle, closes every remaining
 // observation window, renders the final verdict, and gives the
-// detector's workspace back. The detector must not be used afterwards.
+// detector's workspace back to its pool and the histograms it drained
+// back to the auditor. The detector must not be used afterwards; the
+// auditor stays readable until its owner releases it.
 func (d *Detector) Finalize(endCycle uint64) core.Report {
 	return d.FinalizeContext(context.Background(), endCycle)
 }
@@ -295,6 +302,13 @@ func (d *Detector) FinalizeContext(ctx context.Context, endCycle uint64) core.Re
 	defer func() {
 		d.ws.Release()
 		d.ws = nil
+		for _, ks := range d.kinds {
+			for _, rec := range ks.ring {
+				d.aud.RecycleHistogram(rec.Hist)
+			}
+			d.aud.RecycleHistogram(ks.merged)
+			ks.ring, ks.merged = nil, nil
+		}
 	}()
 	d.aud.Flush(endCycle)
 	d.drainQuanta()

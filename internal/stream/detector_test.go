@@ -166,6 +166,7 @@ func TestStreamingEquivalenceSynthetic(t *testing.T) {
 		divisor int
 		chunk   int
 		interim bool
+		window  int // Burst.WindowQuanta; 0 keeps the default
 	}{
 		{name: "clean-chunk1", seed: 1, chunk: 1},
 		{name: "clean-chunk64", seed: 1, chunk: 64},
@@ -174,6 +175,9 @@ func TestStreamingEquivalenceSynthetic(t *testing.T) {
 		{name: "faulty-divisor2", seed: 4, faulty: true, divisor: 2, chunk: 7},
 		{name: "interim-polling", seed: 5, chunk: 32, interim: true},
 		{name: "faulty-interim", seed: 6, faulty: true, chunk: 13, interim: true},
+		// A ring shorter than the run evicts, and the auditor's later
+		// quantum rolls reuse the evicted histograms.
+		{name: "sliding-window", seed: 7, chunk: 32, interim: true, window: 6},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			events := synthTrain(tc.seed, quanta, testQuantum)
@@ -183,6 +187,9 @@ func TestStreamingEquivalenceSynthetic(t *testing.T) {
 			cfg := core.DefaultDetectorConfig(testQuantum, 4)
 			if tc.divisor > 0 {
 				cfg.ObservationDivisor = tc.divisor
+			}
+			if tc.window > 0 {
+				cfg.Burst.WindowQuanta = tc.window
 			}
 			want := marshalVerdict(t, batchReport(t, events, cfg, end, tc.chunk))
 			got := marshalVerdict(t, streamReport(t, events, Config{Detector: cfg}, end, tc.chunk, tc.interim))

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -18,26 +19,61 @@ import (
 // verdict's Streaming info) rather than back-pressuring the system it
 // observes.
 //
-// Events are copied on enqueue into a recycled buffer; the producer's
-// batch buffer is never retained, and delivered buffers return to an
-// internal pool, so steady-state ingestion allocates nothing.
+// Events are copied on enqueue into a buffer from batches, the
+// size-classed pool every Ingest in the process shares; the producer's
+// batch buffer is never retained. Delivered and shed buffers both go back to that
+// pool, so once it has warmed up ingestion allocates nothing, also
+// across the fresh Ingest a fleet shard builds every epoch.
 // Deliveries happen on the consumer goroutine, so the wrapped listener
 // needs no locking of its own as long as Ingest is its only caller.
 type Ingest struct {
 	dst  trace.Listener
 	ch   chan item
 	wg   sync.WaitGroup
-	bufs sync.Pool
 	shed atomic.Uint64
 
 	mShed *obs.Counter
 }
 
-// item is one queue entry: an event batch, or a control function to
-// run in order on the consumer goroutine (see Do).
+// batches recycles event-batch buffers across every Ingest, one pool
+// per power-of-two capacity: a batch takes the smallest class that
+// holds it, so a 40-event quantum of a quiet stream does not pin a
+// DefaultBatchSize buffer while it waits in a queue. A buffer travels
+// boxed, so Get and Put move a pointer and never allocate. A listener
+// must not retain a delivered batch (trace.BatchListener's contract),
+// which is what makes the hand-back safe. Classes run from 1 to 1<<16
+// events (1 MiB).
+var batches [17]sync.Pool
+
+// borrowBatch returns a pooled buffer holding a copy of events.
+// Batches beyond the largest class get a buffer of their own, which
+// recycleBatch then drops.
+func borrowBatch(events []trace.Event) *[]trace.Event {
+	c := bits.Len(uint(len(events) - 1))
+	var b *[]trace.Event
+	if c < len(batches) {
+		b, _ = batches[c].Get().(*[]trace.Event)
+	}
+	if b == nil {
+		buf := make([]trace.Event, 0, 1<<c)
+		b = &buf
+	}
+	*b = append((*b)[:0], events...)
+	return b
+}
+
+// recycleBatch hands a delivered or shed buffer back to its class.
+func recycleBatch(b *[]trace.Event) {
+	if c := bits.Len(uint(cap(*b))) - 1; c < len(batches) {
+		batches[c].Put(b)
+	}
+}
+
+// item is one queue entry: a pooled event batch, or a control function
+// to run in order on the consumer goroutine (see Do).
 type item struct {
-	events []trace.Event
-	fn     func()
+	batch *[]trace.Event
+	fn    func()
 }
 
 // NewIngest starts the consumer goroutine. queueLen is the number of
@@ -52,7 +88,6 @@ func NewIngest(dst trace.Listener, queueLen int, reg *obs.Registry) *Ingest {
 		ch:    make(chan item, queueLen),
 		mShed: reg.Counter("stream.events_shed"),
 	}
-	in.bufs.New = func() any { b := make([]trace.Event, 0, trace.DefaultBatchSize); return &b }
 	in.wg.Add(1)
 	go func() {
 		defer in.wg.Done()
@@ -63,13 +98,13 @@ func NewIngest(dst trace.Listener, queueLen int, reg *obs.Registry) *Ingest {
 				continue
 			}
 			if batchable {
-				batcher.OnEvents(it.events)
+				batcher.OnEvents(*it.batch)
 			} else {
-				for _, e := range it.events {
+				for _, e := range *it.batch {
 					in.dst.OnEvent(e)
 				}
 			}
-			in.recycle(it.events)
+			recycleBatch(it.batch)
 		}
 	}()
 	return in
@@ -77,8 +112,7 @@ func NewIngest(dst trace.Listener, queueLen int, reg *obs.Registry) *Ingest {
 
 // OnEvent implements trace.Listener.
 func (in *Ingest) OnEvent(e trace.Event) {
-	buf := in.borrow(1)
-	in.enqueue(append(buf, e))
+	in.enqueue(borrowBatch([]trace.Event{e}))
 }
 
 // OnEvents implements trace.BatchListener. The batch is copied; the
@@ -87,8 +121,7 @@ func (in *Ingest) OnEvents(events []trace.Event) {
 	if len(events) == 0 {
 		return
 	}
-	buf := in.borrow(len(events))
-	in.enqueue(append(buf, events...))
+	in.enqueue(borrowBatch(events))
 }
 
 // Do enqueues fn behind every batch already queued and runs it on the
@@ -105,40 +138,14 @@ func (in *Ingest) Do(fn func()) {
 	in.ch <- item{fn: fn}
 }
 
-// borrow takes a zero-length buffer with at least capacity n from the
-// recycling pool.
-func (in *Ingest) borrow(n int) []trace.Event {
-	p := in.bufs.Get().(*[]trace.Event)
-	buf := (*p)[:0]
-	if cap(buf) < n {
-		buf = make([]trace.Event, 0, n)
-	}
-	*p = nil
-	bufPtrPool.Put(p)
-	return buf
-}
-
-// recycle returns a delivered buffer to the pool.
-func (in *Ingest) recycle(buf []trace.Event) {
-	p, _ := bufPtrPool.Get().(*[]trace.Event)
-	if p == nil {
-		p = new([]trace.Event)
-	}
-	*p = buf
-	in.bufs.Put(p)
-}
-
-// bufPtrPool recycles the *[]trace.Event boxes themselves so borrow
-// and recycle do not allocate a pointer per batch.
-var bufPtrPool sync.Pool
-
-func (in *Ingest) enqueue(events []trace.Event) {
+func (in *Ingest) enqueue(b *[]trace.Event) {
 	select {
-	case in.ch <- item{events: events}:
+	case in.ch <- item{batch: b}:
 	default:
-		in.shed.Add(uint64(len(events)))
-		in.mShed.Add(uint64(len(events)))
-		in.recycle(events)
+		n := uint64(len(*b))
+		in.shed.Add(n)
+		in.mShed.Add(n)
+		recycleBatch(b)
 	}
 }
 

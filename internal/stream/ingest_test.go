@@ -100,3 +100,30 @@ func TestIngestNilRegistry(t *testing.T) {
 	close(dst.gate)
 	in.Close()
 }
+
+// TestIngestShedRecyclesBuffer: a shed batch's buffer goes back to the
+// shared batch pool, so a producer shedding into a wedged consumer's
+// full queue allocates nothing per batch.
+func TestIngestShedRecyclesBuffer(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops sync.Pool puts, so shed buffers are re-made")
+	}
+	dst := &sink{gate: make(chan struct{}), started: make(chan struct{}, 1)}
+	in := NewIngest(dst, 1, nil)
+	in.OnEvent(ev(1))
+	<-dst.started     // consumer wedged mid-delivery
+	in.OnEvent(ev(2)) // queue full from here on
+	batch := make([]trace.Event, 300)
+	before := in.Shed()
+	const runs = 100
+	allocs := testing.AllocsPerRun(runs, func() { in.OnEvents(batch) })
+	shed := in.Shed() - before
+	close(dst.gate)
+	in.Close()
+	if want := uint64((runs + 1) * len(batch)); shed != want {
+		t.Fatalf("shed %d events, want %d (every batch)", shed, want)
+	}
+	if allocs != 0 {
+		t.Errorf("shedding allocates %.0f times per batch, want 0", allocs)
+	}
+}

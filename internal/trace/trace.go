@@ -197,6 +197,10 @@ func (t *Train) TrimFront(before uint64) int {
 	return lo
 }
 
+// Reset empties the train and keeps its backing array, so a recycled
+// train appends without regrowing.
+func (t *Train) Reset() { t.events = t.events[:0] }
+
 // Len returns the number of events.
 func (t *Train) Len() int { return len(t.events) }
 
