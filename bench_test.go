@@ -129,9 +129,10 @@ func BenchmarkFigure11WindowFractions(b *testing.B) {
 func BenchmarkFigure12MessagePatterns(b *testing.B) {
 	opts := benchOpts
 	opts.MessageBits = 32
+	opts.Messages = 8 // paper: 256 messages
 	var worst float64
 	for i := 0; i < b.N; i++ {
-		r := experiments.Figure12(opts, 8) // paper: 256 messages
+		r := experiments.Figure12(opts)
 		if !r.AllDetected {
 			b.Fatal("a message escaped detection")
 		}
@@ -157,8 +158,10 @@ func BenchmarkFigure13SetCountSweep(b *testing.B) {
 }
 
 func BenchmarkFigure14FalseAlarms(b *testing.B) {
+	opts := benchOpts
+	opts.Quanta = 32
 	for i := 0; i < b.N; i++ {
-		r := experiments.Figure14(benchOpts, 32)
+		r := experiments.Figure14(opts)
 		if r.FalseAlarms != 0 {
 			b.Fatalf("%d false alarms", r.FalseAlarms)
 		}
@@ -424,6 +427,7 @@ func itoa(v uint64) string {
 func BenchmarkRunnerParallelism(b *testing.B) {
 	opts := benchOpts
 	opts.MessageBits = 16
+	opts.Messages = 8
 	workerCounts := []int{1}
 	if n := runtime.GOMAXPROCS(0); n > 1 {
 		workerCounts = append(workerCounts, n)
@@ -433,7 +437,7 @@ func BenchmarkRunnerParallelism(b *testing.B) {
 			o := opts
 			o.Workers = workers
 			for i := 0; i < b.N; i++ {
-				r := experiments.Figure12(o, 8)
+				r := experiments.Figure12(o)
 				if !r.AllDetected {
 					b.Fatal("a message escaped detection")
 				}

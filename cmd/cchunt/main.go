@@ -57,7 +57,7 @@ func main() {
 	evadeDuty := flag.Float64("evade-duty", 0, "adaptive evader amplitude duty cycle in (0, 1] (0 = full amplitude)")
 	fec := flag.Bool("fec", false, "frame the message with two-layer FEC (Berger-checked words + XOR group parity)")
 	metricsAddr := flag.String("metrics-addr", "", "serve live pipeline metrics as JSON on this address (e.g. :8080) for the duration of the run")
-	streamMode := flag.Bool("stream", false, "streaming bounded-memory detection (verdict identical; adds onset estimates)")
+	streamMode := flag.Bool("stream", false, "streaming detection: conflict train and quantum histograms bounded by the observation window (verdict identical; adds onset estimates)")
 	watchdog := flag.Duration("watchdog", 0, "analysis watchdog timeout; overrun or panic yields a degraded verdict (0 = off)")
 	record := flag.String("record", "", "write a flight-recorder capture (raw events around the verdict) to this file for cctrace replay")
 	verbose := flag.Bool("v", false, "print histograms and per-window detail")

@@ -11,7 +11,9 @@
 // Figure ids: 2 3 4 5 6 7 8 10 11 12 13 14, "t1" for Table I, "m"
 // for the mitigation study, "e" for the evasion study plus the
 // detection-vs-evasion frontier (adaptive jitter/duty evaders on all
-// five channels), and "r" for the sensor fault robustness sweep.
+// five channels), and "r" for the sensor fault robustness sweep. Each
+// id is a row of experiments.Figures; the selected rows run in table
+// order, and an unknown id exits 2 with the list of valid ones.
 // -scale 1 runs at full paper scale (slow); the default 100× preserves
 // every quantity the detector depends on (see DESIGN.md).
 // -j N runs figures (and their internal sweeps) on N workers; output
@@ -30,6 +32,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -41,18 +44,10 @@ import (
 	"cchunter/internal/experiments"
 	"cchunter/internal/obs"
 	"cchunter/internal/runner"
-	"cchunter/internal/trace"
 )
 
-// stepOutput is what each figure job hands back to main for ordered
-// rendering.
-type stepOutput struct {
-	summary string
-	result  interface{}
-}
-
 func main() {
-	figs := flag.String("fig", "all", "comma-separated figure ids (2..14, t1, m=mitigation, e=evasion+frontier, r=robustness) or 'all'")
+	figs := flag.String("fig", "all", "comma-separated figure ids (2..8, 10..14, t1, m=mitigation, e=evasion+frontier, r=robustness) or 'all'")
 	outDir := flag.String("out", "out", "directory for CSV output")
 	scale := flag.Float64("scale", 100, "time scale (1 = full paper scale)")
 	seed := flag.Uint64("seed", 1, "random seed")
@@ -66,6 +61,12 @@ func main() {
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file at exit")
 	flag.Parse()
+
+	figures, err := selectFigures(*figs)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "ccrepro:", err)
+		os.Exit(2)
+	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -86,67 +87,9 @@ func main() {
 		bench = &rep
 	}
 
-	opts := experiments.Options{Seed: *seed, TimeScale: *scale, Workers: *jobs}
+	opts := experiments.Options{Seed: *seed, TimeScale: *scale, Workers: *jobs, Messages: *messages, Quanta: *quanta}
 	if err := os.MkdirAll(*outDir, 0o755); err != nil {
 		fatal(err)
-	}
-
-	want := map[string]bool{}
-	if *figs == "all" {
-		for _, f := range []string{"2", "3", "4", "5", "6", "7", "8", "10", "11", "12", "13", "14", "t1", "m", "e", "r"} {
-			want[f] = true
-		}
-	} else {
-		for _, f := range strings.Split(*figs, ",") {
-			want[strings.TrimSpace(f)] = true
-		}
-	}
-
-	type step struct {
-		id  string
-		run func(o experiments.Options) (summary string, result interface{})
-	}
-	steps := []step{
-		{"2", func(o experiments.Options) (string, interface{}) { r := experiments.Figure2(o); return r.Summary(), r }},
-		{"3", func(o experiments.Options) (string, interface{}) { r := experiments.Figure3(o); return r.Summary(), r }},
-		{"4", func(o experiments.Options) (string, interface{}) {
-			r := experiments.Figure4(o)
-			writeTrain(*outDir, "fig4a_buslocks.csv", r.BusLocks)
-			writeTrain(*outDir, "fig4b_divcontention.csv", r.DivContention)
-			return r.Summary(), r
-		}},
-		{"5", func(o experiments.Options) (string, interface{}) { r := experiments.Figure5(o); return r.Summary(), r }},
-		{"6", func(o experiments.Options) (string, interface{}) { r := experiments.Figure6(o); return r.Summary(), r }},
-		{"7", func(o experiments.Options) (string, interface{}) { r := experiments.Figure7(o); return r.Summary(), r }},
-		{"8", func(o experiments.Options) (string, interface{}) {
-			r := experiments.Figure8(o)
-			writeTrain(*outDir, "fig8a_conflicts.csv", r.Train)
-			return r.Summary(), r
-		}},
-		{"10", func(o experiments.Options) (string, interface{}) { r := experiments.Figure10(o); return r.Summary(), r }},
-		{"11", func(o experiments.Options) (string, interface{}) { r := experiments.Figure11(o); return r.Summary(), r }},
-		{"12", func(o experiments.Options) (string, interface{}) {
-			r := experiments.Figure12(o, *messages)
-			return r.Summary(), r
-		}},
-		{"13", func(o experiments.Options) (string, interface{}) { r := experiments.Figure13(o); return r.Summary(), r }},
-		{"14", func(o experiments.Options) (string, interface{}) {
-			r := experiments.Figure14(o, *quanta)
-			return r.Summary(), r
-		}},
-		{"t1", func(experiments.Options) (string, interface{}) { r := experiments.TableI(); return r.Summary(), r }},
-		{"m", func(o experiments.Options) (string, interface{}) {
-			r := experiments.ExtMitigation(o)
-			return r.Summary(), r
-		}},
-		{"e", func(o experiments.Options) (string, interface{}) {
-			r := experiments.ExtEvasion(o)
-			return r.Summary(), r
-		}},
-		{"r", func(o experiments.Options) (string, interface{}) {
-			r := experiments.Robustness(o)
-			return r.Summary(), r
-		}},
 	}
 
 	// With -metrics-out, each figure gets a private registry: its
@@ -163,56 +106,48 @@ func main() {
 	}
 
 	var pending []runner.Job
-	var ids []string
-	for _, s := range steps {
-		if !want[s.id] {
-			continue
-		}
-		run := s.run
-		id := s.id
-		stepOpts := opts
+	for _, fig := range figures {
+		figOpts := opts
 		if regs != nil {
 			reg := cchunter.NewMetricsRegistry()
-			regs[id] = reg
-			stepOpts.Metrics = reg
+			regs[fig.ID] = reg
+			figOpts.Metrics = reg
 		}
 		job := runner.Job{
-			Name: "fig" + s.id,
+			Name: "fig" + fig.ID,
 			Run: func(uint64) (interface{}, error) {
 				if bench == nil {
-					summary, result := run(stepOpts)
-					return stepOutput{summary, result}, nil
+					return fig.Run(figOpts), nil
 				}
 				var m0, m1 runtime.MemStats
 				runtime.ReadMemStats(&m0)
 				t0 := time.Now()
-				summary, result := run(stepOpts)
+				out := fig.Run(figOpts)
 				ns := time.Since(t0).Nanoseconds()
 				runtime.ReadMemStats(&m1)
 				bench.Figures = append(bench.Figures, experiments.BenchFigure{
-					ID:      id,
+					ID:      fig.ID,
 					NS:      ns,
 					Allocs:  m1.Mallocs - m0.Mallocs,
 					Bytes:   m1.TotalAlloc - m0.TotalAlloc,
-					Metrics: experiments.BenchMetrics(result),
+					Metrics: out.Metrics,
 				})
-				return stepOutput{summary, result}, nil
+				return out, nil
 			},
 		}
-		if reg := regs[id]; reg != nil {
+		if reg := regs[fig.ID]; reg != nil {
 			job.Stages = reg.StageTimes
 		}
 		pending = append(pending, job)
-		ids = append(ids, s.id)
 	}
 
 	flushMetrics := func() {
 		if regs == nil {
 			return
 		}
-		snaps := make(map[string]*cchunter.MetricsSnapshot, len(ids)+1)
-		for _, id := range ids {
-			snaps["fig"+id] = regs[id].Snapshot()
+		snaps := make(map[string]*cchunter.MetricsSnapshot, len(figures)+1)
+		for _, fig := range figures {
+			snaps["fig"+fig.ID] = regs[fig.ID].Snapshot()
 		}
 		if poolReg != nil {
 			snaps["runner"] = poolReg.Snapshot()
@@ -224,7 +159,7 @@ func main() {
 		if err := os.WriteFile(*metricsOut, append(buf, '\n'), 0o644); err != nil {
 			fatal(err)
 		}
-		fmt.Printf("metrics report: %s (%d figures)\n", *metricsOut, len(ids))
+		fmt.Printf("metrics report: %s (%d figures)\n", *metricsOut, len(figures))
 	}
 
 	start := time.Now()
@@ -251,11 +186,16 @@ func main() {
 		fatal(err)
 	}
 
-	for i, r := range results {
-		out := r.Value.(stepOutput)
-		fmt.Println(out.summary)
+	for _, r := range results {
+		out := r.Value.(experiments.Output)
+		fmt.Println(out.Summary)
 		fmt.Println()
-		writeCSVs(*outDir, ids[i], out.result)
+		err := out.WriteCSVs(func(file string) (io.WriteCloser, error) {
+			return os.Create(filepath.Join(*outDir, file))
+		})
+		if err != nil {
+			fatal(err)
+		}
 	}
 
 	flushMetrics()
@@ -319,31 +259,32 @@ func progressLine(p runner.Progress) {
 	fmt.Fprintf(os.Stderr, "\r%-78s", line)
 }
 
-func writeCSVs(dir, id string, result interface{}) {
-	for _, s := range experiments.SeriesForCSV(id, result) {
-		path := filepath.Join(dir, s.Name+".csv")
-		f, err := os.Create(path)
-		if err != nil {
-			fatal(err)
+// selectFigures resolves the -fig list to rows of experiments.Figures,
+// in table order: "all" selects every row, and an unknown id is an
+// error naming the valid ones.
+func selectFigures(spec string) ([]experiments.Figure, error) {
+	if spec == "all" {
+		return experiments.Figures, nil
+	}
+	want := map[string]bool{}
+	for _, id := range strings.Split(spec, ",") {
+		id = strings.TrimSpace(id)
+		if _, ok := experiments.LookupFigure(id); !ok {
+			var valid []string
+			for _, f := range experiments.Figures {
+				valid = append(valid, f.ID)
+			}
+			return nil, fmt.Errorf("unknown figure id %q (valid: %s, or all)", id, strings.Join(valid, " "))
 		}
-		if err := trace.WriteSeriesCSV(f, s.X, s.Y, s.Data); err != nil {
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
+		want[id] = true
+	}
+	var out []experiments.Figure
+	for _, f := range experiments.Figures {
+		if want[f.ID] {
+			out = append(out, f)
 		}
 	}
-}
-
-func writeTrain(dir, name string, t *trace.Train) {
-	f, err := os.Create(filepath.Join(dir, name))
-	if err != nil {
-		fatal(err)
-	}
-	defer f.Close()
-	if err := t.WriteCSV(f); err != nil {
-		fatal(err)
-	}
+	return out, nil
 }
 
 func fatal(err error) {

@@ -60,8 +60,6 @@ const invalidTag = 0
 
 func tagKey(lineAddr uint64) uint64 { return lineAddr<<1 | 1 }
 
-func encodeTag(lineAddr uint64, ctx uint8) uint64 { return tagKey(lineAddr)<<8 | uint64(ctx) }
-
 func tagOf(enc uint64) uint64 { return enc >> 8 }
 
 func decodeTag(enc uint64) uint64 { return enc >> 9 }

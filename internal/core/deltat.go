@@ -19,7 +19,12 @@
 // assembler, Assemble.
 package core
 
-import "cchunter/internal/trace"
+import (
+	"fmt"
+
+	"cchunter/internal/auditor"
+	"cchunter/internal/trace"
+)
 
 // Paper-calibrated observation windows (§IV-B step 1): for the memory
 // bus channel Δt is 100,000 cycles (40 µs at 2.5 GHz); for the integer
@@ -60,6 +65,32 @@ func DefaultDeltaT(kind trace.Kind) uint64 {
 	default:
 		panic("core: no default Δt for " + kind.String())
 	}
+}
+
+// NewAuditor builds a CC-Auditor with the paper's hardware sizing for
+// the given OS quantum and programs it the way every detection path
+// does: each burst kind in its own slot at its DefaultDeltaT
+// (auditor.ClassicPair when kinds is empty), plus the conflict-miss
+// vector registers. The caller owns the auditor and releases it.
+func NewAuditor(quantum uint64, kinds ...trace.Kind) (*auditor.Auditor, error) {
+	aud, err := auditor.New(auditor.DefaultConfig(quantum))
+	if err != nil {
+		return nil, err
+	}
+	if len(kinds) == 0 {
+		kinds = auditor.ClassicPair[:]
+	}
+	for _, k := range kinds {
+		if err := aud.Monitor(k, DefaultDeltaT(k)); err != nil {
+			aud.Release()
+			return nil, fmt.Errorf("monitoring %v: %w", k, err)
+		}
+	}
+	if err := aud.MonitorConflicts(); err != nil {
+		aud.Release()
+		return nil, err
+	}
+	return aud, nil
 }
 
 // ChooseDeltaT derives an observation window from a measured mean

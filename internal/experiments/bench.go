@@ -112,104 +112,3 @@ func ReadBenchReport(r io.Reader) (BenchReport, error) {
 	}
 	return rep, nil
 }
-
-// BenchMetrics extracts the scalar detection outcomes of a figure
-// result for the benchmark trajectory. Unknown result types get no
-// metrics (their timing is still recorded).
-func BenchMetrics(result interface{}) map[string]float64 {
-	m := map[string]float64{}
-	b2f := func(b bool) float64 {
-		if b {
-			return 1
-		}
-		return 0
-	}
-	switch r := result.(type) {
-	case Figure2Result:
-		m["bit_errors"] = float64(r.BitErrors)
-	case Figure3Result:
-		m["bit_errors"] = float64(r.BitErrors)
-	case Figure4Result:
-		m["bus_events"] = float64(r.BusLocks.Len())
-		m["div_events"] = float64(r.DivContention.Len())
-	case Figure5Result:
-		m["windows"] = float64(len(r.Densities))
-	case Figure6Result:
-		m["bus_lr"] = r.BusLR
-		m["div_lr"] = r.DivLR
-		m["bus_threshold"] = float64(r.BusThreshold)
-		m["div_threshold"] = float64(r.DivThreshold)
-	case Figure7Result:
-		m["bit_errors"] = float64(r.BitErrors)
-	case Figure8Result:
-		m["peak_lag"] = float64(r.PeakLag)
-		m["peak_value"] = r.PeakValue
-		m["detected"] = b2f(r.Detected)
-	case Figure10Result:
-		for _, row := range r.Rows {
-			key := fmt.Sprintf("%s_%gbps", row.Channel, row.PaperBPS)
-			if row.Hist != nil {
-				m[key+"_lr"] = row.LikelihoodRatio
-			} else {
-				m[key+"_peak"] = row.PeakValue
-			}
-			m[key+"_detected"] = b2f(row.Detected)
-		}
-	case Figure11Result:
-		for _, row := range r.Rows {
-			key := fmt.Sprintf("window_%g", row.Fraction)
-			m[key+"_peak"] = row.PeakValue
-			m[key+"_detected"] = b2f(row.Detected)
-		}
-	case Figure12Result:
-		m["bus_lr_min"] = r.BusLRMin
-		m["div_lr_min"] = r.DivLRMin
-		m["cache_peak_min"] = r.CachePeakMin
-		m["all_detected"] = b2f(r.AllDetected)
-	case Figure13Result:
-		for _, row := range r.Rows {
-			key := fmt.Sprintf("sets_%d", row.Sets)
-			m[key+"_lag"] = float64(row.PeakLag)
-			m[key+"_peak"] = row.PeakValue
-		}
-	case Figure14Result:
-		m["false_alarms"] = float64(r.FalseAlarms)
-		m["pairs"] = float64(len(r.Rows))
-	case TableIResult:
-		cm := r.Model
-		m["area_mm2"] = cm.HistogramBuffers.AreaMM2 + cm.Registers.AreaMM2 +
-			cm.ConflictMissDetector.AreaMM2
-		m["power_mw"] = cm.HistogramBuffers.PowerMW + cm.Registers.PowerMW +
-			cm.ConflictMissDetector.PowerMW
-	case MitigationResult:
-		for _, row := range r.Rows {
-			mit := row.Mitigation
-			if mit == "" {
-				mit = "none"
-			}
-			m[fmt.Sprintf("%s_%s_errrate", row.Channel, mit)] = row.ErrorRate()
-		}
-	case EvasionResult:
-		for _, row := range r.Rows {
-			key := fmt.Sprintf("noise_%g", row.Noise)
-			m[key+"_lr"] = row.LikelihoodRatio
-			m[key+"_errrate"] = row.ErrorRate
-		}
-		for _, row := range r.Frontier {
-			key := fmt.Sprintf("frontier_%s_j%g_d%g", row.Channel, row.Jitter, row.Duty)
-			m[key+"_stat"] = row.Statistic
-			m[key+"_detected"] = b2f(row.Detected)
-			m[key+"_errrate"] = row.ErrorRate
-		}
-	case RobustnessResult:
-		m["baseline_identical"] = b2f(r.BaselineIdentical)
-		for _, row := range r.Rows {
-			key := fmt.Sprintf("%s_drop_%g", row.Channel, row.DropRate)
-			m[key+"_detected"] = b2f(row.Detected)
-			m[key+"_confidence"] = row.Confidence
-		}
-	default:
-		return nil
-	}
-	return m
-}

@@ -4,77 +4,52 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"hash"
+	"io"
 	"testing"
-
-	"cchunter/internal/trace"
 )
 
-// figureDigest renders a figure set exactly the way cmd/ccrepro does —
-// text summaries plus every CSV series — into one hash, so a digest
-// mismatch means user-visible bytes changed.
-type figureDigest struct {
-	h hash.Hash
-}
+// hashWriter lets Output.WriteCSVs write every file into one hash.
+type hashWriter struct{ io.Writer }
 
-func newFigureDigest() *figureDigest { return &figureDigest{h: sha256.New()} }
+func (hashWriter) Close() error { return nil }
 
-func (d *figureDigest) add(id string, summary string, result interface{}) {
-	fmt.Fprintln(d.h, summary)
-	for _, s := range SeriesForCSV(id, result) {
-		fmt.Fprintln(d.h, s.Name)
-		if err := trace.WriteSeriesCSV(d.h, s.X, s.Y, s.Data); err != nil {
-			panic(err)
+// figureDigest runs the given rows of Figures and hashes what ccrepro
+// writes for them — each summary, then every CSV file name and body —
+// so a digest mismatch means user-visible bytes changed.
+func figureDigest(t *testing.T, o Options, ids ...string) string {
+	t.Helper()
+	h := sha256.New()
+	for _, id := range ids {
+		fig, ok := LookupFigure(id)
+		if !ok {
+			t.Fatalf("no figure %q", id)
+		}
+		out := fig.Run(o)
+		fmt.Fprintln(h, out.Summary)
+		err := out.WriteCSVs(func(file string) (io.WriteCloser, error) {
+			fmt.Fprintln(h, file)
+			return hashWriter{h}, nil
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
 	}
+	return hex.EncodeToString(h.Sum(nil))
 }
-
-func (d *figureDigest) train(t *trace.Train) {
-	if err := t.WriteCSV(d.h); err != nil {
-		panic(err)
-	}
-}
-
-func (d *figureDigest) sum() string { return hex.EncodeToString(d.h.Sum(nil)) }
 
 // reproDigest regenerates a representative figure subset — every
 // experiment with internal fan-out that is fast enough for a unit
 // test — at the given worker count.
-func reproDigest(workers int) string {
-	o := Options{Seed: 1, TimeScale: 100, MessageBits: 16, Workers: workers}
-	d := newFigureDigest()
-
-	f4 := Figure4(o)
-	d.add("4", f4.Summary(), f4)
-	d.train(f4.BusLocks)
-	d.train(f4.DivContention)
-
-	f6 := Figure6(o)
-	d.add("6", f6.Summary(), f6)
-
-	f12 := Figure12(o, 3)
-	d.add("12", f12.Summary(), f12)
-
-	f13 := Figure13(o)
-	d.add("13", f13.Summary(), f13)
-
-	ev := ExtEvasion(o)
-	d.add("e", ev.Summary(), ev)
-	return d.sum()
+func reproDigest(t *testing.T, workers int) string {
+	o := Options{Seed: 1, TimeScale: 100, MessageBits: 16, Messages: 3, Workers: workers}
+	return figureDigest(t, o, "4", "6", "12", "13", "e")
 }
 
 // slowDigest covers the two heaviest fan-outs, compared across fewer
 // worker counts to bound test time.
-func slowDigest(workers int) string {
+func slowDigest(t *testing.T, workers int) string {
 	o := Options{Seed: 1, TimeScale: 100, MessageBits: 16, Workers: workers}
-	d := newFigureDigest()
-
-	f10 := Figure10(o)
-	d.add("10", f10.Summary(), f10)
-
-	rb := Robustness(o)
-	d.add("r", rb.Summary(), rb)
-	return d.sum()
+	return figureDigest(t, o, "10", "r")
 }
 
 // TestDeterminismAcrossWorkers is the determinism gate: the parallel
@@ -82,9 +57,9 @@ func slowDigest(workers int) string {
 // count. ccrepro -j N is the same code path, so this also covers the
 // CLI (CI additionally diffs full ccrepro -j 1 vs -j 8 output trees).
 func TestDeterminismAcrossWorkers(t *testing.T) {
-	serial := reproDigest(1)
+	serial := reproDigest(t, 1)
 	for _, workers := range []int{4, 0} {
-		if got := reproDigest(workers); got != serial {
+		if got := reproDigest(t, workers); got != serial {
 			t.Fatalf("workers=%d digest %s != serial digest %s: scheduling leaked into results",
 				workers, got, serial)
 		}
@@ -92,8 +67,8 @@ func TestDeterminismAcrossWorkers(t *testing.T) {
 	if testing.Short() {
 		return
 	}
-	slowSerial := slowDigest(1)
-	if got := slowDigest(4); got != slowSerial {
+	slowSerial := slowDigest(t, 1)
+	if got := slowDigest(t, 4); got != slowSerial {
 		t.Fatalf("slow figures: workers=4 digest %s != serial %s", got, slowSerial)
 	}
 }

@@ -1,8 +1,10 @@
 // Package experiments regenerates every table and figure of the
 // paper's evaluation. Each Figure*/Table* function builds the
 // corresponding scenario, runs it on the simulator, and returns the
-// same rows/series the paper plots; cmd/ccrepro renders them and
-// EXPERIMENTS.md records the comparison against the paper.
+// same rows/series the paper plots. Figures declares each one once —
+// its -fig id and what it renders (summary, CSV series, event trains,
+// benchmark metrics) — for cmd/ccrepro; EXPERIMENTS.md records the
+// comparison against the paper.
 //
 // Parallelism: every simulator run inside a figure is an independent
 // (configuration, seed) pair, so multi-run figures decompose into
@@ -40,6 +42,12 @@ type Options struct {
 	// MessageBits is the message length (default 64, the paper's
 	// credit-card number).
 	MessageBits int
+	// Messages is how many random messages Figure 12 runs (default
+	// 256, the paper's count).
+	Messages int
+	// Quanta is how many OS quanta each Figure 14 benign pair runs
+	// (default 64).
+	Quanta int
 	// Workers bounds the worker pool multi-run figures execute on
 	// (default GOMAXPROCS; 1 = serial). Results are identical at
 	// every worker count.
@@ -61,6 +69,12 @@ func (o Options) norm() Options {
 	}
 	if o.MessageBits <= 0 {
 		o.MessageBits = 64
+	}
+	if o.Messages <= 0 {
+		o.Messages = 256
+	}
+	if o.Quanta <= 0 {
+		o.Quanta = 64
 	}
 	return o
 }
@@ -155,10 +169,16 @@ func (o Options) runJobs(jobs []runner.Job) []runner.Result {
 
 // scenarioJob wraps one scenario as a runner job that ignores the
 // derived seed: the scenario's own Seed is part of the experiment's
-// pinned configuration.
-func (o Options) scenarioJob(name string, sc cchunter.Scenario) runner.Job {
+// pinned configuration. The scenario runs with the experiment's
+// metrics registry. The job's value is the *cchunter.Result, or, when
+// reduce is non-nil, what reduce makes of it on the worker.
+func (o Options) scenarioJob(name string, sc cchunter.Scenario, reduce func(*cchunter.Result) interface{}) runner.Job {
 	sc.Metrics = o.Metrics
 	return runner.Job{Name: name, Run: func(uint64) (interface{}, error) {
-		return sc.Run()
+		res, err := sc.Run()
+		if err != nil || reduce == nil {
+			return res, err
+		}
+		return reduce(res), nil
 	}}
 }

@@ -208,7 +208,7 @@ func TestFigure12MessagePatterns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-message sweep is slow")
 	}
-	r := Figure12(Options{Seed: 1, TimeScale: 100, MessageBits: 16}, 4)
+	r := Figure12(Options{Seed: 1, TimeScale: 100, MessageBits: 16, Messages: 4})
 	if !r.AllDetected {
 		t.Error("some message pattern escaped detection")
 	}
@@ -256,7 +256,7 @@ func TestFigure14NoFalseAlarms(t *testing.T) {
 	if testing.Short() {
 		t.Skip("false-alarm sweep is slow")
 	}
-	r := Figure14(Options{Seed: 1, TimeScale: 100}, 24)
+	r := Figure14(Options{Seed: 1, TimeScale: 100, Quanta: 24})
 	if r.FalseAlarms != 0 {
 		for _, row := range r.Rows {
 			if row.FalseAlarm {

@@ -59,7 +59,6 @@ func ExtMitigation(o Options) MitigationResult {
 			Message:    msg,
 			Mitigation: c.mit,
 			Seed:       o.Seed,
-			Metrics:    o.Metrics,
 		}
 		if channelSpec(c.ch).Oscillatory() {
 			sc.BandwidthBPS = o.cacheBPS(100)
@@ -74,22 +73,16 @@ func ExtMitigation(o Options) MitigationResult {
 		if mit == "" {
 			mit = "none"
 		}
-		jobs = append(jobs, runner.Job{
-			Name: fmt.Sprintf("mitigate/%s/%s", c.ch, mit),
-			Run: func(uint64) (interface{}, error) {
-				res, err := sc.Run()
-				if err != nil {
-					return nil, err
-				}
+		jobs = append(jobs, o.scenarioJob(fmt.Sprintf("mitigate/%s/%s", c.ch, mit), sc,
+			func(res *cchunter.Result) interface{} {
 				return MitigationRow{
-					Channel:    sc.Channel,
-					Mitigation: sc.Mitigation,
+					Channel:    c.ch,
+					Mitigation: c.mit,
 					BitErrors:  res.BitErrors,
 					Decoded:    len(res.Decoded),
 					Detected:   res.Report.Detected,
-				}, nil
-			},
-		})
+				}
+			}))
 	}
 	for _, r := range o.runJobs(jobs) {
 		out.Rows = append(out.Rows, r.Value.(MitigationRow))
@@ -243,7 +236,7 @@ func ExtEvasion(o Options) EvasionResult {
 				DurationQuanta: 2,
 				EvasionNoise:   noise,
 				Seed:           o.Seed,
-			}))
+			}, nil))
 	}
 	// The frontier sweeps every channel of the table.
 	for _, spec := range channels.Table {
@@ -252,7 +245,7 @@ func ExtEvasion(o Options) EvasionResult {
 			sc.EvaderJitter = set.Jitter
 			sc.EvaderDuty = set.Duty
 			jobs = append(jobs, o.scenarioJob(
-				fmt.Sprintf("evade/%s/j%g-d%g", spec.Name, set.Jitter, set.Duty), sc))
+				fmt.Sprintf("evade/%s/j%g-d%g", spec.Name, set.Jitter, set.Duty), sc, nil))
 		}
 	}
 	results := o.runJobs(jobs)

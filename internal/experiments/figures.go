@@ -97,7 +97,7 @@ func Figure4(o Options) Figure4Result {
 			DurationQuanta: 2,
 			Seed:           o.Seed,
 			RecordRaw:      true,
-		}),
+		}, nil),
 		o.scenarioJob("fig4/div", cchunter.Scenario{
 			Channel:        cchunter.ChannelIntegerDivider,
 			BandwidthBPS:   o.rowBPS(1000),
@@ -106,7 +106,7 @@ func Figure4(o Options) Figure4Result {
 			DurationQuanta: 2,
 			Seed:           o.Seed,
 			RecordRaw:      true,
-		}),
+		}, nil),
 	})
 	bus := results[0].Value.(*cchunter.Result)
 	div := results[1].Value.(*cchunter.Result)
@@ -181,7 +181,7 @@ func Figure6(o Options) Figure6Result {
 			QuantumCycles:  o.rowQuantum(1000),
 			DurationQuanta: 2,
 			Seed:           o.Seed,
-		}),
+		}, nil),
 		o.scenarioJob("fig6/div", cchunter.Scenario{
 			Channel:        cchunter.ChannelIntegerDivider,
 			BandwidthBPS:   o.rowBPS(1000),
@@ -189,7 +189,7 @@ func Figure6(o Options) Figure6Result {
 			QuantumCycles:  o.rowQuantum(1000),
 			DurationQuanta: 2,
 			Seed:           o.Seed,
-		}),
+		}, nil),
 	})
 	bus := results[0].Value.(*cchunter.Result)
 	div := results[1].Value.(*cchunter.Result)

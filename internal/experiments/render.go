@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"strings"
 
-	"cchunter"
 	"cchunter/internal/stats"
-	"cchunter/internal/trace"
 )
 
 // Summary renders the Figure 2 outcome as text.
@@ -204,148 +202,4 @@ func histTail(h *stats.Histogram, maxBins int) string {
 	}
 	sb.WriteString("\n")
 	return sb.String()
-}
-
-// WriteFigureCSVs is implemented by results that can dump their series
-// for external plotting.
-type csvSeries struct {
-	Name string
-	X    string
-	Y    string
-	Data []float64
-}
-
-// SeriesForCSV extracts plottable series per figure id; cmd/ccrepro
-// writes them to files.
-func SeriesForCSV(id string, result interface{}) []csvSeries {
-	switch r := result.(type) {
-	case Figure2Result:
-		return []csvSeries{{Name: "fig2_latency", X: "bit", Y: "cycles", Data: r.Latency}}
-	case Figure3Result:
-		return []csvSeries{{Name: "fig3_latency", X: "bit", Y: "cycles", Data: r.Latency}}
-	case Figure6Result:
-		return []csvSeries{
-			{Name: "fig6a_bus_hist", X: "density", Y: "frequency", Data: r.Bus.Floats()},
-			{Name: "fig6b_div_hist", X: "density", Y: "frequency", Data: r.Div.Floats()},
-		}
-	case Figure7Result:
-		return []csvSeries{{Name: "fig7_ratio", X: "bit", Y: "ratio", Data: r.Ratio}}
-	case Figure8Result:
-		return []csvSeries{{Name: "fig8_acf", X: "lag", Y: "r", Data: r.Autocorrelogram}}
-	case Figure12Result:
-		return []csvSeries{
-			{Name: "fig12_bus_mean", X: "density", Y: "mean", Data: r.BusMean},
-			{Name: "fig12_bus_min", X: "density", Y: "min", Data: r.BusMin},
-			{Name: "fig12_bus_max", X: "density", Y: "max", Data: r.BusMax},
-			{Name: "fig12_div_mean", X: "density", Y: "mean", Data: r.DivMean},
-			{Name: "fig12_div_min", X: "density", Y: "min", Data: r.DivMin},
-			{Name: "fig12_div_max", X: "density", Y: "max", Data: r.DivMax},
-		}
-	case Figure13Result:
-		var out []csvSeries
-		for _, row := range r.Rows {
-			out = append(out, csvSeries{
-				Name: fmt.Sprintf("fig13_acf_%dsets", row.Sets),
-				X:    "lag", Y: "r", Data: row.Autocorrelogram,
-			})
-		}
-		return out
-	case Figure14Result:
-		var out []csvSeries
-		for _, row := range r.Rows {
-			prefix := fmt.Sprintf("fig14_%s_%s", row.Pair[0], row.Pair[1])
-			out = append(out,
-				csvSeries{Name: prefix + "_bus", X: "density", Y: "frequency", Data: row.BusHist.Floats()},
-				csvSeries{Name: prefix + "_div", X: "density", Y: "frequency", Data: row.DivHist.Floats()},
-				csvSeries{Name: prefix + "_acf", X: "lag", Y: "r", Data: row.Autocorrelogram},
-			)
-		}
-		return out
-	case Figure10Result:
-		var out []csvSeries
-		for _, row := range r.Rows {
-			if row.Hist != nil {
-				out = append(out, csvSeries{
-					Name: fmt.Sprintf("fig10_%s_%gbps_hist", row.Channel, row.PaperBPS),
-					X:    "density", Y: "frequency", Data: row.Hist.Floats(),
-				})
-			}
-			if row.Autocorrelogram != nil {
-				out = append(out, csvSeries{
-					Name: fmt.Sprintf("fig10_%s_%gbps_acf", row.Channel, row.PaperBPS),
-					X:    "lag", Y: "r", Data: row.Autocorrelogram,
-				})
-			}
-		}
-		return out
-	case EvasionResult:
-		noiseLR := make([]float64, len(r.Rows))
-		noiseErr := make([]float64, len(r.Rows))
-		for i, row := range r.Rows {
-			noiseLR[i] = row.LikelihoodRatio
-			noiseErr[i] = row.ErrorRate
-		}
-		out := []csvSeries{
-			{Name: "evade_noise_lr", X: "noise_index", Y: "lr", Data: noiseLR},
-			{Name: "evade_noise_errrate", X: "noise_index", Y: "errrate", Data: noiseErr},
-		}
-		byChannel := map[string]*struct{ stat, errrate []float64 }{}
-		order := []string{}
-		for _, row := range r.Frontier {
-			name := string(row.Channel)
-			c, ok := byChannel[name]
-			if !ok {
-				c = &struct{ stat, errrate []float64 }{}
-				byChannel[name] = c
-				order = append(order, name)
-			}
-			c.stat = append(c.stat, row.Statistic)
-			c.errrate = append(c.errrate, row.ErrorRate)
-		}
-		for _, name := range order {
-			out = append(out,
-				csvSeries{Name: "evade_frontier_" + name + "_stat", X: "setting_index", Y: "stat", Data: byChannel[name].stat},
-				csvSeries{Name: "evade_frontier_" + name + "_errrate", X: "setting_index", Y: "errrate", Data: byChannel[name].errrate},
-			)
-		}
-		return out
-	case RobustnessResult:
-		byChannel := map[string]*struct{ strength, confidence []float64 }{}
-		order := []string{}
-		rows := append(append([]RobustnessRow(nil), r.Rows...), r.BenignRows...)
-		for _, row := range rows {
-			name := string(row.Channel)
-			if row.Channel == cchunter.ChannelNone || name == "" {
-				name = "benign"
-			}
-			c, ok := byChannel[name]
-			if !ok {
-				c = &struct{ strength, confidence []float64 }{}
-				byChannel[name] = c
-				order = append(order, name)
-			}
-			strength := row.LikelihoodRatio
-			if channelSpec(row.Channel).Oscillatory() {
-				strength = row.PeakValue
-			}
-			c.strength = append(c.strength, strength)
-			c.confidence = append(c.confidence, row.Confidence)
-		}
-		var out []csvSeries
-		for _, name := range order {
-			out = append(out,
-				csvSeries{Name: "robust_" + name + "_strength", X: "rate_index", Y: "strength", Data: byChannel[name].strength},
-				csvSeries{Name: "robust_" + name + "_confidence", X: "rate_index", Y: "confidence", Data: byChannel[name].confidence},
-			)
-		}
-		return out
-	default:
-		return nil
-	}
-}
-
-// WriteTrainCSV is re-exported so cmd binaries can dump trains without
-// importing trace directly.
-func WriteTrainCSV(w interface{ Write(p []byte) (int, error) }, t *trace.Train) error {
-	return t.WriteCSV(w)
 }

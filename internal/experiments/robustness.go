@@ -94,18 +94,11 @@ func Robustness(o Options) RobustnessResult {
 
 	for _, ch := range []cchunter.Channel{cchunter.ChannelMemoryBus, cchunter.ChannelIntegerDivider} {
 		for _, rate := range robustnessDropRates {
-			sc := burstScenario(ch, rate)
-			jobs = append(jobs, runner.Job{
-				Name: fmt.Sprintf("robust/%s/drop%.2f", ch, rate),
-				Run: func(uint64) (interface{}, error) {
-					res, err := sc.Run()
-					if err != nil {
-						return nil, err
-					}
-					s := summarize(sc.Channel, 1000, res)
-					return robustnessRow(sc.Channel, rate, res, s.LikelihoodRatio, 0), nil
-				},
-			})
+			jobs = append(jobs, o.scenarioJob(fmt.Sprintf("robust/%s/drop%.2f", ch, rate), burstScenario(ch, rate),
+				func(res *cchunter.Result) interface{} {
+					s := summarize(ch, 1000, res)
+					return robustnessRow(ch, rate, res, s.LikelihoodRatio, 0)
+				}))
 		}
 	}
 	for _, rate := range robustnessDropRates {
@@ -117,19 +110,12 @@ func Robustness(o Options) RobustnessResult {
 			QuantumCycles: o.cacheQuantum(),
 			Seed:          o.Seed,
 			Faults:        dropFaults(rate, o.Seed),
-			Metrics:       o.Metrics,
 		}
-		jobs = append(jobs, runner.Job{
-			Name: fmt.Sprintf("robust/cache/drop%.2f", rate),
-			Run: func(uint64) (interface{}, error) {
-				res, err := sc.Run()
-				if err != nil {
-					return nil, err
-				}
-				s := summarize(sc.Channel, 100, res)
-				return robustnessRow(cchunter.ChannelSharedCache, rate, res, 0, s.PeakValue), nil
-			},
-		})
+		jobs = append(jobs, o.scenarioJob(fmt.Sprintf("robust/cache/drop%.2f", rate), sc,
+			func(res *cchunter.Result) interface{} {
+				s := summarize(cchunter.ChannelSharedCache, 100, res)
+				return robustnessRow(cchunter.ChannelSharedCache, rate, res, 0, s.PeakValue)
+			}))
 	}
 
 	// Benign rows: the same degraded sensor must not start alarming on
@@ -142,15 +128,9 @@ func Robustness(o Options) RobustnessResult {
 			QuantumCycles:  o.quantum(),
 			Seed:           o.Seed,
 			Faults:         dropFaults(rate, o.Seed),
-			Metrics:        o.Metrics,
 		}
-		jobs = append(jobs, runner.Job{
-			Name: fmt.Sprintf("robust/benign/drop%.2f", rate),
-			Run: func(uint64) (interface{}, error) {
-				res, err := sc.Run()
-				if err != nil {
-					return nil, err
-				}
+		jobs = append(jobs, o.scenarioJob(fmt.Sprintf("robust/benign/drop%.2f", rate), sc,
+			func(res *cchunter.Result) interface{} {
 				worstLR := 0.0
 				for _, v := range res.Report.Contention {
 					if v.Analysis.LikelihoodRatio > worstLR {
@@ -161,9 +141,8 @@ func Robustness(o Options) RobustnessResult {
 				if osc := res.Report.Oscillation; osc != nil {
 					peak = osc.Best.PeakValue
 				}
-				return robustnessRow(cchunter.ChannelNone, rate, res, worstLR, peak), nil
-			},
-		})
+				return robustnessRow(cchunter.ChannelNone, rate, res, worstLR, peak)
+			}))
 	}
 
 	var out RobustnessResult

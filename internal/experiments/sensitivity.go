@@ -53,24 +53,13 @@ func Figure10(o Options) Figure10Result {
 		msg := cchunter.RandomMessage(bits, o.Seed)
 
 		for _, ch := range []cchunter.Channel{cchunter.ChannelMemoryBus, cchunter.ChannelIntegerDivider} {
-			sc := cchunter.Scenario{
+			jobs = append(jobs, o.scenarioJob(fmt.Sprintf("fig10/%s/%gbps", ch, paperBPS), cchunter.Scenario{
 				Channel:       ch,
 				BandwidthBPS:  o.rowBPS(paperBPS),
 				Message:       msg,
 				QuantumCycles: o.rowQuantum(paperBPS),
 				Seed:          o.Seed,
-				Metrics:       o.Metrics,
-			}
-			jobs = append(jobs, runner.Job{
-				Name: fmt.Sprintf("fig10/%s/%gbps", ch, paperBPS),
-				Run: func(uint64) (interface{}, error) {
-					res, err := sc.Run()
-					if err != nil {
-						return nil, err
-					}
-					return summarize(sc.Channel, paperBPS, res), nil
-				},
-			})
+			}, func(res *cchunter.Result) interface{} { return summarize(ch, paperBPS, res) }))
 		}
 
 		sets := 512
@@ -79,25 +68,16 @@ func Figure10(o Options) Figure10Result {
 			// groups to fit a bit into the slot, as in Xu et al.
 			sets = 64
 		}
-		sc := cchunter.Scenario{
+		jobs = append(jobs, o.scenarioJob(fmt.Sprintf("fig10/cache/%gbps", paperBPS), cchunter.Scenario{
 			Channel:       cchunter.ChannelSharedCache,
 			BandwidthBPS:  o.cacheBPS(paperBPS),
 			Message:       msg,
 			CacheSets:     sets,
 			QuantumCycles: o.cacheQuantum(),
 			Seed:          o.Seed,
-			Metrics:       o.Metrics,
-		}
-		jobs = append(jobs, runner.Job{
-			Name: fmt.Sprintf("fig10/cache/%gbps", paperBPS),
-			Run: func(uint64) (interface{}, error) {
-				res, err := sc.Run()
-				if err != nil {
-					return nil, err
-				}
-				return summarize(sc.Channel, paperBPS, res), nil
-			},
-		})
+		}, func(res *cchunter.Result) interface{} {
+			return summarize(cchunter.ChannelSharedCache, paperBPS, res)
+		}))
 	}
 	var out Figure10Result
 	for _, r := range o.runJobs(jobs) {
@@ -249,20 +229,17 @@ type figure12Run struct {
 	bus, div, cache  ChannelSummary
 }
 
-// Figure12 reproduces the encoded-message-pattern test: random 64-bit
-// messages (the paper uses 256) through all three channels. Despite
-// variations in peak Δt frequencies, likelihood ratios stay above 0.9
-// and the cache autocorrelograms barely move.
+// Figure12 reproduces the encoded-message-pattern test: o.Messages
+// random 64-bit messages (the paper uses 256) through all three
+// channels. Despite variations in peak Δt frequencies, likelihood
+// ratios stay above 0.9 and the cache autocorrelograms barely move.
 //
 // Each message is one runner job; its message bits and scenario seed
 // come from the job's runner.DeriveSeed stream, so every message's
 // randomness is independent of every other's and of the worker count.
-func Figure12(o Options, messages int) Figure12Result {
+func Figure12(o Options) Figure12Result {
 	o = o.norm()
-	if messages <= 0 {
-		messages = 256
-	}
-	jobs := make([]runner.Job, messages)
+	jobs := make([]runner.Job, o.Messages)
 	for i := range jobs {
 		jobs[i] = runner.Job{
 			Name: fmt.Sprintf("fig12/msg-%03d", i),
@@ -303,7 +280,7 @@ func Figure12(o Options, messages int) Figure12Result {
 		}
 	}
 
-	out := Figure12Result{Messages: messages, AllDetected: true}
+	out := Figure12Result{Messages: o.Messages, AllDetected: true}
 	out.BusLRMin, out.DivLRMin = 1, 1
 	out.CachePeakMin = 1
 	var busBins, divBins [][]float64
@@ -397,32 +374,23 @@ func Figure13(o Options) Figure13Result {
 	o = o.norm()
 	var jobs []runner.Job
 	for _, sets := range []int{64, 128, 256} {
-		sc := cchunter.Scenario{
+		jobs = append(jobs, o.scenarioJob(fmt.Sprintf("fig13/%dsets", sets), cchunter.Scenario{
 			Channel:       cchunter.ChannelSharedCache,
 			BandwidthBPS:  o.cacheBPS(100),
 			Message:       cchunter.RandomMessage(min(o.MessageBits, 32), o.Seed),
 			CacheSets:     sets,
 			QuantumCycles: o.cacheQuantum(),
 			Seed:          o.Seed,
-			Metrics:       o.Metrics,
-		}
-		jobs = append(jobs, runner.Job{
-			Name: fmt.Sprintf("fig13/%dsets", sets),
-			Run: func(uint64) (interface{}, error) {
-				res, err := sc.Run()
-				if err != nil {
-					return nil, err
-				}
-				row := Figure13Row{Sets: sc.CacheSets, BitErrors: res.BitErrors}
-				if osc := res.Report.Oscillation; osc != nil {
-					row.PeakLag = osc.Best.FundamentalLag
-					row.PeakValue = osc.Best.PeakValue
-					row.Detected = osc.Detected
-					row.Autocorrelogram = osc.Best.Autocorrelogram
-				}
-				return row, nil
-			},
-		})
+		}, func(res *cchunter.Result) interface{} {
+			row := Figure13Row{Sets: sets, BitErrors: res.BitErrors}
+			if osc := res.Report.Oscillation; osc != nil {
+				row.PeakLag = osc.Best.FundamentalLag
+				row.PeakValue = osc.Best.PeakValue
+				row.Detected = osc.Detected
+				row.Autocorrelogram = osc.Best.Autocorrelogram
+			}
+			return row
+		}))
 	}
 	var out Figure13Result
 	for _, r := range o.runJobs(jobs) {
@@ -469,46 +437,34 @@ func Figure14Pairs() [][2]string {
 // physical core must not trigger either detector, even though some
 // (mailserver) show real second distributions — their likelihood
 // ratios stay below 0.5 — and some (webserver) show brief periodicity
-// that dies out.
-func Figure14(o Options, quanta int) Figure14Result {
+// that dies out. Each pair runs for o.Quanta OS quanta.
+func Figure14(o Options) Figure14Result {
 	o = o.norm()
-	if quanta <= 0 {
-		quanta = 64
-	}
 	var jobs []runner.Job
 	for i, pair := range Figure14Pairs() {
-		sc := cchunter.Scenario{
+		jobs = append(jobs, o.scenarioJob(fmt.Sprintf("fig14/%s+%s", pair[0], pair[1]), cchunter.Scenario{
 			Channel:        cchunter.ChannelNone,
 			Workloads:      []string{pair[0], pair[1]},
-			DurationQuanta: quanta,
+			DurationQuanta: o.Quanta,
 			QuantumCycles:  o.quantum(),
 			Seed:           o.Seed + uint64(i),
-			Metrics:        o.Metrics,
-		}
-		jobs = append(jobs, runner.Job{
-			Name: fmt.Sprintf("fig14/%s+%s", pair[0], pair[1]),
-			Run: func(uint64) (interface{}, error) {
-				res, err := sc.Run()
-				if err != nil {
-					return nil, err
+		}, func(res *cchunter.Result) interface{} {
+			row := Figure14Row{Pair: pair, BusHist: res.BusHistogram, DivHist: res.DivHistogram}
+			for _, v := range res.Report.Contention {
+				switch v.Kind {
+				case cchunter.EventBusLock:
+					row.BusLR = v.Analysis.LikelihoodRatio
+				case cchunter.EventDivContention:
+					row.DivLR = v.Analysis.LikelihoodRatio
 				}
-				row := Figure14Row{Pair: pair, BusHist: res.BusHistogram, DivHist: res.DivHistogram}
-				for _, v := range res.Report.Contention {
-					switch v.Kind {
-					case cchunter.EventBusLock:
-						row.BusLR = v.Analysis.LikelihoodRatio
-					case cchunter.EventDivContention:
-						row.DivLR = v.Analysis.LikelihoodRatio
-					}
-				}
-				if osc := res.Report.Oscillation; osc != nil {
-					row.PeakValue = osc.Best.PeakValue
-					row.Autocorrelogram = osc.Best.Autocorrelogram
-				}
-				row.FalseAlarm = res.Report.Detected
-				return row, nil
-			},
-		})
+			}
+			if osc := res.Report.Oscillation; osc != nil {
+				row.PeakValue = osc.Best.PeakValue
+				row.Autocorrelogram = osc.Best.Autocorrelogram
+			}
+			row.FalseAlarm = res.Report.Detected
+			return row
+		}))
 	}
 	var out Figure14Result
 	for _, r := range o.runJobs(jobs) {
@@ -519,11 +475,4 @@ func Figure14(o Options, quanta int) Figure14Result {
 		out.Rows = append(out.Rows, row)
 	}
 	return out
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

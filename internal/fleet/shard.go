@@ -91,19 +91,8 @@ func newShard(key Key, cfg shardConfig) (*shard, error) {
 // divider pair every pre-ring caller programmed. The caller owns the
 // auditor and releases it once the detector has finalized.
 func buildDetector(quantum uint64, contexts int, kinds ...trace.Kind) (*auditor.Auditor, *stream.Detector, error) {
-	aud, err := auditor.New(auditor.DefaultConfig(quantum))
+	aud, err := core.NewAuditor(quantum, kinds...)
 	if err != nil {
-		return nil, nil, err
-	}
-	if len(kinds) == 0 {
-		kinds = auditor.ClassicPair[:]
-	}
-	for _, k := range kinds {
-		if err := aud.Monitor(k, core.DefaultDeltaT(k)); err != nil {
-			return nil, nil, err
-		}
-	}
-	if err := aud.MonitorConflicts(); err != nil {
 		return nil, nil, err
 	}
 	cfg := core.DefaultDetectorConfig(quantum, contexts)

@@ -43,9 +43,6 @@ func (p Profile) Channel() string {
 	}
 }
 
-// Covert reports whether the profile carries a planted channel.
-func (p Profile) Covert() bool { return p != ProfileBenign }
-
 // source is one stream's deterministic event generator. Everything
 // derives from the seed (re-mixed per epoch), so a stream's train —
 // and therefore its verdict, absent shedding — is a pure function of

@@ -13,21 +13,9 @@ import (
 // predates Meta.Kinds) at the paper Δt values plus the conflict-miss
 // tracker front-end.
 func rebuild(f Flight) (*auditor.Auditor, core.DetectorConfig, uint64, error) {
-	aud, err := auditor.New(auditor.DefaultConfig(f.Meta.QuantumCycles))
+	aud, err := core.NewAuditor(f.Meta.QuantumCycles, f.Meta.Kinds...)
 	if err != nil {
 		return nil, core.DetectorConfig{}, 0, fmt.Errorf("recorder: building auditor: %w", err)
-	}
-	kinds := f.Meta.Kinds
-	if len(kinds) == 0 {
-		kinds = auditor.ClassicPair[:]
-	}
-	for _, k := range kinds {
-		if err := aud.Monitor(k, core.DefaultDeltaT(k)); err != nil {
-			return nil, core.DetectorConfig{}, 0, err
-		}
-	}
-	if err := aud.MonitorConflicts(); err != nil {
-		return nil, core.DetectorConfig{}, 0, err
 	}
 	contexts := f.Meta.Contexts
 	if contexts <= 0 {

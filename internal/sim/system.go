@@ -392,11 +392,6 @@ func (s *System) SchedStats() SchedStats {
 // BusStats exposes the shared bus counters.
 func (s *System) BusStats() bus.Stats { return s.bus.Stats() }
 
-// CoreDividerStats exposes a core's divider counters.
-func (s *System) CoreDividerStats(core int) divider.Stats {
-	return s.cores[core].div.Stats()
-}
-
 // RingStats exposes the ring interconnect counters; ok is false when
 // the ring is disabled.
 func (s *System) RingStats() (st ring.Stats, ok bool) {
@@ -404,11 +399,6 @@ func (s *System) RingStats() (st ring.Stats, ok bool) {
 		return ring.Stats{}, false
 	}
 	return s.ring.Stats(), true
-}
-
-// CoreTLBStats exposes a core's shared-TLB counters.
-func (s *System) CoreTLBStats(core int) tlb.Stats {
-	return s.cores[core].tlb.Stats()
 }
 
 // L2Stats exposes the shared L2's counters.

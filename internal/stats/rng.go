@@ -148,13 +148,3 @@ func (r *RNG) NormFloat64() float64 {
 		return u * sqrt(-2*ln(s)/s)
 	}
 }
-
-// ExpFloat64 returns an exponentially distributed value with rate 1.
-func (r *RNG) ExpFloat64() float64 {
-	for {
-		u := r.Float64()
-		if u > 0 {
-			return -ln(u)
-		}
-	}
-}

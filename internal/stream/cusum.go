@@ -1,13 +1,15 @@
 // Package stream is the streaming half of the CC-Hunter software
-// daemon: a bounded-memory detector that drains the CC-Auditor's
-// buffers as the run progresses, renders verdicts mid-run, and reports
-// *when* a covert transmission started — not just that one happened.
+// daemon: a detector that drains the CC-Auditor's buffers as the run
+// progresses, renders verdicts mid-run, and reports *when* a covert
+// transmission started — not just that one happened.
 //
 // The batch detector (internal/core) reads everything the auditor
 // recorded at the end of a run; its memory grows with trace length.
 // The streaming detector holds a ring of the last WindowQuanta quantum
 // histograms and the conflict events of the currently open observation
-// window, so its footprint is O(window) no matter how long the run is.
+// window, so its event state is O(window) no matter how long the run
+// is. The per-window oscillation analyses it gathers for the Report
+// grow with the run unless Config.RetainWindows bounds them.
 // It only gathers analyses: its windows go through core's one window
 // loop and its verdicts through core.Assemble, the assembler the batch
 // detector uses, so its final verdict is byte-identical to the batch

@@ -121,10 +121,13 @@ type Scenario struct {
 	// zero for paper defaults.
 	Detector *DetectorOverrides
 	// Stream runs detection in streaming mode: the auditor's buffers
-	// are drained continuously as events arrive, memory stays bounded
-	// by the observation window instead of the run length, and the
-	// final Report's verdict fields are byte-identical to the batch
-	// path. The Report additionally carries a Streaming evidence block
+	// are drained continuously as events arrive, so the retained
+	// conflict train and per-quantum histograms stay bounded by the
+	// observation window instead of the run length, and the final
+	// Report's verdict fields are byte-identical to the batch path.
+	// Report.Oscillation.Windows still keeps one analysis, with its
+	// autocorrelogram, per closed window, so the Report itself grows
+	// with the run. The Report additionally carries a Streaming evidence block
 	// (channel onset estimates, retention high-water marks). Trade-off:
 	// the per-quantum record and conflict-train fields of Result are
 	// consumed by the stream and come back empty or trimmed.
@@ -272,19 +275,11 @@ func (sc Scenario) Run() (*Result, error) {
 		return nil, fmt.Errorf("cchunter: building machine: %w", err)
 	}
 
-	aud, err := auditor.New(auditor.DefaultConfig(cfg.QuantumCycles))
-	if err != nil {
-		return nil, fmt.Errorf("cchunter: building auditor: %w", err)
-	}
 	// The auditor has two monitoring slots (§V-A); program them with
 	// the pair that covers this scenario's channel.
-	for _, k := range cfg.monitor {
-		if err := aud.Monitor(k, core.DefaultDeltaT(k)); err != nil {
-			return nil, fmt.Errorf("cchunter: monitoring %v: %w", k, err)
-		}
-	}
-	if err := aud.MonitorConflicts(); err != nil {
-		return nil, fmt.Errorf("cchunter: monitoring conflicts: %w", err)
+	aud, err := core.NewAuditor(cfg.QuantumCycles, cfg.monitor[:]...)
+	if err != nil {
+		return nil, fmt.Errorf("cchunter: building auditor: %w", err)
 	}
 	aud.Instrument(sc.Metrics)
 
