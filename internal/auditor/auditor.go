@@ -151,10 +151,39 @@ func newHistogram(bins int) *stats.Histogram {
 }
 
 // advance closes out all Δt windows and quanta strictly before cycle.
+// A quiet stretch is closed in bulk: while the open window is empty
+// and unsaturated, every window up to cycle or to the quantum's last
+// window records density 0, so closeWindow's per-window work collapses
+// to one AddN and a few additions. The window that rolls the quantum,
+// and any window holding events, still goes through closeWindow, so
+// the state is exactly that of closing the windows one at a time.
 func (s *slot) advance(cycle uint64) {
 	for cycle >= s.windowStart+s.deltaT {
+		if s.accum == 0 && !s.satThisWin {
+			toEvent := (cycle - s.windowStart) / s.deltaT
+			// The close that reaches qEnd rolls the quantum; stop
+			// one short of it.
+			qEnd := (s.quantum + 1) * s.quantumLen
+			beforeRoll := (qEnd - s.windowStart - 1) / s.deltaT
+			if k := min(toEvent, beforeRoll); k > 0 {
+				s.closeEmpty(k)
+				continue
+			}
+		}
 		s.closeWindow()
 	}
+}
+
+// closeEmpty closes k empty, unsaturated Δt windows none of which
+// rolls the quantum: k closeWindow calls at density 0, in one step.
+func (s *slot) closeEmpty(k uint64) {
+	s.hist.AddN(0, k)
+	if s.densityAcc != nil {
+		s.densityAcc[0] += k
+		s.winAcc += k
+	}
+	s.windows += k
+	s.windowStart += k * s.deltaT
 }
 
 // closeWindow flushes the accumulator into the histogram and starts

@@ -205,11 +205,10 @@ type Workspace struct {
 	km  stats.KmeansWorkspace
 }
 
-// workspaces recycles Workspaces across detectors. The FFT scratch,
-// twiddle table and centered-copy buffers dominate a detector's
-// footprint; on the experiment runner, where every scenario job builds
-// a fresh Detector, reuse means the steady state allocates no analysis
-// scratch at all. A recycled workspace is handed over with its tallies
+// workspaces recycles Workspaces across detectors. The FFT scratch
+// and centered-copy buffers dominate a detector's footprint; on the
+// experiment runner, where every scenario job builds a fresh Detector,
+// reuse means the steady state allocates no analysis scratch at all. A recycled workspace is handed over with its tallies
 // reset and its buffers re-grown on first use, and the k-means scratch
 // is re-zeroed by every method that hands it out, so results are
 // identical to a fresh one.

@@ -34,11 +34,14 @@ func class(n int) int {
 	return c
 }
 
-// typedPools is one size-classed pool family. Entries are stored as
-// *[]T so Put does not box a slice header per call; the pointer
-// travels with the buffer.
+// typedPools is one size-classed pool family. A pooled buffer travels
+// boxed as a *[]T, so sync.Pool stores a pointer and never boxes a
+// slice header. Callers hold bare slices, so get parks the emptied box
+// in boxes and put takes one back from there: a warm Get/Put round
+// trip allocates nothing.
 type typedPools[T any] struct {
 	classes [numClasses]sync.Pool
+	boxes   sync.Pool
 }
 
 // get returns a zeroed length-n buffer (capacity 1<<class(n)).
@@ -50,12 +53,11 @@ func (p *typedPools[T]) get(n int) []T {
 	if c >= numClasses {
 		return make([]T, n)
 	}
-	if v := p.classes[c].Get(); v != nil {
-		s := (*(v.(*[]T)))[:n]
-		var zero T
-		for i := range s {
-			s[i] = zero
-		}
+	if b, _ := p.classes[c].Get().(*[]T); b != nil {
+		s := (*b)[:n]
+		*b = nil
+		p.boxes.Put(b)
+		clear(s)
 		return s
 	}
 	return make([]T, n, 1<<c)
@@ -72,8 +74,12 @@ func (p *typedPools[T]) put(s []T) {
 	for 1<<(cl+1) <= c && cl+1 < numClasses {
 		cl++
 	}
-	s = s[:cap(s)]
-	p.classes[cl].Put(&s)
+	b, _ := p.boxes.Get().(*[]T)
+	if b == nil {
+		b = new([]T)
+	}
+	*b = s[:c]
+	p.classes[cl].Put(b)
 }
 
 var (

@@ -69,3 +69,20 @@ func TestZeroAndHugeRequests(t *testing.T) {
 	}
 	PutFloat64s(nil) // no-op
 }
+
+// TestWarmRoundTripAllocatesNothing: once a buffer and its box are in
+// the pool, Float64s/PutFloat64s and Ints/PutInts move them back and
+// forth without a single allocation.
+func TestWarmRoundTripAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime drops sync.Pool puts")
+	}
+	PutFloat64s(Float64s(100))
+	PutInts(Ints(100))
+	if n := testing.AllocsPerRun(100, func() { PutFloat64s(Float64s(100)) }); n != 0 {
+		t.Errorf("warm Float64s/PutFloat64s round trip: %v allocs, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { PutInts(Ints(100)) }); n != 0 {
+		t.Errorf("warm Ints/PutInts round trip: %v allocs, want 0", n)
+	}
+}

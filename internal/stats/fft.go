@@ -3,6 +3,8 @@ package stats
 import (
 	"math"
 	"math/bits"
+	"sync"
+	"sync/atomic"
 )
 
 // fft.go implements the fast autocorrelogram path: a radix-2 iterative
@@ -39,68 +41,169 @@ func useFFT(n, maxLag int) bool {
 	return n*(maxLag+1) > fftCostFactor*l*logL
 }
 
-// fftRadix2 runs an in-place radix-2 FFT over the complex series
-// (re, im), whose length must be a power of two. The twiddle table
-// (twre, twim) holds e^{-2πik/L} for k in [0, L/2); invert selects the
-// inverse transform (conjugated twiddles plus the 1/L scale).
-func fftRadix2(re, im, twre, twim []float64, invert bool) {
-	n := len(re)
-	// Bit-reversal permutation.
-	for i, j := 1, 0; i < n; i++ {
-		bit := n >> 1
-		for ; j&bit != 0; bit >>= 1 {
-			j ^= bit
+// stageTwiddles is the process-wide twiddle table every transform
+// reads. Entries [h, 2h) are the half-length-h stage's factors
+// e^{-2πik/2h}, k in [0, h), stored contiguously so a stage walks them
+// with unit stride; im holds the forward transform's imaginary parts
+// and imInv their negation, the inverse's conjugated factors. Index 0
+// is unused, so a table of length L serves every transform up to L.
+//
+// The factors do not depend on the transform size: the size-L stage
+// reading entry k·stride of a per-size table e^{-2πi(k·stride)/L}
+// computes (-2π·k·stride)/L, and since stride and L/stride = 2h are
+// powers of two that is (-2π·k)/2h rounded the same way, bit for bit.
+// One table therefore reproduces the per-size tables exactly.
+type stageTwiddles struct {
+	re, im, imInv []float64
+}
+
+// twiddles publishes the current table; it only ever grows, under
+// twiddlesMu, and a published table is never written again, so readers
+// load it without locking.
+var (
+	twiddles   atomic.Pointer[stageTwiddles]
+	twiddlesMu sync.Mutex
+)
+
+// twiddlesFor returns a table covering transforms up to length l (a
+// power of two), growing the shared one when it is shorter.
+func twiddlesFor(l int) *stageTwiddles {
+	if t := twiddles.Load(); t != nil && len(t.re) >= l {
+		return t
+	}
+	twiddlesMu.Lock()
+	defer twiddlesMu.Unlock()
+	old := twiddles.Load()
+	if old != nil && len(old.re) >= l {
+		return old
+	}
+	t := &stageTwiddles{
+		re:    make([]float64, l),
+		im:    make([]float64, l),
+		imInv: make([]float64, l),
+	}
+	h := 1
+	if old != nil {
+		copy(t.re, old.re)
+		copy(t.im, old.im)
+		copy(t.imInv, old.imInv)
+		h = len(old.re)
+	}
+	for ; h < l; h <<= 1 {
+		for k := 0; k < h; k++ {
+			// Each entry straight from cos/sin: no recurrence, so the
+			// table's accuracy does not degrade with transform size.
+			ang := -2 * math.Pi * float64(k) / float64(2*h)
+			t.re[h+k] = math.Cos(ang)
+			t.im[h+k] = math.Sin(ang)
+			t.imInv[h+k] = -t.im[h+k]
 		}
-		j |= bit
+	}
+	twiddles.Store(t)
+	return t
+}
+
+// fftRadix2 runs an in-place radix-2 decimation-in-time FFT over the
+// complex series (re, im), whose length must be a power of two; invert
+// selects the inverse's conjugated twiddles. The transform is
+// unscaled: an inverse caller multiplies the entries it reads by 1/L.
+func fftRadix2(re, im []float64, invert bool) {
+	tw := twiddlesFor(len(re))
+	wim := tw.im
+	if invert {
+		wim = tw.imInv
+	}
+	bitReverse(re, im)
+	fftStages(re, im, tw.re, wim, 1, len(re))
+}
+
+// bitReverse applies the FFT's bit-reversal permutation to (re, im).
+func bitReverse(re, im []float64) {
+	shift := bits.UintSize - bits.Len(uint(len(re))) + 1
+	im = im[:len(re)]
+	for i := range re {
+		j := int(bits.Reverse(uint(i)) >> shift)
 		if i < j {
 			re[i], re[j] = re[j], re[i]
 			im[i], im[j] = im[j], im[i]
 		}
 	}
-	for length := 2; length <= n; length <<= 1 {
-		half := length >> 1
-		stride := n / length
-		for start := 0; start < n; start += length {
-			for k := 0; k < half; k++ {
-				wr := twre[k*stride]
-				wi := twim[k*stride]
-				if invert {
-					wi = -wi
-				}
-				i, j := start+k, start+k+half
-				vr := re[j]*wr - im[j]*wi
-				vi := re[j]*wi + im[j]*wr
-				re[j], im[j] = re[i]-vr, im[i]-vi
-				re[i], im[i] = re[i]+vr, im[i]+vi
-			}
+}
+
+// fftStages runs the butterfly stages of half-length h = first,
+// 2·first, … below last over bit-reversed (re, im), reading stage h's
+// twiddles from entries [h, 2h) of (wre, wim). Every butterfly is the
+// textbook one, operation for operation: v = b·w, then (a+v, a−v).
+func fftStages(re, im, wre, wim []float64, first, last int) {
+	n := len(re)
+	h := first
+	if h == 1 && h < last {
+		// One butterfly per block: a flat walk with the factor hoisted.
+		wr, wi := wre[1], wim[1]
+		for r, m := re, im; len(r) >= 2 && len(m) >= 2; r, m = r[2:], m[2:] {
+			xr, xi := r[1], m[1]
+			vr := xr*wr - xi*wi
+			vi := xr*wi + xi*wr
+			ar, ai := r[0], m[0]
+			r[1], m[1] = ar-vr, ai-vi
+			r[0], m[0] = ar+vr, ai+vi
 		}
+		h = 2
 	}
-	if invert {
-		inv := 1 / float64(n)
-		for i := range re {
-			re[i] *= inv
-			im[i] *= inv
+	if h == 2 && h < last {
+		// Two butterflies per block, likewise flattened.
+		wr0, wi0, wr1, wi1 := wre[2], wim[2], wre[3], wim[3]
+		for r, m := re, im; len(r) >= 4 && len(m) >= 4; r, m = r[4:], m[4:] {
+			xr, xi := r[2], m[2]
+			vr := xr*wr0 - xi*wi0
+			vi := xr*wi0 + xi*wr0
+			ar, ai := r[0], m[0]
+			r[2], m[2] = ar-vr, ai-vi
+			r[0], m[0] = ar+vr, ai+vi
+			xr, xi = r[3], m[3]
+			vr = xr*wr1 - xi*wi1
+			vi = xr*wi1 + xi*wr1
+			ar, ai = r[1], m[1]
+			r[3], m[3] = ar-vr, ai-vi
+			r[1], m[1] = ar+vr, ai+vi
+		}
+		h = 4
+	}
+	for ; h < last; h <<= 1 {
+		wr, wi := wre[h:2*h], wim[h:2*h]
+		for start := 0; start+2*h <= n; start += 2 * h {
+			ar, br := re[start:start+h], re[start+h:start+2*h]
+			ai, bi := im[start:start+h], im[start+h:start+2*h]
+			br, ai, bi = br[:len(ar)], ai[:len(ar)], bi[:len(ar)]
+			wr, wi := wr[:len(ar)], wi[:len(ar)]
+			for k := range ar {
+				xr, xi := br[k], bi[k]
+				vr := xr*wr[k] - xi*wi[k]
+				vi := xr*wi[k] + xi*wr[k]
+				ur, ui := ar[k], ai[k]
+				br[k], bi[k] = ur-vr, ui-vi
+				ar[k], ai[k] = ur+vr, ui+vi
+			}
 		}
 	}
 }
 
 // Workspace holds the scratch buffers of the autocorrelogram fast
-// path: the FFT's complex series and twiddle table, the mean-centered
-// input copy, and the output correlogram. A caller that analyzes many
-// trains (the detector daemon, the experiment sweeps) holds one
-// Workspace and reuses it; after the first call at a given size,
+// path: the FFT's complex series, the mean-centered input copy, and
+// the output correlogram; the twiddle factors live in the shared
+// stageTwiddles table. A caller that analyzes many trains (the
+// detector daemon, the experiment sweeps) holds one Workspace and
+// reuses it; after the first call at a given size,
 // Workspace.Autocorrelogram performs no allocations at all.
 //
 // The zero value is ready to use. A Workspace is not safe for
 // concurrent use; give each goroutine its own.
 type Workspace struct {
-	re, im     []float64 // FFT scratch, length = padded transform size
-	twre, twim []float64 // twiddle table e^{-2πik/L}, length L/2
-	twN        int       // transform size the table is built for
-	centered   []float64 // mean-centered copy of the input
-	cden       float64   // energy Σ(x-mean)² of the centered copy
-	acf        []float64 // output buffer, returned to the caller
-	segAcc     []float64 // Bartlett accumulation buffer (segmented path)
+	re, im   []float64 // FFT scratch, length = padded transform size
+	centered []float64 // mean-centered copy of the input
+	cden     float64   // energy Σ(x-mean)² of the centered copy
+	acf      []float64 // output buffer, returned to the caller
+	segAcc   []float64 // Bartlett accumulation buffer (segmented path)
 
 	// Path-selection tallies, read via PathCounts. Plain (non-atomic)
 	// because a Workspace is single-goroutine by contract.
@@ -133,29 +236,6 @@ func grow(buf []float64, n int) []float64 {
 		return make([]float64, n)
 	}
 	return buf[:n]
-}
-
-// ensureFFT sizes the complex scratch and twiddle table for transform
-// length nfft (a power of two).
-func (w *Workspace) ensureFFT(nfft int) {
-	w.re = grow(w.re, nfft)
-	w.im = grow(w.im, nfft)
-	if w.twN != nfft {
-		half := nfft / 2
-		if half < 1 {
-			half = 1
-		}
-		w.twre = grow(w.twre, half)
-		w.twim = grow(w.twim, half)
-		for k := 0; k < half; k++ {
-			// Each entry straight from cos/sin: no recurrence, so the
-			// table's accuracy does not degrade with transform size.
-			ang := -2 * math.Pi * float64(k) / float64(nfft)
-			w.twre[k] = math.Cos(ang)
-			w.twim[k] = math.Sin(ang)
-		}
-		w.twN = nfft
-	}
 }
 
 // Autocorrelogram computes the autocorrelation coefficients for lags
@@ -279,38 +359,119 @@ func (w *Workspace) CenteredAutocorrelation(p int) float64 {
 // p <= maxLag. Both paths normalize by the directly computed energy
 // den = Σd² (not the FFT's own c[0]), so they agree to roundoff and
 // degrade identically on near-constant series.
+//
+// The two transforms skip only work whose result is known or unread,
+// never an operation that feeds a read lag, so the output is bit-for-
+// bit that of two full textbook transforms (DESIGN.md §10):
+//   - when the padding fills the upper half (n <= L/2, every call with
+//     maxLag = n-1), the first forward stage pairs each sample x with
+//     a padded +0 under the factor (1, -0), so it yields x - (+0) = x
+//     and x + (+0); it is folded into the bit-reversal pass;
+//   - the inverse's last stage computes only the real "+" outputs at
+//     lags 0..maxLag (maxLag < L/2 always), and only those are scaled.
 func (w *Workspace) fftAutocorr(centered []float64, den float64, out []float64) {
 	n := len(centered)
 	maxLag := len(out) - 1
 	nfft := nextPow2(n + maxLag)
-	w.ensureFFT(nfft)
+	tw := twiddlesFor(nfft)
+	w.re = grow(w.re, nfft)
+	w.im = grow(w.im, nfft)
 	re, im := w.re, w.im
-	copy(re, centered)
-	for i := n; i < nfft; i++ {
-		re[i] = 0
+	if 2*n <= nfft {
+		loadFirstStage(re, im, centered)
+		fftStages(re, im, tw.re, tw.im, 2, nfft)
+	} else {
+		copy(re, centered)
+		clear(re[n:])
+		clear(im)
+		fftRadix2(re, im, false)
 	}
-	for i := range im {
-		im[i] = 0
+	powerBitReversed(re, im)
+	half := nfft / 2
+	fftStages(re, im, tw.re, tw.imInv, 1, half)
+	ar, br, bi := re[:maxLag+1], re[half:half+maxLag+1], im[half:half+maxLag+1]
+	wr, wi := tw.re[half:half+maxLag+1], tw.imInv[half:half+maxLag+1]
+	inv := 1 / float64(nfft)
+	for p := range out {
+		vr := br[p]*wr[p] - bi[p]*wi[p]
+		out[p] = (ar[p] + vr) * inv / den
 	}
-	fftRadix2(re, im, w.twre, w.twim, false)
-	for i := 0; i < nfft; i++ {
-		re[i] = re[i]*re[i] + im[i]*im[i] // power spectrum
-		im[i] = 0
+}
+
+// powerBitReversed replaces the transform (re, im) by its power
+// spectrum |X|² in bit-reversed order, the inverse transform's input,
+// with every imaginary part zero: one pass instead of a squaring pass
+// and a permutation.
+func powerBitReversed(re, im []float64) {
+	shift := bits.UintSize - bits.Len(uint(len(re))) + 1
+	im = im[:len(re)]
+	for i := range re {
+		j := int(bits.Reverse(uint(i)) >> shift)
+		if i > j {
+			continue // stored with its partner
+		}
+		pi := re[i]*re[i] + im[i]*im[i]
+		pj := re[j]*re[j] + im[j]*im[j]
+		re[i], re[j] = pj, pi
+		im[i], im[j] = 0, 0
 	}
-	fftRadix2(re, im, w.twre, w.twim, true)
-	for p := 0; p <= maxLag; p++ {
-		out[p] = re[p] / den
+}
+
+// loadFirstStage writes the output of the forward transform's first
+// stage for a series zero-padded past half the transform length:
+// bit-reversed order puts every padded +0 at an odd index, so each
+// pair is a sample x and a zero, and the butterfly with factor (1, -0)
+// leaves (x + (+0), x) and zero imaginary parts — the same bits the
+// full butterfly computes, including for x = -0.
+func loadFirstStage(re, im, xs []float64) {
+	shift := bits.UintSize - bits.Len(uint(len(re)/2)) + 1
+	for q, r, m := uint(0), re, im; len(r) >= 2 && len(m) >= 2; q, r, m = q+1, r[2:], m[2:] {
+		var x float64
+		if src := int(bits.Reverse(q) >> shift); src < len(xs) {
+			x = xs[src]
+		}
+		r[0], r[1] = x+0, x
+		m[0], m[1] = 0, 0
 	}
 }
 
 // naiveAutocorr is the direct §IV-D sum over a centered series, shared
-// by the small-input path and the FFT oracle tests.
-func naiveAutocorr(centered []float64, den float64, out []float64) {
-	n := len(centered)
-	for p := range out {
+// by the small-input path and the FFT oracle tests. Lags go four at a
+// time, sharing each c[i] load across four accumulators; each lag still
+// sums its own products in ascending i, so every coefficient is the
+// per-lag loop's to the bit.
+func naiveAutocorr(c []float64, den float64, out []float64) {
+	n := len(c)
+	p := 0
+	for ; p+4 <= len(out); p += 4 {
+		// Lags p..p+3 share i in [0, m); len(out) <= n keeps m >= 1.
+		m := n - p - 3
+		a := c[:m]
+		b0, b1, b2, b3 := c[p:p+m], c[p+1:p+1+m], c[p+2:p+2+m], c[p+3:p+3+m]
+		var s0, s1, s2, s3 float64
+		for i, ci := range a {
+			s0 += ci * b0[i]
+			s1 += ci * b1[i]
+			s2 += ci * b2[i]
+			s3 += ci * b3[i]
+		}
+		// The shorter lags' last products, still in ascending i.
+		t := c[m : m+3]
+		s0 += t[0] * c[m+p]
+		s0 += t[1] * c[m+p+1]
+		s0 += t[2] * c[m+p+2]
+		s1 += t[0] * c[m+p+1]
+		s1 += t[1] * c[m+p+2]
+		s2 += t[0] * c[m+p+2]
+		out[p] = s0 / den
+		out[p+1] = s1 / den
+		out[p+2] = s2 / den
+		out[p+3] = s3 / den
+	}
+	for ; p < len(out); p++ {
 		var num float64
 		for i := 0; i+p < n; i++ {
-			num += centered[i] * centered[i+p]
+			num += c[i] * c[i+p]
 		}
 		out[p] = num / den
 	}

@@ -58,3 +58,25 @@ func BenchmarkWorkspaceAutocorrelogram(b *testing.B) {
 		w.Autocorrelogram(xs, 4096)
 	}
 }
+
+// BenchmarkAutocorrelogramWindow times one conflict-miss window of the
+// fleet's shape (maxLag = n-1): about 400 events takes a 1,024-point
+// transform, and the short windows take the naive sum.
+func BenchmarkAutocorrelogramWindow(b *testing.B) {
+	for _, n := range []int{60, 100, 200, 395} {
+		r := NewRNG(uint64(n))
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = float64(r.Intn(8))
+		}
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			w := NewWorkspace()
+			w.Autocorrelogram(xs, n-1)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				w.Autocorrelogram(xs, n-1)
+			}
+		})
+	}
+}
