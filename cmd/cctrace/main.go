@@ -38,6 +38,25 @@ func main() {
 	seed := flag.Uint64("seed", 1, "random seed")
 	flag.Parse()
 
+	// Resolve -kind before simulating: a typo is a usage error, not a
+	// reason to run the whole scenario first.
+	var filter *cchunter.EventKind
+	if *kind != "all" {
+		for _, k := range [...]cchunter.EventKind{
+			cchunter.EventBusLock, cchunter.EventDivContention, cchunter.EventConflictMiss,
+			cchunter.EventRingContention, cchunter.EventTLBConflict,
+		} {
+			if k.String() == *kind {
+				filter = &k
+				break
+			}
+		}
+		if filter == nil {
+			fmt.Fprintf(os.Stderr, "cctrace: unknown kind %q\n", *kind)
+			os.Exit(2)
+		}
+	}
+
 	sc := cchunter.Scenario{
 		Channel:        cchunter.Channel(*channel),
 		BandwidthBPS:   *bps,
@@ -61,21 +80,8 @@ func main() {
 	}
 
 	train := res.RawTrain
-	switch *kind {
-	case "all":
-	case cchunter.EventBusLock.String():
-		train = train.FilterKind(cchunter.EventBusLock)
-	case cchunter.EventDivContention.String():
-		train = train.FilterKind(cchunter.EventDivContention)
-	case cchunter.EventConflictMiss.String():
-		train = train.FilterKind(cchunter.EventConflictMiss)
-	case cchunter.EventRingContention.String():
-		train = train.FilterKind(cchunter.EventRingContention)
-	case cchunter.EventTLBConflict.String():
-		train = train.FilterKind(cchunter.EventTLBConflict)
-	default:
-		fmt.Fprintf(os.Stderr, "cctrace: unknown kind %q\n", *kind)
-		os.Exit(2)
+	if filter != nil {
+		train = train.FilterKind(*filter)
 	}
 
 	w := os.Stdout

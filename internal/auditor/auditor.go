@@ -569,15 +569,6 @@ func (a *Auditor) TrimConflicts(before uint64) int {
 	return n
 }
 
-// DroppedConflicts reports conflict misses lost because both vector
-// registers were full before the daemon drained them.
-func (a *Auditor) DroppedConflicts() uint64 {
-	if a.osc == nil {
-		return 0
-	}
-	return a.osc.dropped
-}
-
 // SlotIntegrity describes one monitored unit's counting-path health:
 // how trustworthy its recorded densities are.
 type SlotIntegrity struct {

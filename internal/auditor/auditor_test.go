@@ -161,8 +161,8 @@ func TestOscillatorVectorRegisterSwap(t *testing.T) {
 	if a.ConflictTrain().Len() != 10 {
 		t.Errorf("train len = %d, want 10", a.ConflictTrain().Len())
 	}
-	if a.DroppedConflicts() != 0 {
-		t.Errorf("dropped = %d", a.DroppedConflicts())
+	if a.ConflictIntegrity().Dropped != 0 {
+		t.Errorf("dropped = %d", a.ConflictIntegrity().Dropped)
 	}
 }
 
@@ -172,7 +172,7 @@ func TestConflictTrainNilWithoutMonitoring(t *testing.T) {
 		t.Error("train should be nil before MonitorConflicts")
 	}
 	a.OnEvent(confEvent(1, 0, 0, 1)) // ignored, no crash
-	if a.DroppedConflicts() != 0 {
+	if a.ConflictIntegrity().Dropped != 0 {
 		t.Error("dropped should be 0")
 	}
 }

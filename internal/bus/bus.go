@@ -18,11 +18,6 @@ type Config struct {
 	// spanning two cache lines: the split transaction locks the bus
 	// for substantially longer than a normal transfer.
 	LockCycles uint64
-	// QPIEmulation records that the modelled interconnect is QPI
-	// rather than a legacy shared bus. Lock behaviour is identical
-	// (the paper's point is precisely that QPI retains it); the flag
-	// only changes reporting.
-	QPIEmulation bool
 }
 
 // DefaultConfig returns timings loosely calibrated to the paper's
@@ -120,9 +115,6 @@ func (b *Bus) Stats() Stats {
 		LockWaitCycles: b.lockWaitCycles,
 	}
 }
-
-// Config returns the bus configuration.
-func (b *Bus) Config() Config { return b.cfg }
 
 // BusyUntil returns the cycle at which the bus becomes free; exposed
 // for tests and the engine's introspection tools.

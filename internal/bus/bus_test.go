@@ -78,10 +78,10 @@ func TestStats(t *testing.T) {
 
 func TestZeroConfigGetsDefaults(t *testing.T) {
 	b := New(Config{}, nil)
-	if b.Config().AccessCycles == 0 || b.Config().LockCycles == 0 {
+	if b.cfg.AccessCycles == 0 || b.cfg.LockCycles == 0 {
 		t.Error("defaults not applied")
 	}
-	if b.Config().LockCycles <= b.Config().AccessCycles {
+	if b.cfg.LockCycles <= b.cfg.AccessCycles {
 		t.Error("a lock should occupy the bus longer than a plain access")
 	}
 }
@@ -159,7 +159,7 @@ func TestConfigDefaults(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got := New(tc.cfg, nil).Config()
+			got := New(tc.cfg, nil).cfg
 			if got.AccessCycles != tc.wantAccess || got.LockCycles != tc.wantLock {
 				t.Errorf("config = %+v, want access=%d lock=%d", got, tc.wantAccess, tc.wantLock)
 			}

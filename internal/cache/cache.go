@@ -406,28 +406,11 @@ func (c *Cache) LineAt(block uint32) (uint64, bool) {
 	return decodeTag(enc), enc != invalidTag
 }
 
-// Owner returns the owning context of addr's block and whether it is
-// resident.
-func (c *Cache) Owner(addr uint64) (uint8, bool) {
-	lineAddr := addr >> c.lineShift
-	setBase := int(lineAddr&c.setMask) * c.cfg.Ways
-	key := tagKey(lineAddr)
-	for i := 0; i < c.cfg.Ways; i++ {
-		if tagOf(c.tags[setBase+i]) == key {
-			return ownerOf(c.tags[setBase+i]), true
-		}
-	}
-	return 0, false
-}
-
 // NumSets returns the number of sets.
 func (c *Cache) NumSets() int { return c.nsets }
 
 // NumBlocks returns the total number of blocks.
 func (c *Cache) NumBlocks() int { return c.nsets * c.cfg.Ways }
-
-// LineBytes returns the block size.
-func (c *Cache) LineBytes() int { return c.cfg.LineBytes }
 
 // Ways returns the associativity.
 func (c *Cache) Ways() int { return c.cfg.Ways }
@@ -435,16 +418,10 @@ func (c *Cache) Ways() int { return c.cfg.Ways }
 // HitLatency returns the configured hit latency.
 func (c *Cache) HitLatency() uint64 { return c.cfg.HitLatency }
 
-// SetOfAddr returns the set index addr maps to.
-func (c *Cache) SetOfAddr(addr uint64) uint32 {
-	return uint32((addr >> c.lineShift) & c.setMask)
-}
-
 // AddrForSet builds an address that maps to the given set, with `way`
 // selecting distinct conflicting line addresses within that set and
 // base providing an address-space offset (e.g. a per-process tag).
-// It is the inverse of SetOfAddr used by channel and workload code to
-// construct eviction sets.
+// Channel and workload code use it to construct eviction sets.
 func (c *Cache) AddrForSet(set uint32, way int, base uint64) uint64 {
 	if int(set) >= c.nsets {
 		panic(fmt.Sprintf("cache: set %d out of range (%d sets)", set, c.nsets))

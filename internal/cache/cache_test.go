@@ -18,8 +18,8 @@ func TestGeometry(t *testing.T) {
 	if c.NumSets() != 512 {
 		t.Errorf("L2 sets = %d, want 512 (paper geometry)", c.NumSets())
 	}
-	if c.NumBlocks() != 4096 || c.Ways() != 8 || c.LineBytes() != 64 {
-		t.Errorf("L2 geometry: blocks=%d ways=%d line=%d", c.NumBlocks(), c.Ways(), c.LineBytes())
+	if c.NumBlocks() != 4096 || c.Ways() != 8 || c.cfg.LineBytes != 64 {
+		t.Errorf("L2 geometry: blocks=%d ways=%d line=%d", c.NumBlocks(), c.Ways(), c.cfg.LineBytes)
 	}
 	l1 := MustNew(DefaultL1())
 	if l1.NumSets() != 64 {
@@ -75,7 +75,7 @@ func TestMissThenHit(t *testing.T) {
 func TestSetMapping(t *testing.T) {
 	c := small()
 	// Addresses 64 bytes apart map to consecutive sets.
-	if c.SetOfAddr(0) != 0 || c.SetOfAddr(64) != 1 || c.SetOfAddr(64*4) != 0 {
+	if c.Access(0, 0).Set != 0 || c.Access(64, 0).Set != 1 || c.Access(64*4, 0).Set != 0 {
 		t.Error("set mapping wrong")
 	}
 }
@@ -103,17 +103,31 @@ func TestLRUEviction(t *testing.T) {
 	}
 }
 
+// ownerOfAddr returns the owning context of addr's block and whether
+// it is resident.
+func ownerOfAddr(c *Cache, addr uint64) (uint8, bool) {
+	lineAddr := addr >> c.lineShift
+	setBase := int(lineAddr&c.setMask) * c.cfg.Ways
+	key := tagKey(lineAddr)
+	for i := 0; i < c.cfg.Ways; i++ {
+		if tagOf(c.tags[setBase+i]) == key {
+			return ownerOf(c.tags[setBase+i]), true
+		}
+	}
+	return 0, false
+}
+
 func TestOwnerUpdatesOnAccess(t *testing.T) {
 	c := small()
 	c.Access(0x40, 3)
-	if o, ok := c.Owner(0x40); !ok || o != 3 {
+	if o, ok := ownerOfAddr(c, 0x40); !ok || o != 3 {
 		t.Errorf("owner = %d,%v", o, ok)
 	}
 	c.Access(0x40, 5)
-	if o, _ := c.Owner(0x40); o != 5 {
+	if o, _ := ownerOfAddr(c, 0x40); o != 5 {
 		t.Errorf("owner after re-access = %d, want 5", o)
 	}
-	if _, ok := c.Owner(0xdead000); ok {
+	if _, ok := ownerOfAddr(c, 0xdead000); ok {
 		t.Error("absent block should have no owner")
 	}
 }
@@ -126,7 +140,7 @@ func TestAddrForSetRoundTrip(t *testing.T) {
 		way := r.Intn(64)
 		base := uint64(r.Intn(1 << 16))
 		addr := c.AddrForSet(set, way, base)
-		return c.SetOfAddr(addr) == set
+		return c.Access(addr, 0).Set == set
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

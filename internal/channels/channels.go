@@ -71,11 +71,6 @@ type Evader struct {
 	DutyFrac float64
 }
 
-// active reports whether the evader changes anything.
-func (e Evader) active() bool {
-	return e.JitterFrac > 0 || (e.DutyFrac > 0 && e.DutyFrac < 1)
-}
-
 // validate panics on out-of-range evader parameters.
 func (e Evader) validate() {
 	if e.JitterFrac < 0 || e.JitterFrac > 0.5 {

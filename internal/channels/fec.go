@@ -26,13 +26,6 @@ const fecGroup = 4
 // 4-bit Berger check.
 const fecWordBits = 12
 
-// FECOverhead returns the coded length in bits for n data bits.
-func FECOverhead(n int) int {
-	words := (n + 7) / 8
-	groups := (words + fecGroup - 1) / fecGroup
-	return (groups*fecGroup + groups) * fecWordBits
-}
-
 // FECEncode frames data bits (values 0/1) for transmission. The result
 // always decodes back to the input via FECDecode, even with any single
 // corrupted word per group.

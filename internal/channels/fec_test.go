@@ -15,13 +15,20 @@ func corruptWord(coded []int, w, bit int) {
 	}
 }
 
+// fecCodedLen is the coded length in bits for n data bits: whole
+// groups of fecGroup words, each with its parity word.
+func fecCodedLen(n int) int {
+	words := (n + 7) / 8
+	groups := (words + fecGroup - 1) / fecGroup
+	return (groups*fecGroup + groups) * fecWordBits
+}
+
 func TestFECRoundTripClean(t *testing.T) {
 	for _, n := range []int{1, 7, 8, 9, 16, 31, 32, 33, 64, 100} {
 		data := RandomMessage(n, uint64(n)+1)
 		coded := FECEncode(data)
-		if len(coded) != FECOverhead(n) {
-			t.Errorf("n=%d: coded length %d, want FECOverhead %d",
-				n, len(coded), FECOverhead(n))
+		if want := fecCodedLen(n); len(coded) != want {
+			t.Errorf("n=%d: coded length %d, want %d", n, len(coded), want)
 		}
 		got, erasures, unrecovered := FECDecode(coded, n)
 		if !reflect.DeepEqual(got, data) {

@@ -234,17 +234,6 @@ func TestResetClearsState(t *testing.T) {
 	}
 }
 
-func TestHardwareCost(t *testing.T) {
-	g := MustNewGenerational(GenerationalConfig{TotalBlocks: 4096})
-	bloomBits, metaBits := g.HardwareCost()
-	if bloomBits != 4*4096 {
-		t.Errorf("bloom bits = %d, want 4×N", bloomBits)
-	}
-	if metaBits != 4096*7 {
-		t.Errorf("metadata bits = %d, want 7 per block", metaBits)
-	}
-}
-
 func TestNames(t *testing.T) {
 	if MustNewIdeal(4).Name() == "" || MustNewGenerational(GenerationalConfig{TotalBlocks: 4}).Name() == "" {
 		t.Error("trackers must have names")

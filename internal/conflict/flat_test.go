@@ -38,7 +38,7 @@ func cacheStream(c *cache.Cache, r *stats.RNG, n, ctxs, span int) []Observation 
 			hi = lo + 1 + r.Intn(ways-lo)
 		}
 		ctx := uint8(r.Intn(ctxs))
-		c.AccessInto(&res, line*uint64(c.LineBytes()), ctx, lo, hi)
+		c.AccessInto(&res, line*64, ctx, lo, hi) // every cache here has 64-byte lines
 		out[i] = observationOf(res, ctx)
 	}
 	return out

@@ -224,10 +224,3 @@ func (g *Generational) Conflicts() uint64 { return g.conflicts }
 
 // Generations returns how many generation turnovers have happened.
 func (g *Generational) Generations() uint64 { return g.generations }
-
-// HardwareCost reports the tracker's storage budget: Bloom filter bits
-// plus per-block metadata bits (4 generation bits + 3 owner-context
-// bits, per §V-A), used by the auditor's Table I model.
-func (g *Generational) HardwareCost() (bloomBits, metadataBits int) {
-	return numGenerations * g.bitsPerGen, g.totalBlocks * (numGenerations + 3)
-}

@@ -277,22 +277,6 @@ func TestDefaultDeltaT(t *testing.T) {
 	DefaultDeltaT(traceConf())
 }
 
-func TestChooseDeltaT(t *testing.T) {
-	// rate = 1 event / 5000 cycles, α = 20 → Δt = 100k.
-	if got := ChooseDeltaT(1.0/5000, 20, 0, 0); got != 100_000 {
-		t.Errorf("Δt = %d, want 100000", got)
-	}
-	if got := ChooseDeltaT(0, 20, 500, 0); got != 500 {
-		t.Errorf("zero rate should clamp to min, got %d", got)
-	}
-	if got := ChooseDeltaT(1, 20, 0, 10); got != 10 {
-		t.Errorf("max clamp failed: %d", got)
-	}
-	if got := ChooseDeltaT(100, 0.0001, 0, 0); got < 1 {
-		t.Errorf("Δt must be at least 1, got %d", got)
-	}
-}
-
 func TestDeltaTHeuristic(t *testing.T) {
 	// Bus channel at 1000 bps: 2.5M-cycle bits, ~500 locks per bit →
 	// ≈112k cycles, the right order of magnitude vs the paper's 100k.

@@ -93,35 +93,6 @@ func NewAuditor(quantum uint64, kinds ...trace.Kind) (*auditor.Auditor, error) {
 	return aud, nil
 }
 
-// ChooseDeltaT derives an observation window from a measured mean
-// event rate (events per cycle): Δt = α × (1 / rate). α is the
-// empirical constant of §IV-B that keeps Δt between the regime where
-// per-window counts follow a Poisson distribution (Δt too small) and
-// the regime where they converge to a normal distribution (Δt too
-// large); it is determined from the maximum and minimum achievable
-// covert-channel bandwidths on the hardware unit.
-//
-// The result is clamped to [min, max] (pass 0 to skip a bound).
-func ChooseDeltaT(meanRate, alpha float64, min, max uint64) uint64 {
-	if meanRate <= 0 || alpha <= 0 {
-		if min > 0 {
-			return min
-		}
-		return 1
-	}
-	dt := uint64(alpha / meanRate)
-	if dt < 1 {
-		dt = 1
-	}
-	if min > 0 && dt < min {
-		dt = min
-	}
-	if max > 0 && dt > max {
-		dt = max
-	}
-	return dt
-}
-
 // DeltaTHeuristic derives an observation window from the channel
 // characteristics of a hardware unit, encoding the paper's α recipe:
 // Δt sits at the geometric midpoint between the burst's inter-event

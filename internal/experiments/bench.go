@@ -6,8 +6,6 @@ import (
 	"io"
 	"runtime"
 	"time"
-
-	"cchunter/internal/stats"
 )
 
 // bench.go is the benchmark-trajectory emitter: ccrepro -bench-out
@@ -53,20 +51,19 @@ type BenchReport struct {
 	Figures       []BenchFigure `json:"figures"`
 }
 
-// Calibrate times the reference workload: a paper-scale FFT
-// autocorrelation (n=65536, maxLag=4096), best of three. It exercises
-// the same arithmetic the detection pipeline leans on, so its runtime
-// tracks the machine speed that matters for the figures.
+// Calibrate times the reference workload, best of three: a fixed
+// loop of integer hashing, floating-point multiply-adds and strided
+// loads over a 512 KiB buffer (about 10 ms on a 2-core Xeon). It calls
+// no code of this module, so no optimisation of the pipeline moves
+// it and the ratio tools/benchcmp derives from two reports tracks the
+// machines alone. Changing the loop invalidates every committed
+// baseline's calibration_ns.
 func Calibrate() int64 {
-	xs := make([]float64, 65536)
-	for i := range xs {
-		xs[i] = float64(i%17) - 8
-	}
-	w := stats.NewWorkspace()
+	buf := make([]float64, 1<<16)
 	best := int64(0)
 	for rep := 0; rep < 3; rep++ {
 		t0 := time.Now()
-		w.Autocorrelogram(xs, 4096)
+		calibrationSink = calibrationLoop(buf)
 		ns := time.Since(t0).Nanoseconds()
 		if best == 0 || ns < best {
 			best = ns
@@ -74,6 +71,33 @@ func Calibrate() int64 {
 	}
 	return best
 }
+
+// calibrationSink keeps the calibration loop's result live.
+var calibrationSink float64
+
+// calibrationLoop is Calibrate's frozen workload.
+func calibrationLoop(buf []float64) float64 {
+	x := uint64(0x9e3779b97f4a7c15)
+	for i := range buf {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		buf[i] = float64(x>>11) * 0x1p-53
+	}
+	mask := len(buf) - 1
+	acc := 0.0
+	for pass := 0; pass < calibrationPasses; pass++ {
+		for i := range buf {
+			j := (i*7 + pass) & mask
+			acc = acc*0.999 + buf[i]*buf[j]
+			buf[i] = buf[j] - acc*1e-9
+		}
+	}
+	return acc
+}
+
+// calibrationPasses sizes the loop to about 10 ms per repetition.
+const calibrationPasses = 48
 
 // NewBenchReport returns an empty report stamped with the current
 // machine calibration and toolchain.

@@ -84,11 +84,6 @@ func (o Options) quantum() uint64 {
 	return uint64(250_000_000 / o.TimeScale)
 }
 
-// bps converts a paper-quoted bandwidth to its scaled equivalent.
-func (o Options) bps(paperBPS float64) float64 {
-	return paperBPS * o.TimeScale
-}
-
 // message returns the experiment's message bits.
 func (o Options) message() []int {
 	return cchunter.RandomMessage(o.MessageBits, o.Seed)

@@ -289,9 +289,6 @@ func TestOptionsDefaults(t *testing.T) {
 	if o.quantum() != 2_500_000 {
 		t.Errorf("quantum = %d", o.quantum())
 	}
-	if o.bps(10) != 1000 {
-		t.Errorf("bps scaling wrong")
-	}
 	if o.cacheScale() != 10 || o.cacheQuantum() != 25_000_000 {
 		t.Errorf("cache scaling wrong: %v %v", o.cacheScale(), o.cacheQuantum())
 	}

@@ -165,16 +165,6 @@ func (s Stats) LossRate() float64 {
 	return float64(s.Lost()) / float64(s.Seen)
 }
 
-// CorruptionRate is the fraction of seen events that were delivered
-// but altered (jitter, reorder, context corruption, duplication).
-func (s Stats) CorruptionRate() float64 {
-	if s.Seen == 0 {
-		return 0
-	}
-	corrupted := s.Jittered + s.Duplicated + s.Reordered + s.CtxFlipped + s.CtxSmeared
-	return float64(corrupted) / float64(s.Seen)
-}
-
 // Injector is a trace.Listener that applies the configured faults and
 // forwards the surviving (possibly corrupted) events downstream. It is
 // deterministic for a given (Config, event stream) pair — and, because

@@ -57,7 +57,8 @@ func TestPassThroughIsTransparent(t *testing.T) {
 	if !reflect.DeepEqual(c.events, events) {
 		t.Fatal("pass-through injector altered the stream")
 	}
-	if st.Seen != 500 || st.Delivered != 500 || st.Lost() != 0 || st.CorruptionRate() != 0 {
+	corrupted := st.Jittered + st.Duplicated + st.Reordered + st.CtxFlipped + st.CtxSmeared
+	if st.Seen != 500 || st.Delivered != 500 || st.Lost() != 0 || corrupted != 0 {
 		t.Errorf("stats: %+v", st)
 	}
 }

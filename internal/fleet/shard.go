@@ -116,7 +116,7 @@ func (s *shard) beginEpoch(epoch int) {
 	var dst trace.Listener = det
 	if s.cfg.FlightEvents != 0 {
 		s.rec = recorder.New(s.cfg.FlightEvents)
-		dst = tee{det, s.rec}
+		dst = trace.Tee{det, s.rec}
 	} else {
 		s.rec = nil
 	}
@@ -216,20 +216,4 @@ func (s *shard) takeFlights() []CapturedFlight {
 func (s *shard) nextSeq() uint64 {
 	s.seq++
 	return s.seq
-}
-
-// tee fans one event stream out to two listeners in order — the
-// detector and the flight recorder see identical trains.
-type tee struct {
-	a, b trace.Listener
-}
-
-func (t tee) OnEvent(e trace.Event) {
-	t.a.OnEvent(e)
-	t.b.OnEvent(e)
-}
-
-func (t tee) OnEvents(events []trace.Event) {
-	trace.Deliver(t.a, events)
-	trace.Deliver(t.b, events)
 }

@@ -82,10 +82,7 @@ func (p *typedPools[T]) put(s []T) {
 	p.classes[cl].Put(b)
 }
 
-var (
-	float64s typedPools[float64]
-	ints     typedPools[int]
-)
+var float64s typedPools[float64]
 
 // Float64s returns a zeroed []float64 of length n from the arena.
 func Float64s(n int) []float64 { return float64s.get(n) }
@@ -93,10 +90,3 @@ func Float64s(n int) []float64 { return float64s.get(n) }
 // PutFloat64s returns a buffer obtained from Float64s (or any
 // []float64 the caller owns outright) to the arena.
 func PutFloat64s(s []float64) { float64s.put(s) }
-
-// Ints returns a zeroed []int of length n from the arena.
-func Ints(n int) []int { return ints.get(n) }
-
-// PutInts returns a buffer obtained from Ints (or any []int the
-// caller owns outright) to the arena.
-func PutInts(s []int) { ints.put(s) }

@@ -25,23 +25,27 @@ func TestGetReturnsZeroedExactLength(t *testing.T) {
 	}
 }
 
+// TestIntsRoundTrip runs the pool family over a second element type:
+// a larger request from the same size class comes back zeroed at its
+// own length.
 func TestIntsRoundTrip(t *testing.T) {
-	s := Ints(17)
+	var ints typedPools[int]
+	s := ints.get(17)
 	if len(s) != 17 {
-		t.Fatalf("Ints(17): len %d", len(s))
+		t.Fatalf("get(17): len %d", len(s))
 	}
 	s[3] = 9
-	PutInts(s)
-	r := Ints(30) // larger request from the same class (cap 32)
+	ints.put(s)
+	r := ints.get(30) // larger request from the same class (cap 32)
 	if len(r) != 30 {
-		t.Fatalf("Ints(30): len %d", len(r))
+		t.Fatalf("get(30): len %d", len(r))
 	}
 	for i, v := range r {
 		if v != 0 {
-			t.Fatalf("Ints(30)[%d] = %d, want 0", i, v)
+			t.Fatalf("get(30)[%d] = %d, want 0", i, v)
 		}
 	}
-	PutInts(r)
+	ints.put(r)
 }
 
 func TestPutOddCapacityStaysUsable(t *testing.T) {
@@ -71,18 +75,14 @@ func TestZeroAndHugeRequests(t *testing.T) {
 }
 
 // TestWarmRoundTripAllocatesNothing: once a buffer and its box are in
-// the pool, Float64s/PutFloat64s and Ints/PutInts move them back and
-// forth without a single allocation.
+// the pool, Float64s/PutFloat64s move them back and forth without a
+// single allocation.
 func TestWarmRoundTripAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race runtime drops sync.Pool puts")
 	}
 	PutFloat64s(Float64s(100))
-	PutInts(Ints(100))
 	if n := testing.AllocsPerRun(100, func() { PutFloat64s(Float64s(100)) }); n != 0 {
 		t.Errorf("warm Float64s/PutFloat64s round trip: %v allocs, want 0", n)
-	}
-	if n := testing.AllocsPerRun(100, func() { PutInts(Ints(100)) }); n != 0 {
-		t.Errorf("warm Ints/PutInts round trip: %v allocs, want 0", n)
 	}
 }

@@ -163,6 +163,3 @@ type Stats struct {
 func (r *Ring) Stats() Stats {
 	return Stats{Transits: r.transits, Contention: r.contention}
 }
-
-// Config returns the ring configuration.
-func (r *Ring) Config() Config { return r.cfg }

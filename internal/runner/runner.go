@@ -55,13 +55,6 @@ type Job struct {
 	// example, to reproduce a documented paper configuration) may
 	// ignore it.
 	Run func(seed uint64) (interface{}, error)
-	// RunCtx, when set, is used instead of Run and receives a context
-	// that is cancelled when the job's watchdog fires, so a
-	// cooperative job can stop early. Without a watchdog the context
-	// is never cancelled.
-	RunCtx func(ctx context.Context, seed uint64) (interface{}, error)
-	// Timeout overrides the pool's Watchdog for this job (0 = inherit).
-	Timeout time.Duration
 	// Stages, when set, is called once after Run returns to harvest
 	// per-stage time attribution (e.g. an obs.Registry's StageTimes).
 	// It runs on the job's worker, before the result is reported, so
@@ -113,8 +106,7 @@ type Pool struct {
 	// OnProgress, when set, is called after each job completes.
 	OnProgress func(Progress)
 	// Watchdog, when positive, bounds each job's wall-clock execution:
-	// an overrunning job's context is cancelled, and if it still does
-	// not return the job is abandoned with an ErrWatchdog-wrapped
+	// an overrunning job is abandoned with an ErrWatchdog-wrapped
 	// error. Zero disables supervision, which is the byte-identical
 	// legacy path (jobs run on the worker goroutine itself).
 	Watchdog time.Duration
@@ -154,7 +146,7 @@ func (p Pool) Run(rootSeed uint64, jobs []Job) ([]Result, error) {
 		if _, dup := seen[j.Name]; dup {
 			return nil, fmt.Errorf("runner: duplicate job name %q", j.Name)
 		}
-		if j.Run == nil && j.RunCtx == nil {
+		if j.Run == nil {
 			return nil, fmt.Errorf("runner: job %q has no Run function", j.Name)
 		}
 		seen[j.Name] = struct{}{}
@@ -248,19 +240,11 @@ func (p Pool) Run(rootSeed uint64, jobs []Job) ([]Result, error) {
 // worker goroutine — the legacy path, byte-identical in behavior and
 // timing to the unsupervised pool.
 func (p Pool) execute(job Job, seed uint64) (interface{}, error) {
-	timeout := p.Watchdog
-	if job.Timeout > 0 {
-		timeout = job.Timeout
+	if p.Watchdog <= 0 && !p.Recover {
+		return job.Run(seed)
 	}
-	run := job.RunCtx
-	if run == nil {
-		run = func(_ context.Context, seed uint64) (interface{}, error) { return job.Run(seed) }
-	}
-	if timeout <= 0 && !p.Recover {
-		return run(context.Background(), seed)
-	}
-	return Supervise(context.Background(), job.Name, timeout, p.Metrics,
-		func(ctx context.Context) (interface{}, error) { return run(ctx, seed) })
+	return Supervise(context.Background(), job.Name, p.Watchdog, p.Metrics,
+		func(context.Context) (interface{}, error) { return job.Run(seed) })
 }
 
 // Run is the convenience form: a pool with the given worker count and

@@ -126,26 +126,6 @@ func TestPoolWatchdogFlagsStuckJob(t *testing.T) {
 	}
 }
 
-// TestPoolRunCtxReceivesCancellation: RunCtx jobs get a live context
-// wired to the watchdog.
-func TestPoolRunCtxReceivesCancellation(t *testing.T) {
-	jobs := []Job{{
-		Name:    "ctx",
-		Timeout: 20 * time.Millisecond,
-		RunCtx: func(ctx context.Context, _ uint64) (interface{}, error) {
-			<-ctx.Done()
-			return nil, ctx.Err()
-		},
-	}}
-	results, err := Pool{Workers: 1}.Run(1, jobs)
-	if err == nil {
-		t.Fatal("cancelled job reported success")
-	}
-	if !results[0].TimedOut {
-		t.Errorf("job not flagged as timed out: %+v", results[0])
-	}
-}
-
 // TestPoolSupervisedDeterminism: supervision must not disturb the
 // pool's bit-for-bit contract — supervised and unsupervised runs of
 // healthy jobs produce identical values in identical order.

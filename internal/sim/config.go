@@ -160,11 +160,6 @@ func TestConfig() Config {
 // Contexts returns the number of hardware contexts.
 func (c Config) Contexts() int { return c.Cores * c.ThreadsPerCore }
 
-// CyclesPerSecond converts seconds to cycles at the configured clock.
-func (c Config) CyclesPerSecond(seconds float64) uint64 {
-	return uint64(seconds * float64(c.ClockHz))
-}
-
 // CyclesPerBit returns the duration of one bit slot at the given
 // channel bandwidth in bits per second.
 func (c Config) CyclesPerBit(bps float64) uint64 {

@@ -259,8 +259,8 @@ func TestProcessCompletion(t *testing.T) {
 	if !p.Done() {
 		t.Error("finite program should be done")
 	}
-	if p.Name() != "finite" || p.ID() != 0 {
-		t.Errorf("identity: %q %d", p.Name(), p.ID())
+	if p.Name() != "finite" || p.id != 0 {
+		t.Errorf("identity: %q %d", p.Name(), p.id)
 	}
 }
 
@@ -307,9 +307,6 @@ func TestGeometry(t *testing.T) {
 
 func TestCyclesHelpers(t *testing.T) {
 	cfg := DefaultConfig()
-	if cfg.CyclesPerSecond(0.1) != 250_000_000 {
-		t.Error("CyclesPerSecond wrong")
-	}
 	if cfg.CyclesPerBit(1000) != 2_500_000 {
 		t.Error("CyclesPerBit wrong")
 	}

@@ -44,9 +44,6 @@ type Process struct {
 	ctx *hwContext // context the process is currently queued on
 }
 
-// ID returns the process identifier.
-func (p *Process) ID() int { return p.id }
-
 // Name returns the process name.
 func (p *Process) Name() string { return p.name }
 
@@ -357,9 +354,6 @@ func (s *System) Geometry() Geometry {
 		TLBWays:        s.cores[0].tlb.Config().Ways,
 	}
 }
-
-// Config returns the system configuration.
-func (s *System) Config() Config { return s.cfg }
 
 // Now returns the minimum clock across contexts that still have work,
 // i.e. the global simulated time.

@@ -18,89 +18,3 @@ func PoissonPMF(lambda float64, k int) float64 {
 	lg, _ := math.Lgamma(float64(k) + 1)
 	return exp(float64(k)*ln(lambda) - lambda - lg)
 }
-
-// PoissonCDF returns P(X <= k) for X ~ Poisson(lambda) by direct
-// summation; ks in this codebase are histogram bin indices (< 128), so
-// the loop is cheap.
-func PoissonCDF(lambda float64, k int) float64 {
-	if k < 0 {
-		return 0
-	}
-	var s float64
-	for i := 0; i <= k; i++ {
-		s += PoissonPMF(lambda, i)
-	}
-	if s > 1 {
-		return 1
-	}
-	return s
-}
-
-// NormalPDF returns the density of N(mu, sigma²) at x.
-func NormalPDF(x, mu, sigma float64) float64 {
-	if sigma <= 0 {
-		return 0
-	}
-	z := (x - mu) / sigma
-	return exp(-z*z/2) / (sigma * sqrt(2*math.Pi))
-}
-
-// NormalCDF returns P(X <= x) for X ~ N(mu, sigma²).
-func NormalCDF(x, mu, sigma float64) float64 {
-	if sigma <= 0 {
-		if x < mu {
-			return 0
-		}
-		return 1
-	}
-	return 0.5 * math.Erfc(-(x-mu)/(sigma*math.Sqrt2))
-}
-
-// ChiSquareGoodness computes the chi-square statistic of observed counts
-// against expected counts, skipping bins whose expectation is below
-// minExpected (small-expectation bins destabilize the statistic). It
-// also returns the degrees of freedom used (bins kept - 1).
-func ChiSquareGoodness(observed, expected []float64, minExpected float64) (chi2 float64, dof int) {
-	n := len(observed)
-	if len(expected) < n {
-		n = len(expected)
-	}
-	kept := 0
-	for i := 0; i < n; i++ {
-		if expected[i] < minExpected {
-			continue
-		}
-		d := observed[i] - expected[i]
-		chi2 += d * d / expected[i]
-		kept++
-	}
-	if kept > 0 {
-		dof = kept - 1
-	}
-	return chi2, dof
-}
-
-// PoissonFit returns, for a set of per-window event counts, the MLE
-// Poisson rate (the mean) and the chi-square statistic of the empirical
-// distribution against that Poisson. The recurrent-burst detector uses
-// the Poisson as the "no covert channel" reference for what random,
-// independent conflicts look like inside Δt windows (Figure 5's dotted
-// line).
-func PoissonFit(counts []int) (lambda, chi2 float64) {
-	if len(counts) == 0 {
-		return 0, 0
-	}
-	lambda = MeanInts(counts)
-	_, max := MinMaxInts(counts)
-	obs := make([]float64, max+1)
-	for _, c := range counts {
-		obs[c]++
-	}
-	expd := make([]float64, max+1)
-	total := float64(len(counts))
-	for k := 0; k <= max; k++ {
-		expd[k] = total * PoissonPMF(lambda, k)
-	}
-	chi2, _ = ChiSquareGoodness(obs, expd, 1.0)
-	return lambda, chi2
-}

@@ -196,11 +196,6 @@ func (h *Histogram) Unmerge(other *Histogram) {
 	}
 }
 
-// Clone returns a deep copy of h.
-func (h *Histogram) Clone() *Histogram {
-	return &Histogram{bins: append([]uint64(nil), h.bins...), clamped: h.clamped, invalid: h.invalid}
-}
-
 // NonZeroMax returns the highest bin index with a non-zero count, or -1
 // when the histogram is empty.
 func (h *Histogram) NonZeroMax() int {

@@ -107,34 +107,6 @@ func (r *RNG) Perm(n int) []int {
 	return p
 }
 
-// Poisson draws a Poisson-distributed value with mean lambda using
-// Knuth's method for small lambda and a normal approximation for large
-// lambda. It is used by workload models to generate background event
-// traffic.
-func (r *RNG) Poisson(lambda float64) int {
-	if lambda <= 0 {
-		return 0
-	}
-	if lambda < 30 {
-		l := exp(-lambda)
-		k := 0
-		p := 1.0
-		for {
-			p *= r.Float64()
-			if p <= l {
-				return k
-			}
-			k++
-		}
-	}
-	// Normal approximation with continuity correction.
-	v := lambda + sqrt(lambda)*r.NormFloat64() + 0.5
-	if v < 0 {
-		return 0
-	}
-	return int(v)
-}
-
 // NormFloat64 returns a standard normally distributed value using the
 // polar Box-Muller transform.
 func (r *RNG) NormFloat64() float64 {

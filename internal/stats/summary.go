@@ -29,47 +29,10 @@ func MeanInts(xs []int) float64 {
 	return s / float64(len(xs))
 }
 
-// Variance returns the population variance of xs (not sample variance);
-// the detector always works on complete observation windows, so there is
-// no sampling correction to make. It returns 0 for fewer than one value.
-func Variance(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := Mean(xs)
-	var s float64
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return s / float64(len(xs))
-}
-
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 { return sqrt(Variance(xs)) }
-
 // MinMax returns the smallest and largest values in xs, or (0, 0) for
 // an empty slice — a truncated sensor path can legitimately deliver an
 // empty window, and an analysis over it must degrade, not crash.
 func MinMax(xs []float64) (min, max float64) {
-	if len(xs) == 0 {
-		return 0, 0
-	}
-	min, max = xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < min {
-			min = x
-		}
-		if x > max {
-			max = x
-		}
-	}
-	return min, max
-}
-
-// MinMaxInts returns the smallest and largest values in xs, or (0, 0)
-// for an empty slice (see MinMax).
-func MinMaxInts(xs []int) (min, max int) {
 	if len(xs) == 0 {
 		return 0, 0
 	}
@@ -126,32 +89,4 @@ func Percentile(xs []float64, p float64) float64 {
 	}
 	frac := rank - float64(lo)
 	return c[lo]*(1-frac) + c[hi]*frac
-}
-
-// Correlation returns the Pearson correlation coefficient between xs and
-// ys. Mismatched lengths correlate the common prefix (a truncated series
-// still carries its shape); it returns 0 when the overlap is empty or
-// either series has zero variance (no linear relationship measurable).
-func Correlation(xs, ys []float64) float64 {
-	if len(ys) < len(xs) {
-		xs = xs[:len(ys)]
-	} else if len(xs) < len(ys) {
-		ys = ys[:len(xs)]
-	}
-	if len(xs) == 0 {
-		return 0
-	}
-	mx, my := Mean(xs), Mean(ys)
-	var sxy, sxx, syy float64
-	for i := range xs {
-		dx := xs[i] - mx
-		dy := ys[i] - my
-		sxy += dx * dy
-		sxx += dx * dx
-		syy += dy * dy
-	}
-	if sxx == 0 || syy == 0 {
-		return 0
-	}
-	return sxy / sqrt(sxx*syy)
 }

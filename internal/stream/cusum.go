@@ -30,18 +30,12 @@ type CUSUMConfig struct {
 	// (and baseline wander the EWMA tracks) never accumulate, which is
 	// what separates a benign slow drift from a channel switching on.
 	Drift float64
-	// Threshold is the fixed firing level h for the cumulative sum
-	// (ignored when Adaptive is set).
-	Threshold float64
-	// Adaptive replaces the fixed threshold with K·σ, where σ is the
-	// EWMA estimate of the series' standard deviation — quiet series
-	// fire on small excursions, noisy ones demand proportionally more
-	// evidence.
-	Adaptive bool
-	// K is the adaptive threshold in baseline standard deviations.
+	// K sets the firing threshold to K·σ, where σ is the EWMA estimate
+	// of the series' standard deviation — quiet series fire on small
+	// excursions, noisy ones demand proportionally more evidence.
 	K float64
-	// MinThreshold floors the adaptive threshold so a perfectly
-	// constant warmup (σ = 0) does not fire on roundoff.
+	// MinThreshold floors the threshold so a perfectly constant
+	// warmup (σ = 0) does not fire on roundoff.
 	MinThreshold float64
 	// Alpha is the EWMA smoothing factor for the baseline mean and
 	// variance (0 < Alpha <= 1; smaller tracks slower).
@@ -58,7 +52,6 @@ type CUSUMConfig struct {
 func DefaultCUSUMConfig() CUSUMConfig {
 	return CUSUMConfig{
 		Drift:        0.05,
-		Adaptive:     true,
 		K:            6,
 		MinThreshold: 0.2,
 		Alpha:        0.05,
@@ -68,7 +61,7 @@ func DefaultCUSUMConfig() CUSUMConfig {
 
 // CUSUM is a one-sided cumulative-sum change detector over a scalar
 // series: S ← max(0, S + (x − mean − Drift)), firing when S crosses
-// the (possibly adaptive) threshold. The onset estimate is the classic
+// the adaptive threshold. The onset estimate is the classic
 // CUSUM one — the sample at which S last left zero before the firing
 // crossing; everything since that sample contributed to the alarm.
 type CUSUM struct {
@@ -106,16 +99,10 @@ func NewCUSUM(cfg CUSUMConfig) *CUSUM {
 	if cfg.Warmup <= 0 {
 		cfg.Warmup = def.Warmup
 	}
-	if cfg.Adaptive {
-		if cfg.K <= 0 {
-			cfg.K = def.K
-		}
-		if cfg.MinThreshold <= 0 {
-			cfg.MinThreshold = def.MinThreshold
-		}
-	} else if cfg.Threshold <= 0 {
-		cfg.Adaptive = true
+	if cfg.K <= 0 {
 		cfg.K = def.K
+	}
+	if cfg.MinThreshold <= 0 {
 		cfg.MinThreshold = def.MinThreshold
 	}
 	return &CUSUM{cfg: cfg}
@@ -146,12 +133,9 @@ func (c *CUSUM) Add(x float64, cycle uint64) bool {
 	} else if c.s == 0 {
 		c.inExc = false
 	}
-	thr := c.cfg.Threshold
-	if c.cfg.Adaptive {
-		thr = c.cfg.K * math.Sqrt(c.varEWMA)
-		if thr < c.cfg.MinThreshold {
-			thr = c.cfg.MinThreshold
-		}
+	thr := c.cfg.K * math.Sqrt(c.varEWMA)
+	if thr < c.cfg.MinThreshold {
+		thr = c.cfg.MinThreshold
 	}
 	c.lastThr = thr
 	firedNow := false

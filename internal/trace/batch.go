@@ -97,6 +97,3 @@ func (b *Batcher) Flush() {
 	Deliver(b.out, b.buf)
 	b.buf = b.buf[:0]
 }
-
-// Pending reports how many events sit in the arena awaiting delivery.
-func (b *Batcher) Pending() int { return len(b.buf) }

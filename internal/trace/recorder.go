@@ -15,7 +15,6 @@ type Listener interface {
 type Recorder struct {
 	train *Train
 	kinds map[Kind]bool // nil means all kinds
-	limit int           // 0 means unlimited
 }
 
 // NewRecorder returns a recorder capturing the given kinds (all kinds
@@ -31,26 +30,19 @@ func NewRecorder(kinds ...Kind) *Recorder {
 	return r
 }
 
-// SetLimit caps the number of recorded events; once reached, further
-// events are dropped. Zero means unlimited.
-func (r *Recorder) SetLimit(n int) { r.limit = n }
-
 // OnEvent implements Listener.
 func (r *Recorder) OnEvent(e Event) {
 	if r.kinds != nil && !r.kinds[e.Kind] {
 		return
 	}
-	if r.limit > 0 && r.train.Len() >= r.limit {
-		return
-	}
 	r.train.Append(e)
 }
 
-// OnEvents implements BatchListener: an unfiltered, unlimited recorder
-// bulk-appends the whole batch into its train arena; filtered or
-// capped recorders keep the per-event path, whose checks they need.
+// OnEvents implements BatchListener: an unfiltered recorder
+// bulk-appends the whole batch into its train arena; a filtered one
+// keeps the per-event path, whose check it needs.
 func (r *Recorder) OnEvents(events []Event) {
-	if r.kinds == nil && r.limit == 0 {
+	if r.kinds == nil {
 		r.train.AppendBatch(events)
 		return
 	}
@@ -61,9 +53,6 @@ func (r *Recorder) OnEvents(events []Event) {
 
 // Train returns the recorded train.
 func (r *Recorder) Train() *Train { return r.train }
-
-// Reset discards all recorded events.
-func (r *Recorder) Reset() { r.train = NewTrain(1024) }
 
 // Tee is a Listener that fans events out to several listeners.
 type Tee []Listener

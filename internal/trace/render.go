@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"fmt"
 	"io"
 	"strconv"
 	"strings"
@@ -111,50 +110,4 @@ func WriteSeriesCSV(w io.Writer, xName, yName string, ys []float64) error {
 		}
 	}
 	return nil
-}
-
-// ASCIISeries renders a y-series as a rows×width ASCII line chart with
-// min/max annotations — a quick look at autocorrelograms and latency
-// traces without leaving the terminal.
-func ASCIISeries(ys []float64, width, rows int) string {
-	if len(ys) == 0 || width <= 0 || rows <= 0 {
-		return ""
-	}
-	min, max := ys[0], ys[0]
-	for _, y := range ys {
-		if y < min {
-			min = y
-		}
-		if y > max {
-			max = y
-		}
-	}
-	span := max - min
-	if span == 0 {
-		span = 1
-	}
-	grid := make([][]byte, rows)
-	for r := range grid {
-		grid[r] = []byte(strings.Repeat(" ", width))
-	}
-	for i, y := range ys {
-		col := i * (width - 1) / maxInt(len(ys)-1, 1)
-		row := int(float64(rows-1) * (max - y) / span)
-		grid[row][col] = '*'
-	}
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "max=%.4g\n", max)
-	for _, line := range grid {
-		sb.Write(line)
-		sb.WriteByte('\n')
-	}
-	fmt.Fprintf(&sb, "min=%.4g\n", min)
-	return sb.String()
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

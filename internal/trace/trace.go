@@ -81,18 +81,6 @@ type Event struct {
 	Unit uint32
 }
 
-// PairID encodes the ordered (Actor, Victim) pair as a unique small
-// integer given the total number of hardware contexts, as the paper's
-// vector register does ("every ordered pair of trojan/spy contexts have
-// unique identifiers"). Events without a victim map to the Actor-only
-// band above all pair IDs.
-func (e Event) PairID(contexts int) int {
-	if e.Victim == NoContext {
-		return contexts*contexts + int(e.Actor)
-	}
-	return int(e.Actor)*contexts + int(e.Victim)
-}
-
 // Train is an append-only event train: a time-ordered series of events
 // on one shared resource. Append enforces monotonically non-decreasing
 // cycles, which every producer in the simulator satisfies because ops
@@ -252,17 +240,6 @@ func (t *Train) FilterKind(k Kind) *Train {
 	return out
 }
 
-// FilterActor returns a new train with only events whose Actor is a.
-func (t *Train) FilterActor(a uint8) *Train {
-	out := &Train{}
-	for _, e := range t.events {
-		if e.Actor == a {
-			out.events = append(out.events, e)
-		}
-	}
-	return out
-}
-
 // Densities slices [start, end) into consecutive Δt windows and returns
 // the event count in each (§IV-B step 1: Δt is the observation window
 // to count the number of event occurrences within that interval).
@@ -332,16 +309,6 @@ func (t *Train) DensitiesInto(out []int, start, end, dt uint64, includePartial b
 	return out
 }
 
-// MeanRate returns the average event rate in events per cycle over
-// [start, end), or 0 for an empty range.
-func (t *Train) MeanRate(start, end uint64) float64 {
-	if end <= start {
-		return 0
-	}
-	w := t.Window(start, end)
-	return float64(w.Len()) / float64(end-start)
-}
-
 // InterEventIntervals returns the cycle gaps between consecutive
 // events.
 func (t *Train) InterEventIntervals() []uint64 {
@@ -351,29 +318,6 @@ func (t *Train) InterEventIntervals() []uint64 {
 	out := make([]uint64, len(t.events)-1)
 	for i := 1; i < len(t.events); i++ {
 		out[i-1] = t.events[i].Cycle - t.events[i-1].Cycle
-	}
-	return out
-}
-
-// PairSeries maps each event, in train order, to its ordered-pair
-// identifier (see Event.PairID) as a float series. This is the series
-// the oscillatory-pattern detector autocorrelates (§IV-D): for a
-// two-party cache channel it reduces to the paper's 0/1 labelling of
-// "S→T" and "T→S", and interference from other pairs perturbs rather
-// than erases the periodicity.
-func (t *Train) PairSeries(contexts int) []float64 {
-	out := make([]float64, len(t.events))
-	for i, e := range t.events {
-		out[i] = float64(e.PairID(contexts))
-	}
-	return out
-}
-
-// Cycles returns the event timestamps.
-func (t *Train) Cycles() []uint64 {
-	out := make([]uint64, len(t.events))
-	for i, e := range t.events {
-		out[i] = e.Cycle
 	}
 	return out
 }

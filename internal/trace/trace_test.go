@@ -138,16 +138,13 @@ func TestDensitiesBoundaries(t *testing.T) {
 	}
 }
 
-func TestFilterKindAndActor(t *testing.T) {
+func TestFilterKind(t *testing.T) {
 	tr := NewTrain(0)
 	tr.Append(Event{Cycle: 1, Kind: KindBusLock, Actor: 0})
 	tr.Append(Event{Cycle: 2, Kind: KindConflictMiss, Actor: 1})
 	tr.Append(Event{Cycle: 3, Kind: KindBusLock, Actor: 1})
 	if got := tr.FilterKind(KindBusLock).Len(); got != 2 {
 		t.Errorf("FilterKind len = %d", got)
-	}
-	if got := tr.FilterActor(1).Len(); got != 2 {
-		t.Errorf("FilterActor len = %d", got)
 	}
 }
 
@@ -205,16 +202,6 @@ func TestDensitiesSumInvariant(t *testing.T) {
 	}
 }
 
-func TestMeanRate(t *testing.T) {
-	tr := mkTrain(0, 5, 9)
-	if got := tr.MeanRate(0, 10); got != 0.3 {
-		t.Errorf("MeanRate = %v, want 0.3", got)
-	}
-	if tr.MeanRate(10, 10) != 0 {
-		t.Error("degenerate range should be 0")
-	}
-}
-
 func TestInterEventIntervals(t *testing.T) {
 	if mkTrain(7).InterEventIntervals() != nil {
 		t.Error("single event should give nil")
@@ -225,49 +212,12 @@ func TestInterEventIntervals(t *testing.T) {
 	}
 }
 
-func TestPairIDAndSeries(t *testing.T) {
-	e := Event{Actor: 2, Victim: 3}
-	if got := e.PairID(8); got != 19 {
-		t.Errorf("PairID = %d, want 19", got)
-	}
-	noVictim := Event{Actor: 5, Victim: NoContext}
-	if got := noVictim.PairID(8); got != 69 {
-		t.Errorf("victimless PairID = %d, want 69", got)
-	}
-	tr := NewTrain(0)
-	tr.Append(Event{Cycle: 1, Actor: 0, Victim: 1})
-	tr.Append(Event{Cycle: 2, Actor: 1, Victim: 0})
-	s := tr.PairSeries(2)
-	if len(s) != 2 || s[0] != 1 || s[1] != 2 {
-		t.Errorf("PairSeries = %v", s)
-	}
-}
-
-func TestCycles(t *testing.T) {
-	got := mkTrain(2, 4, 8).Cycles()
-	if len(got) != 3 || got[0] != 2 || got[2] != 8 {
-		t.Errorf("Cycles = %v", got)
-	}
-}
-
-func TestRecorderFiltersAndLimits(t *testing.T) {
+func TestRecorderFilters(t *testing.T) {
 	r := NewRecorder(KindBusLock)
 	r.OnEvent(Event{Cycle: 1, Kind: KindBusLock})
 	r.OnEvent(Event{Cycle: 2, Kind: KindConflictMiss})
 	if r.Train().Len() != 1 {
 		t.Errorf("filtered recorder len = %d", r.Train().Len())
-	}
-	all := NewRecorder()
-	all.SetLimit(2)
-	for i := uint64(0); i < 5; i++ {
-		all.OnEvent(Event{Cycle: i})
-	}
-	if all.Train().Len() != 2 {
-		t.Errorf("limited recorder len = %d", all.Train().Len())
-	}
-	all.Reset()
-	if all.Train().Len() != 0 {
-		t.Error("Reset did not clear")
 	}
 }
 
@@ -318,23 +268,12 @@ func TestASCIITrain(t *testing.T) {
 	}
 }
 
-func TestWriteSeriesCSVAndASCIISeries(t *testing.T) {
+func TestWriteSeriesCSV(t *testing.T) {
 	var sb strings.Builder
 	if err := WriteSeriesCSV(&sb, "lag", "acf", []float64{1, 0.5}); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(sb.String(), "lag,acf\n0,1\n1,0.5\n") {
 		t.Errorf("csv = %q", sb.String())
-	}
-	plot := ASCIISeries([]float64{0, 1, 0, 1}, 8, 3)
-	if !strings.Contains(plot, "*") || !strings.Contains(plot, "max=") {
-		t.Errorf("plot = %q", plot)
-	}
-	if ASCIISeries(nil, 8, 3) != "" {
-		t.Error("empty series should render empty")
-	}
-	// Constant series must not divide by zero.
-	if plot := ASCIISeries([]float64{2, 2}, 4, 2); !strings.Contains(plot, "*") {
-		t.Errorf("constant series plot = %q", plot)
 	}
 }

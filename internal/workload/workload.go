@@ -45,9 +45,6 @@ type Spec struct {
 	BurstIters int
 	// IdleCycles is the mean idle gap between bursts.
 	IdleCycles uint64
-	// BurstScale randomizes per-burst intensity in [BurstScale, 1] —
-	// mailserver-style variability. 0 or 1 disables scaling.
-	BurstScale float64
 	// PeriodicSets makes iterations walk this many L2 sets in cyclic
 	// order (webserver's directory-tree sweep) instead of random
 	// working-set lines; a small jitter keeps the periodicity from
@@ -92,7 +89,6 @@ type program struct {
 	nextStorm     uint64
 
 	burst, b int
-	scale    float64
 	stormN   int    // locks remaining in the current storm
 	sleepDur uint64 // drawn Sleep duration awaiting its WaitUntil
 	pc       int
@@ -101,7 +97,7 @@ type program struct {
 // Step states. Cases without an op fall through to the next state
 // inside Step's loop.
 const (
-	wlBurstHeader   = iota // draw burst length / scale / periodic restart
+	wlBurstHeader   = iota // draw burst length / periodic restart
 	wlCompute              // optional Compute op
 	wlMem                  // optional working-set LoadN
 	wlHot                  // optional hot-region LoadN
@@ -154,10 +150,6 @@ func (p *program) Step(prev sim.OpResult, op *sim.Op) bool {
 			} else {
 				p.burst = p.burst/2 + rng.Intn(p.burst) // ragged burst lengths
 			}
-			p.scale = 1.0
-			if spec.BurstScale > 0 && spec.BurstScale < 1 {
-				p.scale = spec.BurstScale + rng.Float64()*(1-spec.BurstScale)
-			}
 			if spec.PeriodicSets > 0 && spec.BurstIters > 0 {
 				// Each burst opens a different file in the tree: the sweep
 				// restarts at a random position, so periodicity holds only
@@ -190,8 +182,8 @@ func (p *program) Step(prev sim.OpResult, op *sim.Op) bool {
 			// two paired instances from alternating in lockstep, which
 			// would fabricate run-length periodicity no real pair has.
 			n := 0
-			if base := int(float64(spec.Lines) * p.scale); base > 0 {
-				n = base/2 + rng.Intn(base+1)
+			if spec.Lines > 0 {
+				n = spec.Lines/2 + rng.Intn(spec.Lines+1)
 			}
 			p.pc = wlHot
 			if n > 0 && (spec.WorkingSetLines > 0 || spec.PeriodicSets > 0) {
@@ -243,17 +235,13 @@ func (p *program) Step(prev sim.OpResult, op *sim.Op) bool {
 		case wlDivs:
 			p.pc = wlAtomic
 			if spec.Divs > 0 {
-				// Machine.DivN short-circuits a non-positive count without
-				// an engine round; mirror that skip here.
-				if n := int(float64(spec.Divs) * p.scale); n > 0 {
-					*op = sim.Op{Kind: sim.OpDivN, Count: n}
-					return true
-				}
+				*op = sim.Op{Kind: sim.OpDivN, Count: spec.Divs}
+				return true
 			}
 
 		case wlAtomic:
 			p.pc = wlStormNow
-			if spec.AtomicProb > 0 && rng.Float64() < spec.AtomicProb*p.scale {
+			if spec.AtomicProb > 0 && rng.Float64() < spec.AtomicProb {
 				*op = sim.Op{Kind: sim.OpAtomicUnaligned}
 				return true
 			}

@@ -42,12 +42,6 @@ type Scenario struct {
 	// channel's, each pair sharing a core as hyperthreads (the
 	// paper's §VI-D arrangement).
 	Workloads []string
-	// CoScheduled names workloads that time-share the covert channel's
-	// own hardware contexts (pinned to contexts 0 and 1 alternately,
-	// multiplexed by the OS quantum). Their cache traffic lands in the
-	// channel's L2 and dilutes the conflict-miss train — the noise
-	// regime of the paper's low-bandwidth study (§VI-A).
-	CoScheduled []string
 	// Background is the number of light noise processes, satisfying
 	// the threat model's "at least three other active processes"
 	// (default 3; set to -1 for none).
@@ -69,9 +63,6 @@ type Scenario struct {
 	// IdealTracker selects the exact LRU-stack conflict tracker
 	// instead of the practical generation/Bloom design.
 	IdealTracker bool
-	// MigrationProb is the per-quantum process migration probability
-	// for unpinned processes.
-	MigrationProb float64
 	// EvasionNoise makes the bus trojan camouflage '0' slots with
 	// random-intensity bursts (the §III evasion strategy); see the
 	// evasion experiment.
@@ -117,9 +108,6 @@ type Scenario struct {
 	// train (memory-hungry on long runs; used by trace dumps and the
 	// Figure 4 event-train plots).
 	RecordRaw bool
-	// Detector overrides parts of the detection configuration; leave
-	// zero for paper defaults.
-	Detector *DetectorOverrides
 	// Stream runs detection in streaming mode: the auditor's buffers
 	// are drained continuously as events arrive, so the retained
 	// conflict train and per-quantum histograms stay bounded by the
@@ -148,19 +136,6 @@ type Scenario struct {
 	// observationally invisible, so only the equivalence regression
 	// test has a reason to vary it.
 	eventBatch int
-}
-
-// DetectorOverrides adjusts detection parameters without exposing the
-// whole internal configuration surface.
-type DetectorOverrides struct {
-	// LikelihoodThreshold replaces the default 0.5 when non-zero.
-	LikelihoodThreshold float64
-	// PeakThreshold replaces the oscillation peak threshold (default
-	// 0.5) when non-zero.
-	PeakThreshold float64
-	// WindowQuanta replaces the 512-quantum clustering window when
-	// non-zero.
-	WindowQuanta int
 }
 
 // Result is everything a Scenario run produces.
@@ -228,7 +203,6 @@ func (sc Scenario) Run() (*Result, error) {
 	simCfg := sim.DefaultConfig()
 	simCfg.QuantumCycles = cfg.QuantumCycles
 	simCfg.Seed = cfg.Seed
-	simCfg.MigrationProb = cfg.MigrationProb
 	if cfg.IdealTracker {
 		simCfg.Tracker = sim.TrackerIdeal
 	}
@@ -286,17 +260,6 @@ func (sc Scenario) Run() (*Result, error) {
 	detCfg := core.DefaultDetectorConfig(cfg.QuantumCycles, simCfg.Contexts())
 	detCfg.ObservationDivisor = cfg.ObservationDivisor
 	detCfg.Metrics = sc.Metrics
-	if o := sc.Detector; o != nil {
-		if o.LikelihoodThreshold > 0 {
-			detCfg.Burst.LikelihoodThreshold = o.LikelihoodThreshold
-		}
-		if o.PeakThreshold > 0 {
-			detCfg.Oscillation.PeakThreshold = o.PeakThreshold
-		}
-		if o.WindowQuanta > 0 {
-			detCfg.Burst.WindowQuanta = o.WindowQuanta
-		}
-	}
 
 	end := uint64(cfg.DurationQuanta) * cfg.QuantumCycles
 
@@ -351,23 +314,19 @@ func (sc Scenario) Run() (*Result, error) {
 		system.Spawn(spy, sim.Pin(ch.SpyCtx))
 		firstFreeCore = ch.FirstFreeCore(simCfg.ThreadsPerCore)
 	}
-	for i, name := range cfg.Workloads {
-		spec, ok := workload.All()[name]
-		if !ok {
-			return nil, fmt.Errorf("cchunter: unknown workload %q", name)
+	if len(cfg.Workloads) > 0 {
+		specs := workload.All() // builds a map: once per run, not per workload
+		for i, name := range cfg.Workloads {
+			spec, ok := specs[name]
+			if !ok {
+				return nil, fmt.Errorf("cchunter: unknown workload %q", name)
+			}
+			ctx := (firstFreeCore+i/2)*simCfg.ThreadsPerCore + i%2
+			if ctx >= simCfg.Contexts() {
+				return nil, fmt.Errorf("cchunter: too many workloads for %d contexts", simCfg.Contexts())
+			}
+			system.Spawn(workload.New(spec, cfg.Seed+uint64(i)+10), sim.Pin(ctx))
 		}
-		ctx := (firstFreeCore+i/2)*simCfg.ThreadsPerCore + i%2
-		if ctx >= simCfg.Contexts() {
-			return nil, fmt.Errorf("cchunter: too many workloads for %d contexts", simCfg.Contexts())
-		}
-		system.Spawn(workload.New(spec, cfg.Seed+uint64(i)+10), sim.Pin(ctx))
-	}
-	for i, name := range sc.CoScheduled {
-		spec, ok := workload.All()[name]
-		if !ok {
-			return nil, fmt.Errorf("cchunter: unknown co-scheduled workload %q", name)
-		}
-		system.Spawn(workload.New(spec, cfg.Seed+uint64(i)+50), sim.Pin(i%2))
 	}
 	for i := 0; i < cfg.Background; i++ {
 		system.Spawn(workload.New(workload.Background(i), cfg.Seed+uint64(i)+100))

@@ -255,41 +255,6 @@ func TestRecordRaw(t *testing.T) {
 	}
 }
 
-func TestDetectorOverrides(t *testing.T) {
-	// An absurdly high likelihood threshold suppresses the bus verdict.
-	res, err := Scenario{
-		Channel:       ChannelMemoryBus,
-		BandwidthBPS:  1000,
-		Message:       RandomMessage(8, 3),
-		QuantumCycles: testQuantum,
-		Detector:      &DetectorOverrides{LikelihoodThreshold: 0.999999},
-	}.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range res.Report.Contention {
-		if v.Kind == EventBusLock && v.Analysis.HasBursts && v.Analysis.LikelihoodRatio < 0.999999 {
-			t.Errorf("override ignored: %+v", v.Analysis)
-		}
-	}
-	// Window clipping override.
-	res, err = Scenario{
-		Channel:       ChannelMemoryBus,
-		BandwidthBPS:  1000,
-		Message:       RandomMessage(8, 3),
-		QuantumCycles: testQuantum,
-		Detector:      &DetectorOverrides{WindowQuanta: 2},
-	}.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range res.Report.Contention {
-		if v.Kind == EventBusLock && v.Analysis.QuantaAnalyzed > 2 {
-			t.Errorf("window override ignored: analyzed %d quanta", v.Analysis.QuantaAnalyzed)
-		}
-	}
-}
-
 func TestMitigationValidation(t *testing.T) {
 	if _, err := (Scenario{
 		Channel:       ChannelMemoryBus,
