@@ -2,8 +2,11 @@ package cchunter
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"flag"
+	"hash/fnv"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -152,5 +155,39 @@ func TestGoldenVerdicts(t *testing.T) {
 					path, got, want)
 			}
 		})
+	}
+}
+
+// perBitSeriesDigest is the FNV-64a digest of every golden case's
+// PerBitSeries, which the corpus files do not store.
+const perBitSeriesDigest = 0xf61221290acb448a
+
+// TestGoldenPerBitSeriesDigest pins the spies' per-slot observables
+// (Figures 2, 3 and 7 plot them) for the goldenCases corpus, bit for
+// bit: each case's name, series length and the math.Float64bits of
+// every value feed one FNV-64a hash. A change to how a spy samples or
+// decodes that moves any value fails here even when the decoded bits
+// and verdicts stay the same.
+func TestGoldenPerBitSeriesDigest(t *testing.T) {
+	h := fnv.New64a()
+	var buf [8]byte
+	for _, tc := range goldenCases() {
+		res, err := tc.sc.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tc.sc.Channel != ChannelNone && len(res.PerBitSeries) == 0 {
+			t.Errorf("%s: no per-bit series", tc.name)
+		}
+		h.Write([]byte(tc.name))
+		binary.LittleEndian.PutUint64(buf[:], uint64(len(res.PerBitSeries)))
+		h.Write(buf[:])
+		for _, v := range res.PerBitSeries {
+			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+			h.Write(buf[:])
+		}
+	}
+	if got := h.Sum64(); got != perBitSeriesDigest {
+		t.Fatalf("per-bit series digest %#016x, want %#016x: a spy's observable changed", got, uint64(perBitSeriesDigest))
 	}
 }
