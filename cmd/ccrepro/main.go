@@ -51,8 +51,8 @@ func main() {
 	outDir := flag.String("out", "out", "directory for CSV output")
 	scale := flag.Float64("scale", 100, "time scale (1 = full paper scale)")
 	seed := flag.Uint64("seed", 1, "random seed")
-	messages := flag.Int("messages", 32, "messages for Figure 12 (paper: 256)")
-	quanta := flag.Int("quanta", 64, "observation quanta for Figure 14 (paper: 512)")
+	messages := flag.Int("messages", experiments.DefaultMessages, "messages for Figure 12 (paper: 256)")
+	quanta := flag.Int("quanta", experiments.DefaultQuanta, "observation quanta for Figure 14 (paper: 512)")
 	jobs := flag.Int("j", runtime.NumCPU(), "worker count for figures and their sweeps (1 = serial)")
 	verbose := flag.Bool("v", false, "print per-figure timing after the run")
 	benchOut := flag.String("bench-out", "", "write a benchmark-trajectory JSON report (ns, allocs, detection metrics per figure) to this file; forces -j 1 for per-figure attribution")

@@ -609,21 +609,10 @@ func (a *Auditor) Integrity(kind trace.Kind) SlotIntegrity {
 type ConflictIntegrity struct {
 	// Recorded is the number of entries in the drained train.
 	Recorded uint64
-	// Dropped counts conflict misses lost to full vector registers.
-	Dropped uint64
 	// ClampedTimestamps counts entries whose arrival order contradicted
 	// their timestamps and were clamped on ingest (a degraded or
 	// reordered sensor path; zero on a healthy pipeline).
 	ClampedTimestamps uint64
-}
-
-// LossRate is the fraction of observed conflict misses never recorded.
-func (i ConflictIntegrity) LossRate() float64 {
-	total := i.Recorded + i.Dropped
-	if total == 0 {
-		return 0
-	}
-	return float64(i.Dropped) / float64(total)
 }
 
 // ConflictIntegrity returns the conflict-capture diagnostics (zero
@@ -634,7 +623,6 @@ func (a *Auditor) ConflictIntegrity() ConflictIntegrity {
 	}
 	return ConflictIntegrity{
 		Recorded:          uint64(a.osc.train.Len()) + a.osc.trimmed,
-		Dropped:           a.osc.dropped,
 		ClampedTimestamps: a.osc.clamped,
 	}
 }

@@ -161,9 +161,6 @@ func TestOscillatorVectorRegisterSwap(t *testing.T) {
 	if a.ConflictTrain().Len() != 10 {
 		t.Errorf("train len = %d, want 10", a.ConflictTrain().Len())
 	}
-	if a.ConflictIntegrity().Dropped != 0 {
-		t.Errorf("dropped = %d", a.ConflictIntegrity().Dropped)
-	}
 }
 
 func TestConflictTrainNilWithoutMonitoring(t *testing.T) {
@@ -172,8 +169,8 @@ func TestConflictTrainNilWithoutMonitoring(t *testing.T) {
 		t.Error("train should be nil before MonitorConflicts")
 	}
 	a.OnEvent(confEvent(1, 0, 0, 1)) // ignored, no crash
-	if a.ConflictIntegrity().Dropped != 0 {
-		t.Error("dropped should be 0")
+	if in := a.ConflictIntegrity(); in != (ConflictIntegrity{}) {
+		t.Errorf("conflict integrity %+v without monitoring, want zero", in)
 	}
 }
 

@@ -5,52 +5,36 @@ import (
 	"cchunter/internal/stats"
 )
 
-// BusConfig configures the memory bus covert channel.
-type BusConfig struct {
-	Protocol
-	// LockSpacing is the cycle distance between consecutive atomic
+// The bus channel's fixed shape.
+const (
+	// busLockSpacing is the cycle distance between consecutive atomic
 	// unaligned accesses during a '1' burst. With the default bus
 	// lock occupancy this keeps the bus contended for roughly half of
 	// the burst, and puts ~20 lock events into each Δt = 100k-cycle
 	// window — the paper's Figure 6a burst bin.
-	LockSpacing uint64
-	// MaxBurstCycles caps the burst length within a bit slot: at low
+	busLockSpacing = 5_000
+	// busMaxBurst caps the burst length within a bit slot: at low
 	// bandwidths the trojan transmits its conflicts early in the slot
 	// and stays dormant for the rest ("a certain number of conflicts
 	// ... frequently followed by longer periods of dormancy", §VI-A).
-	MaxBurstCycles uint64
-	// SamplesPerBit is how many latency samples the spy averages per
+	busMaxBurst = 1_000_000
+	// busSamplesPerBit is how many latency samples the spy takes per
 	// bit.
-	SamplesPerBit int
-	// DecisionLatency is the spy's per-sample latency threshold
-	// separating contended from uncontended bus state.
-	DecisionLatency uint64
-	// EvasionNoise is the probability that the trojan camouflages a
-	// '0' slot with a burst of random intensity — the §III evasion
-	// strategy of "artificially inflating the patterns of random
-	// conflicts". The paper's point, reproduced by the evasion
-	// experiment: the spy cannot tell camouflage from signal, so
-	// reliability collapses long before detection does.
-	EvasionNoise float64
-}
-
-// DefaultBusConfig returns a paper-shaped bus channel carrying message
-// bits at bps bits per second.
-func DefaultBusConfig(message []int, bps float64) BusConfig {
-	return BusConfig{
-		Protocol:        Protocol{Message: message, BPS: bps, Start: 0, Seed: 1},
-		LockSpacing:     5_000,
-		MaxBurstCycles:  1_000_000,
-		SamplesPerBit:   20,
-		DecisionLatency: 600,
-	}
-}
+	busSamplesPerBit = 20
+)
 
 // BusTrojan transmits the message by modulating memory bus contention.
 // It is a sim.Program state machine; the evasion draw happens after the
 // slot-start wait, an order the golden corpus pins.
+//
+// Params.EvasionNoise is the probability that the trojan camouflages a
+// '0' slot with a burst of random intensity — the §III evasion
+// strategy of "artificially inflating the patterns of random
+// conflicts". The paper's point, reproduced by the evasion experiment:
+// the spy cannot tell camouflage from signal, so reliability collapses
+// long before detection does.
 type BusTrojan struct {
-	cfg BusConfig
+	cfg Params
 
 	rng     *stats.RNG
 	slot    uint64
@@ -72,12 +56,9 @@ const (
 )
 
 // NewBusTrojan builds the transmitter.
-func NewBusTrojan(cfg BusConfig) *BusTrojan {
-	cfg.Protocol.validate()
-	if cfg.LockSpacing == 0 || cfg.MaxBurstCycles == 0 {
-		panic("channels: bus trojan needs LockSpacing and MaxBurstCycles")
-	}
-	return &BusTrojan{cfg: cfg}
+func NewBusTrojan(p Params) *BusTrojan {
+	p.validate()
+	return &BusTrojan{cfg: p}
 }
 
 // Name implements sim.Program.
@@ -88,7 +69,7 @@ func (t *BusTrojan) Begin(m *sim.Machine) {
 	geo := m.Geometry()
 	t.rng = stats.NewRNG(t.cfg.Seed ^ 0xe7a510)
 	t.slot = t.cfg.slotCycles(geo)
-	t.burst = min(t.slot, t.cfg.MaxBurstCycles)
+	t.burst = min(t.slot, busMaxBurst)
 	t.pc = btSlot
 }
 
@@ -108,7 +89,7 @@ func (t *BusTrojan) Step(prev sim.OpResult, op *sim.Op) bool {
 			return true
 
 		case btGate:
-			t.spacing = t.cfg.dutySpacing(t.cfg.LockSpacing)
+			t.spacing = t.cfg.dutySpacing(busLockSpacing)
 			if t.bit == 0 {
 				if t.cfg.EvasionNoise <= 0 || t.rng.Float64() >= t.cfg.EvasionNoise {
 					t.i++
@@ -116,7 +97,7 @@ func (t *BusTrojan) Step(prev sim.OpResult, op *sim.Op) bool {
 					continue
 				}
 				// Camouflage: a burst of random (lower) intensity.
-				t.spacing = t.cfg.dutySpacing(t.cfg.LockSpacing * uint64(1+t.rng.Intn(3)))
+				t.spacing = t.cfg.dutySpacing(busLockSpacing * uint64(1+t.rng.Intn(3)))
 			}
 			t.k = 0
 			t.pc = btBurst
@@ -139,13 +120,12 @@ func (t *BusTrojan) Step(prev sim.OpResult, op *sim.Op) bool {
 	}
 }
 
-// BusSpy decodes the message from memory access latencies. It is a
-// sim.Program state machine.
+// BusSpy samples memory access latencies. It is a sim.Program state
+// machine that records one sample per bit slot: the latency sum of its
+// busSamplesPerBit probes.
 type BusSpy struct {
-	// readout's series is the average memory latency per bit (cycles),
-	// the observable of Figure 2.
-	readout
-	cfg     BusConfig
+	record
+	cfg     Protocol
 	m       *sim.Machine
 	slot    uint64
 	spacing uint64
@@ -159,19 +139,16 @@ type BusSpy struct {
 
 // BusSpy states.
 const (
-	bsSlot   = iota // decode slot bounds, close out the previous bit
-	bsSample        // wait for the next sample position
+	bsSlot   = iota // decode slot bounds
+	bsSample        // wait for the next sample position / record the slot
 	bsLoad          // issue the probing load
 	bsAcc           // accumulate the load latency
 )
 
 // NewBusSpy builds the receiver.
-func NewBusSpy(cfg BusConfig) *BusSpy {
-	cfg.Protocol.validate()
-	if cfg.SamplesPerBit <= 0 {
-		panic("channels: bus spy needs SamplesPerBit")
-	}
-	return &BusSpy{cfg: cfg}
+func NewBusSpy(p Params) *BusSpy {
+	p.validate()
+	return &BusSpy{cfg: p.Protocol}
 }
 
 // Name implements sim.Program.
@@ -182,8 +159,8 @@ func (s *BusSpy) Begin(m *sim.Machine) {
 	geo := m.Geometry()
 	s.m = m
 	s.slot = s.cfg.slotCycles(geo)
-	burst := min(s.slot, s.cfg.MaxBurstCycles)
-	s.spacing = burst / uint64(s.cfg.SamplesPerBit)
+	burst := min(s.slot, busMaxBurst)
+	s.spacing = burst / busSamplesPerBit
 	if s.spacing == 0 {
 		s.spacing = 1
 	}
@@ -204,7 +181,7 @@ func (s *BusSpy) Step(prev sim.OpResult, op *sim.Op) bool {
 			s.pc = bsSample
 
 		case bsSample:
-			if s.k < s.cfg.SamplesPerBit {
+			if s.k < busSamplesPerBit {
 				// Sample a third of the way into each spacing interval so
 				// the probes never alias onto the trojan's lock grid.
 				s.pc = bsLoad
@@ -212,8 +189,7 @@ func (s *BusSpy) Step(prev sim.OpResult, op *sim.Op) bool {
 					Cycles: s.start + uint64(s.k)*s.spacing + s.spacing/3}
 				return true
 			}
-			avg := s.total / uint64(s.cfg.SamplesPerBit)
-			s.decide(float64(avg), avg > s.cfg.DecisionLatency)
+			s.samples = append(s.samples, s.total)
 			s.i++
 			s.pc = bsSlot
 

@@ -5,39 +5,52 @@ import (
 	"cchunter/internal/stats"
 )
 
-// CacheConfig configures the shared-L2 covert channel (Xu et al.).
-// Trojan and spy must share an L2, i.e. run as hyperthreads of one
-// core in the default machine.
-type CacheConfig struct {
+// cacheReserveLowSets excludes the lowest-numbered cache sets from the
+// channel. Real channels calibrate their set groups during the
+// synchronization phase and avoid sets that are persistently hot (low
+// sets host the hottest shared data in practice): a group that other
+// tenants keep replacing cannot carry bits reliably.
+const cacheReserveLowSets = 64
+
+// cacheShape is the prime/probe layout both cache programs derive from
+// Params. Trojan and spy must share an L2.
+type cacheShape struct {
 	Protocol
-	// SetsUsed is the total number of cache sets carrying the channel,
+	// sets is the total number of cache sets carrying the channel,
 	// split evenly between G1 and G0 ("a total of 512 cache sets were
 	// used in G1 and G0"). It must leave most of the cache untouched
 	// or the channel's evictions stop being premature (see DESIGN.md).
-	SetsUsed int
-	// RoundsPerBit is how many prime/probe rounds reinforce each bit;
-	// more rounds improve reliability against noise.
-	RoundsPerBit int
-	// MaxBurstCycles caps the per-bit active phase, as for the other
-	// channels.
-	MaxBurstCycles uint64
-	// ReserveLowSets excludes the lowest-numbered cache sets from the
-	// channel. Real channels calibrate their set groups during the
-	// synchronization phase and avoid sets that are persistently hot
-	// (low sets host the hottest shared data in practice): a group
-	// that other tenants keep replacing cannot carry bits reliably.
-	ReserveLowSets int
+	sets int
+	// rounds is how many prime/probe rounds reinforce each bit; more
+	// rounds improve reliability against noise.
+	rounds int
+	// maxBurst caps the per-bit active phase.
+	maxBurst uint64
 }
 
-// DefaultCacheConfig returns a paper-shaped cache channel: 512 sets,
-// one round per bit.
-func DefaultCacheConfig(message []int, bps float64) CacheConfig {
-	return CacheConfig{
-		Protocol:       Protocol{Message: message, BPS: bps, Start: 0, Seed: 1},
-		SetsUsed:       512,
-		RoundsPerBit:   1,
-		MaxBurstCycles: 2_500_000,
-		ReserveLowSets: 64,
+// newCacheShape sizes the rounds to the slot: low-bandwidth bits
+// repeat their prime/probe rounds (the "certain number of conflicts
+// needed to reliably transmit a bit", §VI-A), which also puts several
+// oscillation periods into each observation window. Params.CacheRounds
+// overrides the count.
+func newCacheShape(p Params) cacheShape {
+	p.validate()
+	if p.CacheSets <= 0 {
+		// The round sizing below divides by the set count.
+		panic("channels: cache channel needs CacheSets > 0")
+	}
+	slot := uint64(2_500_000_000 / p.BPS)
+	roundCost := uint64(p.CacheSets) * 2_700 // fill + double probe
+	rounds := p.CacheRounds
+	if rounds <= 0 {
+		rounds = int(slot / (2 * roundCost))
+	}
+	rounds = min(max(rounds, 1), 8)
+	return cacheShape{
+		Protocol: p.Protocol,
+		sets:     p.CacheSets,
+		rounds:   rounds,
+		maxBurst: uint64(rounds) * roundCost * 13 / 10,
 	}
 }
 
@@ -45,32 +58,31 @@ func DefaultCacheConfig(message []int, bps float64) CacheConfig {
 // them identically from the protocol seed — the paper's "dynamically
 // determined group of cache sets ... chosen during the covert channel
 // synchronization phase".
-func selectSets(cfg CacheConfig, geo sim.Geometry) (g1, g0 []uint32) {
-	usable := geo.L2Sets - cfg.ReserveLowSets
-	if cfg.SetsUsed < 2 || cfg.SetsUsed > usable {
-		panic("channels: SetsUsed out of range")
+func selectSets(seed uint64, used int, geo sim.Geometry) (g1, g0 []uint32) {
+	usable := geo.L2Sets - cacheReserveLowSets
+	if used < 2 || used > usable {
+		panic("channels: CacheSets out of range")
 	}
-	perm := stats.NewRNG(cfg.Seed).Perm(usable)
-	half := cfg.SetsUsed / 2
+	perm := stats.NewRNG(seed).Perm(usable)
+	half := used / 2
 	g1 = make([]uint32, half)
 	g0 = make([]uint32, half)
 	for i := 0; i < half; i++ {
-		g1[i] = uint32(perm[i] + cfg.ReserveLowSets)
-		g0[i] = uint32(perm[half+i] + cfg.ReserveLowSets)
+		g1[i] = uint32(perm[i] + cacheReserveLowSets)
+		g0[i] = uint32(perm[half+i] + cacheReserveLowSets)
 	}
 	return g1, g0
 }
 
 // roundLen returns the length of one prime/probe round in cycles.
-func (cfg CacheConfig) roundLen(slot uint64) uint64 {
-	burst := min(slot, cfg.MaxBurstCycles)
-	return burst / uint64(cfg.RoundsPerBit)
+func (c cacheShape) roundLen(slot uint64) uint64 {
+	return min(slot, c.maxBurst) / uint64(c.rounds)
 }
 
 // CacheTrojan transmits by replacing the blocks of G1 (for '1') or G0
 // (for '0'). It is a sim.Program state machine.
 type CacheTrojan struct {
-	cfg CacheConfig
+	cfg cacheShape
 
 	m      *sim.Machine
 	g1, g0 []uint32
@@ -93,12 +105,8 @@ const (
 )
 
 // NewCacheTrojan builds the transmitter.
-func NewCacheTrojan(cfg CacheConfig) *CacheTrojan {
-	cfg.Protocol.validate()
-	if cfg.RoundsPerBit <= 0 || cfg.MaxBurstCycles == 0 {
-		panic("channels: cache trojan needs RoundsPerBit and MaxBurstCycles")
-	}
-	return &CacheTrojan{cfg: cfg}
+func NewCacheTrojan(p Params) *CacheTrojan {
+	return &CacheTrojan{cfg: newCacheShape(p)}
 }
 
 // Name implements sim.Program.
@@ -108,7 +116,7 @@ func (t *CacheTrojan) Name() string { return "cache-trojan" }
 func (t *CacheTrojan) Begin(m *sim.Machine) {
 	geo := m.Geometry()
 	t.m = m
-	t.g1, t.g0 = selectSets(t.cfg, geo)
+	t.g1, t.g0 = selectSets(t.cfg.Seed, t.cfg.sets, geo)
 	t.slot = t.cfg.slotCycles(geo)
 	t.round = t.cfg.roundLen(t.slot)
 	t.addrs = make([]uint64, geo.L2Ways)
@@ -135,7 +143,7 @@ func (t *CacheTrojan) Step(prev sim.OpResult, op *sim.Op) bool {
 			t.pc = ctRound
 
 		case ctRound:
-			if t.r < t.cfg.RoundsPerBit {
+			if t.r < t.cfg.rounds {
 				t.setIdx = 0
 				t.pc = ctSet
 				*op = sim.Op{Kind: sim.OpWaitUntil, Cycles: t.start + uint64(t.r)*t.round}
@@ -168,15 +176,14 @@ func (t *CacheTrojan) Step(prev sim.OpResult, op *sim.Op) bool {
 	}
 }
 
-// CacheSpy decodes by probing both groups and comparing access times.
-// It is a sim.Program state machine: probing a group is a sub-machine
-// (csProbe*) that accumulates each LoadN's latency and then jumps to
-// the state stored in afterProbe.
+// CacheSpy probes both groups and times them. It is a sim.Program
+// state machine that records two samples per bit slot, the G1 and the
+// G0 probe latency summed over the slot's rounds. Probing a group is a
+// sub-machine (csProbe*) that accumulates each LoadN's latency and then
+// jumps to the state stored in afterProbe.
 type CacheSpy struct {
-	// readout's series is the G1/G0 access-time ratio per bit, the
-	// observable of Figure 7: >1 decodes '1', <1 decodes '0'.
-	readout
-	cfg    CacheConfig
+	record
+	cfg    cacheShape
 	m      *sim.Machine
 	g1, g0 []uint32
 	slot   uint64
@@ -200,8 +207,8 @@ const (
 	csWarm      = iota // wait for slot 0, then prime both groups
 	csWarmG1           // warm-up: first group
 	csWarmG0           // warm-up: second group
-	csSlot             // decode slot bounds / close out the previous bit
-	csRound            // wait halfway into the next probe round
+	csSlot             // decode slot bounds
+	csRound            // wait halfway into the next probe round / record the slot
 	csProbeG1          // start the G1 probe
 	csProbeG0          // bank G1, start the G0 probe
 	csRoundDone        // bank G0, advance the round
@@ -210,12 +217,8 @@ const (
 )
 
 // NewCacheSpy builds the receiver.
-func NewCacheSpy(cfg CacheConfig) *CacheSpy {
-	cfg.Protocol.validate()
-	if cfg.RoundsPerBit <= 0 || cfg.MaxBurstCycles == 0 {
-		panic("channels: cache spy needs RoundsPerBit and MaxBurstCycles")
-	}
-	return &CacheSpy{cfg: cfg}
+func NewCacheSpy(p Params) *CacheSpy {
+	return &CacheSpy{cfg: newCacheShape(p)}
 }
 
 // Name implements sim.Program.
@@ -225,7 +228,7 @@ func (s *CacheSpy) Name() string { return "cache-spy" }
 func (s *CacheSpy) Begin(m *sim.Machine) {
 	geo := m.Geometry()
 	s.m = m
-	s.g1, s.g0 = selectSets(s.cfg, geo)
+	s.g1, s.g0 = selectSets(s.cfg.Seed, s.cfg.sets, geo)
 	s.slot = s.cfg.slotCycles(geo)
 	s.round = s.cfg.roundLen(s.slot)
 	s.addrs = make([]uint64, geo.L2Ways)
@@ -268,7 +271,7 @@ func (s *CacheSpy) Step(prev sim.OpResult, op *sim.Op) bool {
 			s.pc = csRound
 
 		case csRound:
-			if s.r < s.cfg.RoundsPerBit {
+			if s.r < s.cfg.rounds {
 				// Probe halfway through each round, after the trojan's
 				// replacements.
 				s.pc = csProbeG1
@@ -276,8 +279,7 @@ func (s *CacheSpy) Step(prev sim.OpResult, op *sim.Op) bool {
 					Cycles: s.start + uint64(s.r)*s.round + s.round/2}
 				return true
 			}
-			ratio := float64(s.lat1) / float64(s.lat0)
-			s.decide(ratio, ratio > 1)
+			s.samples = append(s.samples, s.lat1, s.lat0)
 			s.i++
 			s.pc = csSlot
 

@@ -21,8 +21,11 @@
 // Each channel is a (Trojan, Spy) pair of sim.Programs synchronized by
 // bit slots derived from the configured bandwidth, as real
 // implementations synchronize on wall-clock slots. Table declares all
-// five, one row each; adding a channel is adding a row. Every spy
-// reports one Observation.
+// five, one row each; adding a channel is adding a row and its rule in
+// Decode. Both programs take Params; every other value of a channel's
+// shape is a constant beside the code that uses it. Spies only sample:
+// each records a fixed number of raw integers per slot, and Decode
+// alone turns them into bits.
 package channels
 
 import (

@@ -72,27 +72,50 @@ func TestProtocolRepeat(t *testing.T) {
 	}
 }
 
-// runBusChannel drives a bus channel end to end and returns the spy
-// and the recorded bus-lock train.
-func runBusChannel(t *testing.T, message []int, bps float64) (*BusSpy, *trace.Train) {
+// testParams is the protocol the channel tests share: seed 1, the
+// first slot at cycle 0.
+func testParams(message []int, bps float64) Params {
+	return Params{Protocol: Protocol{Message: message, BPS: bps, Seed: 1}}
+}
+
+// observation is what a spy learned: Decode's bits and series.
+type observation struct {
+	decoded []int
+	series  []float64
+}
+
+// observe decodes spy's samples under the named channel's rule.
+func observe(t *testing.T, name string, p Params, spy Spy) observation {
 	t.Helper()
-	cfg := DefaultBusConfig(message, bps)
+	spec, ok := Lookup(name)
+	if !ok {
+		t.Fatalf("no %s row", name)
+	}
+	d, s := Decode(spec, p.Protocol, spy.Samples())
+	return observation{d, s}
+}
+
+// runBusChannel drives a bus channel end to end and returns what the
+// spy decoded and the recorded bus-lock train.
+func runBusChannel(t *testing.T, message []int, bps float64) (observation, *trace.Train) {
+	t.Helper()
+	p := testParams(message, bps)
 	s := sim.MustNew(sim.TestConfig())
 	rec := trace.NewRecorder(trace.KindBusLock)
 	s.AddListener(rec)
-	spy := NewBusSpy(cfg)
-	s.Spawn(NewBusTrojan(cfg), sim.Pin(0))
+	spy := NewBusSpy(p)
+	s.Spawn(NewBusTrojan(p), sim.Pin(0))
 	s.Spawn(spy, sim.Pin(2)) // different core: the bus is chip-wide
 	slot := uint64(float64(sim.TestConfig().ClockHz) / bps)
 	s.Run(uint64(len(message)+1) * slot)
-	return spy, rec.Train()
+	return observe(t, "bus", p, spy), rec.Train()
 }
 
 func TestBusChannelDecodes(t *testing.T) {
 	msg := RandomMessage(16, 7)
-	spy, train := runBusChannel(t, msg, 25_000)
-	if errs := BitErrors(msg, spy.Observation().Decoded); errs != 0 {
-		t.Errorf("bus channel bit errors = %d (decoded %v)", errs, spy.Observation().Decoded)
+	obs, train := runBusChannel(t, msg, 25_000)
+	if errs := BitErrors(msg, obs.decoded); errs != 0 {
+		t.Errorf("bus channel bit errors = %d (decoded %v)", errs, obs.decoded)
 	}
 	if train.Len() == 0 {
 		t.Fatal("no bus lock events")
@@ -112,8 +135,8 @@ func TestBusChannelDecodes(t *testing.T) {
 
 func TestBusChannelLatencySeparation(t *testing.T) {
 	msg := []int{1, 0, 1, 0, 1, 0}
-	spy, _ := runBusChannel(t, msg, 25_000)
-	lat := spy.Observation().Series
+	obs, _ := runBusChannel(t, msg, 25_000)
+	lat := obs.series
 	if len(lat) != len(msg) {
 		t.Fatalf("latency samples = %d", len(lat))
 	}
@@ -125,25 +148,25 @@ func TestBusChannelLatencySeparation(t *testing.T) {
 	}
 }
 
-func runDivChannel(t *testing.T, message []int, bps float64) (*DivSpy, *trace.Train) {
+func runDivChannel(t *testing.T, message []int, bps float64) (observation, *trace.Train) {
 	t.Helper()
-	cfg := DefaultDivConfig(message, bps)
+	p := testParams(message, bps)
 	s := sim.MustNew(sim.TestConfig())
 	rec := trace.NewRecorder(trace.KindDivContention)
 	s.AddListener(rec)
-	spy := NewDivSpy(cfg)
-	s.Spawn(NewDivTrojan(cfg), sim.Pin(0))
+	spy := NewDivSpy(p)
+	s.Spawn(NewDivTrojan(p), sim.Pin(0))
 	s.Spawn(spy, sim.Pin(1)) // hyperthread siblings
 	slot := uint64(float64(sim.TestConfig().ClockHz) / bps)
 	s.Run(uint64(len(message)+1) * slot)
-	return spy, rec.Train()
+	return observe(t, "divider", p, spy), rec.Train()
 }
 
 func TestDivChannelDecodes(t *testing.T) {
 	msg := RandomMessage(12, 9)
-	spy, train := runDivChannel(t, msg, 5_000)
-	if errs := BitErrors(msg, spy.Observation().Decoded); errs != 0 {
-		t.Errorf("div channel bit errors = %d (decoded %v)", errs, spy.Observation().Decoded)
+	obs, train := runDivChannel(t, msg, 5_000)
+	if errs := BitErrors(msg, obs.decoded); errs != 0 {
+		t.Errorf("div channel bit errors = %d (decoded %v)", errs, obs.decoded)
 	}
 	if train.Len() == 0 {
 		t.Fatal("no contention events")
@@ -172,10 +195,10 @@ func TestDivChannelContentionDensity(t *testing.T) {
 	}
 }
 
-func runCacheChannel(t *testing.T, message []int, bps float64, sets int) (*CacheSpy, *auditor.Auditor, uint64) {
+func runCacheChannel(t *testing.T, message []int, bps float64, sets int) (observation, *auditor.Auditor) {
 	t.Helper()
-	cfg := DefaultCacheConfig(message, bps)
-	cfg.SetsUsed = sets
+	p := testParams(message, bps)
+	p.CacheSets = sets
 	simCfg := sim.TestConfig()
 	s := sim.MustNew(simCfg)
 	aud := auditor.MustNew(auditor.DefaultConfig(simCfg.QuantumCycles))
@@ -183,26 +206,26 @@ func runCacheChannel(t *testing.T, message []int, bps float64, sets int) (*Cache
 		t.Fatal(err)
 	}
 	s.AddListener(aud)
-	spy := NewCacheSpy(cfg)
-	s.Spawn(NewCacheTrojan(cfg), sim.Pin(0))
+	spy := NewCacheSpy(p)
+	s.Spawn(NewCacheTrojan(p), sim.Pin(0))
 	s.Spawn(spy, sim.Pin(1)) // hyperthread siblings share the L2
 	slot := uint64(float64(simCfg.ClockHz) / bps)
 	end := uint64(len(message)+2) * slot
 	s.Run(end)
 	aud.Flush(end)
-	return spy, aud, end
+	return observe(t, "cache", p, spy), aud
 }
 
 func TestCacheChannelDecodes(t *testing.T) {
 	msg := RandomMessage(10, 21)
-	spy, _, _ := runCacheChannel(t, msg, 1000, 512)
-	if errs := BitErrors(msg, spy.Observation().Decoded); errs != 0 {
+	obs, _ := runCacheChannel(t, msg, 1000, 512)
+	if errs := BitErrors(msg, obs.decoded); errs != 0 {
 		t.Errorf("cache channel bit errors = %d (decoded %v, ratios %v)",
-			errs, spy.Observation().Decoded, spy.Observation().Series)
+			errs, obs.decoded, obs.series)
 	}
 	// Figure 7's shape: ratio > 1 for '1', < 1 for '0'.
 	for i, bit := range msg {
-		r := spy.Observation().Series[i]
+		r := obs.series[i]
 		if bit == 1 && r <= 1 {
 			t.Errorf("bit %d: '1' ratio %v", i, r)
 		}
@@ -217,7 +240,7 @@ func TestCacheChannelOscillationPeriod(t *testing.T) {
 	// of sets used (Figure 8b / Figure 13).
 	for _, sets := range []int{128, 256} {
 		msg := RandomMessage(8, 33)
-		_, aud, _ := runCacheChannel(t, msg, 1000, sets)
+		_, aud := runCacheChannel(t, msg, 1000, sets)
 		train := aud.ConflictTrain()
 		if train.Len() < 4*sets {
 			t.Fatalf("%d sets: conflict train too short: %d", sets, train.Len())
@@ -247,10 +270,8 @@ func TestCacheChannelOscillationPeriod(t *testing.T) {
 }
 
 func TestCacheChannelSetSelectionDisjoint(t *testing.T) {
-	cfg := DefaultCacheConfig([]int{1}, 1000)
-	cfg.SetsUsed = 512
 	geo := sim.Geometry{L2Sets: 2048, L2Ways: 8, ClockHz: 2_500_000_000}
-	g1, g0 := selectSets(cfg, geo)
+	g1, g0 := selectSets(1, 512, geo)
 	if len(g1) != 256 || len(g0) != 256 {
 		t.Fatalf("group sizes %d/%d", len(g1), len(g0))
 	}
@@ -262,7 +283,7 @@ func TestCacheChannelSetSelectionDisjoint(t *testing.T) {
 		seen[s] = true
 	}
 	// Same seed, same groups (synchronization property).
-	h1, h0 := selectSets(cfg, geo)
+	h1, h0 := selectSets(1, 512, geo)
 	for i := range g1 {
 		if g1[i] != h1[i] || g0[i] != h0[i] {
 			t.Fatal("set selection not deterministic")
@@ -272,30 +293,28 @@ func TestCacheChannelSetSelectionDisjoint(t *testing.T) {
 
 func TestCacheChannelConfigPanics(t *testing.T) {
 	geo := sim.Geometry{L2Sets: 64, L2Ways: 8}
-	cfg := DefaultCacheConfig([]int{1}, 10)
-	cfg.SetsUsed = 128 // more than the cache has
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
 		}
 	}()
-	selectSets(cfg, geo)
+	selectSets(1, 128, geo) // more sets than the cache has
 }
 
+// TestConstructorValidation: both cache programs size their rounds by
+// the set count, so each rejects a zero CacheSets by name, not with an
+// integer division by zero.
 func TestConstructorValidation(t *testing.T) {
-	good := Protocol{Message: []int{1}, BPS: 10}
+	good := Params{Protocol: Protocol{Message: []int{1}, BPS: 10}}
+	const want = "channels: cache channel needs CacheSets > 0"
 	for name, f := range map[string]func(){
-		"bus trojan": func() { NewBusTrojan(BusConfig{Protocol: good}) },
-		"bus spy":    func() { NewBusSpy(BusConfig{Protocol: good}) },
-		"div trojan": func() { NewDivTrojan(DivConfig{Protocol: good}) },
-		"div spy":    func() { NewDivSpy(DivConfig{Protocol: good}) },
-		"cache troj": func() { NewCacheTrojan(CacheConfig{Protocol: good}) },
-		"cache spy":  func() { NewCacheSpy(CacheConfig{Protocol: good}) },
+		"cache trojan": func() { NewCacheTrojan(good) },
+		"cache spy":    func() { NewCacheSpy(good) },
 	} {
 		func() {
 			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: zero config should panic", name)
+				if r := recover(); r != want {
+					t.Errorf("%s: panic %v, want %q", name, r, want)
 				}
 			}()
 			f()

@@ -2,40 +2,26 @@ package channels
 
 import "cchunter/internal/sim"
 
-// DivConfig configures the integer divider covert channel. Trojan and
-// spy must be pinned onto the two hyperthreads of one core: the
-// divider bank is per-core.
-type DivConfig struct {
-	Protocol
-	// MaxBurstCycles caps the contention burst within a bit slot.
-	MaxBurstCycles uint64
-	// OpsPerSample is the constant number of divisions in each of the
-	// spy's timed loop iterations (§IV-A: "executing loop iterations
-	// with a constant number of integer division operations and
-	// timing them"). The spy iterates continuously through the burst.
-	OpsPerSample int
-	// DecisionLatency is the spy's per-iteration threshold separating
-	// contended from uncontended divider state, in cycles.
-	DecisionLatency uint64
-}
-
-// DefaultDivConfig returns a paper-shaped divider channel: with the
-// default 5-cycle divider, saturating trojan and spy threads put
-// ~90-100 cross-context wait events into each Δt = 500-cycle window,
-// Figure 6b's burst bins.
-func DefaultDivConfig(message []int, bps float64) DivConfig {
-	return DivConfig{
-		Protocol:        Protocol{Message: message, BPS: bps, Start: 0, Seed: 1},
-		MaxBurstCycles:  50_000,
-		OpsPerSample:    20,
-		DecisionLatency: 150,
-	}
-}
+// The divider channel's fixed shape. Trojan and spy must be pinned
+// onto the two hyperthreads of one core: the divider bank is per-core.
+// With the default 5-cycle divider, saturating trojan and spy threads
+// put ~90-100 cross-context wait events into each Δt = 500-cycle
+// window, Figure 6b's burst bins.
+const (
+	// divMaxBurst caps the contention burst within a bit slot.
+	divMaxBurst = 50_000
+	// divOpsPerSample is the constant number of divisions in each of
+	// the spy's timed loop iterations (§IV-A: "executing loop
+	// iterations with a constant number of integer division operations
+	// and timing them"). The spy iterates continuously through the
+	// burst.
+	divOpsPerSample = 20
+)
 
 // DivTrojan transmits by saturating the core's division units. It is
 // a sim.Program state machine.
 type DivTrojan struct {
-	cfg DivConfig
+	cfg Protocol
 
 	slot   uint64
 	burst  uint64
@@ -59,12 +45,9 @@ const (
 )
 
 // NewDivTrojan builds the transmitter.
-func NewDivTrojan(cfg DivConfig) *DivTrojan {
-	cfg.Protocol.validate()
-	if cfg.MaxBurstCycles == 0 {
-		panic("channels: div trojan needs MaxBurstCycles")
-	}
-	return &DivTrojan{cfg: cfg}
+func NewDivTrojan(p Params) *DivTrojan {
+	p.validate()
+	return &DivTrojan{cfg: p.Protocol}
 }
 
 // Name implements sim.Program.
@@ -74,7 +57,7 @@ func (t *DivTrojan) Name() string { return "div-trojan" }
 func (t *DivTrojan) Begin(m *sim.Machine) {
 	geo := m.Geometry()
 	t.slot = t.cfg.slotCycles(geo)
-	t.burst = min(t.slot, t.cfg.MaxBurstCycles)
+	t.burst = min(t.slot, divMaxBurst)
 	t.pc = dtSlot
 }
 
@@ -141,13 +124,12 @@ func (t *DivTrojan) Step(prev sim.OpResult, op *sim.Op) bool {
 	}
 }
 
-// DivSpy decodes by timing constant-length division loops. It is a
-// sim.Program state machine.
+// DivSpy times constant-length division loops. It is a sim.Program
+// state machine that records two samples per bit slot: the summed
+// loop latency and the number of loops.
 type DivSpy struct {
-	// readout's series is the average division-loop latency per bit
-	// (cycles), the observable of Figure 3.
-	readout
-	cfg   DivConfig
+	record
+	cfg   Protocol
 	slot  uint64
 	burst uint64
 	i     int    // slot index
@@ -164,19 +146,16 @@ type DivSpy struct {
 const (
 	dsSlot    = iota // decode slot bounds, wait for the slot
 	dsGate           // initialize the slot's accumulators
-	dsLoop           // burst-bound check / close out the bit
-	dsDiv            // the OpsPerSample division loop
+	dsLoop           // burst-bound check / record the slot
+	dsDiv            // the divOpsPerSample division loop
 	dsNow            // issue the sample's closing clock read
 	dsNowDone        // record the sample latency
 )
 
 // NewDivSpy builds the receiver.
-func NewDivSpy(cfg DivConfig) *DivSpy {
-	cfg.Protocol.validate()
-	if cfg.OpsPerSample <= 0 || cfg.MaxBurstCycles == 0 {
-		panic("channels: div spy needs OpsPerSample and MaxBurstCycles")
-	}
-	return &DivSpy{cfg: cfg}
+func NewDivSpy(p Params) *DivSpy {
+	p.validate()
+	return &DivSpy{cfg: p.Protocol}
 }
 
 // Name implements sim.Program.
@@ -186,7 +165,7 @@ func (s *DivSpy) Name() string { return "div-spy" }
 func (s *DivSpy) Begin(m *sim.Machine) {
 	geo := m.Geometry()
 	s.slot = s.cfg.slotCycles(geo)
-	s.burst = min(s.slot, s.cfg.MaxBurstCycles)
+	s.burst = min(s.slot, divMaxBurst)
 	s.pc = dsSlot
 }
 
@@ -215,13 +194,12 @@ func (s *DivSpy) Step(prev sim.OpResult, op *sim.Op) bool {
 				s.pc = dsDiv
 				continue
 			}
-			avg := s.total / s.iters
-			s.decide(float64(avg), avg > s.cfg.DecisionLatency)
+			s.samples = append(s.samples, s.total, s.iters)
 			s.i++
 			s.pc = dsSlot
 
 		case dsDiv:
-			if s.j < s.cfg.OpsPerSample {
+			if s.j < divOpsPerSample {
 				s.j++
 				*op = sim.Op{Kind: sim.OpDiv}
 				return true

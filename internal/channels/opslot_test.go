@@ -24,14 +24,13 @@ func (p *poisonedSlot) Step(prev sim.OpResult, op *sim.Op) bool {
 
 // TestStepWritesWholeOpSlot runs every covert channel twice, once
 // plainly and once with every op slot poisoned before each Step, and
-// requires the runs to be byte-identical: decoded bits, per-bit
-// observables and the full raw event train. A trojan or spy whose Step
+// requires the runs to be byte-identical: the spy's raw samples and the
+// full raw event train. A trojan or spy whose Step
 // assigns only some fields of *op executes ops that carry the poison in
 // the fields it left, and the runs diverge.
 func TestStepWritesWholeOpSlot(t *testing.T) {
 	type outcome struct {
-		decoded []int
-		series  []float64
+		samples []uint64
 		events  []trace.Event
 	}
 	run := func(spec Spec, poison bool) outcome {
@@ -63,25 +62,21 @@ func TestStepWritesWholeOpSlot(t *testing.T) {
 		// Four spare slots cover the TLB channel's trailing symbol and
 		// the cache channel's warm-up slot.
 		s.Run(uint64(len(msg)+4) * cfg.CyclesPerBit(bps))
-		obs := spy.Observation()
-		return outcome{obs.Decoded, obs.Series, rec.Train().Events()}
+		return outcome{spy.Samples(), rec.Train().Events()}
 	}
 	for _, spec := range Table {
 		t.Run(spec.Name, func(t *testing.T) {
 			plain := run(spec, false)
 			poisoned := run(spec, true)
-			if !reflect.DeepEqual(plain.decoded, poisoned.decoded) {
-				t.Errorf("decoded bits differ: plain %v vs poisoned %v", plain.decoded, poisoned.decoded)
-			}
-			if !reflect.DeepEqual(plain.series, poisoned.series) {
-				t.Errorf("per-bit series differ with a poisoned op slot")
+			if !reflect.DeepEqual(plain.samples, poisoned.samples) {
+				t.Errorf("spy samples differ: plain %v vs poisoned %v", plain.samples, poisoned.samples)
 			}
 			if !reflect.DeepEqual(plain.events, poisoned.events) {
 				t.Errorf("event trains differ: plain %d events vs poisoned %d",
 					len(plain.events), len(poisoned.events))
 			}
-			if len(plain.events) == 0 {
-				t.Fatal("no events recorded; the comparison is vacuous")
+			if len(plain.events) == 0 || len(plain.samples) == 0 {
+				t.Fatal("no events or samples recorded; the comparison is vacuous")
 			}
 		})
 	}

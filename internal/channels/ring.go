@@ -2,38 +2,21 @@ package channels
 
 import "cchunter/internal/sim"
 
-// RingConfig configures the ring-interconnect covert channel (after
-// the lord-of-the-ring cross-core attacks). Trojan and spy run on
-// *different cores* whose ring paths to a common LLC slice overlap:
-// with the default four-stop ring the trojan on core 0 and the spy on
-// core 1 both route clockwise to the slice two stops from the trojan,
-// sharing the spy-side segment.
-type RingConfig struct {
-	Protocol
-	// LinesPerSide is each endpoint's working-set size in cache lines.
-	// All lines map to one L1 set (more lines than L1 ways, so every
-	// access misses L1 and transits the ring) and to per-line L2 sets
-	// (so after warm-up every access is an L2 hit with a fixed,
+// The ring-interconnect channel (after the lord-of-the-ring cross-core
+// attacks). Trojan and spy run on *different cores* whose ring paths to
+// a common LLC slice overlap: with the default four-stop ring the
+// trojan on core 0 and the spy on core 1 both route clockwise to the
+// slice two stops from the trojan, sharing the spy-side segment.
+const (
+	// ringLinesPerSide is each endpoint's working-set size in cache
+	// lines. All lines map to one L1 set (more lines than L1 ways, so
+	// every access misses L1 and transits the ring) and to per-line L2
+	// sets (so after warm-up every access is an L2 hit with a fixed,
 	// deterministic latency).
-	LinesPerSide int
-	// MaxBurstCycles caps the per-bit active phase.
-	MaxBurstCycles uint64
-	// SlowFracDen is the spy's decision denominator: a slot decodes as
-	// '1' when more than 1/SlowFracDen of its samples were slower than
-	// the calibrated uncontended baseline.
-	SlowFracDen int
-}
-
-// DefaultRingConfig returns a ring channel carrying message bits at
-// bps bits per second.
-func DefaultRingConfig(message []int, bps float64) RingConfig {
-	return RingConfig{
-		Protocol:       Protocol{Message: message, BPS: bps, Start: 0, Seed: 1},
-		LinesPerSide:   16,
-		MaxBurstCycles: 500_000,
-		SlowFracDen:    8,
-	}
-}
+	ringLinesPerSide = 16
+	// ringMaxBurst caps the per-bit active phase.
+	ringMaxBurst = 500_000
+)
 
 // ringLineIndex maps working-set slot j of a program to a private line
 // index that (a) keeps every line in one L1 set — the low L1-set bits
@@ -54,7 +37,7 @@ func ringTargetSlice(stops int) int {
 // shared slice during '1' slots, occupying the ring segments the spy's
 // probes must cross. It is a sim.Program state machine.
 type RingTrojan struct {
-	cfg RingConfig
+	cfg Protocol
 
 	m     *sim.Machine
 	addrs []uint64 // working-set addresses, precomputed at Begin
@@ -80,12 +63,9 @@ const (
 )
 
 // NewRingTrojan builds the transmitter.
-func NewRingTrojan(cfg RingConfig) *RingTrojan {
-	cfg.Protocol.validate()
-	if cfg.LinesPerSide <= 0 || cfg.MaxBurstCycles == 0 {
-		panic("channels: ring trojan needs LinesPerSide and MaxBurstCycles")
-	}
-	return &RingTrojan{cfg: cfg}
+func NewRingTrojan(p Params) *RingTrojan {
+	p.validate()
+	return &RingTrojan{cfg: p.Protocol}
 }
 
 // Name implements sim.Program.
@@ -99,17 +79,17 @@ func (t *RingTrojan) Begin(m *sim.Machine) {
 	}
 	t.m = m
 	t.slot = t.cfg.slotCycles(geo)
-	t.burst = min(t.slot, t.cfg.MaxBurstCycles)
+	t.burst = min(t.slot, ringMaxBurst)
 	t.slice = ringTargetSlice(geo.RingStops)
-	t.addrs = ringWorkingSet(m, geo.L1Sets, t.slice, t.cfg.LinesPerSide)
+	t.addrs = ringWorkingSet(m, geo.L1Sets, t.slice)
 	t.pc = rtSlot
 }
 
 // ringWorkingSet precomputes the endpoint's probe addresses once at
 // Begin, so the per-load addr step is a table read instead of a
 // geometry fetch plus address arithmetic.
-func ringWorkingSet(m *sim.Machine, l1Sets, slice, lines int) []uint64 {
-	addrs := make([]uint64, lines)
+func ringWorkingSet(m *sim.Machine, l1Sets, slice int) []uint64 {
+	addrs := make([]uint64, ringLinesPerSide)
 	for j := range addrs {
 		addrs[j] = m.PrivateAddr(ringLineIndex(j, l1Sets, slice))
 	}
@@ -180,29 +160,28 @@ func (t *RingTrojan) Step(prev sim.OpResult, op *sim.Op) bool {
 	}
 }
 
-// RingSpy decodes by timing its own ring transits into the shared
-// slice: a probe that waits on a segment the trojan occupies comes
-// back slower than the calibrated uncontended baseline. It is a
-// sim.Program state machine.
+// RingSpy times its own ring transits into the shared slice: a probe
+// that waits on a segment the trojan occupies comes back slower than
+// the calibrated uncontended baseline. It is a sim.Program state
+// machine that records two samples per bit slot: the probes slower
+// than the baseline, and all probes.
 type RingSpy struct {
-	// readout's series is the fraction of each slot's probes that ran
-	// slower than the calibrated baseline.
-	readout
-	cfg     RingConfig
-	m       *sim.Machine
-	addrs   []uint64 // working-set addresses, precomputed at Begin
-	slot    uint64
-	burst   uint64
-	slice   int
-	base    uint64 // calibrated uncontended probe latency
-	i       int    // slot index
-	j       int    // working-set cursor
-	w       int    // warm-up pass cursor
-	start   uint64 // current slot start cycle
-	now     uint64 // last observed clock
-	samples uint64 // probes this slot
-	slow    uint64 // probes slower than base this slot
-	pc      int
+	record
+	cfg    Protocol
+	m      *sim.Machine
+	addrs  []uint64 // working-set addresses, precomputed at Begin
+	slot   uint64
+	burst  uint64
+	slice  int
+	base   uint64 // calibrated uncontended probe latency
+	i      int    // slot index
+	j      int    // working-set cursor
+	w      int    // warm-up pass cursor
+	start  uint64 // current slot start cycle
+	now    uint64 // last observed clock
+	probes uint64 // probes this slot
+	slow   uint64 // probes slower than base this slot
+	pc     int
 }
 
 // RingSpy states.
@@ -211,17 +190,14 @@ const (
 	rsWarmDone        // record a warm-pass probe's latency
 	rsSlot            // decode slot bounds, wait for the slot
 	rsGate            // reset the slot's accumulators
-	rsLoop            // burst-bound check / close out the bit
+	rsLoop            // burst-bound check / record the slot
 	rsLoadDone        // classify one probe's latency
 )
 
 // NewRingSpy builds the receiver.
-func NewRingSpy(cfg RingConfig) *RingSpy {
-	cfg.Protocol.validate()
-	if cfg.LinesPerSide <= 0 || cfg.MaxBurstCycles == 0 || cfg.SlowFracDen <= 0 {
-		panic("channels: ring spy needs LinesPerSide, MaxBurstCycles, and SlowFracDen")
-	}
-	return &RingSpy{cfg: cfg}
+func NewRingSpy(p Params) *RingSpy {
+	p.validate()
+	return &RingSpy{cfg: p.Protocol}
 }
 
 // Name implements sim.Program.
@@ -235,9 +211,9 @@ func (s *RingSpy) Begin(m *sim.Machine) {
 	}
 	s.m = m
 	s.slot = s.cfg.slotCycles(geo)
-	s.burst = min(s.slot, s.cfg.MaxBurstCycles)
+	s.burst = min(s.slot, ringMaxBurst)
 	s.slice = ringTargetSlice(geo.RingStops)
-	s.addrs = ringWorkingSet(m, geo.L1Sets, s.slice, s.cfg.LinesPerSide)
+	s.addrs = ringWorkingSet(m, geo.L1Sets, s.slice)
 	s.pc = rsWarm
 }
 
@@ -260,7 +236,7 @@ func (s *RingSpy) Step(prev sim.OpResult, op *sim.Op) bool {
 			// baseline. The minimum second-pass latency wins — contention
 			// only ever adds wait cycles, so the floor is the uncontended
 			// L2-resident transit even if the trojan is already active.
-			if s.w < 2*s.cfg.LinesPerSide {
+			if s.w < 2*ringLinesPerSide {
 				s.w++
 				s.pc = rsWarmDone
 				*op = sim.Op{Kind: sim.OpLoad, Addr: s.addr()}
@@ -269,7 +245,7 @@ func (s *RingSpy) Step(prev sim.OpResult, op *sim.Op) bool {
 			s.pc = rsSlot
 
 		case rsWarmDone:
-			if s.w > s.cfg.LinesPerSide { // second pass: L2-resident
+			if s.w > ringLinesPerSide { // second pass: L2-resident
 				if s.base == 0 || prev.Latency < s.base {
 					s.base = prev.Latency
 				}
@@ -287,7 +263,7 @@ func (s *RingSpy) Step(prev sim.OpResult, op *sim.Op) bool {
 
 		case rsGate:
 			s.now = prev.Now
-			s.samples, s.slow = 0, 0
+			s.probes, s.slow = 0, 0
 			s.pc = rsLoop
 
 		case rsLoop:
@@ -296,20 +272,13 @@ func (s *RingSpy) Step(prev sim.OpResult, op *sim.Op) bool {
 				*op = sim.Op{Kind: sim.OpLoad, Addr: s.addr()}
 				return true
 			}
-			// Both ends know the evader's duty cycle, so the spy scales
-			// its decision threshold with it: a thinned '1' still clears
-			// the (equally thinned) bar.
-			thresh := s.samples
-			if d := s.cfg.Evader.DutyFrac; d > 0 && d < 1 {
-				thresh = uint64(float64(s.samples) * d)
-			}
-			s.decide(float64(s.slow)/float64(s.samples), s.slow*uint64(s.cfg.SlowFracDen) > thresh)
+			s.samples = append(s.samples, s.slow, s.probes)
 			s.i++
 			s.pc = rsSlot
 
 		case rsLoadDone:
 			s.now = prev.Now
-			s.samples++
+			s.probes++
 			if prev.Latency > s.base {
 				s.slow++
 			}

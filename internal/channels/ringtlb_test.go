@@ -18,42 +18,42 @@ func ringSimConfig() sim.Config {
 }
 
 // runRingChannel drives a ring-interconnect channel end to end and
-// returns the spy and the recorded ring-contention train.
-func runRingChannel(t *testing.T, cfg RingConfig) (*RingSpy, *trace.Train) {
+// returns what the spy decoded and the recorded ring-contention train.
+func runRingChannel(t *testing.T, p Params) (observation, *trace.Train) {
 	t.Helper()
 	s := sim.MustNew(ringSimConfig())
 	rec := trace.NewRecorder(trace.KindRingContention)
 	s.AddListener(rec)
-	spy := NewRingSpy(cfg)
-	s.Spawn(NewRingTrojan(cfg), sim.Pin(0))
+	spy := NewRingSpy(p)
+	s.Spawn(NewRingTrojan(p), sim.Pin(0))
 	s.Spawn(spy, sim.Pin(2)) // different core: contention is in the ring
-	slot := cfg.slotCycles(s.Geometry())
-	s.Run(uint64(len(cfg.Message)+1) * slot)
-	return spy, rec.Train()
+	slot := p.slotCycles(s.Geometry())
+	s.Run(uint64(len(p.Message)+1) * slot)
+	return observe(t, "ring", p, spy), rec.Train()
 }
 
-// runTLBChannel drives a TLB channel end to end and returns the spy
-// and the recorded tlb-conflict train. Trojan and spy share core 0 as
-// hyperthreads: the sTLB is per-core.
-func runTLBChannel(t *testing.T, cfg TLBConfig) (*TLBSpy, *trace.Train) {
+// runTLBChannel drives a TLB channel end to end and returns what the
+// spy decoded and the recorded tlb-conflict train. Trojan and spy share
+// core 0 as hyperthreads: the sTLB is per-core.
+func runTLBChannel(t *testing.T, p Params) (observation, *trace.Train) {
 	t.Helper()
 	s := sim.MustNew(sim.TestConfig())
 	rec := trace.NewRecorder(trace.KindTLBConflict)
 	s.AddListener(rec)
-	spy := NewTLBSpy(cfg)
-	s.Spawn(NewTLBTrojan(cfg), sim.Pin(0))
+	spy := NewTLBSpy(p)
+	s.Spawn(NewTLBTrojan(p), sim.Pin(0))
 	s.Spawn(spy, sim.Pin(1))
-	slot := cfg.symbolSlot(s.Geometry())
-	s.Run(uint64(len(cfg.Message)/cfg.SymbolBits+2) * slot)
-	return spy, rec.Train()
+	slot := p.tlbSymbolSlot(s.Geometry())
+	s.Run(uint64(len(p.Message)/tlbSymbolBits+2) * slot)
+	return observe(t, "tlb", p, spy), rec.Train()
 }
 
 func TestRingChannelTransmits(t *testing.T) {
 	msg := RandomMessage(24, 21)
-	spy, train := runRingChannel(t, DefaultRingConfig(msg, 25_000))
-	if errs := BitErrors(msg, spy.Observation().Decoded); errs != 0 {
+	obs, train := runRingChannel(t, testParams(msg, 25_000))
+	if errs := BitErrors(msg, obs.decoded); errs != 0 {
 		t.Errorf("ring channel at 25 kbps: %d bit errors\nsent    %v\ndecoded %v",
-			errs, msg, spy.Observation().Decoded)
+			errs, msg, obs.decoded)
 	}
 	if train.Len() == 0 {
 		t.Fatal("ring channel emitted no ring-contention events")
@@ -67,60 +67,62 @@ func TestRingChannelTransmits(t *testing.T) {
 
 func TestTLBChannelTransmits(t *testing.T) {
 	msg := RandomMessage(24, 22)
-	spy, train := runTLBChannel(t, DefaultTLBConfig(msg, 25_000))
-	if errs := BitErrors(msg, spy.Observation().Decoded); errs != 0 {
+	obs, train := runTLBChannel(t, testParams(msg, 25_000))
+	if errs := BitErrors(msg, obs.decoded); errs != 0 {
 		t.Errorf("tlb channel at 25 kbps: %d bit errors\nsent    %v\ndecoded %v",
-			errs, msg, spy.Observation().Decoded)
+			errs, msg, obs.decoded)
 	}
 	if train.Len() == 0 {
 		t.Fatal("tlb channel emitted no tlb-conflict events")
 	}
-	if got := len(spy.Observation().Series); got < len(msg)/2 {
+	if got := len(obs.series); got < len(msg)/2 {
 		t.Errorf("only %d per-symbol observables for a %d-bit message", got, len(msg))
 	}
 }
 
 // TestTLBChannelOddMessage pins the trailing-partial-symbol contract:
-// a message whose length is not a multiple of SymbolBits still decodes
+// a message whose length is not a multiple of tlbSymbolBits still decodes
 // exactly, with the pad bits trimmed.
 func TestTLBChannelOddMessage(t *testing.T) {
 	msg := RandomMessage(13, 23)
-	spy, _ := runTLBChannel(t, DefaultTLBConfig(msg, 25_000))
-	if len(spy.Observation().Decoded) != len(msg) {
-		t.Fatalf("decoded %d bits for a %d-bit message", len(spy.Observation().Decoded), len(msg))
+	obs, _ := runTLBChannel(t, testParams(msg, 25_000))
+	if len(obs.decoded) != len(msg) {
+		t.Fatalf("decoded %d bits for a %d-bit message", len(obs.decoded), len(msg))
 	}
-	if errs := BitErrors(msg, spy.Observation().Decoded); errs != 0 {
+	if errs := BitErrors(msg, obs.decoded); errs != 0 {
 		t.Errorf("odd-length tlb message: %d bit errors", errs)
 	}
 }
 
 func TestTLBSymbolAt(t *testing.T) {
-	cfg := DefaultTLBConfig([]int{1, 0, 1, 1, 1}, 1000) // 0b10, 0b11, 0b10 (pad)
+	p := Protocol{Message: []int{1, 0, 1, 1, 1}, BPS: 1000} // 0b10, 0b11, 0b10 (pad)
 	for i, want := range []int{2, 3, 2} {
-		sym, done := cfg.symbolAt(i)
+		sym, done := p.tlbSymbolAt(i)
 		if done || sym != want {
 			t.Errorf("symbolAt(%d) = (%d, %v), want (%d, false)", i, sym, done, want)
 		}
 	}
-	if _, done := cfg.symbolAt(3); !done {
+	if _, done := p.tlbSymbolAt(3); !done {
 		t.Error("symbolAt past the message must report done")
 	}
 }
 
+// TestDecodeTLBSymbol pins the TLB rule's argmax over the per-group
+// miss histogram.
 func TestDecodeTLBSymbol(t *testing.T) {
 	for _, tc := range []struct {
-		misses []int
+		misses []uint64
 		want   int
 	}{
 		{nil, 0},
-		{[]int{0, 0, 0, 0}, 0},
-		{[]int{1, 9, 2, 3}, 1},
-		{[]int{0, 0, 0, 7}, 3},
-		{[]int{5, 5, 2, 5}, 0}, // ties break to the lowest group
-		{[]int{2, 4, 4, 1}, 1},
+		{[]uint64{0, 0, 0, 0}, 0},
+		{[]uint64{1, 9, 2, 3}, 1},
+		{[]uint64{0, 0, 0, 7}, 3},
+		{[]uint64{5, 5, 2, 5}, 0}, // ties break to the lowest group
+		{[]uint64{2, 4, 4, 1}, 1},
 	} {
-		if got := DecodeTLBSymbol(tc.misses); got != tc.want {
-			t.Errorf("DecodeTLBSymbol(%v) = %d, want %d", tc.misses, got, tc.want)
+		if got := tlbArgmax(tc.misses); got != tc.want {
+			t.Errorf("tlbArgmax(%v) = %d, want %d", tc.misses, got, tc.want)
 		}
 	}
 }
@@ -135,21 +137,21 @@ func FuzzTLBSetDecode(f *testing.F) {
 	f.Add(uint64(0xffffffffffffffff), uint8(1))
 	f.Fuzz(func(t *testing.T, packed uint64, nRaw uint8) {
 		n := int(nRaw) % 9
-		misses := make([]int, n)
+		misses := make([]uint64, n)
 		for g := range misses {
-			misses[g] = int(packed >> uint(8*g) & 0xff)
+			misses[g] = packed >> uint(8*g) & 0xff
 		}
-		sym := DecodeTLBSymbol(misses)
+		sym := tlbArgmax(misses)
 		if sym < 0 || (n > 0 && sym >= n) || (n == 0 && sym != 0) {
-			t.Fatalf("DecodeTLBSymbol(%v) = %d out of range", misses, sym)
+			t.Fatalf("tlbArgmax(%v) = %d out of range", misses, sym)
 		}
 		for g, c := range misses {
 			if c > misses[sym] {
-				t.Fatalf("DecodeTLBSymbol(%v) = %d but group %d has more misses",
+				t.Fatalf("tlbArgmax(%v) = %d but group %d has more misses",
 					misses, sym, g)
 			}
 			if g < sym && c == misses[sym] {
-				t.Fatalf("DecodeTLBSymbol(%v) = %d broke the tie upward past %d",
+				t.Fatalf("tlbArgmax(%v) = %d broke the tie upward past %d",
 					misses, sym, g)
 			}
 		}
@@ -162,24 +164,24 @@ func FuzzTLBSetDecode(f *testing.F) {
 func TestEvaderUnitDutyIsIdentity(t *testing.T) {
 	msg := RandomMessage(16, 31)
 
-	base := DefaultRingConfig(msg, 25_000)
+	base := testParams(msg, 25_000)
 	unit := base
 	unit.Evader = Evader{DutyFrac: 1}
-	spyA, trainA := runRingChannel(t, base)
-	spyB, trainB := runRingChannel(t, unit)
-	if !reflect.DeepEqual(spyA.Observation().Decoded, spyB.Observation().Decoded) {
+	obsA, trainA := runRingChannel(t, base)
+	obsB, trainB := runRingChannel(t, unit)
+	if !reflect.DeepEqual(obsA.decoded, obsB.decoded) {
 		t.Error("ring: DutyFrac 1 changed the decoded bits")
 	}
 	if !reflect.DeepEqual(trainA.Events(), trainB.Events()) {
 		t.Error("ring: DutyFrac 1 changed the event train")
 	}
 
-	tbase := DefaultTLBConfig(msg, 25_000)
+	tbase := testParams(msg, 25_000)
 	tunit := tbase
 	tunit.Evader = Evader{DutyFrac: 1}
-	tspyA, ttrainA := runTLBChannel(t, tbase)
-	tspyB, ttrainB := runTLBChannel(t, tunit)
-	if !reflect.DeepEqual(tspyA.Observation().Decoded, tspyB.Observation().Decoded) {
+	tobsA, ttrainA := runTLBChannel(t, tbase)
+	tobsB, ttrainB := runTLBChannel(t, tunit)
+	if !reflect.DeepEqual(tobsA.decoded, tobsB.decoded) {
 		t.Error("tlb: DutyFrac 1 changed the decoded bits")
 	}
 	if !reflect.DeepEqual(ttrainA.Events(), ttrainB.Events()) {
@@ -194,20 +196,20 @@ func TestEvaderUnitDutyIsIdentity(t *testing.T) {
 func TestEvaderPreservesFidelity(t *testing.T) {
 	msg := RandomMessage(16, 33)
 
-	rcfg := DefaultRingConfig(msg, 25_000)
+	rcfg := testParams(msg, 25_000)
 	rcfg.Evader = Evader{JitterFrac: 0.2, DutyFrac: 0.5}
-	spy, train := runRingChannel(t, rcfg)
-	if errs := BitErrors(msg, spy.Observation().Decoded); errs != 0 {
+	obs, train := runRingChannel(t, rcfg)
+	if errs := BitErrors(msg, obs.decoded); errs != 0 {
 		t.Errorf("evading ring channel: %d bit errors", errs)
 	}
 	if train.Len() == 0 {
 		t.Error("evading ring channel emitted no events at all")
 	}
 
-	tcfg := DefaultTLBConfig(msg, 25_000)
+	tcfg := testParams(msg, 25_000)
 	tcfg.Evader = Evader{JitterFrac: 0.2, DutyFrac: 0.5}
-	tspy, ttrain := runTLBChannel(t, tcfg)
-	if errs := BitErrors(msg, tspy.Observation().Decoded); errs != 0 {
+	tobs, ttrain := runTLBChannel(t, tcfg)
+	if errs := BitErrors(msg, tobs.decoded); errs != 0 {
 		t.Errorf("evading tlb channel: %d bit errors", errs)
 	}
 	if ttrain.Len() == 0 {
@@ -220,7 +222,7 @@ func TestEvaderPreservesFidelity(t *testing.T) {
 // visibly sparser event train than the full-rate sender.
 func TestEvaderDutyThinsTrain(t *testing.T) {
 	msg := RandomMessage(16, 35)
-	full := DefaultRingConfig(msg, 25_000)
+	full := testParams(msg, 25_000)
 	thin := full
 	thin.Evader = Evader{DutyFrac: 0.25}
 	_, fullTrain := runRingChannel(t, full)
@@ -237,17 +239,17 @@ func TestEvaderDutyThinsTrain(t *testing.T) {
 // TestRingTLBSteppersAllocationFree extends the engine's
 // zero-allocation contract (TestOpPathAllocationFree) to the ring and
 // TLB channel hot paths: in steady state, ring loads and TLB probes —
-// trojan and spy — allocate nothing. The spies' per-slot result slices
-// are pre-reserved so the measurement sees only the op path, not
-// amortized append growth.
+// trojan and spy — allocate nothing. The spies' sample slices are
+// pre-reserved so the measurement sees only the op path, not amortized
+// append growth.
 func TestRingTLBSteppersAllocationFree(t *testing.T) {
 	msg := []int{1, 0, 1, 1, 0, 1, 0, 0}
 	t.Run("ring", func(t *testing.T) {
 		s := sim.MustNew(ringSimConfig())
-		c := DefaultRingConfig(msg, 25_000)
+		c := testParams(msg, 25_000)
 		c.Repeat = true
 		spy := NewRingSpy(c)
-		spy.obs = Observation{make([]int, 0, 1<<16), make([]float64, 0, 1<<16)}
+		spy.samples = make([]uint64, 0, 1<<17)
 		s.Spawn(NewRingTrojan(c), sim.Pin(0))
 		s.Spawn(spy, sim.Pin(2))
 		until := uint64(300_000)
@@ -262,10 +264,10 @@ func TestRingTLBSteppersAllocationFree(t *testing.T) {
 	})
 	t.Run("tlb", func(t *testing.T) {
 		s := sim.MustNew(sim.TestConfig())
-		c := DefaultTLBConfig(msg, 25_000)
+		c := testParams(msg, 25_000)
 		c.Repeat = true
 		spy := NewTLBSpy(c)
-		spy.obs = Observation{make([]int, 0, 1<<16), make([]float64, 0, 1<<16)}
+		spy.samples = make([]uint64, 0, 1<<18)
 		s.Spawn(NewTLBTrojan(c), sim.Pin(0))
 		s.Spawn(spy, sim.Pin(1))
 		until := uint64(500_000)

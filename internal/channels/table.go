@@ -31,40 +31,24 @@ type Spec struct {
 // ends share, plus the knobs of single channels.
 type Params struct {
 	Protocol
-	EvasionNoise float64 // bus: BusConfig.EvasionNoise
-	CacheSets    int     // cache: CacheConfig.SetsUsed
+	EvasionNoise float64 // bus: the trojan's camouflage probability
+	CacheSets    int     // cache: sets carrying the channel, split into G1 and G0
 	CacheRounds  int     // cache: rounds per bit, 0 = sized to the slot
 }
 
-// Observation is what a spy saw: its decoded bits and its observable,
-// one value per bit slot (per symbol slot for the TLB channel).
-type Observation struct {
-	Decoded []int
-	Series  []float64
-}
-
-// Spy is a receiver program.
+// Spy is a receiver program. It only samples: each slot it records a
+// fixed number of raw integers, and Decode turns them into bits.
 type Spy interface {
 	sim.Program
-	// Observation returns what the spy has seen so far.
-	Observation() Observation
+	// Samples returns the raw samples of every slot completed so far.
+	Samples() []uint64
 }
 
-// readout is the record every spy embeds.
-type readout struct{ obs Observation }
+// record is what every spy embeds: its raw samples, slot after slot.
+type record struct{ samples []uint64 }
 
-// Observation implements Spy.
-func (r *readout) Observation() Observation { return r.obs }
-
-// decide records one bit slot's observable v and its bit, '1' if one.
-func (r *readout) decide(v float64, one bool) {
-	r.obs.Series = append(r.obs.Series, v)
-	bit := 0
-	if one {
-		bit = 1
-	}
-	r.obs.Decoded = append(r.obs.Decoded, bit)
-}
+// Samples implements Spy.
+func (r *record) Samples() []uint64 { return r.samples }
 
 // FirstFreeCore returns the lowest core above the channel's contexts.
 func (s Spec) FirstFreeCore(threadsPerCore int) int {
@@ -81,67 +65,31 @@ var Table = []Spec{{
 	// Different cores: only the bus is shared.
 	Name: "bus", TrojanCtx: 0, SpyCtx: 2,
 	Monitor: auditor.ClassicPair, Indicator: trace.KindBusLock,
-	New: func(p Params) (sim.Program, Spy) {
-		c := DefaultBusConfig(p.Message, p.BPS)
-		c.Protocol, c.EvasionNoise = p.Protocol, p.EvasionNoise
-		return NewBusTrojan(c), NewBusSpy(c)
-	},
+	New: func(p Params) (sim.Program, Spy) { return NewBusTrojan(p), NewBusSpy(p) },
 }, {
 	// The divider is per-core: hyperthreads of core 0.
 	Name: "divider", TrojanCtx: 0, SpyCtx: 1,
 	Monitor: auditor.ClassicPair, Indicator: trace.KindDivContention,
-	New: func(p Params) (sim.Program, Spy) {
-		c := DefaultDivConfig(p.Message, p.BPS)
-		c.Protocol = p.Protocol
-		return NewDivTrojan(c), NewDivSpy(c)
-	},
+	New: func(p Params) (sim.Program, Spy) { return NewDivTrojan(p), NewDivSpy(p) },
 }, {
 	// Different cores sharing only the L2: the cross-VM arrangement of
 	// Xu et al.
 	Name: "cache", TrojanCtx: 0, SpyCtx: 2,
 	Monitor: auditor.ClassicPair, Indicator: trace.KindConflictMiss,
-	New: func(p Params) (sim.Program, Spy) {
-		if p.CacheSets <= 0 {
-			// The round sizing below divides by the set count.
-			panic("channels: cache channel needs CacheSets > 0")
-		}
-		c := DefaultCacheConfig(p.Message, p.BPS)
-		c.Protocol, c.SetsUsed = p.Protocol, p.CacheSets
-		// Redundancy scales with the slot: low-bandwidth bits repeat
-		// their prime/probe rounds (the "certain number of conflicts
-		// needed to reliably transmit a bit", §VI-A), which also puts
-		// several oscillation periods into each observation window.
-		slot := uint64(2_500_000_000 / p.BPS)
-		roundCost := uint64(p.CacheSets) * 2_700 // fill + double probe
-		rounds := p.CacheRounds
-		if rounds <= 0 {
-			rounds = int(slot / (2 * roundCost))
-		}
-		c.RoundsPerBit = min(max(rounds, 1), 8)
-		c.MaxBurstCycles = uint64(c.RoundsPerBit) * roundCost * 13 / 10
-		return NewCacheTrojan(c), NewCacheSpy(c)
-	},
+	New: func(p Params) (sim.Program, Spy) { return NewCacheTrojan(p), NewCacheSpy(p) },
 }, {
 	// Different cores routing clockwise into one LLC slice: only the
 	// ring path is shared.
 	Name: "ring", TrojanCtx: 0, SpyCtx: 2, Ring: true,
 	Monitor:   auditor.Pair{trace.KindBusLock, trace.KindRingContention},
 	Indicator: trace.KindRingContention,
-	New: func(p Params) (sim.Program, Spy) {
-		c := DefaultRingConfig(p.Message, p.BPS)
-		c.Protocol = p.Protocol
-		return NewRingTrojan(c), NewRingSpy(c)
-	},
+	New:       func(p Params) (sim.Program, Spy) { return NewRingTrojan(p), NewRingSpy(p) },
 }, {
 	// The sTLB is per-core: hyperthreads of core 0.
 	Name: "tlb", TrojanCtx: 0, SpyCtx: 1,
 	Monitor:   auditor.Pair{trace.KindDivContention, trace.KindTLBConflict},
 	Indicator: trace.KindTLBConflict,
-	New: func(p Params) (sim.Program, Spy) {
-		c := DefaultTLBConfig(p.Message, p.BPS)
-		c.Protocol = p.Protocol
-		return NewTLBTrojan(c), NewTLBSpy(c)
-	},
+	New:       func(p Params) (sim.Program, Spy) { return NewTLBTrojan(p), NewTLBSpy(p) },
 }}
 
 // Lookup returns the table row named name.

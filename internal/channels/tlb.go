@@ -2,78 +2,49 @@ package channels
 
 import "cchunter/internal/sim"
 
-// TLBConfig configures the shared-TLB covert channel (after the
-// accessed-bit TLB channels of deermichel/tlbchannels). Trojan and spy
-// must run as hyperthreads of one core: the sTLB is per-core. Unlike
-// the binary channels, each slot carries a multi-bit *symbol*: the
-// trojan evicts one of 2^SymbolBits disjoint TLB-set groups and the
-// spy decodes the symbol as the group with the most probe misses.
-type TLBConfig struct {
-	Protocol
-	// SymbolBits is the symbol width in bits; the TLB's sets are split
-	// into 2^SymbolBits groups.
-	SymbolBits int
-	// RoundsPerSymbol is how many evict/probe rounds reinforce each
+// The shared-TLB channel (after the accessed-bit TLB channels of
+// deermichel/tlbchannels). Trojan and spy must run as hyperthreads of
+// one core: the sTLB is per-core. Unlike the binary channels, each slot
+// carries a multi-bit *symbol*: the trojan evicts one of tlbGroups
+// disjoint TLB-set groups and the spy counts its probe misses per
+// group.
+const (
+	// tlbSymbolBits is the symbol width in bits; the TLB's sets are
+	// split into tlbGroups = 2^tlbSymbolBits groups.
+	tlbSymbolBits = 2
+	tlbGroups     = 1 << tlbSymbolBits
+	// tlbRoundsPerSymbol is how many evict/probe rounds reinforce each
 	// symbol.
-	RoundsPerSymbol int
-	// MaxBurstCycles caps the per-symbol active phase.
-	MaxBurstCycles uint64
-	// MissLatency is the spy's probe threshold: a probe at least this
-	// slow lost its translation to the trojan (sits between the TLB
-	// hit latency and the page-walk latency).
-	MissLatency uint64
+	tlbRoundsPerSymbol = 4
+	// tlbMaxBurst caps the per-symbol active phase.
+	tlbMaxBurst = 100_000
+	// tlbMissLatency is the spy's probe threshold: a probe at least
+	// this slow lost its translation to the trojan (it sits between
+	// the TLB hit latency and the page-walk latency).
+	tlbMissLatency = 60
+)
+
+// tlbSymbolSlot returns the slot length: tlbSymbolBits bit slots, so
+// BPS stays bits per second.
+func (p Protocol) tlbSymbolSlot(geo sim.Geometry) uint64 {
+	return tlbSymbolBits * p.slotCycles(geo)
 }
 
-// DefaultTLBConfig returns a TLB channel carrying message bits at bps
-// bits per second, two bits per symbol.
-func DefaultTLBConfig(message []int, bps float64) TLBConfig {
-	return TLBConfig{
-		Protocol:        Protocol{Message: message, BPS: bps, Start: 0, Seed: 1},
-		SymbolBits:      2,
-		RoundsPerSymbol: 4,
-		MaxBurstCycles:  100_000,
-		MissLatency:     60,
-	}
-}
-
-// groups returns the symbol alphabet size.
-func (cfg TLBConfig) groups() int { return 1 << cfg.SymbolBits }
-
-// symbolSlot returns the slot length: SymbolBits bit slots, so BPS
-// stays bits per second.
-func (cfg TLBConfig) symbolSlot(geo sim.Geometry) uint64 {
-	return uint64(cfg.SymbolBits) * cfg.slotCycles(geo)
-}
-
-// symbolAt assembles the symbol for slot si from the message bits,
+// tlbSymbolAt assembles the symbol for slot si from the message bits,
 // MSB first, zero-padding a trailing partial symbol. done mirrors
 // bitAt: the slot after the last message bit (unless repeating).
-func (cfg TLBConfig) symbolAt(si int) (sym int, done bool) {
-	if _, d := cfg.bitAt(si * cfg.SymbolBits); d {
+func (p Protocol) tlbSymbolAt(si int) (sym int, done bool) {
+	if _, d := p.bitAt(si * tlbSymbolBits); d {
 		return 0, true
 	}
-	for k := 0; k < cfg.SymbolBits; k++ {
-		b, d := cfg.bitAt(si*cfg.SymbolBits + k)
+	for k := 0; k < tlbSymbolBits; k++ {
+		b, d := p.bitAt(si*tlbSymbolBits + k)
 		if d {
 			b = 0
 		}
 		sym = sym<<1 | b
 	}
 	return sym, false
-}
-
-// DecodeTLBSymbol maps a per-group probe-miss histogram to the decoded
-// symbol: the group with the most misses, lowest group on ties (the
-// deterministic tie-break the golden corpus pins). An empty histogram
-// decodes to 0.
-func DecodeTLBSymbol(misses []int) int {
-	best := 0
-	for g := 1; g < len(misses); g++ {
-		if misses[g] > misses[best] {
-			best = g
-		}
-	}
-	return best
 }
 
 // tlbPage maps (way, set) to a process-private line index whose page
@@ -87,7 +58,7 @@ func tlbPage(way, set, sets int) uint64 {
 // with its own translations, evicting the spy's. It is a sim.Program
 // state machine.
 type TLBTrojan struct {
-	cfg TLBConfig
+	cfg Protocol
 
 	m         *sim.Machine
 	slot      uint64
@@ -111,12 +82,9 @@ const (
 )
 
 // NewTLBTrojan builds the transmitter.
-func NewTLBTrojan(cfg TLBConfig) *TLBTrojan {
-	cfg.Protocol.validate()
-	if cfg.SymbolBits <= 0 || cfg.RoundsPerSymbol <= 0 || cfg.MaxBurstCycles == 0 {
-		panic("channels: tlb trojan needs SymbolBits, RoundsPerSymbol, and MaxBurstCycles")
-	}
-	return &TLBTrojan{cfg: cfg}
+func NewTLBTrojan(p Params) *TLBTrojan {
+	p.validate()
+	return &TLBTrojan{cfg: p.Protocol}
 }
 
 // Name implements sim.Program.
@@ -126,10 +94,9 @@ func (t *TLBTrojan) Name() string { return "tlb-trojan" }
 func (t *TLBTrojan) Begin(m *sim.Machine) {
 	geo := m.Geometry()
 	t.m = m
-	t.slot = t.cfg.symbolSlot(geo)
-	burst := min(t.slot, t.cfg.MaxBurstCycles)
-	t.round = burst / uint64(t.cfg.RoundsPerSymbol)
-	t.sets = geo.TLBSets / t.cfg.groups()
+	t.slot = t.cfg.tlbSymbolSlot(geo)
+	t.round = min(t.slot, tlbMaxBurst) / tlbRoundsPerSymbol
+	t.sets = geo.TLBSets / tlbGroups
 	if t.sets == 0 {
 		panic("channels: more symbol groups than TLB sets")
 	}
@@ -142,7 +109,7 @@ func (t *TLBTrojan) Step(prev sim.OpResult, op *sim.Op) bool {
 	for {
 		switch t.pc {
 		case ttSlot:
-			sym, done := t.cfg.symbolAt(t.si)
+			sym, done := t.cfg.tlbSymbolAt(t.si)
 			if done {
 				return false
 			}
@@ -154,7 +121,7 @@ func (t *TLBTrojan) Step(prev sim.OpResult, op *sim.Op) bool {
 			t.pc = ttRound
 
 		case ttRound:
-			if t.r < t.cfg.RoundsPerSymbol {
+			if t.r < tlbRoundsPerSymbol {
 				t.n = 0
 				t.pc = ttProbe
 				*op = sim.Op{Kind: sim.OpWaitUntil, Cycles: t.start + uint64(t.r)*t.round}
@@ -183,21 +150,20 @@ func (t *TLBTrojan) Step(prev sim.OpResult, op *sim.Op) bool {
 	}
 }
 
-// TLBSpy decodes by keeping its own translation in every way of every
-// set and probing them each round: the group the trojan filled comes
-// back as page walks. Probing re-primes, so one pass serves both
-// roles. It is a sim.Program state machine.
+// TLBSpy keeps its own translation in every way of every set and
+// probes them each round: the group the trojan filled comes back as
+// page walks. Probing re-primes, so one pass serves both roles. It is
+// a sim.Program state machine that records tlbGroups samples per
+// symbol slot, each group's probe misses.
 type TLBSpy struct {
-	// readout's series is the winning group's share of each symbol's
-	// probe misses, one value per symbol slot.
-	readout
-	cfg    TLBConfig
+	record
+	cfg    Protocol
 	m      *sim.Machine
 	slot   uint64
 	round  uint64
 	sets   int // total TLB sets
 	ways   int
-	misses []int // per-group miss counts for the current symbol
+	misses [tlbGroups]uint64 // per-group miss counts for the current symbol
 	si     int
 	r      int
 	n      int // probe index within the round
@@ -209,20 +175,16 @@ type TLBSpy struct {
 // TLBSpy states.
 const (
 	tsPrime     = iota // initial prime of every set and way
-	tsSlot             // decode slot bounds / close out the symbol
-	tsRound            // wait past the trojan's evict phase
+	tsSlot             // decode slot bounds
+	tsRound            // wait past the trojan's evict phase / record the slot
 	tsProbe            // issue one probe
 	tsProbeDone        // classify the probe's latency
 )
 
 // NewTLBSpy builds the receiver.
-func NewTLBSpy(cfg TLBConfig) *TLBSpy {
-	cfg.Protocol.validate()
-	if cfg.SymbolBits <= 0 || cfg.RoundsPerSymbol <= 0 ||
-		cfg.MaxBurstCycles == 0 || cfg.MissLatency == 0 {
-		panic("channels: tlb spy needs SymbolBits, RoundsPerSymbol, MaxBurstCycles, and MissLatency")
-	}
-	return &TLBSpy{cfg: cfg}
+func NewTLBSpy(p Params) *TLBSpy {
+	p.validate()
+	return &TLBSpy{cfg: p.Protocol}
 }
 
 // Name implements sim.Program.
@@ -232,13 +194,11 @@ func (s *TLBSpy) Name() string { return "tlb-spy" }
 func (s *TLBSpy) Begin(m *sim.Machine) {
 	geo := m.Geometry()
 	s.m = m
-	s.slot = s.cfg.symbolSlot(geo)
-	burst := min(s.slot, s.cfg.MaxBurstCycles)
-	s.round = burst / uint64(s.cfg.RoundsPerSymbol)
+	s.slot = s.cfg.tlbSymbolSlot(geo)
+	s.round = min(s.slot, tlbMaxBurst) / tlbRoundsPerSymbol
 	s.sets = geo.TLBSets
 	s.ways = geo.TLBWays
-	s.misses = make([]int, s.cfg.groups())
-	if s.sets/s.cfg.groups() == 0 {
+	if s.sets/tlbGroups == 0 {
 		panic("channels: more symbol groups than TLB sets")
 	}
 	s.pc = tsPrime
@@ -266,18 +226,16 @@ func (s *TLBSpy) Step(prev sim.OpResult, op *sim.Op) bool {
 			s.pc = tsSlot
 
 		case tsSlot:
-			if _, done := s.cfg.symbolAt(s.si); done {
+			if _, done := s.cfg.tlbSymbolAt(s.si); done {
 				return false
 			}
 			s.start = s.cfg.Start + uint64(s.si+1)*s.slot + s.cfg.slotJitter(s.si, s.slot)
-			for g := range s.misses {
-				s.misses[g] = 0
-			}
+			s.misses = [tlbGroups]uint64{}
 			s.r = 0
 			s.pc = tsRound
 
 		case tsRound:
-			if s.r < s.cfg.RoundsPerSymbol {
+			if s.r < tlbRoundsPerSymbol {
 				s.n = 0
 				s.pc = tsProbe
 				// Probe halfway into the round, after the trojan's fills.
@@ -285,22 +243,7 @@ func (s *TLBSpy) Step(prev sim.OpResult, op *sim.Op) bool {
 					Cycles: s.start + uint64(s.r)*s.round + s.round/2}
 				return true
 			}
-			sym := DecodeTLBSymbol(s.misses)
-			total, win := 0, s.misses[sym]
-			for _, c := range s.misses {
-				total += c
-			}
-			frac := 0.0
-			if total > 0 {
-				frac = float64(win) / float64(total)
-			}
-			s.obs.Series = append(s.obs.Series, frac)
-			for k := 0; k < s.cfg.SymbolBits; k++ {
-				if _, d := s.cfg.bitAt(s.si*s.cfg.SymbolBits + k); d {
-					break // trailing pad bits of the last symbol
-				}
-				s.obs.Decoded = append(s.obs.Decoded, (sym>>uint(s.cfg.SymbolBits-1-k))&1)
-			}
+			s.samples = append(s.samples, s.misses[:]...)
 			s.si++
 			s.pc = tsSlot
 
@@ -314,8 +257,8 @@ func (s *TLBSpy) Step(prev sim.OpResult, op *sim.Op) bool {
 			s.pc = tsRound
 
 		case tsProbeDone:
-			if prev.Latency >= s.cfg.MissLatency {
-				s.misses[s.set/(s.sets/s.cfg.groups())]++
+			if prev.Latency >= tlbMissLatency {
+				s.misses[s.set/(s.sets/tlbGroups)]++
 			}
 			s.pc = tsProbe
 		}

@@ -78,17 +78,14 @@ func TestAssemble(t *testing.T) {
 			confidence: 1,
 		},
 		{
-			name: "upstream loss composed with register loss",
-			sensor: fakeSensor{
-				slots:    healthy.slots,
-				conflict: auditor.ConflictIntegrity{Recorded: 75, Dropped: 25},
-			},
+			name:       "upstream loss reaches every verdict",
+			sensor:     healthy,
 			upstream:   0.2,
 			contention: []ContentionVerdict{contended(trace.KindBusLock, false)},
 			osc:        &OscillationVerdict{},
-			confidence: 0.6, // (1-0.2)·(1-0.25)
+			confidence: 0.8,
 			contLoss:   0.2,
-			oscLoss:    0.4,
+			oscLoss:    0.2,
 		},
 		{
 			name: "minimum confidence across verdicts",

@@ -68,8 +68,7 @@ func (c DetectorConfig) ObservationWindow() uint64 {
 // channel" from a pristine one.
 type Degradation struct {
 	// EventLossRate is the estimated fraction of indicator events the
-	// sensor path lost before this detector analyzed them (upstream
-	// drops plus, for the cache detector, vector-register overruns).
+	// sensor path lost upstream before this detector analyzed them.
 	EventLossRate float64
 	// SaturationRate is the fraction of Δt observation windows whose
 	// recorded density is a floor rather than an exact count (16-bit
@@ -261,10 +260,7 @@ func Assemble(sensor SensorHealth, upstreamLoss float64, contention []Contention
 	if osc != nil {
 		osc.Detected = osc.DetectedWindows >= 1
 		ci := sensor.ConflictIntegrity()
-		// Losses compose: an event survives the path only if it passes
-		// both the upstream sensor faults and the vector registers.
-		loss := 1 - (1-clamp01(upstreamLoss))*(1-ci.LossRate())
-		osc.Degradation = degradation(loss, 0, ci.ClampedTimestamps, ci.Recorded)
+		osc.Degradation = degradation(upstreamLoss, 0, ci.ClampedTimestamps, ci.Recorded)
 		fold(osc.Detected, osc.Degradation)
 	}
 	if reg != nil {

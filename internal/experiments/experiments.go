@@ -32,6 +32,14 @@ import (
 	"cchunter/internal/runner"
 )
 
+// The default run sizes of Figures 12 and 14, shared by Options and
+// ccrepro's -messages and -quanta flags. The paper runs 256 messages
+// and 512 quanta.
+const (
+	DefaultMessages = 32
+	DefaultQuanta   = 64
+)
+
 // Options tunes an experiment run.
 type Options struct {
 	// Seed drives all randomness (default 1).
@@ -43,10 +51,10 @@ type Options struct {
 	// credit-card number).
 	MessageBits int
 	// Messages is how many random messages Figure 12 runs (default
-	// 256, the paper's count).
+	// DefaultMessages).
 	Messages int
 	// Quanta is how many OS quanta each Figure 14 benign pair runs
-	// (default 64).
+	// (default DefaultQuanta).
 	Quanta int
 	// Workers bounds the worker pool multi-run figures execute on
 	// (default GOMAXPROCS; 1 = serial). Results are identical at
@@ -71,10 +79,10 @@ func (o Options) norm() Options {
 		o.MessageBits = 64
 	}
 	if o.Messages <= 0 {
-		o.Messages = 256
+		o.Messages = DefaultMessages
 	}
 	if o.Quanta <= 0 {
-		o.Quanta = 64
+		o.Quanta = DefaultQuanta
 	}
 	return o
 }

@@ -20,7 +20,6 @@ import (
 	"cchunter/internal/mitigate"
 	"cchunter/internal/obs"
 	"cchunter/internal/ring"
-	"cchunter/internal/tlb"
 )
 
 // TrackerKind selects the conflict-miss tracker attached to each
@@ -76,10 +75,6 @@ type Config struct {
 	// simulation bit-for-bit identical; ring-channel scenarios enable
 	// it explicitly.
 	Ring ring.Config
-	// TLB configures each core's hyperthread-shared sTLB. The zero
-	// value selects tlb.DefaultConfig(). The TLB is only exercised by
-	// OpTLBProbe operations, so non-TLB scenarios are unaffected.
-	TLB tlb.Config
 	// Tracker selects the conflict-miss tracker implementation.
 	Tracker TrackerKind
 	// MigrationProb is the per-quantum probability that a context's

@@ -194,10 +194,6 @@ func New(cfg Config) (*System, error) {
 	if cfg.Ring.Stops > 0 {
 		s.ring = ring.New(cfg.Ring, s.emit)
 	}
-	tlbCfg := cfg.TLB
-	if tlbCfg.Sets == 0 {
-		tlbCfg = tlb.DefaultConfig()
-	}
 	switch cfg.Tracker {
 	case TrackerIdeal:
 		s.tracker = conflict.MustNewIdeal(s.l2.NumBlocks())
@@ -220,7 +216,7 @@ func New(cfg Config) (*System, error) {
 			l1:      l1,
 			l2Block: make([]uint32, l1.NumBlocks()),
 			div:     divider.New(cfg.Div, s.emit),
-			tlb:     tlb.New(tlbCfg, s.emit),
+			tlb:     tlb.New(tlb.DefaultConfig(), s.emit),
 		}
 		s.cores = append(s.cores, co)
 		for t := 0; t < cfg.ThreadsPerCore; t++ {

@@ -288,24 +288,26 @@ func (sc Scenario) Run() (*Result, error) {
 		Contexts:      simCfg.Contexts(),
 	}
 	var spy channels.Spy
+	var protocol channels.Protocol
 	firstFreeCore := 0
 	if ch := cfg.channel; ch != nil {
 		// The trojan exfiltrates continuously (Repeat): detection's
 		// recurrence step needs bursts across multiple OS time quanta,
 		// and a real spy keeps listening for as long as it can.
+		protocol = channels.Protocol{
+			Message: cfg.Message,
+			BPS:     cfg.BandwidthBPS,
+			Start:   uint64(cfg.ChannelStartQuanta) * cfg.QuantumCycles,
+			Seed:    cfg.Seed,
+			Repeat:  true,
+			Evader: channels.Evader{
+				JitterFrac: sc.EvaderJitter,
+				DutyFrac:   sc.EvaderDuty,
+			},
+		}
 		var trojan sim.Program
 		trojan, spy = ch.New(channels.Params{
-			Protocol: channels.Protocol{
-				Message: cfg.Message,
-				BPS:     cfg.BandwidthBPS,
-				Start:   uint64(cfg.ChannelStartQuanta) * cfg.QuantumCycles,
-				Seed:    cfg.Seed,
-				Repeat:  true,
-				Evader: channels.Evader{
-					JitterFrac: sc.EvaderJitter,
-					DutyFrac:   sc.EvaderDuty,
-				},
-			},
+			Protocol:     protocol,
 			EvasionNoise: sc.EvasionNoise,
 			CacheSets:    cfg.CacheSets,
 			CacheRounds:  sc.CacheRounds,
@@ -406,9 +408,8 @@ func (sc Scenario) Run() (*Result, error) {
 	}
 
 	if spy != nil {
-		obs := spy.Observation()
 		res.Sent = append([]int(nil), cfg.Message...)
-		res.Decoded, res.PerBitSeries = obs.Decoded, obs.Series
+		res.Decoded, res.PerBitSeries = channels.Decode(*cfg.channel, protocol, spy.Samples())
 		if sc.FECFrame {
 			// The spy decoded the coded stream; run the FEC decoder over
 			// each complete coded block so BitErrors counts data-bit
