@@ -210,7 +210,7 @@ func BenchmarkAutocorrelationCost(b *testing.B) {
 			cycle += 1000
 		}
 	}
-	cfg := core.DefaultOscillationConfig(8)
+	cfg := core.DefaultOscillationConfig()
 	ws := core.BorrowWorkspace()
 	defer ws.Release()
 	b.ResetTimer()
@@ -355,7 +355,7 @@ func BenchmarkSeriesFormulationAblation(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			tr := mkTrain(4) // 20% noise
-			cfg := core.DefaultOscillationConfig(8)
+			cfg := core.DefaultOscillationConfig()
 			cfg.RawPairSeries = raw
 			ws := core.BorrowWorkspace()
 			defer ws.Release()

@@ -37,7 +37,7 @@ func TestFleetPathMatchesGoldenCorpus(t *testing.T) {
 				t.Fatal(err)
 			}
 			rep, err := fleet.AnalyzeTrain(res.RawTrain.Events(),
-				res.QuantumCycles, res.Contexts, res.EndCycle, cfg.monitor[:]...)
+				res.QuantumCycles, res.EndCycle, cfg.monitor[:]...)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -394,25 +394,12 @@ func (a *Auditor) MonitorConflicts() error {
 	return nil
 }
 
-// OnEvent implements trace.Listener.
-func (a *Auditor) OnEvent(e trace.Event) {
-	a.mEvents.Inc()
-	for _, s := range a.slots {
-		if s.kind == e.Kind {
-			s.onEvent(e.Cycle)
-		}
-	}
-	if a.osc != nil && e.Kind == trace.KindConflictMiss {
-		a.osc.onEvent(e)
-	}
-}
-
-// OnEvents implements trace.BatchListener. Each monitored unit's slot
+// OnEvents implements trace.Listener. Each monitored unit's slot
 // sweeps the whole batch in turn — the slot test and counting-path
 // bookkeeping are hoisted out of the per-event hot loop. The slots and
 // the conflict capture path are independent state machines keyed only
-// on the event sequence, so the final auditor state is identical to
-// per-event delivery.
+// on the event sequence, so the final auditor state is the same at any
+// batch size, one event included.
 func (a *Auditor) OnEvents(events []trace.Event) {
 	a.mEvents.Add(uint64(len(events)))
 	for _, s := range a.slots {

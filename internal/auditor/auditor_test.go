@@ -63,7 +63,7 @@ func TestDensityHistogramAccumulation(t *testing.T) {
 	}
 	// Window [0,100): 3 events; [100,200): 1; [200,300): 0; then quiet.
 	for _, c := range []uint64{10, 20, 30, 150} {
-		a.OnEvent(busEvent(c))
+		a.OnEvents([]trace.Event{busEvent(c)})
 	}
 	a.Flush(1000) // close the quantum
 	recs := a.Histograms(trace.KindBusLock)
@@ -87,8 +87,8 @@ func TestQuantumRollover(t *testing.T) {
 	if err := a.Monitor(trace.KindBusLock, 100); err != nil {
 		t.Fatal(err)
 	}
-	a.OnEvent(busEvent(50))   // quantum 0
-	a.OnEvent(busEvent(1050)) // quantum 1
+	a.OnEvents([]trace.Event{busEvent(50)})   // quantum 0
+	a.OnEvents([]trace.Event{busEvent(1050)}) // quantum 1
 	a.Flush(3000)
 	recs := a.Histograms(trace.KindBusLock)
 	if len(recs) != 3 {
@@ -107,8 +107,8 @@ func TestMergedHistogram(t *testing.T) {
 	if err := a.Monitor(trace.KindBusLock, 100); err != nil {
 		t.Fatal(err)
 	}
-	a.OnEvent(busEvent(10))
-	a.OnEvent(busEvent(1010))
+	a.OnEvents([]trace.Event{busEvent(10)})
+	a.OnEvents([]trace.Event{busEvent(1010)})
 	a.Flush(2000)
 	m := a.MergedHistogram(trace.KindBusLock)
 	if m.Bin(1) != 2 {
@@ -127,14 +127,14 @@ func TestOscillatorDedupPerSetRun(t *testing.T) {
 	// An 8-way fill of set 5 by context 0 evicting context 1's blocks:
 	// one recorded entry.
 	for i := uint64(0); i < 8; i++ {
-		a.OnEvent(confEvent(100+i, 5, 0, 1))
+		a.OnEvents([]trace.Event{confEvent(100+i, 5, 0, 1)})
 	}
 	// Then the reverse direction in the same set: a new entry.
 	for i := uint64(0); i < 8; i++ {
-		a.OnEvent(confEvent(200+i, 5, 1, 0))
+		a.OnEvents([]trace.Event{confEvent(200+i, 5, 1, 0)})
 	}
 	// A different set: a new entry even with the same pair.
-	a.OnEvent(confEvent(300, 6, 1, 0))
+	a.OnEvents([]trace.Event{confEvent(300, 6, 1, 0)})
 	a.Flush(1000)
 	tr := a.ConflictTrain()
 	if tr.Len() != 3 {
@@ -155,7 +155,7 @@ func TestOscillatorVectorRegisterSwap(t *testing.T) {
 	// 10 distinct entries with capacity 4: registers swap, nothing is
 	// lost.
 	for i := 0; i < 10; i++ {
-		a.OnEvent(confEvent(uint64(i), uint32(i), 0, 1))
+		a.OnEvents([]trace.Event{confEvent(uint64(i), uint32(i), 0, 1)})
 	}
 	a.Flush(1000)
 	if a.ConflictTrain().Len() != 10 {
@@ -168,7 +168,7 @@ func TestConflictTrainNilWithoutMonitoring(t *testing.T) {
 	if a.ConflictTrain() != nil {
 		t.Error("train should be nil before MonitorConflicts")
 	}
-	a.OnEvent(confEvent(1, 0, 0, 1)) // ignored, no crash
+	a.OnEvents([]trace.Event{confEvent(1, 0, 0, 1)}) // ignored, no crash
 	if in := a.ConflictIntegrity(); in != (ConflictIntegrity{}) {
 		t.Errorf("conflict integrity %+v without monitoring, want zero", in)
 	}
@@ -179,7 +179,7 @@ func TestEventsForUnmonitoredKindIgnored(t *testing.T) {
 	if err := a.Monitor(trace.KindBusLock, 100); err != nil {
 		t.Fatal(err)
 	}
-	a.OnEvent(trace.Event{Cycle: 5, Kind: trace.KindDivContention, Actor: 0, Victim: 1})
+	a.OnEvents([]trace.Event{{Cycle: 5, Kind: trace.KindDivContention, Actor: 0, Victim: 1}})
 	a.Flush(1000)
 	if a.MergedHistogram(trace.KindBusLock).TotalFrom(1) != 0 {
 		t.Error("div event leaked into bus histogram")
@@ -235,7 +235,7 @@ func TestAccumulatorSaturates(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 70000; i++ {
-		a.OnEvent(busEvent(10))
+		a.OnEvents([]trace.Event{busEvent(10)})
 	}
 	a.Flush(1_000_000)
 	// 70000 events saturate the 16-bit accumulator, then clamp into

@@ -36,11 +36,10 @@ type slotScript struct {
 	flush           uint64
 }
 
-// checkBulkClose drives the script through three instrumented
-// auditors: the batched OnEvents path, the per-event OnEvent path and
-// the per-window reference. Every slot field, every recorded and open
-// histogram (bins, clamped and invalid tallies) and every registry
-// metric must agree.
+// checkBulkClose drives the script through two instrumented
+// auditors: the batched OnEvents path and the per-window reference.
+// Every slot field, every recorded and open histogram (bins, clamped
+// and invalid tallies) and every registry metric must agree.
 func checkBulkClose(t *testing.T, sc slotScript) {
 	t.Helper()
 	cfg := Config{HistogramBins: sc.bins, VectorBytes: 8, QuantumCycles: sc.quantum, Privileged: true}
@@ -54,31 +53,23 @@ func checkBulkClose(t *testing.T, sc slotScript) {
 		return a, reg
 	}
 	batched, batchedReg := build()
-	single, singleReg := build()
 	ref, refReg := build()
 	events := make([]trace.Event, len(sc.events))
 	for i, c := range sc.events {
 		events[i] = busEvent(c)
-		single.OnEvent(events[i])
 		onEventRef(ref.slots[0], c)
 	}
 	batched.OnEvents(events)
 	ref.mEvents.Add(uint64(len(events)))
 	batched.Flush(sc.flush)
-	single.Flush(sc.flush)
 	advanceRef(ref.slots[0], sc.flush)
 	ref.slots[0].flushMetrics()
 
-	want := slotState(ref.slots[0])
-	for name, a := range map[string]*Auditor{"OnEvents": batched, "OnEvent": single} {
-		if got := slotState(a.slots[0]); !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: slot state differs from the per-window walk\n got  %+v\n want %+v", name, got, want)
-		}
+	if got, want := slotState(batched.slots[0]), slotState(ref.slots[0]); !reflect.DeepEqual(got, want) {
+		t.Fatalf("slot state differs from the per-window walk\n got  %+v\n want %+v", got, want)
 	}
-	for name, reg := range map[string]*obs.Registry{"OnEvents": batchedReg, "OnEvent": singleReg} {
-		if got, want := reg.Snapshot(), refReg.Snapshot(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: metrics differ from the per-window walk\n got  %+v\n want %+v", name, got, want)
-		}
+	if got, want := batchedReg.Snapshot(), refReg.Snapshot(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("metrics differ from the per-window walk\n got  %+v\n want %+v", got, want)
 	}
 }
 

@@ -37,7 +37,7 @@ func (c costClass) estimate(bits float64) Cost {
 	if bits <= 0 {
 		return Cost{}
 	}
-	lat := c.latencyBaseNS + c.latencySlope*math.Log2(bits/c.refBits)
+	lat := c.latencyBaseNS + float64(c.latencySlope*math.Log2(bits/c.refBits))
 	if lat < 0.05 {
 		lat = 0.05 // wire-dominated floor
 	}

@@ -23,7 +23,7 @@ func TestRecycledHistogramsStartZeroed(t *testing.T) {
 		}
 		// 50 events in one Δt window clamp into the top bin.
 		for i := uint64(0); i < 50; i++ {
-			dirty.OnEvent(busEvent(10 + i))
+			dirty.OnEvents([]trace.Event{busEvent(10 + i)})
 		}
 		dirty.Flush(4 * quantum)
 		recs := dirty.DrainHistograms(trace.KindBusLock, nil)
@@ -77,10 +77,10 @@ func TestReleasedCapturePathStartsFresh(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := uint64(0); i < 600; i++ {
-			dirty.OnEvent(confEvent(100+i, uint32(i), 0, 1))
+			dirty.OnEvents([]trace.Event{confEvent(100+i, uint32(i), 0, 1)})
 		}
 		last := confEvent(50, 7, 1, 0) // runs backwards: clamped
-		dirty.OnEvent(last)
+		dirty.OnEvents([]trace.Event{last})
 		dirty.ForceDrainConflicts()
 		dirty.TrimConflicts(300)
 		if in := dirty.ConflictIntegrity(); in.ClampedTimestamps == 0 || in.Recorded == 0 {
@@ -102,7 +102,7 @@ func TestReleasedCapturePathStartsFresh(t *testing.T) {
 		}
 		// The dedup comparator starts empty: the dirty auditor's last
 		// entry repeated is a new entry, not a run.
-		clean.OnEvent(last)
+		clean.OnEvents([]trace.Event{last})
 		clean.Flush(1000)
 		if got := clean.ConflictTrain().Events(); len(got) != 1 || got[0] != last {
 			t.Fatalf("first event after recycling recorded as %v, want [%v]", got, last)

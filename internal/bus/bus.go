@@ -36,7 +36,7 @@ func DefaultConfig() Config {
 type Bus struct {
 	cfg       Config
 	busyUntil uint64
-	listener  trace.Listener
+	out       *trace.Batcher // indicator events; nil reports none
 
 	// Counters for reporting.
 	transfers      uint64
@@ -46,14 +46,14 @@ type Bus struct {
 }
 
 // New returns a bus with the given configuration.
-func New(cfg Config, l trace.Listener) *Bus {
+func New(cfg Config, out *trace.Batcher) *Bus {
 	if cfg.AccessCycles == 0 {
 		cfg.AccessCycles = DefaultConfig().AccessCycles
 	}
 	if cfg.LockCycles == 0 {
 		cfg.LockCycles = DefaultConfig().LockCycles
 	}
-	return &Bus{cfg: cfg, listener: l}
+	return &Bus{cfg: cfg, out: out}
 }
 
 // Access performs an ordinary memory transfer issued at cycle now by
@@ -87,8 +87,8 @@ func (b *Bus) LockAccess(now uint64, ctx uint8) (done, waited uint64) {
 	b.busyUntil = done
 	b.locks++
 	b.lockWaitCycles += waited
-	if b.listener != nil {
-		b.listener.OnEvent(trace.Event{
+	if b.out != nil {
+		b.out.Add(trace.Event{
 			Cycle:  now,
 			Kind:   trace.KindBusLock,
 			Actor:  ctx,

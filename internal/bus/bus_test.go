@@ -31,7 +31,7 @@ func TestAccessSerializes(t *testing.T) {
 
 func TestLockAccessHoldsBusAndEmitsEvent(t *testing.T) {
 	rec := trace.NewRecorder()
-	b := New(Config{AccessCycles: 60, LockCycles: 400}, rec)
+	b := New(Config{AccessCycles: 60, LockCycles: 400}, trace.NewBatcher(rec, 1))
 	done, _ := b.LockAccess(100, 3)
 	if done != 500 {
 		t.Errorf("lock done=%d, want 500", done)
@@ -55,7 +55,7 @@ func TestLockAccessHoldsBusAndEmitsEvent(t *testing.T) {
 
 func TestPlainAccessEmitsNoEvent(t *testing.T) {
 	rec := trace.NewRecorder()
-	b := New(Config{AccessCycles: 60, LockCycles: 400}, rec)
+	b := New(Config{AccessCycles: 60, LockCycles: 400}, trace.NewBatcher(rec, 1))
 	b.Access(0, 0)
 	if rec.Train().Len() != 0 {
 		t.Error("plain access must not emit bus-lock events")

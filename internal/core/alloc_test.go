@@ -26,13 +26,13 @@ func allocFixture(t *testing.T, quantum uint64, mult int) *auditor.Auditor {
 	cycle := uint64(0)
 	for bit := 0; bit < 8*mult; bit++ {
 		for set := 0; set < 128; set++ {
-			a.OnEvent(trace.Event{Cycle: cycle, Kind: trace.KindConflictMiss,
-				Actor: 0, Victim: 1, Unit: uint32(set)})
+			a.OnEvents([]trace.Event{{Cycle: cycle, Kind: trace.KindConflictMiss,
+				Actor: 0, Victim: 1, Unit: uint32(set)}})
 			cycle += 300
 		}
 		for set := 0; set < 128; set++ {
-			a.OnEvent(trace.Event{Cycle: cycle, Kind: trace.KindConflictMiss,
-				Actor: 1, Victim: 0, Unit: uint32(set)})
+			a.OnEvents([]trace.Event{{Cycle: cycle, Kind: trace.KindConflictMiss,
+				Actor: 1, Victim: 0, Unit: uint32(set)}})
 			cycle += 300
 		}
 	}

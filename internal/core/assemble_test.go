@@ -151,7 +151,7 @@ func TestAssemble(t *testing.T) {
 func TestAssemblePublishesWorkspaceTallies(t *testing.T) {
 	ws := BorrowWorkspace()
 	defer ws.Release()
-	AnalyzeOscillation(channelTrain(4, 64, 100), DefaultOscillationConfig(8), ws)
+	AnalyzeOscillation(channelTrain(4, 64, 100), DefaultOscillationConfig(), ws)
 	sensor := fakeSensor{conflict: auditor.ConflictIntegrity{Recorded: 1}}
 	if rep := Assemble(sensor, 0, nil, &OscillationVerdict{}, ws, nil); rep.Metrics != nil {
 		t.Error("report carries metrics without a registry")

@@ -168,7 +168,7 @@ func LikelihoodRatio(h *stats.Histogram, threshold int) float64 {
 func meanBelow(h *stats.Histogram, threshold int) float64 {
 	var s, n float64
 	for i := 0; i < threshold && i < h.NumBins(); i++ {
-		s += float64(i) * float64(h.Bin(i))
+		s += float64(float64(i) * float64(h.Bin(i)))
 		n += float64(h.Bin(i))
 	}
 	if n == 0 {

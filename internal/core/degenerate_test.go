@@ -46,8 +46,8 @@ func TestAnalyzeEmptyTrain(t *testing.T) {
 func TestAnalyzeSingleEvent(t *testing.T) {
 	quantum := uint64(1_000_000)
 	a := monitoredAuditor(t, quantum)
-	a.OnEvent(trace.Event{Cycle: 10, Kind: trace.KindBusLock, Actor: 0, Victim: trace.NoContext})
-	a.OnEvent(trace.Event{Cycle: 20, Kind: trace.KindConflictMiss, Actor: 0, Victim: 1})
+	a.OnEvents([]trace.Event{{Cycle: 10, Kind: trace.KindBusLock, Actor: 0, Victim: trace.NoContext}})
+	a.OnEvents([]trace.Event{{Cycle: 20, Kind: trace.KindConflictMiss, Actor: 0, Victim: 1}})
 	rep := NewDetector(a, DefaultDetectorConfig(quantum, 8)).Analyze(4 * quantum)
 	if rep.Detected {
 		t.Error("one event must not alarm")
@@ -61,7 +61,7 @@ func TestAnalyzeAllEventsInOneWindow(t *testing.T) {
 	quantum := uint64(1_000_000)
 	a := monitoredAuditor(t, quantum)
 	for i := 0; i < 100; i++ {
-		a.OnEvent(trace.Event{Cycle: uint64(i), Kind: trace.KindBusLock, Actor: 1, Victim: trace.NoContext})
+		a.OnEvents([]trace.Event{{Cycle: uint64(i), Kind: trace.KindBusLock, Actor: 1, Victim: trace.NoContext}})
 	}
 	rep := NewDetector(a, DefaultDetectorConfig(quantum, 8)).Analyze(8 * quantum)
 	for _, v := range rep.Contention {
@@ -80,10 +80,10 @@ func TestAnalyzeMaxDensitySaturation(t *testing.T) {
 	for q := 0; q < 4; q++ {
 		base := uint64(q) * quantum
 		for i := 0; i < 50_000; i++ {
-			a.OnEvent(trace.Event{
+			a.OnEvents([]trace.Event{{
 				Cycle: base + uint64(i)*10,
 				Kind:  trace.KindBusLock, Actor: 1, Victim: trace.NoContext,
-			})
+			}})
 		}
 	}
 	d := NewDetector(a, DefaultDetectorConfig(quantum, 8))
@@ -130,7 +130,7 @@ func TestHistogramDegenerateInputs(t *testing.T) {
 func TestUpstreamLossReachesVerdicts(t *testing.T) {
 	quantum := uint64(1_000_000)
 	a := monitoredAuditor(t, quantum)
-	a.OnEvent(trace.Event{Cycle: 5, Kind: trace.KindBusLock, Actor: 0, Victim: trace.NoContext})
+	a.OnEvents([]trace.Event{{Cycle: 5, Kind: trace.KindBusLock, Actor: 0, Victim: trace.NoContext}})
 	cfg := DefaultDetectorConfig(quantum, 8)
 	cfg.UpstreamLossRate = 0.25
 	rep := NewDetector(a, cfg).Analyze(2 * quantum)

@@ -39,12 +39,13 @@ type DetectorConfig struct {
 }
 
 // DefaultDetectorConfig returns the paper-calibrated detector for a
-// machine with the given quantum and hardware context count.
-func DefaultDetectorConfig(quantumCycles uint64, contexts int) DetectorConfig {
+// machine with the given quantum. The second argument, once the
+// hardware context count, is unused: no analysis reads it.
+func DefaultDetectorConfig(quantumCycles uint64, _ int) DetectorConfig {
 	return DetectorConfig{
 		QuantumCycles:      quantumCycles,
 		Burst:              DefaultBurstConfig(),
-		Oscillation:        DefaultOscillationConfig(contexts),
+		Oscillation:        DefaultOscillationConfig(),
 		ObservationDivisor: 1,
 	}
 }

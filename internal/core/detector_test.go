@@ -16,11 +16,11 @@ func feedBursts(a *auditor.Auditor, quanta int, quantum uint64, locks int) {
 	for q := 0; q < quanta; q++ {
 		base := uint64(q) * quantum
 		for i := 0; i < locks; i++ {
-			a.OnEvent(trace.Event{
+			a.OnEvents([]trace.Event{{
 				Cycle: base + uint64(i)*2_000, // 50 per Δt=100k window
 				Kind:  trace.KindBusLock,
 				Actor: 1, Victim: trace.NoContext,
-			})
+			}})
 		}
 	}
 }
@@ -63,7 +63,7 @@ func TestDetectorQuietSystemNoAlarm(t *testing.T) {
 	}
 	// Sparse random activity only.
 	for i := uint64(0); i < 50; i++ {
-		a.OnEvent(trace.Event{Cycle: i * 100_000, Kind: trace.KindBusLock, Actor: 2, Victim: trace.NoContext})
+		a.OnEvents([]trace.Event{{Cycle: i * 100_000, Kind: trace.KindBusLock, Actor: 2, Victim: trace.NoContext}})
 	}
 	d := NewDetector(a, DefaultDetectorConfig(quantum, 8))
 	rep := d.Analyze(8 * quantum)
@@ -87,15 +87,15 @@ func TestDetectorOscillationPath(t *testing.T) {
 	for bit := 0; bit < 8; bit++ {
 		for set := 0; set < 128; set++ {
 			for w := 0; w < 8; w++ {
-				a.OnEvent(trace.Event{Cycle: cycle, Kind: trace.KindConflictMiss,
-					Actor: 0, Victim: 1, Unit: uint32(set)})
+				a.OnEvents([]trace.Event{{Cycle: cycle, Kind: trace.KindConflictMiss,
+					Actor: 0, Victim: 1, Unit: uint32(set)}})
 			}
 			cycle += 300
 		}
 		for set := 0; set < 128; set++ {
 			for w := 0; w < 8; w++ {
-				a.OnEvent(trace.Event{Cycle: cycle, Kind: trace.KindConflictMiss,
-					Actor: 1, Victim: 0, Unit: uint32(set)})
+				a.OnEvents([]trace.Event{{Cycle: cycle, Kind: trace.KindConflictMiss,
+					Actor: 1, Victim: 0, Unit: uint32(set)}})
 			}
 			cycle += 300
 		}
@@ -123,11 +123,11 @@ func TestDetectorObservationDivisor(t *testing.T) {
 	cycle := uint64(0)
 	for bit := 0; bit < 4; bit++ {
 		for set := 0; set < 64; set++ {
-			a.OnEvent(trace.Event{Cycle: cycle, Kind: trace.KindConflictMiss, Actor: 0, Victim: 1, Unit: uint32(set)})
+			a.OnEvents([]trace.Event{{Cycle: cycle, Kind: trace.KindConflictMiss, Actor: 0, Victim: 1, Unit: uint32(set)}})
 			cycle += 100
 		}
 		for set := 0; set < 64; set++ {
-			a.OnEvent(trace.Event{Cycle: cycle, Kind: trace.KindConflictMiss, Actor: 1, Victim: 0, Unit: uint32(set)})
+			a.OnEvents([]trace.Event{{Cycle: cycle, Kind: trace.KindConflictMiss, Actor: 1, Victim: 0, Unit: uint32(set)}})
 			cycle += 100
 		}
 	}
@@ -204,7 +204,7 @@ func TestWindowLoopStopsBetweenWindows(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	folded := 0
-	err := AnalyzeOscillationWindows(ctx, tr, 0, 204_800, 25_600, DefaultOscillationConfig(8), ws,
+	err := AnalyzeOscillationWindows(ctx, tr, 0, 204_800, 25_600, DefaultOscillationConfig(), ws,
 		func(uint64, OscillationAnalysis) {
 			folded++
 			cancel()

@@ -50,8 +50,6 @@ type OscillationConfig struct {
 	// is invariant to the amplitude of interleaved noise and only
 	// sees its phase stretch; the ablation benchmarks compare the two.
 	RawPairSeries bool
-	// Contexts is the hardware context count.
-	Contexts int
 	// SegmentLen, when positive, switches the correlogram to the
 	// segmented Wiener–Khinchin estimate: Bartlett-averaged
 	// autocorrelograms over fixed-size chunks. The streaming daemon
@@ -64,7 +62,7 @@ type OscillationConfig struct {
 
 // DefaultOscillationConfig returns parameters matching the paper's
 // plots.
-func DefaultOscillationConfig(contexts int) OscillationConfig {
+func DefaultOscillationConfig() OscillationConfig {
 	return OscillationConfig{
 		MaxLag:            1000,
 		MinLag:            8,
@@ -73,7 +71,6 @@ func DefaultOscillationConfig(contexts int) OscillationConfig {
 		MinHarmonics:      2,
 		MinProminence:     0.2,
 		MinCoupleShare:    0.05,
-		Contexts:          contexts,
 	}
 }
 

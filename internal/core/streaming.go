@@ -48,7 +48,10 @@ type StreamingInfo struct {
 	WindowsRetained int `json:"windowsRetained"`
 	// PeakRetainedEvents is the largest number of conflict-train
 	// entries held at any point — the O(window) memory bound the
-	// streaming path exists for.
+	// streaming path exists for. The daemon drains once per delivered
+	// batch, so this high-water mark, unlike every other field of a
+	// Result, depends on the event-delivery batch size: a cache
+	// channel run reads 257, 272 and 348 at batch sizes 1, 37 and 512.
 	PeakRetainedEvents int `json:"peakRetainedEvents"`
 	// Onsets holds one change-detection report per monitored series.
 	Onsets []OnsetReport `json:"onsets,omitempty"`

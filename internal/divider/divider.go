@@ -31,14 +31,14 @@ type Bank struct {
 	busyFrom  []uint64 // start of the latest division on each unit
 	busyUntil []uint64
 	occupant  []uint8
-	listener  trace.Listener
+	out       *trace.Batcher // indicator events; nil reports none
 
 	divisions  uint64
 	contention uint64
 }
 
 // New returns a divider bank.
-func New(cfg Config, l trace.Listener) *Bank {
+func New(cfg Config, out *trace.Batcher) *Bank {
 	if cfg.Units <= 0 {
 		cfg.Units = DefaultConfig().Units
 	}
@@ -50,7 +50,7 @@ func New(cfg Config, l trace.Listener) *Bank {
 		busyFrom:  make([]uint64, cfg.Units),
 		busyUntil: make([]uint64, cfg.Units),
 		occupant:  make([]uint8, cfg.Units),
-		listener:  l,
+		out:       out,
 	}
 }
 
@@ -90,8 +90,8 @@ func (b *Bank) DivideStamped(now, stamp uint64, ctx uint8) (done, waited uint64)
 		start = b.busyUntil[best]
 		if b.occupant[best] != ctx {
 			b.contention++
-			if b.listener != nil {
-				b.listener.OnEvent(trace.Event{
+			if b.out != nil {
+				b.out.Add(trace.Event{
 					Cycle:  stamp,
 					Kind:   trace.KindDivContention,
 					Actor:  ctx,

@@ -16,7 +16,7 @@ func TestDivideUncontended(t *testing.T) {
 
 func TestSameContextBackToBackIsNotContention(t *testing.T) {
 	rec := trace.NewRecorder()
-	b := New(Config{Units: 1, DivCycles: 5}, rec)
+	b := New(Config{Units: 1, DivCycles: 5}, trace.NewBatcher(rec, 1))
 	b.Divide(0, 2)
 	done, waited := b.Divide(0, 2)
 	if waited != 5 || done != 10 {
@@ -32,7 +32,7 @@ func TestSameContextBackToBackIsNotContention(t *testing.T) {
 
 func TestCrossContextWaitEmitsEvent(t *testing.T) {
 	rec := trace.NewRecorder()
-	b := New(Config{Units: 1, DivCycles: 5}, rec)
+	b := New(Config{Units: 1, DivCycles: 5}, trace.NewBatcher(rec, 1))
 	b.Divide(0, 0)                 // trojan occupies until 5
 	done, waited := b.Divide(2, 1) // spy waits 3
 	if waited != 3 || done != 10 {
@@ -49,7 +49,7 @@ func TestCrossContextWaitEmitsEvent(t *testing.T) {
 
 func TestMultipleUnits(t *testing.T) {
 	rec := trace.NewRecorder()
-	b := New(Config{Units: 2, DivCycles: 10}, rec)
+	b := New(Config{Units: 2, DivCycles: 10}, trace.NewBatcher(rec, 1))
 	b.Divide(0, 0) // unit 0 busy until 10
 	done, waited := b.Divide(0, 1)
 	if waited != 0 || done != 10 {

@@ -89,8 +89,8 @@ func calibrationLoop(buf []float64) float64 {
 	for pass := 0; pass < calibrationPasses; pass++ {
 		for i := range buf {
 			j := (i*7 + pass) & mask
-			acc = acc*0.999 + buf[i]*buf[j]
-			buf[i] = buf[j] - acc*1e-9
+			acc = float64(acc*0.999) + float64(buf[i]*buf[j])
+			buf[i] = buf[j] - float64(acc*1e-9)
 		}
 	}
 	return acc

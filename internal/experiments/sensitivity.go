@@ -174,7 +174,7 @@ func Figure11(o Options) Figure11Result {
 	// The paper's original series formulation (unique pair identifiers
 	// over all events) is what loses strength at full-quantum windows
 	// under interleaved noise -- the effect Figure 11 demonstrates.
-	cfg := core.DefaultOscillationConfig(res.Contexts)
+	cfg := core.DefaultOscillationConfig()
 	cfg.RawPairSeries = true
 	// With only a few bursts in the window, periodicity cannot sustain
 	// past the first harmonic; the paper reads the "significant

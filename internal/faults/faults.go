@@ -168,9 +168,8 @@ func (s Stats) LossRate() float64 {
 // Injector is a trace.Listener that applies the configured faults and
 // forwards the surviving (possibly corrupted) events downstream. It is
 // deterministic for a given (Config, event stream) pair — and, because
-// the fault state machine is strictly per-event, for a given stream
-// the delivered sequence is identical whether events arrive one
-// callback at a time (OnEvent) or in slices (OnEvents).
+// the fault state machine is strictly per-event, the delivered
+// sequence is the same however the stream is cut into batches.
 type Injector struct {
 	cfg  Config
 	out  trace.Listener
@@ -232,20 +231,12 @@ func NewInjector(cfg Config, out trace.Listener) (*Injector, error) {
 	return &Injector{cfg: cfg, out: out, rng: stats.NewRNG(cfg.Seed ^ 0xfa017)}, nil
 }
 
-// OnEvent implements trace.Listener.
-func (in *Injector) OnEvent(e trace.Event) {
-	in.outBuf = in.process(e, in.outBuf[:0])
-	in.publish()
-	trace.Deliver(in.out, in.outBuf)
-}
-
-// OnEvents implements trace.BatchListener: the whole batch runs
-// through the fault stages in one pass, survivors accumulate in a
-// reused arena, and the downstream chain is entered exactly once —
-// the amortization that makes an always-on injector affordable. The
-// fault state machine is applied to each event in order, so the
-// delivered sequence and every RNG draw are identical to the
-// per-event path's.
+// OnEvents implements trace.Listener: the whole batch runs through
+// the fault stages in one pass, survivors accumulate in a reused
+// arena, and the downstream chain is entered at most once — the
+// amortization that makes an always-on injector affordable. The fault
+// state machine is applied to each event in order, so the delivered
+// sequence and every RNG draw are the same at any batch size.
 func (in *Injector) OnEvents(events []trace.Event) {
 	out := in.outBuf[:0]
 	for _, e := range events {
@@ -253,7 +244,9 @@ func (in *Injector) OnEvents(events []trace.Event) {
 	}
 	in.outBuf = out
 	in.publish()
-	trace.Deliver(in.out, out)
+	if len(out) > 0 {
+		in.out.OnEvents(out)
+	}
 }
 
 // process applies every fault stage to one event, appending the
@@ -358,7 +351,7 @@ func (in *Injector) Flush() {
 		in.held = nil
 		in.outBuf = in.emit(e, in.outBuf[:0])
 		in.publish()
-		trace.Deliver(in.out, in.outBuf)
+		in.out.OnEvents(in.outBuf)
 	}
 }
 

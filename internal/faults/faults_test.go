@@ -13,7 +13,7 @@ type collector struct {
 	events []trace.Event
 }
 
-func (c *collector) OnEvent(e trace.Event) { c.events = append(c.events, e) }
+func (c *collector) OnEvents(events []trace.Event) { c.events = append(c.events, events...) }
 
 // stream builds n bus-lock events spaced `gap` cycles apart.
 func stream(n int, gap uint64) []trace.Event {
@@ -34,6 +34,8 @@ func stream(n int, gap uint64) []trace.Event {
 	return out
 }
 
+// inject feeds events through an injector in batches of one, the
+// per-event reference, and flushes it.
 func inject(t *testing.T, cfg Config, events []trace.Event) (*collector, Stats) {
 	t.Helper()
 	var c collector
@@ -41,8 +43,8 @@ func inject(t *testing.T, cfg Config, events []trace.Event) (*collector, Stats) 
 	if err != nil {
 		t.Fatalf("NewInjector: %v", err)
 	}
-	for _, e := range events {
-		in.OnEvent(e)
+	for i := range events {
+		in.OnEvents(events[i : i+1])
 	}
 	in.Flush()
 	return &c, in.Stats()

@@ -198,7 +198,6 @@ func New(cfg Config) (*Fleet, error) {
 			}
 			s, err := newShard(key, shardConfig{
 				Quantum:      cfg.Quantum,
-				Contexts:     defaultContexts,
 				QueueLen:     queueLen,
 				FlightEvents: cfg.FlightEvents,
 				Watchdog:     cfg.Watchdog,

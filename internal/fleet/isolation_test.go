@@ -25,16 +25,10 @@ type gate struct {
 
 func (g *gate) wait() { <-g.release }
 
-func (g *gate) OnEvent(e trace.Event) {
-	g.wait()
-	g.delivered.Add(1)
-	g.next.OnEvent(e)
-}
-
 func (g *gate) OnEvents(events []trace.Event) {
 	g.wait()
 	g.delivered.Add(uint64(len(events)))
-	trace.Deliver(g.next, events)
+	g.next.OnEvents(events)
 }
 
 // tap counts delivered events without interfering — the control side
@@ -44,14 +38,9 @@ type tap struct {
 	delivered atomic.Uint64
 }
 
-func (t *tap) OnEvent(e trace.Event) {
-	t.delivered.Add(1)
-	t.next.OnEvent(e)
-}
-
 func (t *tap) OnEvents(events []trace.Event) {
 	t.delivered.Add(uint64(len(events)))
-	trace.Deliver(t.next, events)
+	t.next.OnEvents(events)
 }
 
 // isolationConfig is a fleet where tenant-01's queues are shallow

@@ -32,7 +32,6 @@ func (k Key) String() string {
 // shardConfig carries the per-stream construction knobs.
 type shardConfig struct {
 	Quantum      uint64
-	Contexts     int
 	QueueLen     int
 	FlightEvents int
 	Watchdog     time.Duration
@@ -77,9 +76,6 @@ func newShard(key Key, cfg shardConfig) (*shard, error) {
 	if cfg.Quantum == 0 {
 		return nil, fmt.Errorf("fleet: shard %s needs a quantum", key)
 	}
-	if cfg.Contexts <= 0 {
-		cfg.Contexts = defaultContexts
-	}
 	return &shard{key: key, cfg: cfg}, nil
 }
 
@@ -90,12 +86,12 @@ func newShard(key Key, cfg shardConfig) (*shard, error) {
 // auditor.MaxMonitoredUnits of them); empty means the classic bus +
 // divider pair every pre-ring caller programmed. The caller owns the
 // auditor and releases it once the detector has finalized.
-func buildDetector(quantum uint64, contexts int, kinds ...trace.Kind) (*auditor.Auditor, *stream.Detector, error) {
+func buildDetector(quantum uint64, kinds ...trace.Kind) (*auditor.Auditor, *stream.Detector, error) {
 	aud, err := core.NewAuditor(quantum, kinds...)
 	if err != nil {
 		return nil, nil, err
 	}
-	cfg := core.DefaultDetectorConfig(quantum, contexts)
+	cfg := core.DefaultDetectorConfig(quantum, 0)
 	return aud, stream.New(aud, stream.Config{Detector: cfg}), nil
 }
 
@@ -106,7 +102,7 @@ func (s *shard) beginEpoch(epoch int) {
 	s.epoch = epoch
 	s.endCycle = 0
 	s.src.reset(epoch)
-	aud, det, err := buildDetector(s.cfg.Quantum, s.cfg.Contexts)
+	aud, det, err := buildDetector(s.cfg.Quantum)
 	if err != nil {
 		// Construction can only fail on bad static config, which New
 		// validated; a failure here is a bug worth crashing on.
@@ -196,7 +192,7 @@ func (s *shard) finalizeEpoch(hub *Hub) {
 		f := s.rec.Capture("detection", recorder.Meta{
 			Seed:               s.src.seed,
 			QuantumCycles:      s.cfg.Quantum,
-			Contexts:           s.cfg.Contexts,
+			Contexts:           defaultContexts,
 			ObservationDivisor: 1,
 			EndCycle:           end,
 			EventsShed:         shed,

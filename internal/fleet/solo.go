@@ -15,11 +15,8 @@ import (
 // golden corpus. The root-package equivalence test holds the fleet
 // path to that.
 // kinds selects the monitored burst events (empty = bus + divider).
-func AnalyzeTrain(events []trace.Event, quantum uint64, contexts int, end uint64, kinds ...trace.Kind) (core.Report, error) {
-	if contexts <= 0 {
-		contexts = defaultContexts
-	}
-	aud, det, err := buildDetector(quantum, contexts, kinds...)
+func AnalyzeTrain(events []trace.Event, quantum, end uint64, kinds ...trace.Kind) (core.Report, error) {
+	aud, det, err := buildDetector(quantum, kinds...)
 	if err != nil {
 		return core.Report{}, err
 	}

@@ -211,7 +211,7 @@ func (h *Histogram) ObserveN(v float64, n uint64) {
 	h.count.Add(n)
 	for {
 		old := h.sum.Load()
-		next := math.Float64bits(math.Float64frombits(old) + v*float64(n))
+		next := math.Float64bits(math.Float64frombits(old) + float64(v*float64(n)))
 		if h.sum.CompareAndSwap(old, next) {
 			return
 		}

@@ -61,9 +61,10 @@ type Flight struct {
 	Events []trace.Event `json:"events"`
 }
 
-// Recorder is the in-memory ring. It implements trace.Listener and
-// trace.BatchListener; register it alongside the auditor so it sees
-// the same (post-fault-injection) event stream the detectors see.
+// Recorder is the in-memory ring. It implements trace.Listener;
+// register it alongside the auditor so it sees the same
+// (post-fault-injection) event stream the detectors see. A delivered
+// batch is copied into the ring, never retained.
 type Recorder struct {
 	buf     []trace.Event
 	head    int // index of the oldest entry when full
@@ -84,22 +85,17 @@ func New(capacity int) *Recorder {
 	return &Recorder{buf: make([]trace.Event, capacity)}
 }
 
-// OnEvent implements trace.Listener.
-func (r *Recorder) OnEvent(e trace.Event) {
-	if r.n < len(r.buf) {
-		r.buf[(r.head+r.n)%len(r.buf)] = e
-		r.n++
-		return
-	}
-	r.buf[r.head] = e
-	r.head = (r.head + 1) % len(r.buf)
-	r.dropped++
-}
-
-// OnEvents implements trace.BatchListener.
+// OnEvents implements trace.Listener.
 func (r *Recorder) OnEvents(events []trace.Event) {
 	for _, e := range events {
-		r.OnEvent(e)
+		if r.n < len(r.buf) {
+			r.buf[(r.head+r.n)%len(r.buf)] = e
+			r.n++
+			continue
+		}
+		r.buf[r.head] = e
+		r.head = (r.head + 1) % len(r.buf)
+		r.dropped++
 	}
 }
 

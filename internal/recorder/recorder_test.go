@@ -17,7 +17,7 @@ func ev(c uint64) trace.Event {
 func TestRecorderRingOrder(t *testing.T) {
 	r := New(4)
 	for c := uint64(1); c <= 3; c++ {
-		r.OnEvent(ev(c))
+		r.OnEvents([]trace.Event{ev(c)})
 	}
 	f := r.Capture("test", Meta{QuantumCycles: 100})
 	if f.Truncated || f.Dropped != 0 {
@@ -113,7 +113,7 @@ func TestReplayDeterministic(t *testing.T) {
 			e.Kind = trace.KindConflictMiss
 			e.Unit = uint32(rng>>16) % 64
 		}
-		r.OnEvent(e)
+		r.OnEvents([]trace.Event{e})
 	}
 	f := r.Capture("test", Meta{
 		QuantumCycles: 100_000, Contexts: 4, ObservationDivisor: 1, EndCycle: cycle + 1,
@@ -161,7 +161,7 @@ func TestReplayCarriesShedCount(t *testing.T) {
 	var cycle uint64
 	for i := 0; i < 200; i++ {
 		cycle += 1_000
-		r.OnEvent(trace.Event{Cycle: cycle, Kind: trace.KindBusLock})
+		r.OnEvents([]trace.Event{{Cycle: cycle, Kind: trace.KindBusLock}})
 	}
 	f := r.Capture("detection", Meta{
 		QuantumCycles: 100_000, Contexts: 4, ObservationDivisor: 1,

@@ -17,11 +17,7 @@ func rebuild(f Flight) (*auditor.Auditor, core.DetectorConfig, uint64, error) {
 	if err != nil {
 		return nil, core.DetectorConfig{}, 0, fmt.Errorf("recorder: building auditor: %w", err)
 	}
-	contexts := f.Meta.Contexts
-	if contexts <= 0 {
-		contexts = 8
-	}
-	cfg := core.DefaultDetectorConfig(f.Meta.QuantumCycles, contexts)
+	cfg := core.DefaultDetectorConfig(f.Meta.QuantumCycles, 0)
 	cfg.ObservationDivisor = f.Meta.ObservationDivisor
 	end := f.Meta.EndCycle
 	if end == 0 && len(f.Events) > 0 {

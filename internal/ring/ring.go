@@ -45,7 +45,7 @@ type Ring struct {
 	// cw[s:s+h], h counter-clockwise hops ccw[Stops-s:Stops-s+h].
 	cw, ccw []int
 
-	listener trace.Listener
+	out *trace.Batcher // indicator events; nil reports none
 
 	transits   uint64
 	contention uint64
@@ -53,7 +53,7 @@ type Ring struct {
 
 // New returns a ring. It panics on a non-positive stop count — callers
 // gate construction on Config.Stops > 0.
-func New(cfg Config, l trace.Listener) *Ring {
+func New(cfg Config, out *trace.Batcher) *Ring {
 	if cfg.Stops <= 0 {
 		panic("ring: Stops must be positive")
 	}
@@ -67,7 +67,7 @@ func New(cfg Config, l trace.Listener) *Ring {
 		occupant:  make([]uint8, n),
 		cw:        make([]int, n),
 		ccw:       make([]int, n),
-		listener:  l,
+		out:       out,
 	}
 	for i := range r.cw {
 		// Clockwise, stop j leaves on segment j; counter-clockwise,
@@ -135,8 +135,8 @@ func (r *Ring) Transit(now, stamp uint64, ctx uint8, core int, lineAddr uint64) 
 			if r.occupant[seg] != ctx && !emitted {
 				emitted = true
 				r.contention++
-				if r.listener != nil {
-					r.listener.OnEvent(trace.Event{
+				if r.out != nil {
+					r.out.Add(trace.Event{
 						Cycle:  stamp,
 						Kind:   trace.KindRingContention,
 						Actor:  ctx,

@@ -41,7 +41,7 @@ func modSegments(stops, core, slice int) []int {
 // eventLog records every event the ring emits.
 type eventLog struct{ events []trace.Event }
 
-func (l *eventLog) OnEvent(e trace.Event) { l.events = append(l.events, e) }
+func (l *eventLog) OnEvents(events []trace.Event) { l.events = append(l.events, events...) }
 
 // TestTransitPathMatchesModuloFormula checks every (core, slice) pair
 // on rings of 1–8 stops, powers of two or not, on an idle ring: the
@@ -54,7 +54,7 @@ func TestTransitPathMatchesModuloFormula(t *testing.T) {
 		for core := 0; core < stops+2; core++ {
 			for slice := 0; slice < stops; slice++ {
 				var log eventLog
-				r := New(Config{Stops: stops, HopCycles: 3}, &log)
+				r := New(Config{Stops: stops, HopCycles: 3}, trace.NewBatcher(&log, 1))
 				const now = 1000
 				done, waited := r.Transit(now, now, 1, core, uint64(slice))
 				want := modSegments(stops, core, slice)
@@ -112,7 +112,7 @@ func TestTransitContentionInvariants(t *testing.T) {
 	silentWaits := 0
 	for stops := 1; stops <= 8; stops++ {
 		var log eventLog
-		r := New(Config{Stops: stops, HopCycles: hop}, &log)
+		r := New(Config{Stops: stops, HopCycles: hop}, trace.NewBatcher(&log, 1))
 		until := make([]uint64, 2*stops)
 		owner := make([]uint8, 2*stops)
 		x := uint64(stops)*0x9e3779b97f4a7c15 | 1

@@ -99,13 +99,12 @@ type Config struct {
 	// golden-verdict suite pins this). Nil (the default) selects the
 	// no-op fast path.
 	Metrics *obs.Registry
-	// EventBatch sets the event-delivery batch size between the
-	// hardware units and the fault-injector/listener chain. 0 selects
-	// trace.DefaultBatchSize; 1 disables batching and delivers each
-	// event through a direct per-event callback. Batching is purely a
-	// performance knob: events reach every consumer in the same order
-	// at any batch size, so results are byte-identical (pinned by
-	// TestBatchedDeliveryMatchesPerEvent in the root package).
+	// EventBatch sets the size of the batches the hardware units'
+	// trace.Batcher hands to the fault-injector/listener chain; 0
+	// selects trace.DefaultBatchSize. Events reach every consumer in
+	// the same order at any size, so results are byte-identical
+	// (pinned by TestBatchedDeliveryMatchesPerEvent in the root
+	// package, which is the only caller that varies it).
 	EventBatch int
 	// Seed drives all scheduling randomness.
 	Seed uint64

@@ -105,9 +105,7 @@ func (s *System) quiesce() {
 	// (they feed the injector), then any event the injector's reorder
 	// stage is still holding, so listeners see a complete stream before
 	// the caller analyzes.
-	if s.batcher != nil {
-		s.batcher.Flush()
-	}
+	s.batcher.Flush()
 	if s.injector != nil {
 		s.injector.Flush()
 	}
@@ -364,7 +362,7 @@ func (s *System) memAccess(c *hwContext, addr uint64, now, stamp uint64) uint64 
 		if l2.Evicted {
 			victim = l2.EvictedOwner
 		}
-		s.emit.OnEvent(trace.Event{
+		s.batcher.Add(trace.Event{
 			Cycle:  stamp,
 			Kind:   trace.KindConflictMiss,
 			Actor:  c.id,

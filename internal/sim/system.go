@@ -105,11 +105,9 @@ type System struct {
 	ring      *ring.Ring // nil unless cfg.Ring.Stops > 0
 	lineShift uint       // log2(L2 line bytes), for ring slice hashing
 	listeners trace.Tee
-	// emit is the listener the hardware units report to: a batcher in
-	// front of the fault injector (when one is configured) or of
-	// &listeners directly; with cfg.EventBatch == 1 the batcher is
-	// omitted and emit is the downstream stage itself.
-	emit     trace.Listener
+	// batcher is what the hardware units report to: it hands batches
+	// to the fault injector (when one is configured) or to &listeners
+	// directly.
 	batcher  *trace.Batcher
 	injector *faults.Injector
 	procs    []*Process
@@ -166,7 +164,7 @@ func New(cfg Config) (*System, error) {
 	s.mSwitches = cfg.Metrics.Gauge("sim.ctx_switches")
 	s.mMigrations = cfg.Metrics.Gauge("sim.migrations")
 	s.mRunNS = cfg.Metrics.Timer("sim.run_ns")
-	s.emit = &s.listeners
+	var out trace.Listener = &s.listeners
 	if !cfg.Faults.IsZero() {
 		inj, err := faults.NewInjector(cfg.Faults, &s.listeners)
 		if err != nil {
@@ -174,14 +172,11 @@ func New(cfg Config) (*System, error) {
 		}
 		inj.Instrument(cfg.Metrics)
 		s.injector = inj
-		s.emit = inj
+		out = inj
 	}
-	if cfg.EventBatch != 1 {
-		s.batcher = trace.NewBatcher(s.emit, cfg.EventBatch)
-		s.batcher.Instrument(cfg.Metrics)
-		s.emit = s.batcher
-	}
-	s.bus = bus.New(cfg.Bus, s.emit)
+	s.batcher = trace.NewBatcher(out, cfg.EventBatch)
+	s.batcher.Instrument(cfg.Metrics)
+	s.bus = bus.New(cfg.Bus, s.batcher)
 	l2, err := cache.New(cfg.L2)
 	if err != nil {
 		return nil, fmt.Errorf("%w: L2: %v", ErrBadConfig, err)
@@ -192,7 +187,7 @@ func New(cfg Config) (*System, error) {
 		s.lineShift++
 	}
 	if cfg.Ring.Stops > 0 {
-		s.ring = ring.New(cfg.Ring, s.emit)
+		s.ring = ring.New(cfg.Ring, s.batcher)
 	}
 	switch cfg.Tracker {
 	case TrackerIdeal:
@@ -215,8 +210,8 @@ func New(cfg Config) (*System, error) {
 			bit:     1 << c,
 			l1:      l1,
 			l2Block: make([]uint32, l1.NumBlocks()),
-			div:     divider.New(cfg.Div, s.emit),
-			tlb:     tlb.New(tlb.DefaultConfig(), s.emit),
+			div:     divider.New(cfg.Div, s.batcher),
+			tlb:     tlb.New(tlb.DefaultConfig(), s.batcher),
 		}
 		s.cores = append(s.cores, co)
 		for t := 0; t < cfg.ThreadsPerCore; t++ {

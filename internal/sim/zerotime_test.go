@@ -32,7 +32,7 @@ func (p *stallProgram) Step(_ OpResult, op *Op) bool {
 // eventCount is a listener that counts the events it receives.
 type eventCount struct{ n int }
 
-func (l *eventCount) OnEvent(trace.Event) { l.n++ }
+func (l *eventCount) OnEvents(events []trace.Event) { l.n += len(events) }
 
 // TestZeroTimeProgramPanics: a context whose every op takes zero
 // cycles holds the minimum clock forever, so neither Run's exit nor a

@@ -23,9 +23,9 @@ func Autocorrelation(xs []float64, p int) float64 {
 	var num, den float64
 	for i, x := range xs {
 		d := x - m
-		den += d * d
+		den += float64(d * d)
 		if i+p < n {
-			num += d * (xs[i+p] - m)
+			num += float64(d * (xs[i+p] - m))
 		}
 	}
 	if den == 0 {

@@ -16,5 +16,5 @@ func PoissonPMF(lambda float64, k int) float64 {
 		return 0
 	}
 	lg, _ := math.Lgamma(float64(k) + 1)
-	return exp(float64(k)*ln(lambda) - lambda - lg)
+	return exp(float64(float64(k)*ln(lambda)) - lambda - lg)
 }

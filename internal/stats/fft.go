@@ -142,8 +142,8 @@ func fftStages(re, im, wre, wim []float64, first, last int) {
 		wr, wi := wre[1], wim[1]
 		for r, m := re, im; len(r) >= 2 && len(m) >= 2; r, m = r[2:], m[2:] {
 			xr, xi := r[1], m[1]
-			vr := xr*wr - xi*wi
-			vi := xr*wi + xi*wr
+			vr := float64(xr*wr) - float64(xi*wi)
+			vi := float64(xr*wi) + float64(xi*wr)
 			ar, ai := r[0], m[0]
 			r[1], m[1] = ar-vr, ai-vi
 			r[0], m[0] = ar+vr, ai+vi
@@ -155,14 +155,14 @@ func fftStages(re, im, wre, wim []float64, first, last int) {
 		wr0, wi0, wr1, wi1 := wre[2], wim[2], wre[3], wim[3]
 		for r, m := re, im; len(r) >= 4 && len(m) >= 4; r, m = r[4:], m[4:] {
 			xr, xi := r[2], m[2]
-			vr := xr*wr0 - xi*wi0
-			vi := xr*wi0 + xi*wr0
+			vr := float64(xr*wr0) - float64(xi*wi0)
+			vi := float64(xr*wi0) + float64(xi*wr0)
 			ar, ai := r[0], m[0]
 			r[2], m[2] = ar-vr, ai-vi
 			r[0], m[0] = ar+vr, ai+vi
 			xr, xi = r[3], m[3]
-			vr = xr*wr1 - xi*wi1
-			vi = xr*wi1 + xi*wr1
+			vr = float64(xr*wr1) - float64(xi*wi1)
+			vi = float64(xr*wi1) + float64(xi*wr1)
 			ar, ai = r[1], m[1]
 			r[3], m[3] = ar-vr, ai-vi
 			r[1], m[1] = ar+vr, ai+vi
@@ -178,8 +178,8 @@ func fftStages(re, im, wre, wim []float64, first, last int) {
 			wr, wi := wr[:len(ar)], wi[:len(ar)]
 			for k := range ar {
 				xr, xi := br[k], bi[k]
-				vr := xr*wr[k] - xi*wi[k]
-				vi := xr*wi[k] + xi*wr[k]
+				vr := float64(xr*wr[k]) - float64(xi*wi[k])
+				vi := float64(xr*wi[k]) + float64(xi*wr[k])
 				ur, ui := ar[k], ai[k]
 				br[k], bi[k] = ur-vr, ui-vi
 				ar[k], ai[k] = ur+vr, ui+vi
@@ -347,7 +347,7 @@ func (w *Workspace) CenteredAutocorrelation(p int) float64 {
 	c := w.centered
 	var num float64
 	for i := 0; i+p < n; i++ {
-		num += c[i] * c[i+p]
+		num += float64(c[i] * c[i+p])
 	}
 	return num / w.cden
 }
@@ -393,7 +393,7 @@ func (w *Workspace) fftAutocorr(centered []float64, den float64, out []float64) 
 	wr, wi := tw.re[half:half+maxLag+1], tw.imInv[half:half+maxLag+1]
 	inv := 1 / float64(nfft)
 	for p := range out {
-		vr := br[p]*wr[p] - bi[p]*wi[p]
+		vr := float64(br[p]*wr[p]) - float64(bi[p]*wi[p])
 		out[p] = (ar[p] + vr) * inv / den
 	}
 }
@@ -410,8 +410,8 @@ func powerBitReversed(re, im []float64) {
 		if i > j {
 			continue // stored with its partner
 		}
-		pi := re[i]*re[i] + im[i]*im[i]
-		pj := re[j]*re[j] + im[j]*im[j]
+		pi := float64(re[i]*re[i]) + float64(im[i]*im[i])
+		pj := float64(re[j]*re[j]) + float64(im[j]*im[j])
 		re[i], re[j] = pj, pi
 		im[i], im[j] = 0, 0
 	}
@@ -450,19 +450,19 @@ func naiveAutocorr(c []float64, den float64, out []float64) {
 		b0, b1, b2, b3 := c[p:p+m], c[p+1:p+1+m], c[p+2:p+2+m], c[p+3:p+3+m]
 		var s0, s1, s2, s3 float64
 		for i, ci := range a {
-			s0 += ci * b0[i]
-			s1 += ci * b1[i]
-			s2 += ci * b2[i]
-			s3 += ci * b3[i]
+			s0 += float64(ci * b0[i])
+			s1 += float64(ci * b1[i])
+			s2 += float64(ci * b2[i])
+			s3 += float64(ci * b3[i])
 		}
 		// The shorter lags' last products, still in ascending i.
 		t := c[m : m+3]
-		s0 += t[0] * c[m+p]
-		s0 += t[1] * c[m+p+1]
-		s0 += t[2] * c[m+p+2]
-		s1 += t[0] * c[m+p+1]
-		s1 += t[1] * c[m+p+2]
-		s2 += t[0] * c[m+p+2]
+		s0 += float64(t[0] * c[m+p])
+		s0 += float64(t[1] * c[m+p+1])
+		s0 += float64(t[2] * c[m+p+2])
+		s1 += float64(t[0] * c[m+p+1])
+		s1 += float64(t[1] * c[m+p+2])
+		s2 += float64(t[0] * c[m+p+2])
 		out[p] = s0 / den
 		out[p+1] = s1 / den
 		out[p+2] = s2 / den
@@ -471,7 +471,7 @@ func naiveAutocorr(c []float64, den float64, out []float64) {
 	for ; p < len(out); p++ {
 		var num float64
 		for i := 0; i+p < n; i++ {
-			num += c[i] * c[i+p]
+			num += float64(c[i] * c[i+p])
 		}
 		out[p] = num / den
 	}
@@ -486,7 +486,7 @@ func centerInto(dst, xs []float64) float64 {
 	for i, x := range xs {
 		d := x - m
 		dst[i] = d
-		den += d * d
+		den += float64(d * d)
 	}
 	return den
 }

@@ -236,7 +236,7 @@ func TestAutocorrelogramDigest(t *testing.T) {
 					case 1: // context-ID labels with a period-6 pattern
 						xs[i] = float64((i/3)%2*3 + r.Intn(2))
 					case 2: // noisy square wave
-						xs[i] = float64(i%24/12) + r.NormFloat64()/4
+						xs[i] = float64(i%24/12) + float64(r.NormFloat64()/4)
 					case 3: // cancelling ±1 spike pairs over -0, so the
 						// mean is exactly 0 and the centered series keeps
 						// its signed zeros
@@ -303,8 +303,8 @@ func fftRadix2Ref(re, im []float64, invert bool) {
 					wi = -wi
 				}
 				i, j := start+k, start+k+half
-				vr := re[j]*wr - im[j]*wi
-				vi := re[j]*wi + im[j]*wr
+				vr := float64(re[j]*wr) - float64(im[j]*wi)
+				vi := float64(re[j]*wi) + float64(im[j]*wr)
 				re[j], im[j] = re[i]-vr, im[i]-vi
 				re[i], im[i] = re[i]+vr, im[i]+vi
 			}
@@ -326,7 +326,7 @@ func naiveAutocorrRef(centered []float64, den float64, out []float64) {
 	for p := range out {
 		var num float64
 		for i := 0; i+p < n; i++ {
-			num += centered[i] * centered[i+p]
+			num += float64(centered[i] * centered[i+p])
 		}
 		out[p] = num / den
 	}
@@ -363,7 +363,7 @@ func autocorrelogramRef(xs []float64, maxLag int, forceFFT bool) []float64 {
 	copy(re, centered)
 	fftRadix2Ref(re, im, false)
 	for i := range re {
-		re[i] = re[i]*re[i] + im[i]*im[i]
+		re[i] = float64(re[i]*re[i]) + float64(im[i]*im[i])
 		im[i] = 0
 	}
 	fftRadix2Ref(re, im, true)

@@ -215,7 +215,7 @@ func (h *Histogram) MeanDensity() float64 {
 	}
 	var s float64
 	for i, b := range h.bins {
-		s += float64(i) * float64(b)
+		s += float64(float64(i) * float64(b))
 	}
 	return s / float64(total)
 }
@@ -229,7 +229,7 @@ func (h *Histogram) MeanDensityFrom(from int) float64 {
 	}
 	var s, n float64
 	for i := from; i < len(h.bins); i++ {
-		s += float64(i) * float64(h.bins[i])
+		s += float64(float64(i) * float64(h.bins[i]))
 		n += float64(h.bins[i])
 	}
 	if n == 0 {

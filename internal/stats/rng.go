@@ -62,9 +62,11 @@ func (r *RNG) Intn(n int) int {
 	return int(r.Uint64() % uint64(n))
 }
 
-// Float64 returns a pseudo-random float64 in [0, 1).
+// Float64 returns a pseudo-random float64 in [0, 1). The explicit
+// conversion rounds the scaled value, so an inlined caller's `a +
+// rng.Float64()` is never fused into a multiply-add.
 func (r *RNG) Float64() float64 {
-	return float64(r.Uint64()>>11) / (1 << 53)
+	return float64(float64(r.Uint64()>>11) / (1 << 53))
 }
 
 // Bit returns a pseudo-random bit as 0 or 1.
@@ -113,7 +115,7 @@ func (r *RNG) NormFloat64() float64 {
 	for {
 		u := 2*r.Float64() - 1
 		v := 2*r.Float64() - 1
-		s := u*u + v*v
+		s := float64(u*u) + float64(v*v)
 		if s >= 1 || s == 0 {
 			continue
 		}

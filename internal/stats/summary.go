@@ -81,12 +81,12 @@ func Percentile(xs []float64, p float64) float64 {
 	if len(c) == 1 {
 		return c[0]
 	}
-	rank := p / 100 * float64(len(c)-1)
+	rank := float64(p / 100 * float64(len(c)-1))
 	lo := int(math.Floor(rank))
 	hi := int(math.Ceil(rank))
 	if lo == hi {
 		return c[lo]
 	}
 	frac := rank - float64(lo)
-	return c[lo]*(1-frac) + c[hi]*frac
+	return float64(c[lo]*(1-frac)) + float64(c[hi]*frac)
 }

@@ -119,7 +119,7 @@ func (c *CUSUM) Add(x float64, cycle uint64) bool {
 		// Baseline establishment: running average, no change scoring.
 		c.mean += (x - c.mean) / float64(i+1)
 		d := x - c.mean
-		c.varEWMA += (d*d - c.varEWMA) / float64(i+1)
+		c.varEWMA += (float64(d*d) - c.varEWMA) / float64(i+1)
 		return false
 	}
 	dev := x - c.mean - c.cfg.Drift
@@ -153,8 +153,8 @@ func (c *CUSUM) Add(x float64, cycle uint64) bool {
 	if c.s == 0 {
 		a := c.cfg.Alpha
 		d := x - c.mean
-		c.mean += a * d
-		c.varEWMA = (1-a)*c.varEWMA + a*d*d
+		c.mean += float64(a * d)
+		c.varEWMA = float64((1-a)*c.varEWMA) + float64(a*d*d)
 	}
 	return firedNow
 }

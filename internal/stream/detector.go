@@ -149,16 +149,10 @@ func New(aud *auditor.Auditor, cfg Config) *Detector {
 	return d
 }
 
-// OnEvent implements trace.Listener.
-func (d *Detector) OnEvent(e trace.Event) {
-	d.aud.OnEvent(e)
-	d.advance(e.Cycle)
-}
-
-// OnEvents implements trace.BatchListener: the auditor sweeps the
-// whole batch first, then the daemon drains once at the batch's last
-// cycle — the same state the per-event path reaches, met with one
-// drain instead of len(events).
+// OnEvents implements trace.Listener: the auditor sweeps the whole
+// batch first, then the daemon drains once at the batch's last cycle —
+// the same state batches of one reach, met with one drain instead of
+// len(events).
 func (d *Detector) OnEvents(events []trace.Event) {
 	if len(events) == 0 {
 		return

@@ -40,7 +40,7 @@ type Ingest struct {
 // holds it, so a 40-event quantum of a quiet stream does not pin a
 // DefaultBatchSize buffer while it waits in a queue. A buffer travels
 // boxed, so Get and Put move a pointer and never allocate. A listener
-// must not retain a delivered batch (trace.BatchListener's contract),
+// must not retain a delivered batch (trace.Listener's contract),
 // which is what makes the hand-back safe. Classes run from 1 to 1<<16
 // events (1 MiB).
 var batches [17]sync.Pool
@@ -91,31 +91,19 @@ func NewIngest(dst trace.Listener, queueLen int, reg *obs.Registry) *Ingest {
 	in.wg.Add(1)
 	go func() {
 		defer in.wg.Done()
-		batcher, batchable := dst.(trace.BatchListener)
 		for it := range in.ch {
 			if it.fn != nil {
 				it.fn()
 				continue
 			}
-			if batchable {
-				batcher.OnEvents(*it.batch)
-			} else {
-				for _, e := range *it.batch {
-					in.dst.OnEvent(e)
-				}
-			}
+			in.dst.OnEvents(*it.batch)
 			recycleBatch(it.batch)
 		}
 	}()
 	return in
 }
 
-// OnEvent implements trace.Listener.
-func (in *Ingest) OnEvent(e trace.Event) {
-	in.enqueue(borrowBatch([]trace.Event{e}))
-}
-
-// OnEvents implements trace.BatchListener. The batch is copied; the
+// OnEvents implements trace.Listener. The batch is copied; the
 // caller's buffer is free for reuse on return.
 func (in *Ingest) OnEvents(events []trace.Event) {
 	if len(events) == 0 {

@@ -17,8 +17,6 @@ type sink struct {
 	started chan struct{} // signaled when a delivery begins waiting
 }
 
-func (s *sink) OnEvent(e trace.Event) { s.OnEvents([]trace.Event{e}) }
-
 func (s *sink) OnEvents(events []trace.Event) {
 	if s.gate != nil {
 		s.started <- struct{}{}
@@ -40,7 +38,7 @@ func TestIngestDeliversInOrder(t *testing.T) {
 	buf := []trace.Event{ev(1), ev(2), ev(3)}
 	in.OnEvents(buf)
 	buf[0] = ev(999) // mutate the producer buffer after handoff
-	in.OnEvent(ev(4))
+	in.OnEvents([]trace.Event{ev(4)})
 	in.Close()
 	if in.Shed() != 0 {
 		t.Fatalf("shed %d events under capacity", in.Shed())
@@ -70,7 +68,7 @@ func TestIngestShedsUnderOverload(t *testing.T) {
 	<-dst.started                            // consumer is now wedged mid-delivery of batch 1
 	in.OnEvents([]trace.Event{ev(3)})        // sits in the queue
 	in.OnEvents([]trace.Event{ev(4), ev(5)}) // queue full: shed
-	in.OnEvent(ev(6))                        // shed
+	in.OnEvents([]trace.Event{ev(6)})        // shed
 
 	if got := in.Shed(); got != 3 {
 		t.Fatalf("shed = %d, want 3", got)
@@ -90,10 +88,10 @@ func TestIngestShedsUnderOverload(t *testing.T) {
 func TestIngestNilRegistry(t *testing.T) {
 	dst := &sink{gate: make(chan struct{}), started: make(chan struct{}, 1)}
 	in := NewIngest(dst, 1, nil)
-	in.OnEvent(ev(1))
+	in.OnEvents([]trace.Event{ev(1)})
 	<-dst.started
-	in.OnEvent(ev(2))
-	in.OnEvent(ev(3)) // shed, nil counter path
+	in.OnEvents([]trace.Event{ev(2)})
+	in.OnEvents([]trace.Event{ev(3)}) // shed, nil counter path
 	if in.Shed() == 0 {
 		t.Error("nothing shed")
 	}
@@ -110,9 +108,9 @@ func TestIngestShedRecyclesBuffer(t *testing.T) {
 	}
 	dst := &sink{gate: make(chan struct{}), started: make(chan struct{}, 1)}
 	in := NewIngest(dst, 1, nil)
-	in.OnEvent(ev(1))
-	<-dst.started     // consumer wedged mid-delivery
-	in.OnEvent(ev(2)) // queue full from here on
+	in.OnEvents([]trace.Event{ev(1)})
+	<-dst.started                     // consumer wedged mid-delivery
+	in.OnEvents([]trace.Event{ev(2)}) // queue full from here on
 	batch := make([]trace.Event, 300)
 	before := in.Shed()
 	const runs = 100

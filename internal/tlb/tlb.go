@@ -43,7 +43,7 @@ type TLB struct {
 	used  []uint64 // LRU ticks, monotonic per-TLB
 	tick  uint64
 
-	listener trace.Listener
+	out *trace.Batcher // indicator events; nil reports none
 
 	lookups   uint64
 	misses    uint64
@@ -51,7 +51,7 @@ type TLB struct {
 }
 
 // New returns an sTLB. It panics on a bad geometry.
-func New(cfg Config, l trace.Listener) *TLB {
+func New(cfg Config, out *trace.Batcher) *TLB {
 	if cfg.Sets <= 0 || cfg.Sets&(cfg.Sets-1) != 0 {
 		panic("tlb: Sets must be a positive power of two")
 	}
@@ -63,12 +63,12 @@ func New(cfg Config, l trace.Listener) *TLB {
 	}
 	n := cfg.Sets * cfg.Ways
 	return &TLB{
-		cfg:      cfg,
-		pages:    make([]uint64, n),
-		owner:    make([]uint8, n),
-		valid:    make([]bool, n),
-		used:     make([]uint64, n),
-		listener: l,
+		cfg:   cfg,
+		pages: make([]uint64, n),
+		owner: make([]uint8, n),
+		valid: make([]bool, n),
+		used:  make([]uint64, n),
+		out:   out,
 	}
 }
 
@@ -105,8 +105,8 @@ func (t *TLB) Probe(now, stamp uint64, ctx uint8, addr uint64) (latency uint64, 
 	t.misses++
 	if t.valid[victim] && t.owner[victim] != ctx {
 		t.conflicts++
-		if t.listener != nil {
-			t.listener.OnEvent(trace.Event{
+		if t.out != nil {
+			t.out.Add(trace.Event{
 				Cycle:  stamp,
 				Kind:   trace.KindTLBConflict,
 				Actor:  ctx,

@@ -49,7 +49,7 @@ func (r *refTLB) probe(page uint64, ctx uint8) (hit bool, victim refEntry, evict
 // collector records every event the TLB emits.
 type collector struct{ events []trace.Event }
 
-func (c *collector) OnEvent(e trace.Event) { c.events = append(c.events, e) }
+func (c *collector) OnEvents(events []trace.Event) { c.events = append(c.events, events...) }
 
 // TestProbeMatchesReference drives random probe streams from several
 // contexts through the TLB and the naive reference, checking after
@@ -67,7 +67,7 @@ func TestProbeMatchesReference(t *testing.T) {
 	} {
 		t.Run(fmt.Sprintf("%dx%d", cfg.Sets, cfg.Ways), func(t *testing.T) {
 			var got collector
-			tl := New(cfg, &got)
+			tl := New(cfg, trace.NewBatcher(&got, 1))
 			ref := newRef(cfg)
 			r := stats.NewRNG(uint64(cfg.Sets*31 + cfg.Ways))
 			span := 3 * cfg.Sets * cfg.Ways
@@ -168,7 +168,7 @@ func TestProbeMatchesReference(t *testing.T) {
 // fill of an empty way.
 func TestCrossContextEvictionOnly(t *testing.T) {
 	var got collector
-	tl := New(Config{Sets: 4, Ways: 1, HitCycles: 1, WalkCycles: 100}, &got)
+	tl := New(Config{Sets: 4, Ways: 1, HitCycles: 1, WalkCycles: 100}, trace.NewBatcher(&got, 1))
 	// Pages 3, 7 and 11 all map to set 3. Context 0 fills the empty
 	// way, then evicts its own entry; context 1 then evicts context 0's.
 	page := func(n uint64) uint64 { return (n*4 + 3) << PageShift }

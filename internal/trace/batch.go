@@ -1,15 +1,16 @@
 package trace
 
 // batch.go is the batched event-delivery layer. The simulator's
-// hardware units emit one Event per occurrence, but pushing each event
-// through the whole unit → fault-injector → auditor listener chain one
-// callback at a time pays interface dispatch, bounds checks, and
-// per-stage bookkeeping per event. Delivering events in slices
-// amortizes all of that to one pass per batch while leaving every
-// consumer's per-event state machine untouched — which is why batching
-// is observationally invisible: the same events arrive in the same
-// order, so verdicts are byte-identical at every batch size (the
-// regression tests in the root package pin this).
+// hardware units raise one Event per occurrence and Add it to a
+// Batcher, the only per-event entry point in the program; every
+// consumer behind it (fault injector, auditor, detectors, recorders)
+// takes whole slices through Listener. That amortizes interface
+// dispatch, bounds checks and per-stage bookkeeping to one pass per
+// batch while leaving every consumer's per-event state machine
+// untouched — which is why the batch size is observationally
+// invisible: the same events arrive in the same order, so results are
+// byte-identical at every size (TestBatchedDeliveryMatchesPerEvent in
+// the root package pins this at sizes 1, 37 and 512).
 
 import "cchunter/internal/obs"
 
@@ -18,34 +19,11 @@ import "cchunter/internal/obs"
 // cache-resident.
 const DefaultBatchSize = 512
 
-// BatchListener is implemented by consumers that accept events in
-// slices. The slice is only valid for the duration of the call and
-// must not be retained or mutated; implementations that keep events
-// must copy them (Train.AppendBatch does).
-type BatchListener interface {
-	OnEvents([]Event)
-}
-
-// Deliver hands a batch to a listener, using its batched entry point
-// when it has one and falling back to per-event callbacks otherwise.
-func Deliver(l Listener, events []Event) {
-	if len(events) == 0 {
-		return
-	}
-	if bl, ok := l.(BatchListener); ok {
-		bl.OnEvents(events)
-		return
-	}
-	for _, e := range events {
-		l.OnEvent(e)
-	}
-}
-
-// Batcher is a Listener that accumulates events into a fixed-capacity
-// arena and forwards them downstream in slices: full batches flush
-// automatically, and the producer calls Flush at synchronization
-// points (end of run, before reading consumers). The arena is reused
-// across flushes, so steady-state operation allocates nothing.
+// Batcher accumulates events into a fixed-capacity arena and forwards
+// them downstream in slices: full batches flush automatically, and the
+// producer calls Flush at synchronization points (end of run, before
+// reading consumers). The arena is reused across flushes, so
+// steady-state operation allocates nothing.
 type Batcher struct {
 	out Listener
 	buf []Event
@@ -63,19 +41,11 @@ func NewBatcher(out Listener, size int) *Batcher {
 	return &Batcher{out: out, buf: make([]Event, 0, size)}
 }
 
-// OnEvent implements Listener: append to the arena, flushing when it
-// fills.
-func (b *Batcher) OnEvent(e Event) {
+// Add appends one event to the arena, flushing when it fills.
+func (b *Batcher) Add(e Event) {
 	b.buf = append(b.buf, e)
 	if len(b.buf) == cap(b.buf) {
 		b.Flush()
-	}
-}
-
-// OnEvents implements BatchListener, letting batchers compose.
-func (b *Batcher) OnEvents(events []Event) {
-	for _, e := range events {
-		b.OnEvent(e)
 	}
 }
 
@@ -94,6 +64,6 @@ func (b *Batcher) Flush() {
 	}
 	b.mEvents.Add(uint64(len(b.buf)))
 	b.mFlushes.Inc()
-	Deliver(b.out, b.buf)
+	b.out.OnEvents(b.buf)
 	b.buf = b.buf[:0]
 }

@@ -45,9 +45,11 @@ type clampedTrain struct {
 	clamped int
 }
 
-func (c *clampedTrain) OnEvent(e trace.Event) {
-	if c.tr.AppendClamped(e) {
-		c.clamped++
+func (c *clampedTrain) OnEvents(events []trace.Event) {
+	for _, e := range events {
+		if c.tr.AppendClamped(e) {
+			c.clamped++
+		}
 	}
 }
 
@@ -87,9 +89,7 @@ func FuzzTrainIngest(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		for _, e := range clean {
-			in.OnEvent(e)
-		}
+		in.OnEvents(clean)
 		in.Flush()
 		f.Add(encode(c.tr.Events()))
 	}
@@ -97,9 +97,7 @@ func FuzzTrainIngest(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		events := decodeEvents(data)
 		c := clampedTrain{tr: trace.NewTrain(0)}
-		for _, e := range events {
-			c.OnEvent(e)
-		}
+		c.OnEvents(events)
 		if c.tr.Len() != len(events) {
 			t.Fatalf("train len %d, ingested %d", c.tr.Len(), len(events))
 		}

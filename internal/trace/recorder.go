@@ -1,10 +1,15 @@
 package trace
 
-// Listener receives events as the simulator executes. Implementations
-// must not block; they are called synchronously on the engine's
-// execution path.
+// Listener receives events as the simulator executes, one slice at a
+// time. The slice is only valid for the duration of the call and must
+// not be retained or mutated; implementations that keep events must
+// copy them (Train.AppendBatch does). Listeners are called
+// synchronously on the engine's execution path and must not block.
+// Every consumer is a per-event state machine over the sequence, so
+// where one slice ends and the next begins never changes what it
+// computes; a slice of one event is per-event delivery.
 type Listener interface {
-	OnEvent(Event)
+	OnEvents([]Event)
 }
 
 // Recorder is a Listener that appends every event (optionally filtered
@@ -30,24 +35,18 @@ func NewRecorder(kinds ...Kind) *Recorder {
 	return r
 }
 
-// OnEvent implements Listener.
-func (r *Recorder) OnEvent(e Event) {
-	if r.kinds != nil && !r.kinds[e.Kind] {
-		return
-	}
-	r.train.Append(e)
-}
-
-// OnEvents implements BatchListener: an unfiltered recorder
-// bulk-appends the whole batch into its train arena; a filtered one
-// keeps the per-event path, whose check it needs.
+// OnEvents implements Listener: an unfiltered recorder bulk-appends
+// the whole batch into its train arena; a filtered one appends the
+// events of its kinds one by one.
 func (r *Recorder) OnEvents(events []Event) {
 	if r.kinds == nil {
 		r.train.AppendBatch(events)
 		return
 	}
 	for _, e := range events {
-		r.OnEvent(e)
+		if r.kinds[e.Kind] {
+			r.train.Append(e)
+		}
 	}
 }
 
@@ -57,23 +56,9 @@ func (r *Recorder) Train() *Train { return r.train }
 // Tee is a Listener that fans events out to several listeners.
 type Tee []Listener
 
-// OnEvent implements Listener.
-func (t Tee) OnEvent(e Event) {
-	for _, l := range t {
-		l.OnEvent(e)
-	}
-}
-
-// OnEvents implements BatchListener: each fan-out target gets the
-// batch through its own fastest entry point.
+// OnEvents implements Listener.
 func (t Tee) OnEvents(events []Event) {
 	for _, l := range t {
-		Deliver(l, events)
+		l.OnEvents(events)
 	}
 }
-
-// ListenerFunc adapts a function to the Listener interface.
-type ListenerFunc func(Event)
-
-// OnEvent implements Listener.
-func (f ListenerFunc) OnEvent(e Event) { f(e) }

@@ -1,7 +1,8 @@
 // Package trace defines the event model shared by every layer of the
-// reproduction: hardware units emit Events, the CC-Auditor accumulates
-// them, and the detection algorithms consume them as event trains
-// (uni-dimensional time series of event occurrences, §IV-B).
+// reproduction: hardware units add Events to a Batcher, which hands
+// them in slices to Listeners such as the CC-Auditor, and the
+// detection algorithms consume them as event trains (uni-dimensional
+// time series of event occurrences, §IV-B).
 package trace
 
 import "fmt"

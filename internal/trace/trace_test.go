@@ -214,21 +214,27 @@ func TestInterEventIntervals(t *testing.T) {
 
 func TestRecorderFilters(t *testing.T) {
 	r := NewRecorder(KindBusLock)
-	r.OnEvent(Event{Cycle: 1, Kind: KindBusLock})
-	r.OnEvent(Event{Cycle: 2, Kind: KindConflictMiss})
+	r.OnEvents([]Event{{Cycle: 1, Kind: KindBusLock}, {Cycle: 2, Kind: KindConflictMiss}})
 	if r.Train().Len() != 1 {
 		t.Errorf("filtered recorder len = %d", r.Train().Len())
 	}
 }
 
-func TestTeeAndListenerFunc(t *testing.T) {
-	var count int
-	a := NewRecorder()
-	tee := Tee{a, ListenerFunc(func(Event) { count++ })}
-	tee.OnEvent(Event{Cycle: 1})
-	tee.OnEvent(Event{Cycle: 2})
-	if a.Train().Len() != 2 || count != 2 {
-		t.Errorf("tee fanned out %d/%d", a.Train().Len(), count)
+func TestTeeAndBatcher(t *testing.T) {
+	a, b := NewRecorder(), NewRecorder(KindBusLock)
+	batcher := NewBatcher(Tee{a, b}, 2)
+	batcher.Add(Event{Cycle: 1, Kind: KindBusLock})
+	batcher.Add(Event{Cycle: 2, Kind: KindConflictMiss})
+	if a.Train().Len() != 2 || b.Train().Len() != 1 {
+		t.Errorf("a full batch fanned out %d/%d", a.Train().Len(), b.Train().Len())
+	}
+	batcher.Add(Event{Cycle: 3, Kind: KindBusLock})
+	if a.Train().Len() != 2 {
+		t.Errorf("a partial batch reached the tee before Flush")
+	}
+	batcher.Flush()
+	if a.Train().Len() != 3 || b.Train().Len() != 2 {
+		t.Errorf("after Flush the tee fanned out %d/%d", a.Train().Len(), b.Train().Len())
 	}
 }
 

@@ -168,7 +168,7 @@ func (p *program) Step(prev sim.OpResult, op *sim.Op) bool {
 			if spec.ComputeCycles > 0 {
 				c := float64(spec.ComputeCycles)
 				if spec.ComputeJitter > 0 {
-					c *= 1 - spec.ComputeJitter + 2*spec.ComputeJitter*rng.Float64()
+					c *= 1 - spec.ComputeJitter + float64(2*spec.ComputeJitter*rng.Float64())
 				}
 				p.pc = wlMem
 				*op = sim.Op{Kind: sim.OpCompute, Cycles: uint64(c)}

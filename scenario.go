@@ -132,9 +132,9 @@ type Scenario struct {
 	FlightEvents int
 
 	// eventBatch overrides the simulator's event-delivery batch size
-	// (0 = default, 1 = per-event callbacks). Unexported: batching is
-	// observationally invisible, so only the equivalence regression
-	// test has a reason to vary it.
+	// (0 = trace.DefaultBatchSize; 1 = batches of one event).
+	// Unexported: batching is observationally invisible, so only the
+	// equivalence regression test has a reason to vary it.
 	eventBatch int
 }
 
@@ -257,7 +257,7 @@ func (sc Scenario) Run() (*Result, error) {
 	}
 	aud.Instrument(sc.Metrics)
 
-	detCfg := core.DefaultDetectorConfig(cfg.QuantumCycles, simCfg.Contexts())
+	detCfg := core.DefaultDetectorConfig(cfg.QuantumCycles, 0)
 	detCfg.ObservationDivisor = cfg.ObservationDivisor
 	detCfg.Metrics = sc.Metrics
 
