@@ -102,9 +102,10 @@ type Config struct {
 	// EventBatch sets the size of the batches the hardware units'
 	// trace.Batcher hands to the fault-injector/listener chain; 0
 	// selects trace.DefaultBatchSize. Events reach every consumer in
-	// the same order at any size, so results are byte-identical
-	// (pinned by TestBatchedDeliveryMatchesPerEvent in the root
-	// package, which is the only caller that varies it).
+	// the same order at any size, so every result field except
+	// core.StreamingInfo.PeakRetainedEvents is byte-identical (pinned
+	// by TestBatchedDeliveryMatchesPerEvent in the root package, which
+	// is the only caller that varies it).
 	EventBatch int
 	// Seed drives all scheduling randomness.
 	Seed uint64

@@ -7,10 +7,12 @@ package trace
 // takes whole slices through Listener. That amortizes interface
 // dispatch, bounds checks and per-stage bookkeeping to one pass per
 // batch while leaving every consumer's per-event state machine
-// untouched — which is why the batch size is observationally
-// invisible: the same events arrive in the same order, so results are
-// byte-identical at every size (TestBatchedDeliveryMatchesPerEvent in
-// the root package pins this at sizes 1, 37 and 512).
+// untouched. The same events arrive in the same order at every size,
+// so every Result field except the streaming detector's retention
+// high-water mark (core.StreamingInfo.PeakRetainedEvents, sampled once
+// per delivered batch) is byte-identical at every size
+// (TestBatchedDeliveryMatchesPerEvent in the root package pins this at
+// sizes 1, 37 and 512).
 
 import "cchunter/internal/obs"
 

@@ -6,8 +6,10 @@ package trace
 // copy them (Train.AppendBatch does). Listeners are called
 // synchronously on the engine's execution path and must not block.
 // Every consumer is a per-event state machine over the sequence, so
-// where one slice ends and the next begins never changes what it
-// computes; a slice of one event is per-event delivery.
+// where one slice ends and the next begins does not change its
+// verdicts or evidence; a slice of one event is per-event delivery.
+// The one exception is a high-water mark sampled per slice:
+// core.StreamingInfo.PeakRetainedEvents.
 type Listener interface {
 	OnEvents([]Event)
 }

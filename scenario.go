@@ -133,8 +133,9 @@ type Scenario struct {
 
 	// eventBatch overrides the simulator's event-delivery batch size
 	// (0 = trace.DefaultBatchSize; 1 = batches of one event).
-	// Unexported: batching is observationally invisible, so only the
-	// equivalence regression test has a reason to vary it.
+	// Unexported: batching changes no verdict or evidence (only the
+	// Report.Streaming.PeakRetainedEvents high-water mark), so only
+	// the equivalence regression test has a reason to vary it.
 	eventBatch int
 }
 
