@@ -34,10 +34,10 @@ import (
 
 // The default run sizes of Figures 12 and 14, shared by Options and
 // ccrepro's -messages and -quanta flags. The paper runs 256 messages
-// and 512 quanta.
+// and 512 quanta; Figure 14 runs the paper's size.
 const (
 	DefaultMessages = 32
-	DefaultQuanta   = 64
+	DefaultQuanta   = 512
 )
 
 // Options tunes an experiment run.

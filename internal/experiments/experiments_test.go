@@ -286,8 +286,8 @@ func TestOptionsDefaults(t *testing.T) {
 	if o.Seed != 1 || o.TimeScale != 100 || o.MessageBits != 64 {
 		t.Errorf("defaults: %+v", o)
 	}
-	if o.Messages != 32 || o.Quanta != 64 || DefaultMessages != 32 || DefaultQuanta != 64 {
-		t.Errorf("run sizes: %d messages, %d quanta; want 32 and 64", o.Messages, o.Quanta)
+	if o.Messages != 32 || o.Quanta != 512 || DefaultMessages != 32 || DefaultQuanta != 512 {
+		t.Errorf("run sizes: %d messages, %d quanta; want 32 and 512", o.Messages, o.Quanta)
 	}
 	if o.quantum() != 2_500_000 {
 		t.Errorf("quantum = %d", o.quantum())

@@ -101,3 +101,56 @@ func BenchmarkRingProbePath(b *testing.B) {
 			loads, l2, rs, lines)
 	}
 }
+
+// divNProgram issues n OpDivN runs, alternating 200 and 256 divisions
+// (bzip2's and h264ref's batch sizes), each followed by a compute op,
+// then finishes.
+type divNProgram struct {
+	n       int
+	divided bool // the last op was a division run
+}
+
+func (*divNProgram) Name() string   { return "divn" }
+func (*divNProgram) Begin(*Machine) {}
+func (w *divNProgram) Step(_ OpResult, op *Op) bool {
+	if w.divided {
+		w.divided = false
+		*op = Op{Kind: OpCompute, Cycles: 300}
+		return true
+	}
+	if w.n == 0 {
+		return false
+	}
+	w.n--
+	w.divided = true
+	*op = Op{Kind: OpDivN, Count: divNCount(w.n)}
+	return true
+}
+
+// divNCount is the size of the run a divNProgram issues with n runs
+// left after it.
+func divNCount(n int) int { return 200 + 56*(n&1) }
+
+// BenchmarkDivNPath times the batched division path of the benign
+// divider-heavy programs: two sibling hyperthreads each issue OpDivN
+// runs of 200 and 256 divisions with a compute op after each, so
+// their runs overlap on the core's one divider. One op is one OpDivN
+// run; allocs/op must read 0.
+func BenchmarkDivNPath(b *testing.B) {
+	s := MustNew(TestConfig())
+	per := b.N/2 + 1
+	var want uint64
+	for c := 0; c < 2; c++ {
+		s.Spawn(&divNProgram{n: per}, Pin(c))
+		for i := 0; i < per; i++ {
+			want += uint64(divNCount(i))
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	s.Run(^uint64(0))
+	b.StopTimer()
+	if got := s.cores[0].div.Stats().Divisions; got != want {
+		b.Fatalf("%d divisions, want %d", got, want)
+	}
+}

@@ -221,6 +221,12 @@ func (s *System) execute(c *hwContext, op *Op) OpResult {
 		done, _ := c.core.div.DivideStamped(start, t0, c.id)
 		latency = done - t0
 	case OpDivN:
+		if s.cfg.Mitigations.DividerTDM == nil {
+			latency = c.core.div.DivideN(t0, t0, c.id, op.Count) - t0
+			break
+		}
+		// Under TDM each division's slot depends on where the one
+		// before it completed.
 		cursor := t0
 		for i := 0; i < op.Count; i++ {
 			cursor = s.dividerSlot(c, cursor)

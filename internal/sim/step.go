@@ -27,7 +27,10 @@ const (
 	// wait on a busy divider.
 	OpDiv
 	// OpDivN issues Count back-to-back divisions in one round; the
-	// same no-interleaving caveat as OpLoadN applies.
+	// same no-interleaving caveat as OpLoadN applies. Without the
+	// divider TDM mitigation it is one constant-time bank call
+	// (divider.(*Bank).DivideN); with TDM each division waits for its
+	// own slot.
 	OpDivN
 	// OpNow reads the context's clock (OpResult.Now) and takes no
 	// time.
