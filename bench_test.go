@@ -183,12 +183,12 @@ func BenchmarkClusteringCost(b *testing.B) {
 		h.AddN(1+rng.Intn(3), uint64(rng.Intn(10)))
 		records[i] = auditor.QuantumHistogram{Quantum: uint64(i), Hist: h}
 	}
-	cfg := core.DefaultBurstConfig()
+	window := core.DefaultDetectorConfig(1, 0).WindowQuanta
 	ws := core.BorrowWorkspace()
 	defer ws.Release()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a := core.AnalyzeBursts(records, cfg, ws)
+		a := core.AnalyzeBursts(records, window, ws)
 		if !a.Detected {
 			b.Fatal("synthetic channel window must detect")
 		}

@@ -184,7 +184,6 @@ func main() {
 		Workers:    *jobs,
 		OnProgress: progressLine,
 		Watchdog:   *watchdog,
-		Recover:    *watchdog > 0,
 		Metrics:    poolReg,
 	}
 	results, err := pool.Run(*seed, pending)

@@ -30,10 +30,6 @@ type (
 	ContentionVerdict = core.ContentionVerdict
 	// OscillationVerdict aggregates per-window oscillation analyses.
 	OscillationVerdict = core.OscillationVerdict
-	// BurstConfig tunes recurrent-burst detection.
-	BurstConfig = core.BurstConfig
-	// OscillationConfig tunes oscillation detection.
-	OscillationConfig = core.OscillationConfig
 	// Histogram is an event-density histogram.
 	Histogram = stats.Histogram
 	// QuantumHistogram is one OS-quantum's density histogram.

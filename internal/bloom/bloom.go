@@ -19,6 +19,8 @@ package bloom
 import (
 	"errors"
 	"fmt"
+
+	"cchunter/internal/stats"
 )
 
 // ErrBadConfig is wrapped by every configuration validation error in
@@ -77,22 +79,14 @@ func NewBank(nbits int) (*Bank, error) {
 	return b, nil
 }
 
-// mix64 is the splitmix64 finalizer; a cheap, well-distributed 64-bit
-// mixer that stands in for the hardware hash trees of the real design.
-func mix64(x uint64) uint64 {
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // Probes returns key's Hashes bit positions, packed ProbeBits apiece
 // with position i in bits [i*ProbeBits, (i+1)*ProbeBits). Positions
 // come from double hashing (Kirsch-Mitzenmacher): position i is
 // h1 + i*h2 mod the filter size. They depend only on the geometry, so
 // one probe word serves every filter of the bank.
 func (b *Bank) Probes(key uint64) uint64 {
-	h1 := mix64(key)
-	h2 := mix64(key^0x9e3779b97f4a7c15) | 1 // odd, so positions cycle through the table
+	h1 := stats.Mix64(key)
+	h2 := stats.Mix64(key^0x9e3779b97f4a7c15) | 1 // odd, so positions cycle through the table
 	p0, p1, p2 := h1, h1+h2, h1+2*h2
 	if b.mask != 0 {
 		p0, p1, p2 = p0&b.mask, p1&b.mask, p2&b.mask

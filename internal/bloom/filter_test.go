@@ -1,6 +1,10 @@
 package bloom
 
-import "fmt"
+import (
+	"fmt"
+
+	"cchunter/internal/stats"
+)
 
 // filter_test.go holds a standard k-hash Bloom filter, the reference
 // the Bank is checked against: one word array per filter, positions by
@@ -45,8 +49,8 @@ func MustNew(nbits int, k int) *Filter {
 // indexes derives the k bit positions for key via double hashing
 // (Kirsch-Mitzenmacher): position_i = h1 + i*h2 mod nbits.
 func (f *Filter) indexes(key uint64, out []uint64) []uint64 {
-	h1 := mix64(key)
-	h2 := mix64(key ^ 0x9e3779b97f4a7c15)
+	h1 := stats.Mix64(key)
+	h2 := stats.Mix64(key ^ 0x9e3779b97f4a7c15)
 	h2 |= 1 // ensure odd so positions cycle through the table
 	out = out[:0]
 	for i := 0; i < f.hashes; i++ {

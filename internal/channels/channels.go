@@ -86,12 +86,7 @@ func (e Evader) validate() {
 
 // hash64 is SplitMix64's finalizer — the keyed draw behind the
 // evader's per-slot choices. Pure arithmetic: no allocation, no state.
-func hash64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
+func hash64(x uint64) uint64 { return stats.Mix64(x + 0x9e3779b97f4a7c15) }
 
 // slotJitter returns the evader's phase offset for global slot i, in
 // [0, JitterFrac×slot). Both ends of the channel call it with the same

@@ -33,6 +33,8 @@ package conflict
 import (
 	"errors"
 	"fmt"
+
+	"cchunter/internal/stats"
 )
 
 // ErrBadConfig is wrapped by every configuration validation error in
@@ -75,19 +77,11 @@ type Tracker interface {
 	Reset()
 }
 
-// mixLine is the splitmix64 finalizer, used to spread line addresses
-// over the ideal tracker's open-addressing index. Line addresses are highly regular
-// (consecutive sets, a handful of tags), so the raw value would
-// cluster badly.
-func mixLine(x uint64) uint64 {
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // tablePow2 returns the smallest power of two >= 2*n, the
 // open-addressing table size that keeps load factor at or below one
-// half for n live entries.
+// half for n live entries. Lines home at stats.Mix64(line) & mask:
+// line addresses are highly regular (consecutive sets, a handful of
+// tags), so the raw value would cluster badly.
 func tablePow2(n int) int {
 	size := 1
 	for size < 2*n {
@@ -175,7 +169,7 @@ func (t *Ideal) Reset() {
 // lookup returns the slab index of line, or -1 when it is not in the
 // stack.
 func (t *Ideal) lookup(line uint64) int32 {
-	h := mixLine(line) & t.mask
+	h := stats.Mix64(line) & t.mask
 	for {
 		idx := t.table[h]
 		if idx < 0 {
@@ -260,7 +254,7 @@ func (t *Ideal) moveToFront(slot int32) {
 
 // tableInsert records line -> slot in the open-addressing index.
 func (t *Ideal) tableInsert(line uint64, slot int32) {
-	h := mixLine(line) & t.mask
+	h := stats.Mix64(line) & t.mask
 	for t.table[h] >= 0 {
 		h = (h + 1) & t.mask
 	}
@@ -270,7 +264,7 @@ func (t *Ideal) tableInsert(line uint64, slot int32) {
 // tableDelete removes line from the index, backward-shifting the rest
 // of its probe cluster so later lookups never cross a stale hole.
 func (t *Ideal) tableDelete(line uint64) {
-	pos := mixLine(line) & t.mask
+	pos := stats.Mix64(line) & t.mask
 	for {
 		idx := t.table[pos]
 		if idx >= 0 && t.lines[idx] == line {
@@ -287,7 +281,7 @@ func (t *Ideal) tableDelete(line uint64) {
 		if idx < 0 {
 			break
 		}
-		home := mixLine(t.lines[idx]) & t.mask
+		home := stats.Mix64(t.lines[idx]) & t.mask
 		if (cur-home)&t.mask >= (cur-pos)&t.mask {
 			t.table[pos] = idx
 			pos = cur

@@ -118,8 +118,8 @@ func newRefFilter(nbits int) *refFilter {
 }
 
 func (f *refFilter) positions(key uint64) [3]uint64 {
-	h1 := mixLine(key)
-	h2 := mixLine(key^0x9e3779b97f4a7c15) | 1
+	h1 := stats.Mix64(key)
+	h2 := stats.Mix64(key^0x9e3779b97f4a7c15) | 1
 	return [3]uint64{h1 % f.nbits, (h1 + h2) % f.nbits, (h1 + 2*h2) % f.nbits}
 }
 

@@ -84,7 +84,7 @@ func TestOscillationWorkspacePathAllocationFree(t *testing.T) {
 	if train == nil || train.Len() == 0 {
 		t.Fatal("fixture produced no conflict train")
 	}
-	cfg := DefaultDetectorConfig(10_000_000, 8).Oscillation
+	cfg := DefaultOscillationConfig()
 	ws := BorrowWorkspace()
 	defer ws.Release()
 	out := AnalyzeOscillation(train, cfg, ws) // warm-up

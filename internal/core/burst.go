@@ -6,46 +6,29 @@ import (
 	"cchunter/internal/stats"
 )
 
-// BurstConfig tunes the recurrent burst pattern detector (§IV-B).
-type BurstConfig struct {
-	// LikelihoodThreshold is the minimum likelihood ratio of the
+// The recurrent burst pattern detector's parameters (§IV-B).
+const (
+	// likelihoodThreshold is the minimum likelihood ratio of the
 	// second (burst) distribution for an alarm. The paper observes
 	// ≥0.9 on real channels (even at 0.1 bps) and <0.5 on benign
 	// programs, and sets a conservative 0.5.
-	LikelihoodThreshold float64
-	// WindowQuanta bounds how many OS time quanta one analysis covers
-	// (paper: 512, i.e. 51.2 s, "to avoid diluting the significance of
-	// event density histograms").
-	WindowQuanta int
-	// ClusterK is the k for the recurrence clustering step.
-	ClusterK int
-	// FeatureBins is the dimensionality histograms are compressed to
+	likelihoodThreshold = 0.5
+	// clusterK is the k for the recurrence clustering step.
+	clusterK = 4
+	// featureBins is the dimensionality histograms are compressed to
 	// before clustering (the paper's "feature dimension reduction").
-	FeatureBins int
-	// MinBurstQuanta is the minimum number of quanta containing burst
+	featureBins = 8
+	// minBurstQuanta is the minimum number of quanta containing burst
 	// windows for the pattern to count as recurrent.
-	MinBurstQuanta int
-	// DominantClusterShare is the fraction of bursty quanta the
+	minBurstQuanta = 2
+	// dominantClusterShare is the fraction of bursty quanta the
 	// largest burst cluster must hold: recurring transmissions produce
 	// *similar* histograms that cluster together, while random bursts
 	// scatter.
-	DominantClusterShare float64
-	// Seed drives the (deterministic) k-means initialization.
-	Seed uint64
-}
-
-// DefaultBurstConfig returns the paper's parameters.
-func DefaultBurstConfig() BurstConfig {
-	return BurstConfig{
-		LikelihoodThreshold:  0.5,
-		WindowQuanta:         512,
-		ClusterK:             4,
-		FeatureBins:          8,
-		MinBurstQuanta:       2,
-		DominantClusterShare: 0.35,
-		Seed:                 1,
-	}
-}
+	dominantClusterShare = 0.35
+	// kmeansSeed drives the (deterministic) k-means initialization.
+	kmeansSeed = 1
+)
 
 // BurstAnalysis is the outcome of one recurrent-burst analysis window.
 type BurstAnalysis struct {
@@ -84,12 +67,12 @@ type BurstAnalysis struct {
 
 // AnalyzeBursts runs the recurrent burst pattern detection algorithm
 // over a sequence of per-quantum event density histograms (the
-// CC-Auditor's recorded output). Only the most recent
-// cfg.WindowQuanta records are considered. The recurrence clustering
-// runs in ws, so repeated analyses are allocation-flat.
-func AnalyzeBursts(records []auditor.QuantumHistogram, cfg BurstConfig, ws *Workspace) BurstAnalysis {
-	if cfg.WindowQuanta > 0 && len(records) > cfg.WindowQuanta {
-		records = records[len(records)-cfg.WindowQuanta:]
+// CC-Auditor's recorded output). Only the most recent windowQuanta
+// records are considered (0 considers all of them). The recurrence
+// clustering runs in ws, so repeated analyses are allocation-flat.
+func AnalyzeBursts(records []auditor.QuantumHistogram, windowQuanta int, ws *Workspace) BurstAnalysis {
+	if windowQuanta > 0 && len(records) > windowQuanta {
+		records = records[len(records)-windowQuanta:]
 	}
 	var out BurstAnalysis
 	out.QuantaAnalyzed = len(records)
@@ -108,10 +91,10 @@ func AnalyzeBursts(records []auditor.QuantumHistogram, cfg BurstConfig, ws *Work
 	out.HasBursts = out.ThresholdDensity > 0 &&
 		merged.TotalFrom(out.ThresholdDensity) > 0 &&
 		out.BurstMean > 1.0 &&
-		out.LikelihoodRatio >= cfg.LikelihoodThreshold
+		out.LikelihoodRatio >= likelihoodThreshold
 
 	// Step 5: recurrence of burst patterns across quanta.
-	out.BurstQuanta, out.DominantShare, out.Recurrent = analyzeRecurrence(records, out.ThresholdDensity, cfg, &ws.km)
+	out.BurstQuanta, out.DominantShare, out.Recurrent = analyzeRecurrence(records, out.ThresholdDensity, &ws.km)
 	out.Detected = out.HasBursts && out.Recurrent
 	return out
 }
@@ -181,7 +164,7 @@ func meanBelow(h *stats.Histogram, threshold int) float64 {
 // histogram into a short string, cluster the strings with k-means, and
 // check that the quanta containing bursts form a coherent recurring
 // cluster rather than scattered noise.
-func analyzeRecurrence(records []auditor.QuantumHistogram, threshold int, cfg BurstConfig, km *stats.KmeansWorkspace) (burstQuanta int, dominantShare float64, recurrent bool) {
+func analyzeRecurrence(records []auditor.QuantumHistogram, threshold int, km *stats.KmeansWorkspace) (burstQuanta int, dominantShare float64, recurrent bool) {
 	if threshold < 1 {
 		threshold = 1
 	}
@@ -198,22 +181,22 @@ func analyzeRecurrence(records []auditor.QuantumHistogram, threshold int, cfg Bu
 	for _, r := range records {
 		if r.Hist.TotalFrom(threshold) > 0 {
 			burstQuanta++
-			f := pool.Float64s(featureBands(r.Hist.NumBins(), cfg.FeatureBins))
+			f := pool.Float64s(featureBands(r.Hist.NumBins(), featureBins))
 			discretizeInto(f, r.Hist)
 			burstFeatures = append(burstFeatures, f)
 		}
 	}
-	if burstQuanta < cfg.MinBurstQuanta {
+	if burstQuanta < minBurstQuanta {
 		return burstQuanta, 0, false
 	}
 	// With only a handful of bursty quanta there is no basis for many
 	// clusters; k grows with the sample so that small windows are not
 	// shredded into singletons.
-	k := cfg.ClusterK
+	k := clusterK
 	if limit := 1 + len(burstFeatures)/3; k > limit {
 		k = limit
 	}
-	rng := stats.SeededRNG(cfg.Seed)
+	rng := stats.SeededRNG(kmeansSeed)
 	assign, _, err := km.KMeans(burstFeatures, k, 100, &rng)
 	if err != nil {
 		// Unclusterable features (cannot happen for the fixed-width
@@ -228,7 +211,7 @@ func analyzeRecurrence(records []auditor.QuantumHistogram, threshold int, cfg Bu
 		}
 	}
 	dominantShare = float64(largest) / float64(len(burstFeatures))
-	return burstQuanta, dominantShare, dominantShare >= cfg.DominantClusterShare
+	return burstQuanta, dominantShare, dominantShare >= dominantClusterShare
 }
 
 // DiscretizeHistogram compresses a histogram into a short string of

@@ -96,7 +96,7 @@ func TestLikelihoodRatio(t *testing.T) {
 func almostEq(a, b, eps float64) bool { return absf(a-b) <= eps }
 
 func TestAnalyzeBurstsDetectsCovertPattern(t *testing.T) {
-	a := analyzeBursts(covertRecords(16), DefaultBurstConfig())
+	a := analyzeBursts(covertRecords(16), paperWindow)
 	if !a.HasBursts {
 		t.Errorf("covert pattern: HasBursts=false (LR=%v thr=%d burstMean=%v)",
 			a.LikelihoodRatio, a.ThresholdDensity, a.BurstMean)
@@ -120,7 +120,7 @@ func TestAnalyzeBurstsRejectsBenignPattern(t *testing.T) {
 	for i := range recs {
 		recs[i] = benignQuantum(uint64(i), 10)
 	}
-	a := analyzeBursts(recs, DefaultBurstConfig())
+	a := analyzeBursts(recs, paperWindow)
 	if a.Detected {
 		t.Errorf("benign pattern detected as covert: %+v", a)
 	}
@@ -130,7 +130,7 @@ func TestAnalyzeBurstsRejectsBenignPattern(t *testing.T) {
 }
 
 func TestAnalyzeBurstsEmptyAndQuiet(t *testing.T) {
-	if a := analyzeBursts(nil, DefaultBurstConfig()); a.Detected || a.QuantaAnalyzed != 0 {
+	if a := analyzeBursts(nil, paperWindow); a.Detected || a.QuantaAnalyzed != 0 {
 		t.Error("empty input must not detect")
 	}
 	// All-quiet quanta: bin0 only.
@@ -140,13 +140,13 @@ func TestAnalyzeBurstsEmptyAndQuiet(t *testing.T) {
 		h.AddN(0, 1000)
 		recs[i] = auditor.QuantumHistogram{Quantum: uint64(i), Hist: h}
 	}
-	if a := analyzeBursts(recs, DefaultBurstConfig()); a.Detected {
+	if a := analyzeBursts(recs, paperWindow); a.Detected {
 		t.Error("quiet system must not detect")
 	}
 }
 
 func TestAnalyzeBurstsSingleBurstNotRecurrent(t *testing.T) {
-	// One bursty quantum among quiet ones: below MinBurstQuanta.
+	// One bursty quantum among quiet ones: below minBurstQuanta.
 	recs := make([]auditor.QuantumHistogram, 8)
 	for i := range recs {
 		h := stats.NewHistogram(128)
@@ -154,7 +154,7 @@ func TestAnalyzeBurstsSingleBurstNotRecurrent(t *testing.T) {
 		recs[i] = auditor.QuantumHistogram{Quantum: uint64(i), Hist: h}
 	}
 	recs[3] = covertQuantum(3, 1000, 50, 20)
-	a := analyzeBursts(recs, DefaultBurstConfig())
+	a := analyzeBursts(recs, paperWindow)
 	if a.Recurrent {
 		t.Error("single burst quantum must not be recurrent")
 	}
@@ -175,7 +175,7 @@ func TestAnalyzeBurstsLowBandwidth(t *testing.T) {
 	for _, q := range []int{50, 150, 250, 350, 450} {
 		recs[q] = covertQuantum(uint64(q), 2500, 40, 20)
 	}
-	a := analyzeBursts(recs, DefaultBurstConfig())
+	a := analyzeBursts(recs, paperWindow)
 	if !a.Detected {
 		t.Errorf("low-bandwidth channel missed: %+v", a)
 	}
@@ -184,11 +184,32 @@ func TestAnalyzeBurstsLowBandwidth(t *testing.T) {
 	}
 }
 
+// TestLikelihoodThresholdBoundary pins the paper's LR ≥ 0.5 alarm
+// (§IV-B): identical recurring quanta whose burst distribution holds
+// 52% of the non-zero-density windows alarm, and 48% do not.
+func TestLikelihoodThresholdBoundary(t *testing.T) {
+	for _, tc := range []struct {
+		low, burst uint64
+		want       bool
+	}{{48, 52, true}, {52, 48, false}} {
+		recs := make([]auditor.QuantumHistogram, 8)
+		for i := range recs {
+			h := stats.NewHistogram(128)
+			h.AddN(0, 2000)
+			h.AddN(1, tc.low)
+			h.AddN(20, tc.burst)
+			recs[i] = auditor.QuantumHistogram{Quantum: uint64(i), Hist: h}
+		}
+		a := analyzeBursts(recs, paperWindow)
+		if !a.Recurrent || a.Detected != tc.want {
+			t.Errorf("LR %.2f: recurrent=%v detected=%v, want detected=%v", a.LikelihoodRatio, a.Recurrent, a.Detected, tc.want)
+		}
+	}
+}
+
 func TestAnalyzeBurstsWindowClipping(t *testing.T) {
-	cfg := DefaultBurstConfig()
-	cfg.WindowQuanta = 4
 	recs := covertRecords(16)
-	a := analyzeBursts(recs, cfg)
+	a := analyzeBursts(recs, 4)
 	if a.QuantaAnalyzed != 4 {
 		t.Errorf("analyzed %d quanta, want window of 4", a.QuantaAnalyzed)
 	}
@@ -208,8 +229,7 @@ func TestScatteredRandomBurstsNotRecurrent(t *testing.T) {
 		}
 		recs[i] = auditor.QuantumHistogram{Quantum: uint64(i), Hist: h}
 	}
-	cfg := DefaultBurstConfig()
-	a := analyzeBursts(recs, cfg)
+	a := analyzeBursts(recs, paperWindow)
 	// The scattered shapes may or may not clear the clustering bar,
 	// but the likelihood ratio must not mimic a covert channel's ≥0.9
 	// with a coherent second distribution.

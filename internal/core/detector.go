@@ -12,15 +12,17 @@ import (
 	"cchunter/internal/trace"
 )
 
-// DetectorConfig combines the two algorithms' parameters with the
-// daemon's observation policy.
+// DetectorConfig is the daemon's observation policy. The detection
+// thresholds themselves are the paper's constants, declared beside
+// the algorithms that read them (burst.go, oscillation.go).
 type DetectorConfig struct {
 	// QuantumCycles is the OS time quantum.
 	QuantumCycles uint64
-	// Burst configures recurrent burst pattern detection.
-	Burst BurstConfig
-	// Oscillation configures oscillatory pattern detection.
-	Oscillation OscillationConfig
+	// WindowQuanta bounds how many OS time quanta one burst analysis
+	// covers (paper: 512, i.e. 51.2 s, "to avoid diluting the
+	// significance of event density histograms"); the most recent
+	// quanta are kept. 0 analyzes every recorded quantum.
+	WindowQuanta int
 	// ObservationDivisor splits each quantum into this many oscillation
 	// observation windows (§VI-A: finer-grained windows — 0.75×, 0.5×,
 	// 0.25× of a quantum — detect low-bandwidth channels more
@@ -44,8 +46,7 @@ type DetectorConfig struct {
 func DefaultDetectorConfig(quantumCycles uint64, _ int) DetectorConfig {
 	return DetectorConfig{
 		QuantumCycles:      quantumCycles,
-		Burst:              DefaultBurstConfig(),
-		Oscillation:        DefaultOscillationConfig(),
+		WindowQuanta:       512,
 		ObservationDivisor: 1,
 	}
 }
@@ -324,7 +325,7 @@ func (d *Detector) AnalyzeContext(ctx context.Context, endCycle uint64) Report {
 			continue // not monitored
 		}
 		burstSpan := reg.Timer("detect.burst_ns").Start()
-		a := AnalyzeBursts(recs, d.cfg.Burst, d.ws)
+		a := AnalyzeBursts(recs, d.cfg.WindowQuanta, d.ws)
 		burstSpan.End()
 		contention = append(contention, ContentionVerdict{Kind: kind, Analysis: a})
 	}
@@ -332,7 +333,7 @@ func (d *Detector) AnalyzeContext(ctx context.Context, endCycle uint64) Report {
 	if train := d.aud.ConflictTrain(); train != nil {
 		osc = &OscillationVerdict{}
 		oscSpan := reg.Timer("detect.oscillation_ns").Start()
-		err := AnalyzeOscillationWindows(ctx, train, 0, endCycle, d.cfg.ObservationWindow(), d.cfg.Oscillation, d.ws,
+		err := AnalyzeOscillationWindows(ctx, train, 0, endCycle, d.cfg.ObservationWindow(), DefaultOscillationConfig(), d.ws,
 			func(_ uint64, a OscillationAnalysis) { osc.Windows = append(osc.Windows, a) })
 		oscSpan.End()
 		if err != nil {

@@ -8,38 +8,43 @@ import (
 	"cchunter/internal/trace"
 )
 
-// OscillationConfig tunes the oscillatory pattern detector (§IV-D).
-type OscillationConfig struct {
-	// MaxLag bounds the autocorrelogram (paper plots go to lag 1000).
-	MaxLag int
-	// MinLag ignores trivially short periods, which benign tight
+// The oscillatory pattern detector's fixed parameters (§IV-D).
+const (
+	// maxLag bounds the autocorrelogram (paper plots go to lag 1000).
+	maxLag = 1000
+	// minLag ignores trivially short periods, which benign tight
 	// loops produce in abundance.
-	MinLag int
+	minLag = 8
+	// harmonicTolerance is the relative lag tolerance when matching
+	// harmonics of the fundamental period (random conflicts shift the
+	// paper's 512-set peak to lag 533, ~4%).
+	harmonicTolerance = 0.15
+	// minProminence is how far a candidate peak must rise above the
+	// lowest autocorrelation at any smaller lag. Benign run-length
+	// correlation decays slowly from lag 0 and its wiggles sit on a
+	// high shoulder (near-zero prominence); a true oscillation's peak
+	// climbs from a deep valley (the anti-phase at half its period).
+	minProminence = 0.2
+	// minCoupleShare is the minimum fraction of the train's events a
+	// context couple must contribute before it is worth
+	// autocorrelating (a covert channel's endpoints dominate their
+	// train; couples below this share cannot carry a usable channel
+	// within the window).
+	minCoupleShare = 0.05
+)
+
+// OscillationConfig holds the oscillatory pattern detector's three
+// settings Figure 11 varies; everything else is a constant above.
+type OscillationConfig struct {
 	// PeakThreshold is the minimum autocorrelation coefficient for a
 	// peak to count as significant. The paper's channels peak at
 	// 0.85–0.95; benign programs stay well below.
 	PeakThreshold float64
-	// HarmonicTolerance is the relative lag tolerance when matching
-	// harmonics of the fundamental period (random conflicts shift the
-	// paper's 512-set peak to lag 533, ~4%).
-	HarmonicTolerance float64
 	// MinHarmonics is how many periodic peaks (fundamental included)
 	// must be present for sustained periodicity. Requiring ≥2 rejects
 	// the paper's webserver case, whose brief periodicity dies past
 	// lag 180.
 	MinHarmonics int
-	// MinProminence is how far a candidate peak must rise above the
-	// lowest autocorrelation at any smaller lag. Benign run-length
-	// correlation decays slowly from lag 0 and its wiggles sit on a
-	// high shoulder (near-zero prominence); a true oscillation's peak
-	// climbs from a deep valley (the anti-phase at half its period).
-	MinProminence float64
-	// MinCoupleShare is the minimum fraction of the train's events a
-	// context couple must contribute before it is worth
-	// autocorrelating (a covert channel's endpoints dominate their
-	// train; couples below this share cannot carry a usable channel
-	// within the window).
-	MinCoupleShare float64
 	// RawPairSeries selects the paper's original series formulation:
 	// one series over all events, each labelled with its unique
 	// ordered-pair identifier (§IV-D). Interleaved noise events then
@@ -50,27 +55,14 @@ type OscillationConfig struct {
 	// is invariant to the amplitude of interleaved noise and only
 	// sees its phase stretch; the ablation benchmarks compare the two.
 	RawPairSeries bool
-	// SegmentLen, when positive, switches the correlogram to the
-	// segmented Wiener–Khinchin estimate: Bartlett-averaged
-	// autocorrelograms over fixed-size chunks. The streaming daemon
-	// uses it for mid-window interim verdicts — each chunk costs
-	// O(SegmentLen log SegmentLen) and nothing ever transforms the
-	// whole series. It is an estimate; final (and batch) analyses leave
-	// it zero and compute the exact §IV-D statistic.
-	SegmentLen int
 }
 
 // DefaultOscillationConfig returns parameters matching the paper's
-// plots.
+// plots; the batch and streaming detectors run with it.
 func DefaultOscillationConfig() OscillationConfig {
 	return OscillationConfig{
-		MaxLag:            1000,
-		MinLag:            8,
-		PeakThreshold:     0.5,
-		HarmonicTolerance: 0.15,
-		MinHarmonics:      2,
-		MinProminence:     0.2,
-		MinCoupleShare:    0.05,
+		PeakThreshold: 0.5,
+		MinHarmonics:  2,
 	}
 }
 
@@ -79,7 +71,7 @@ type OscillationAnalysis struct {
 	// Pair is the unordered context couple whose event series showed
 	// the strongest (or, failing detection, the most) structure.
 	Pair [2]uint8
-	// Autocorrelogram holds r_p for lags 0..MaxLag of the best
+	// Autocorrelogram holds r_p for lags 0..maxLag of the best
 	// couple's label series (Figure 8b).
 	Autocorrelogram []float64
 	// Peaks are the significant local maxima.
@@ -132,7 +124,7 @@ func AnalyzeOscillation(train *trace.Train, cfg OscillationConfig, ws *Workspace
 		out.Events = train.Len()
 		return out
 	}
-	minEvents := int(cfg.MinCoupleShare * float64(out.Events))
+	minEvents := int(minCoupleShare * float64(out.Events))
 	if minEvents < 4 {
 		minEvents = 4
 	}
@@ -384,23 +376,12 @@ func analyzeCouple(train *trace.Train, couple [2]uint8, cfg OscillationConfig, w
 // label series, autocorrelating it in w.
 func analyzeSeries(series []float64, cfg OscillationConfig, w *stats.Workspace) OscillationAnalysis {
 	var out OscillationAnalysis
-	maxLag := cfg.MaxLag
-	if maxLag <= 0 {
-		maxLag = 1000
-	}
-	if maxLag > len(series)-1 {
-		maxLag = len(series) - 1
-	}
 	// The workspace owns the slice it returns and will overwrite it on
 	// its next use; OscillationAnalysis outlives that, so copy — into a
 	// pooled buffer, which AnalyzeOscillation recycles when this
-	// analysis loses the couple comparison.
-	var acf []float64
-	if cfg.SegmentLen > 0 {
-		acf = w.SegmentedAutocorrelogram(series, cfg.SegmentLen, maxLag)
-	} else {
-		acf = w.Autocorrelogram(series, maxLag)
-	}
+	// analysis loses the couple comparison. Autocorrelogram clamps the
+	// lag to the series length.
+	acf := w.Autocorrelogram(series, maxLag)
 	out.Autocorrelogram = pool.Float64s(len(acf))
 	copy(out.Autocorrelogram, acf)
 	out.Peaks = stats.Peaks(out.Autocorrelogram, cfg.PeakThreshold)
@@ -416,10 +397,10 @@ func analyzeSeries(series []float64, cfg OscillationConfig, w *stats.Workspace) 
 		runMin[lag] = low
 	}
 	for _, p := range out.Peaks {
-		if p.Lag < cfg.MinLag {
+		if p.Lag < minLag {
 			continue
 		}
-		if p.Value-runMin[p.Lag] < cfg.MinProminence {
+		if p.Value-runMin[p.Lag] < minProminence {
 			continue // wiggle on a decay shoulder, not an oscillation
 		}
 		if p.Value > out.PeakValue {
@@ -440,7 +421,7 @@ func analyzeSeries(series []float64, cfg OscillationConfig, w *stats.Workspace) 
 // which the label series shows a significant autocorrelation peak,
 // scanning within the tolerance band around each multiple. Lags inside
 // the precomputed correlogram are read from it; harmonics beyond
-// MaxLag (a long fundamental in a short plot) are verified with
+// maxLag (a long fundamental in a short plot) are verified with
 // targeted autocorrelation probes that reuse the centered copy and
 // energy the correlogram pass just left in w (bit-identical to the
 // coefficient computed from scratch, none of the per-lag mean/energy
@@ -452,7 +433,7 @@ func countHarmonics(series, acf []float64, fundamental int, cfg OscillationConfi
 	count := 0
 	for m := 1; ; m++ {
 		center := m * fundamental
-		tol := int(float64(center) * cfg.HarmonicTolerance)
+		tol := int(float64(center) * harmonicTolerance)
 		if tol < 2 {
 			tol = 2
 		}

@@ -93,6 +93,64 @@ func TestOscillationSurvivesNoise(t *testing.T) {
 	}
 }
 
+// sparseCoupleTrain interleaves one couple's direction runs (runLen
+// events each way) with spacer events that carry no couple, so the
+// couple holds one event in every stride.
+func sparseCoupleTrain(events, stride, runLen int) *trace.Train {
+	tr := trace.NewTrain(events)
+	for i := 0; i < events; i++ {
+		e := trace.Event{Cycle: uint64(i) * 50, Kind: trace.KindConflictMiss, Actor: 2, Victim: trace.NoContext}
+		if i%stride == 0 {
+			e.Actor, e.Victim = 0, 1
+			if (i/stride/runLen)%2 == 1 {
+				e.Actor, e.Victim = 1, 0
+			}
+		}
+		tr.Append(e)
+	}
+	return tr
+}
+
+// TestMinCoupleShareBoundary: a couple is autocorrelated only when it
+// holds at least 5% of the window's events. At one event in 18
+// (5.6%) its oscillation is found; at one in 23 (4.3%) it is skipped.
+func TestMinCoupleShareBoundary(t *testing.T) {
+	for _, tc := range []struct {
+		stride int
+		want   bool
+	}{{18, true}, {23, false}} {
+		a := analyzeOscillation(sparseCoupleTrain(4000, tc.stride, 10), DefaultOscillationConfig())
+		if a.Detected != tc.want {
+			t.Errorf("one couple event in %d: detected=%v, want %v (lag %d, peak %.3f)", tc.stride, a.Detected, tc.want, a.FundamentalLag, a.PeakValue)
+		}
+	}
+}
+
+// TestMinLagInclusive: a period of exactly minLag events is a
+// fundamental, not a trivially short period.
+func TestMinLagInclusive(t *testing.T) {
+	a := analyzeOscillation(channelTrain(64, minLag, 100), DefaultOscillationConfig())
+	if !a.Detected || a.FundamentalLag != minLag {
+		t.Errorf("period-%d channel: detected=%v at lag %d", minLag, a.Detected, a.FundamentalLag)
+	}
+}
+
+// TestHarmonicToleranceBand: the m-th harmonic of a fundamental f is
+// found anywhere within ±15% of m·f.
+func TestHarmonicToleranceBand(t *testing.T) {
+	for _, tc := range []struct {
+		lag  int
+		want int
+	}{{229, 2}, {231, 1}} { // the second harmonic of 100 searches 170..230
+		acf := make([]float64, 1001)
+		acf[0], acf[100], acf[tc.lag] = 1, 0.9, 0.45
+		var w stats.Workspace
+		if got := countHarmonics(make([]float64, len(acf)), acf, 100, DefaultOscillationConfig(), &w); got != tc.want {
+			t.Errorf("second peak at lag %d: %d harmonics, want %d", tc.lag, got, tc.want)
+		}
+	}
+}
+
 func TestOscillationRejectsRandomTraffic(t *testing.T) {
 	rng := stats.NewRNG(11)
 	tr := trace.NewTrain(4096)

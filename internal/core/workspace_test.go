@@ -7,11 +7,14 @@ import (
 	"cchunter/internal/trace"
 )
 
+// paperWindow is the default detector's burst analysis window.
+var paperWindow = DefaultDetectorConfig(1, 0).WindowQuanta
+
 // analyzeBursts runs AnalyzeBursts in a borrowed workspace.
-func analyzeBursts(records []auditor.QuantumHistogram, cfg BurstConfig) BurstAnalysis {
+func analyzeBursts(records []auditor.QuantumHistogram, windowQuanta int) BurstAnalysis {
 	ws := BorrowWorkspace()
 	defer ws.Release()
-	return AnalyzeBursts(records, cfg, ws)
+	return AnalyzeBursts(records, windowQuanta, ws)
 }
 
 // analyzeOscillation runs AnalyzeOscillation in a borrowed workspace.

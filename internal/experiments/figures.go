@@ -148,7 +148,9 @@ func Figure5(o Options) Figure5Result {
 	}
 	densities := train.Densities(0, cycle, 1000, false)
 	hist := stats.NewHistogram(16)
-	hist.AddAll(densities)
+	for _, d := range densities {
+		hist.Add(d)
+	}
 	lambda := stats.MeanInts(densities)
 	poisson := make([]float64, hist.NumBins())
 	total := float64(hist.Total())

@@ -31,6 +31,7 @@ import (
 	"time"
 
 	"cchunter/internal/obs"
+	"cchunter/internal/stats"
 	"cchunter/internal/trace"
 )
 
@@ -325,10 +326,7 @@ func (f *Fleet) Flights() []CapturedFlight {
 // deriveSeed mixes the fleet seed with a stream coordinate, splitmix64
 // style, so neighboring streams get decorrelated generators.
 func deriveSeed(root, a, b uint64) uint64 {
-	z := root + 0x9e3779b97f4a7c15*(a+1) + 0x94d049bb133111eb*(b+1)
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	return stats.Mix64(root + 0x9e3779b97f4a7c15*(a+1) + 0x94d049bb133111eb*(b+1))
 }
 
 // pacer throttles a host's producers to a target event rate. Pacing is

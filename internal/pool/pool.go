@@ -1,10 +1,10 @@
-// Package pool provides the size-classed, sync.Pool-backed scratch
-// buffers shared by the analysis pipeline: label series, running
-// minima, discretized-histogram feature vectors, k-means scratch, and
-// density slices. A detector run borrows buffers, uses them strictly
-// within the call, and returns them, so repeated scenario jobs on the
-// experiment runner reach a steady state where the analysis hot path
-// allocates nothing per job.
+// Package pool provides the size-classed, sync.Pool-backed float64
+// buffers shared by the analysis pipeline: the oscillation detector's
+// label series, running minima and correlogram copies, and the burst
+// detector's discretized-histogram feature vectors. A detector run
+// borrows buffers, uses them strictly within the call, and returns
+// them, so repeated scenario jobs on the experiment runner reach a
+// steady state where the analysis hot path allocates nothing per job.
 //
 // Ownership contract (see DESIGN.md §12): Get transfers exclusive
 // ownership of a zeroed, exactly-sized buffer to the caller; Put

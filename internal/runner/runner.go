@@ -23,15 +23,17 @@
 // the tests in this package enforce that equivalence.
 //
 // Allocation behavior at steady state: jobs draw their analysis
-// scratch — label series, running minima, discretized feature
-// vectors, autocorrelation workspaces — from the size-classed arena
-// in internal/pool and return it when the job's detector finishes
+// scratch buffers — label series, running minima, discretized feature
+// vectors — from the size-classed arena in internal/pool, and their
+// autocorrelation and k-means workspaces from core.Workspace's own
+// pool, and return both when the job's detector finishes
 // (Detector.Release). sync.Pool keeps per-P free lists, so a worker
 // that runs many similar jobs quickly re-acquires the buffers the
 // previous job on that worker released, and a long `ccrepro -j N`
 // sweep reaches a steady state where the analysis hot path allocates
-// nothing per job. Buffers are zeroed on Get, so reuse cannot leak
-// state between jobs — the bit-for-bit guarantee above is unaffected.
+// nothing per job. Recycled scratch is zeroed or overwritten before
+// use, so reuse cannot leak state between jobs — the bit-for-bit
+// guarantee above is unaffected.
 package runner
 
 import (
@@ -43,6 +45,7 @@ import (
 	"time"
 
 	"cchunter/internal/obs"
+	"cchunter/internal/stats"
 )
 
 // Job is one named unit of work. Name must be unique within a Run
@@ -105,16 +108,13 @@ type Pool struct {
 	Workers int
 	// OnProgress, when set, is called after each job completes.
 	OnProgress func(Progress)
-	// Watchdog, when positive, bounds each job's wall-clock execution:
-	// an overrunning job is abandoned with an ErrWatchdog-wrapped
-	// error. Zero disables supervision, which is the byte-identical
-	// legacy path (jobs run on the worker goroutine itself).
+	// Watchdog, when positive, supervises every job: an overrunning
+	// job is abandoned with an ErrWatchdog-wrapped error, and a
+	// panicking one becomes a *PanicError result instead of crashing
+	// the process (an abandoned goroutine's late panic must not take
+	// the pool down either). Zero disables supervision: jobs run on the
+	// worker goroutine itself.
 	Watchdog time.Duration
-	// Recover converts a panicking job into a *PanicError result
-	// instead of crashing the process. Always on when Watchdog is set
-	// (an abandoned goroutine's late panic must not take the pool
-	// down).
-	Recover bool
 	// Metrics, which may be nil, tallies runner.watchdog_fired and
 	// runner.panics_recovered.
 	Metrics *obs.Registry
@@ -236,11 +236,9 @@ func (p Pool) Run(rootSeed uint64, jobs []Job) ([]Result, error) {
 }
 
 // execute runs one job under the pool's supervision policy. With no
-// watchdog and no recovery configured, the job runs directly on the
-// worker goroutine — the legacy path, byte-identical in behavior and
-// timing to the unsupervised pool.
+// watchdog, the job runs directly on the worker goroutine.
 func (p Pool) execute(job Job, seed uint64) (interface{}, error) {
-	if p.Watchdog <= 0 && !p.Recover {
+	if p.Watchdog <= 0 {
 		return job.Run(seed)
 	}
 	return Supervise(context.Background(), job.Name, p.Watchdog, p.Metrics,
@@ -269,10 +267,6 @@ func DeriveSeed(rootSeed uint64, jobName string) uint64 {
 	return z
 }
 
-// mix64 is the SplitMix64 output finalizer.
-func mix64(z uint64) uint64 {
-	z += 0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
+// mix64 is one SplitMix64 step: the golden-gamma increment, then the
+// output finalizer.
+func mix64(z uint64) uint64 { return stats.Mix64(z + 0x9e3779b97f4a7c15) }

@@ -75,7 +75,7 @@ func TestSuperviseFastJobUnaffected(t *testing.T) {
 	}
 }
 
-// TestPoolRecoversPanic: a pool with Recover converts a panicking job
+// TestPoolRecoversPanic: a supervised pool converts a panicking job
 // into a typed failure while a concurrently dispatched healthy job
 // still completes (both jobs are claimed before the failure can stop
 // dispatch).
@@ -85,7 +85,7 @@ func TestPoolRecoversPanic(t *testing.T) {
 		{Name: "panics", Run: func(uint64) (interface{}, error) { panic("dead detector") }},
 		{Name: "ok", Run: func(seed uint64) (interface{}, error) { return seed, nil }},
 	}
-	results, err := Pool{Workers: 2, Recover: true, Metrics: reg}.Run(1, jobs)
+	results, err := Pool{Workers: 2, Watchdog: time.Minute, Metrics: reg}.Run(1, jobs)
 	if err == nil {
 		t.Fatal("pool swallowed the panic")
 	}
@@ -144,7 +144,7 @@ func TestPoolSupervisedDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	guarded, err := Pool{Workers: 2, Watchdog: time.Minute, Recover: true}.Run(7, mkJobs())
+	guarded, err := Pool{Workers: 2, Watchdog: time.Minute}.Run(7, mkJobs())
 	if err != nil {
 		t.Fatal(err)
 	}

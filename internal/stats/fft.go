@@ -203,7 +203,6 @@ type Workspace struct {
 	centered []float64 // mean-centered copy of the input
 	cden     float64   // energy Σ(x-mean)² of the centered copy
 	acf      []float64 // output buffer, returned to the caller
-	segAcc   []float64 // Bartlett accumulation buffer (segmented path)
 
 	// Path-selection tallies, read via PathCounts. Plain (non-atomic)
 	// because a Workspace is single-goroutine by contract.
@@ -276,57 +275,6 @@ func (w *Workspace) Autocorrelogram(xs []float64, maxLag int) []float64 {
 		naiveAutocorr(w.centered, den, out)
 	}
 	return out
-}
-
-// SegmentedAutocorrelogram estimates the autocorrelation coefficients
-// for lags 0..maxLag by Bartlett averaging: the series is cut into
-// consecutive fixed-size segments, each segment's autocorrelogram is
-// computed independently (through the same FFT/naive crossover and the
-// same scratch buffers), and the per-lag coefficients are averaged.
-// The streaming daemon uses this for mid-window estimates: each chunk
-// costs O(segLen log segLen) and the estimate refines as chunks
-// arrive, without ever holding (or transforming) the whole series. On
-// a stationary series the average converges to the full correlogram;
-// it is an estimate, not the exact §IV-D statistic, which the window
-// close recomputes exactly.
-//
-// A trailing partial segment shorter than segLen is dropped; maxLag is
-// clamped below segLen. When the series is shorter than one segment
-// (or segLen is zero) the call falls through to the exact
-// Autocorrelogram. The returned slice is owned by the workspace and is
-// overwritten by the next segmented call.
-func (w *Workspace) SegmentedAutocorrelogram(xs []float64, segLen, maxLag int) []float64 {
-	n := len(xs)
-	if n == 0 {
-		return nil
-	}
-	if segLen <= 0 || segLen >= n {
-		return w.Autocorrelogram(xs, maxLag)
-	}
-	if maxLag >= segLen {
-		maxLag = segLen - 1
-	}
-	if maxLag < 0 {
-		maxLag = 0
-	}
-	w.segAcc = grow(w.segAcc, maxLag+1)
-	acc := w.segAcc
-	for i := range acc {
-		acc[i] = 0
-	}
-	segments := 0
-	for start := 0; start+segLen <= n; start += segLen {
-		acf := w.Autocorrelogram(xs[start:start+segLen], maxLag)
-		for p, v := range acf {
-			acc[p] += v
-		}
-		segments++
-	}
-	inv := 1 / float64(segments)
-	for p := range acc {
-		acc[p] *= inv
-	}
-	return acc
 }
 
 // CenteredAutocorrelation returns r_p of the series most recently

@@ -48,36 +48,6 @@ func (h *Histogram) Add(density int) {
 	h.bins[density]++
 }
 
-// AddAll records one observation window per density — the bulk fill
-// for density slices. The hot loop is unrolled four-wide: a group of
-// four in-range densities costs four array bumps and a single combined
-// range check, and only groups containing a negative or clamped value
-// fall back to the scalar path. Equivalent to calling Add per element.
-func (h *Histogram) AddAll(densities []int) {
-	bins := h.bins
-	top := len(bins)
-	i := 0
-	for ; i+4 <= len(densities); i += 4 {
-		d0, d1, d2, d3 := densities[i], densities[i+1], densities[i+2], densities[i+3]
-		// A negative value sets the sign bit of the OR; a clamped one
-		// fails the max comparison. Either sends the group scalar.
-		if d0|d1|d2|d3 >= 0 && d0 < top && d1 < top && d2 < top && d3 < top {
-			bins[d0]++
-			bins[d1]++
-			bins[d2]++
-			bins[d3]++
-			continue
-		}
-		h.Add(d0)
-		h.Add(d1)
-		h.Add(d2)
-		h.Add(d3)
-	}
-	for ; i < len(densities); i++ {
-		h.Add(densities[i])
-	}
-}
-
 // AddN records n observation windows at the same density.
 func (h *Histogram) AddN(density int, n uint64) {
 	if density < 0 {

@@ -31,14 +31,21 @@ func NewRNG(seed uint64) *RNG {
 func SeededRNG(seed uint64) RNG {
 	// splitmix64 step so that small seeds (0, 1, 2...) still produce
 	// well-mixed initial states.
-	z := seed + 0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	z ^= z >> 31
+	z := Mix64(seed + 0x9e3779b97f4a7c15)
 	if z == 0 {
 		z = 0x853c49e6748fea9b
 	}
 	return RNG{state: z}
+}
+
+// Mix64 is SplitMix64's output finalizer: a cheap, well-distributed,
+// allocation-free 64-bit mixer. SplitMix64 adds the golden gamma
+// 0x9e3779b97f4a7c15 to its state before each call; callers make
+// that pre-add themselves, each in its own way, or skip it.
+func Mix64(z uint64) uint64 {
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return z ^ (z >> 31)
 }
 
 // Uint64 returns the next 64 pseudo-random bits.

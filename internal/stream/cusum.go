@@ -22,51 +22,39 @@ import (
 	"cchunter/internal/core"
 )
 
-// CUSUMConfig tunes the change detector that turns a detection
-// statistic's sample series into an onset time.
-type CUSUMConfig struct {
-	// Drift is the per-sample allowance k subtracted from each
-	// deviation before accumulation: fluctuations smaller than Drift
-	// (and baseline wander the EWMA tracks) never accumulate, which is
-	// what separates a benign slow drift from a channel switching on.
-	Drift float64
-	// K sets the firing threshold to K·σ, where σ is the EWMA estimate
-	// of the series' standard deviation — quiet series fire on small
-	// excursions, noisy ones demand proportionally more evidence.
-	K float64
-	// MinThreshold floors the threshold so a perfectly constant
+// The change detector's calibration for the detection statistics this
+// package feeds it: likelihood ratios and autocorrelation peaks, both
+// in [0, 1], near-constant while a channel is silent.
+const (
+	// cusumDrift is the per-sample allowance k subtracted from each
+	// deviation before accumulation: fluctuations smaller than the
+	// drift (and baseline wander the EWMA tracks) never accumulate,
+	// which is what separates a benign slow drift from a channel
+	// switching on.
+	cusumDrift = 0.05
+	// cusumK sets the firing threshold to K·σ, where σ is the EWMA
+	// estimate of the series' standard deviation — quiet series fire
+	// on small excursions, noisy ones demand proportionally more
+	// evidence.
+	cusumK = 6
+	// cusumMinThreshold floors the threshold so a perfectly constant
 	// warmup (σ = 0) does not fire on roundoff.
-	MinThreshold float64
-	// Alpha is the EWMA smoothing factor for the baseline mean and
-	// variance (0 < Alpha <= 1; smaller tracks slower).
-	Alpha float64
-	// Warmup is how many leading samples establish the baseline before
-	// the detector is willing to fire.
-	Warmup int
-}
-
-// DefaultCUSUMConfig returns a change detector calibrated for the
-// detection statistics this package feeds it: likelihood ratios and
-// autocorrelation peaks, both in [0, 1], near-constant while a channel
-// is silent.
-func DefaultCUSUMConfig() CUSUMConfig {
-	return CUSUMConfig{
-		Drift:        0.05,
-		K:            6,
-		MinThreshold: 0.2,
-		Alpha:        0.05,
-		Warmup:       8,
-	}
-}
+	cusumMinThreshold = 0.2
+	// cusumAlpha is the EWMA smoothing factor for the baseline mean
+	// and variance (smaller tracks slower).
+	cusumAlpha = 0.05
+	// cusumWarmup is how many leading samples establish the baseline
+	// before the detector is willing to fire.
+	cusumWarmup = 8
+)
 
 // CUSUM is a one-sided cumulative-sum change detector over a scalar
-// series: S ← max(0, S + (x − mean − Drift)), firing when S crosses
-// the adaptive threshold. The onset estimate is the classic
-// CUSUM one — the sample at which S last left zero before the firing
-// crossing; everything since that sample contributed to the alarm.
+// series: S ← max(0, S + (x − mean − cusumDrift)), firing when S
+// crosses the adaptive threshold max(cusumK·σ, cusumMinThreshold).
+// The onset estimate is the classic CUSUM one — the sample at which S
+// last left zero before the firing crossing; everything since that
+// sample contributed to the alarm.
 type CUSUM struct {
-	cfg CUSUMConfig
-
 	s       float64
 	n       int
 	mean    float64
@@ -86,27 +74,8 @@ type CUSUM struct {
 	lastThr    float64
 }
 
-// NewCUSUM builds a change detector. Zero-value fields of cfg fall
-// back to the defaults, so CUSUMConfig{} is usable.
-func NewCUSUM(cfg CUSUMConfig) *CUSUM {
-	def := DefaultCUSUMConfig()
-	if cfg.Drift <= 0 {
-		cfg.Drift = def.Drift
-	}
-	if cfg.Alpha <= 0 || cfg.Alpha > 1 {
-		cfg.Alpha = def.Alpha
-	}
-	if cfg.Warmup <= 0 {
-		cfg.Warmup = def.Warmup
-	}
-	if cfg.K <= 0 {
-		cfg.K = def.K
-	}
-	if cfg.MinThreshold <= 0 {
-		cfg.MinThreshold = def.MinThreshold
-	}
-	return &CUSUM{cfg: cfg}
-}
+// NewCUSUM builds a change detector with the package's calibration.
+func NewCUSUM() *CUSUM { return new(CUSUM) }
 
 // Add consumes one sample stamped with its simulated cycle (cycles
 // must be non-decreasing) and reports whether the detector fired on
@@ -115,14 +84,14 @@ func NewCUSUM(cfg CUSUMConfig) *CUSUM {
 func (c *CUSUM) Add(x float64, cycle uint64) bool {
 	i := c.n
 	c.n++
-	if i < c.cfg.Warmup {
+	if i < cusumWarmup {
 		// Baseline establishment: running average, no change scoring.
 		c.mean += (x - c.mean) / float64(i+1)
 		d := x - c.mean
 		c.varEWMA += (float64(d*d) - c.varEWMA) / float64(i+1)
 		return false
 	}
-	dev := x - c.mean - c.cfg.Drift
+	dev := x - c.mean - cusumDrift
 	prev := c.s
 	c.s += dev
 	if c.s < 0 {
@@ -133,10 +102,7 @@ func (c *CUSUM) Add(x float64, cycle uint64) bool {
 	} else if c.s == 0 {
 		c.inExc = false
 	}
-	thr := c.cfg.K * math.Sqrt(c.varEWMA)
-	if thr < c.cfg.MinThreshold {
-		thr = c.cfg.MinThreshold
-	}
+	thr := max(cusumK*math.Sqrt(c.varEWMA), cusumMinThreshold)
 	c.lastThr = thr
 	firedNow := false
 	if !c.fired && c.s >= thr {
@@ -151,7 +117,7 @@ func (c *CUSUM) Add(x float64, cycle uint64) bool {
 	// once an excursion is building, freezing the baseline stops the
 	// change itself from being absorbed into "normal".
 	if c.s == 0 {
-		a := c.cfg.Alpha
+		a := cusumAlpha
 		d := x - c.mean
 		c.mean += float64(a * d)
 		c.varEWMA = float64((1-a)*c.varEWMA) + float64(a*d*d)

@@ -3,8 +3,8 @@ package stream
 import "testing"
 
 // feed pushes a series into a fresh detector and returns it.
-func feed(cfg CUSUMConfig, series []float64) *CUSUM {
-	c := NewCUSUM(cfg)
+func feed(series []float64) *CUSUM {
+	c := NewCUSUM()
 	for i, x := range series {
 		c.Add(x, uint64(i)*1000)
 	}
@@ -91,7 +91,7 @@ func TestCUSUMSeries(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			c := feed(CUSUMConfig{}, tc.series)
+			c := feed(tc.series)
 			r := c.Report()
 			if r.Detected != tc.wantFire {
 				t.Fatalf("fired = %v, want %v (stat %.3f vs thr %.3f)",
@@ -122,7 +122,7 @@ func TestCUSUMSeries(t *testing.T) {
 // TestCUSUMLatches verifies the alarm is sticky: once fired, a return
 // to baseline does not clear it, and the recorded onset is preserved.
 func TestCUSUMLatches(t *testing.T) {
-	c := NewCUSUM(CUSUMConfig{})
+	c := NewCUSUM()
 	for i := 0; i < 30; i++ {
 		c.Add(0.1, uint64(i))
 	}
@@ -147,10 +147,34 @@ func TestCUSUMLatches(t *testing.T) {
 // TestCUSUMWarmupSuppression: no alarm can fire inside the warmup
 // window even on an extreme series.
 func TestCUSUMWarmupSuppression(t *testing.T) {
-	c := NewCUSUM(CUSUMConfig{Warmup: 16})
-	for i := 0; i < 16; i++ {
+	c := NewCUSUM()
+	for i := 0; i < cusumWarmup; i++ {
 		if c.Add(float64(i), uint64(i)) {
 			t.Fatalf("fired during warmup at sample %d", i)
 		}
+	}
+}
+
+// TestCUSUMFloorAndDrift pins the calibration on a constant baseline
+// (σ = 0, so the threshold is its 0.2 floor): a step of 0.255 clears
+// drift plus floor on its first sample, straight after the eight
+// warmup samples, and a sustained step of 0.04, inside the 0.05 drift
+// allowance, never accumulates.
+func TestCUSUMFloorAndDrift(t *testing.T) {
+	step := func(size float64) *CUSUM {
+		series := make([]float64, 200)
+		for i := range series {
+			series[i] = 0.1
+			if i >= 8 {
+				series[i] += size
+			}
+		}
+		return feed(series)
+	}
+	if r := step(0.255).Report(); !r.Detected || r.OnsetIndex != 8 || r.FiredCycle != 8000 {
+		t.Errorf("0.255 step: %+v, want fired on sample 8", r)
+	}
+	if r := step(0.04).Report(); r.Detected {
+		t.Errorf("0.04 step inside the drift allowance fired: %+v", r)
 	}
 }

@@ -25,11 +25,6 @@ type Config struct {
 	RetainWindows int
 }
 
-// segmentLen is the chunk size of the segmented Wiener–Khinchin
-// estimate interim verdicts use for the still-open observation window.
-// Final analyses always use the exact correlogram.
-const segmentLen = 2048
-
 // kindState is the sliding burst-detection state for one monitored
 // combinational unit: a ring of the last WindowQuanta quantum
 // histograms — exactly the suffix AnalyzeBursts would slice from a
@@ -70,7 +65,7 @@ func (ks *kindState) push(rec auditor.QuantumHistogram, quantumLen uint64) (evic
 // buffers as the run progresses:
 //
 //   - per OS quantum, the recorded density histograms move into a
-//     sliding ring of the last BurstConfig.WindowQuanta quanta and the
+//     sliding ring of the last DetectorConfig.WindowQuanta quanta and the
 //     likelihood ratio over the ring's merged histogram is updated
 //     incrementally;
 //   - per observation window, the conflict train's closed window is
@@ -136,15 +131,15 @@ func New(aud *auditor.Auditor, cfg Config) *Detector {
 		merged.Reset()
 		d.kinds = append(d.kinds, &kindState{
 			kind:    kind,
-			ringCap: d.dcfg.Burst.WindowQuanta,
+			ringCap: d.dcfg.WindowQuanta,
 			merged:  merged,
-			cus:     NewCUSUM(DefaultCUSUMConfig()),
+			cus:     NewCUSUM(),
 		})
 	}
 	if aud.ConflictTrain() != nil {
 		d.oscOn = true
 		d.window = d.dcfg.ObservationWindow()
-		d.peakCusum = NewCUSUM(DefaultCUSUMConfig())
+		d.peakCusum = NewCUSUM()
 	}
 	return d
 }
@@ -208,7 +203,7 @@ func (d *Detector) closeWindows() {
 	}
 	closed := last - (last-d.curWs)%d.window
 	// A background context never stops the loop, so it returns nil.
-	_ = core.AnalyzeOscillationWindows(context.Background(), train, d.curWs, closed, d.window, d.dcfg.Oscillation, d.ws, d.fold)
+	_ = core.AnalyzeOscillationWindows(context.Background(), train, d.curWs, closed, d.window, core.DefaultOscillationConfig(), d.ws, d.fold)
 	d.curWs = closed
 	d.aud.TrimConflicts(closed)
 }
@@ -254,9 +249,9 @@ func (d *Detector) RetainedEvents() int {
 
 // Interim renders a mid-run verdict from everything drained so far:
 // the sliding-ring burst analyses over completed quanta, the
-// oscillation fold over closed windows, plus a segmented-correlogram
-// estimate of the still-open window. It does not flush the auditor, so
-// it never perturbs the final verdict.
+// oscillation fold over closed windows, plus the still-open window's
+// events up to cycle, analyzed exactly as a closed window would be. It
+// does not flush the auditor, so it never perturbs the final verdict.
 func (d *Detector) Interim(cycle uint64) core.Report {
 	contention := d.contention()
 	var osc *core.OscillationVerdict
@@ -264,9 +259,7 @@ func (d *Detector) Interim(cycle uint64) core.Report {
 		d.aud.ForceDrainConflicts()
 		osc = &core.OscillationVerdict{Best: d.best, DetectedWindows: d.detectedWindows}
 		if open := d.aud.ConflictTrain().Window(d.curWs, cycle+1); open.Len() > 0 {
-			cfg := d.dcfg.Oscillation
-			cfg.SegmentLen = segmentLen
-			a := core.AnalyzeOscillation(open, cfg, d.ws)
+			a := core.AnalyzeOscillation(open, core.DefaultOscillationConfig(), d.ws)
 			if d.windowsAnalyzed == 0 || core.BetterOscillation(a, osc.Best) {
 				osc.Best = a
 			}
@@ -312,7 +305,7 @@ func (d *Detector) FinalizeContext(ctx context.Context, endCycle uint64) core.Re
 		if n := train.Len(); n > d.peakRetained {
 			d.peakRetained = n
 		}
-		err := core.AnalyzeOscillationWindows(ctx, train, d.curWs, endCycle, d.window, d.dcfg.Oscillation, d.ws, d.fold)
+		err := core.AnalyzeOscillationWindows(ctx, train, d.curWs, endCycle, d.window, core.DefaultOscillationConfig(), d.ws, d.fold)
 		if err != nil {
 			return core.DegradedReport("analysis cancelled: " + err.Error())
 		}
@@ -331,7 +324,7 @@ func (d *Detector) FinalizeContext(ctx context.Context, endCycle uint64) core.Re
 func (d *Detector) contention() []core.ContentionVerdict {
 	var out []core.ContentionVerdict
 	for _, ks := range d.kinds {
-		out = append(out, core.ContentionVerdict{Kind: ks.kind, Analysis: core.AnalyzeBursts(ks.ring, d.dcfg.Burst, d.ws)})
+		out = append(out, core.ContentionVerdict{Kind: ks.kind, Analysis: core.AnalyzeBursts(ks.ring, d.dcfg.WindowQuanta, d.ws)})
 	}
 	return out
 }

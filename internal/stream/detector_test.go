@@ -166,7 +166,7 @@ func TestStreamingEquivalenceSynthetic(t *testing.T) {
 		divisor int
 		chunk   int
 		interim bool
-		window  int // Burst.WindowQuanta; 0 keeps the default
+		window  int // WindowQuanta; 0 keeps the default
 	}{
 		{name: "clean-chunk1", seed: 1, chunk: 1},
 		{name: "clean-chunk64", seed: 1, chunk: 64},
@@ -189,7 +189,7 @@ func TestStreamingEquivalenceSynthetic(t *testing.T) {
 				cfg.ObservationDivisor = tc.divisor
 			}
 			if tc.window > 0 {
-				cfg.Burst.WindowQuanta = tc.window
+				cfg.WindowQuanta = tc.window
 			}
 			want := marshalVerdict(t, batchReport(t, events, cfg, end, tc.chunk))
 			got := marshalVerdict(t, streamReport(t, events, Config{Detector: cfg}, end, tc.chunk, tc.interim))
@@ -293,5 +293,71 @@ func TestFinalizeContextCancelled(t *testing.T) {
 	rep := d.FinalizeContext(ctx, uint64(quanta)*testQuantum)
 	if !rep.Failed() || rep.Detected || rep.Confidence != 0 {
 		t.Errorf("cancelled finalize rendered %+v, want a degraded placeholder", rep)
+	}
+}
+
+// TestInterimOpenWindowMatchesExact: Interim analyzes the still-open
+// observation window with the same exact correlogram a closed window
+// gets, so its best analysis equals core.AnalyzeOscillation over the
+// recorded events up to the interim cycle. Both windows carry a couple
+// that alternates direction every phase events under 25% noise. The
+// sparse one holds 500 events; the dense one holds more than 4096, and
+// its second harmonic lies past the correlogram's lag 1000.
+func TestInterimOpenWindowMatchesExact(t *testing.T) {
+	const quantum = 2_000_000
+	for _, tc := range []struct {
+		name   string
+		events int
+		gap    uint64
+		phase  int
+	}{
+		{name: "sparse", events: 500, gap: 3000, phase: 50},
+		{name: "dense", events: 5000, gap: 300, phase: 300},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := splitmix(uint64(tc.events))
+			var events []trace.Event
+			for i := 0; i < tc.events; i++ {
+				e := trace.Event{Cycle: uint64(i+1) * tc.gap, Kind: trace.KindConflictMiss, Unit: uint32(i % 256)}
+				if r := rng.next(); r%4 == 0 { // interleaved noise from other contexts
+					e.Actor, e.Victim = uint8(2+(r>>8)%4), uint8(2+(r>>16)%4)
+				} else if (i/tc.phase)%2 == 0 {
+					e.Actor, e.Victim = 0, 1
+				} else {
+					e.Actor, e.Victim = 1, 0
+				}
+				events = append(events, e)
+			}
+			cycle := events[len(events)-1].Cycle
+			if cycle >= quantum {
+				t.Fatalf("train ends at %d, past the open window", cycle)
+			}
+			aud := newAuditor(t, quantum)
+			d := New(aud, Config{Detector: core.DefaultDetectorConfig(quantum, 4)})
+			d.OnEvents(events)
+			rep := d.Interim(cycle)
+			open := aud.ConflictTrain().Window(0, cycle+1)
+			if open.Len() < tc.events*9/10 {
+				t.Fatalf("open window holds %d of %d events", open.Len(), tc.events)
+			}
+			ws := core.BorrowWorkspace()
+			exact := core.AnalyzeOscillation(open, core.DefaultOscillationConfig(), ws)
+			ws.Release()
+			if !exact.Detected {
+				t.Fatalf("fixture carries no detectable oscillation: lag %d, %d harmonics", exact.FundamentalLag, exact.Harmonics)
+			}
+			want, err := json.Marshal(exact)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := json.Marshal(rep.Oscillation.Best)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("interim best differs from the exact analysis of its %d open events\ninterim: %.300s\nexact:   %.300s", open.Len(), got, want)
+			}
+			d.Finalize(quantum)
+		})
 	}
 }

@@ -21,7 +21,7 @@ func soakRun(t *testing.T, quanta int, faulty bool) (peakHeap uint64, peakEvents
 	cfg.ObservationDivisor = 2
 	// Bound every growth axis: this is the daemon configuration, not
 	// the byte-identical-Windows one.
-	cfg.Burst.WindowQuanta = 64
+	cfg.WindowQuanta = 64
 	aud := newAuditor(t, testQuantum)
 	d := New(aud, Config{Detector: cfg, RetainWindows: 8})
 

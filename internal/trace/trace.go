@@ -249,61 +249,23 @@ func (t *Train) FilterKind(k Kind) *Train {
 // visited). A partial trailing window is included when includePartial
 // is true.
 func (t *Train) Densities(start, end, dt uint64, includePartial bool) []int {
-	return t.DensitiesInto(nil, start, end, dt, includePartial)
-}
-
-// DensitiesInto is Densities filling a caller-provided buffer (grown
-// when too small, e.g. from internal/pool), so repeated density sweeps
-// allocate nothing in steady state. The count loop is unrolled
-// four-wide; the windows are disjoint only across groups, so each
-// group's bumps still land on the right bins when several events share
-// a window. Returns the filled slice.
-func (t *Train) DensitiesInto(out []int, start, end, dt uint64, includePartial bool) []int {
 	if dt == 0 {
 		panic("trace: Densities with dt == 0")
 	}
-	if end <= start {
-		return out[:0]
-	}
-	span := end - start
-	n := int(span / dt)
-	partial := span%dt != 0
-	total := n
-	if partial && includePartial {
-		total++
-	}
-	if cap(out) < total {
-		out = make([]int, total)
-	} else {
-		out = out[:total]
-		for i := range out {
-			out[i] = 0
+	var total int
+	if end > start {
+		span := end - start
+		total = int(span / dt)
+		if span%dt != 0 && includePartial {
+			total++
 		}
 	}
-	lo := searchCycle(t.events, start)
-	hi := searchCycle(t.events, end)
-	ev := t.events[lo:hi]
-	i := 0
-	for ; i+4 <= len(ev); i += 4 {
-		i0 := int((ev[i].Cycle - start) / dt)
-		i1 := int((ev[i+1].Cycle - start) / dt)
-		i2 := int((ev[i+2].Cycle - start) / dt)
-		i3 := int((ev[i+3].Cycle - start) / dt)
-		if i3 < total { // events are time-ordered: i0 <= i1 <= i2 <= i3
-			out[i0]++
-			out[i1]++
-			out[i2]++
-			out[i3]++
-			continue
-		}
-		for _, idx := range [4]int{i0, i1, i2, i3} {
-			if idx < total {
-				out[idx]++
-			}
-		}
+	if total == 0 {
+		return nil
 	}
-	for ; i < len(ev); i++ {
-		if idx := int((ev[i].Cycle - start) / dt); idx < total {
+	out := make([]int, total)
+	for _, e := range t.events[searchCycle(t.events, start):searchCycle(t.events, end)] {
+		if idx := int((e.Cycle - start) / dt); idx < total {
 			out[idx]++
 		}
 	}
