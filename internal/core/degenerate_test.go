@@ -107,7 +107,7 @@ func TestAnalyzeMaxDensitySaturation(t *testing.T) {
 
 func TestHistogramDegenerateInputs(t *testing.T) {
 	h := stats.NewHistogram(8)
-	if h.Total() != 0 || h.NonZeroMax() != -1 || h.MeanDensity() != 0 {
+	if h.Total() != 0 || h.NonZeroMax() != -1 || h.MeanDensityFrom(0) != 0 {
 		t.Error("empty histogram statistics wrong")
 	}
 	// Over-range densities clamp into the top bin and are counted.
@@ -122,8 +122,8 @@ func TestHistogramDegenerateInputs(t *testing.T) {
 	// A single-entry histogram still yields sane statistics.
 	one := stats.NewHistogram(4)
 	one.Add(2)
-	if one.MeanDensity() != 2 || one.NonZeroMax() != 2 {
-		t.Errorf("single-entry stats: mean=%v max=%v", one.MeanDensity(), one.NonZeroMax())
+	if one.MeanDensityFrom(0) != 2 || one.NonZeroMax() != 2 {
+		t.Errorf("single-entry stats: mean=%v max=%v", one.MeanDensityFrom(0), one.NonZeroMax())
 	}
 }
 

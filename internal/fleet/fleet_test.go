@@ -144,18 +144,20 @@ func TestFleetDeterministic(t *testing.T) {
 
 // TestFleetEpochAllocationBound pins allocation-flat epochs: once the
 // shared pools are warm, a fleet epoch reuses its ingest batches,
-// conflict trains and quantum histograms, and what it still allocates
-// per stream is the verdict envelope (reports, correlograms, window
-// analyses) and the per-epoch ingest queue. Measured on a 2-core
-// x86-64 container with Go 1.24: about 50 KB per stream-epoch, against
-// about 295 KB when every epoch built its buffers anew. The ceiling
-// leaves 2x headroom for a collection emptying the pools mid-run and
-// for other core counts, and stays well below the unpooled cost.
+// conflict trains, quantum histograms, window correlograms and
+// analyses slices, and what it still allocates per stream is the
+// verdict envelope (reports, peaks, burst analyses) and the per-epoch
+// ingest queue. Measured on a 2-core x86-64 container with Go 1.24:
+// about 21-25 KB per stream-epoch, against about 50 KB while the
+// correlograms escaped into the Reports and about 295 KB when every
+// epoch built its buffers anew. The ceiling leaves 1.6x headroom
+// for a collection emptying the pools mid-run and for other core
+// counts, and fails a fleet whose correlograms escape again.
 func TestFleetEpochAllocationBound(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops sync.Pool puts, so pooled buffers are re-made")
 	}
-	const ceiling = 100 << 10 // bytes per stream-epoch
+	const ceiling = 40 << 10 // bytes per stream-epoch
 	const epochs = 8
 	cfg := testFleetConfig()
 	f, err := New(cfg)

@@ -139,7 +139,9 @@ func (s *shard) pumpQuantum(gen []trace.Event, batchEvents int) []trace.Event {
 
 // interim submits a mid-epoch verdict. The analysis runs on the
 // ingest's consumer goroutine (Do), after every batch queued so far —
-// an ordered quiesce point, so it never races event delivery.
+// an ordered quiesce point, so it never races event delivery. The hub
+// reads the Report before the detector's next call, which is as long
+// as an Interim Report stays valid.
 func (s *shard) interim(hub *Hub) {
 	cycle := s.endCycle
 	key, epoch := s.key, s.epoch
@@ -188,6 +190,11 @@ func (s *shard) finalizeEpoch(hub *Hub) {
 		Key: s.key, Seq: s.nextSeq(), Epoch: s.epoch,
 		Cycle: end, Final: true, Report: rep,
 	})
+	if err == nil {
+		// The hub has read the verdict, so its window analyses go back
+		// to the pools the next epoch's detector draws from.
+		det.Release()
+	}
 	if s.rec != nil && rep.Detected {
 		f := s.rec.Capture("detection", recorder.Meta{
 			Seed:               s.src.seed,

@@ -177,19 +177,6 @@ func (h *Histogram) NonZeroMax() int {
 	return -1
 }
 
-// MeanDensity returns the mean event density across all windows.
-func (h *Histogram) MeanDensity() float64 {
-	total := h.Total()
-	if total == 0 {
-		return 0
-	}
-	var s float64
-	for i, b := range h.bins {
-		s += float64(float64(i) * float64(b))
-	}
-	return s / float64(total)
-}
-
 // MeanDensityFrom returns the mean density restricted to bins >= from.
 // The burst detector uses this to check that the second distribution's
 // mean sits above 1.0 (§IV-B step 3).

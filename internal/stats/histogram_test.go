@@ -96,8 +96,8 @@ func TestHistogramMeanDensity(t *testing.T) {
 	h := NewHistogram(16)
 	h.AddN(0, 10)
 	h.AddN(10, 10)
-	if got := h.MeanDensity(); !almostEqual(got, 5, 1e-12) {
-		t.Errorf("MeanDensity = %v, want 5", got)
+	if got := h.MeanDensityFrom(0); !almostEqual(got, 5, 1e-12) {
+		t.Errorf("MeanDensityFrom(0) = %v, want 5", got)
 	}
 	if got := h.MeanDensityFrom(1); !almostEqual(got, 10, 1e-12) {
 		t.Errorf("MeanDensityFrom(1) = %v, want 10", got)
@@ -105,8 +105,8 @@ func TestHistogramMeanDensity(t *testing.T) {
 	if got := h.MeanDensityFrom(11); got != 0 {
 		t.Errorf("MeanDensityFrom past data = %v, want 0", got)
 	}
-	if got := NewHistogram(4).MeanDensity(); got != 0 {
-		t.Errorf("empty MeanDensity = %v", got)
+	if got := NewHistogram(4).MeanDensityFrom(0); got != 0 {
+		t.Errorf("empty MeanDensityFrom(0) = %v", got)
 	}
 }
 

@@ -115,17 +115,3 @@ func (r *RNG) Perm(n int) []int {
 	}
 	return p
 }
-
-// NormFloat64 returns a standard normally distributed value using the
-// polar Box-Muller transform.
-func (r *RNG) NormFloat64() float64 {
-	for {
-		u := 2*r.Float64() - 1
-		v := 2*r.Float64() - 1
-		s := float64(u*u) + float64(v*v)
-		if s >= 1 || s == 0 {
-			continue
-		}
-		return u * sqrt(-2*ln(s)/s)
-	}
-}

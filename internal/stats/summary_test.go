@@ -44,13 +44,6 @@ func TestMinMaxEmptyIsZero(t *testing.T) {
 	if min, max := MinMax(nil); min != 0 || max != 0 {
 		t.Fatalf("MinMax(nil) = (%v, %v), want (0, 0)", min, max)
 	}
-	if got := Percentile(nil, 50); got != 0 {
-		t.Fatalf("Percentile(nil, 50) = %v, want 0", got)
-	}
-	// Out-of-range percentiles clamp instead of panicking.
-	if got := Percentile([]float64{1, 2, 3}, 150); got != 3 {
-		t.Fatalf("Percentile(..., 150) = %v, want 3 (clamped to 100)", got)
-	}
 }
 
 func TestMedian(t *testing.T) {
@@ -70,25 +63,6 @@ func TestMedianDoesNotMutate(t *testing.T) {
 	Median(xs)
 	if xs[0] != 3 || xs[1] != 1 || xs[2] != 2 {
 		t.Errorf("Median mutated input: %v", xs)
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	if got := Percentile(xs, 0); got != 1 {
-		t.Errorf("P0 = %v, want 1", got)
-	}
-	if got := Percentile(xs, 100); got != 5 {
-		t.Errorf("P100 = %v, want 5", got)
-	}
-	if got := Percentile(xs, 50); got != 3 {
-		t.Errorf("P50 = %v, want 3", got)
-	}
-	if got := Percentile(xs, 25); got != 2 {
-		t.Errorf("P25 = %v, want 2", got)
-	}
-	if got := Percentile([]float64{7}, 99); got != 7 {
-		t.Errorf("P99 single = %v, want 7", got)
 	}
 }
 
@@ -166,6 +140,21 @@ func TestRNGPerm(t *testing.T) {
 	}
 	if len(seen) != 20 {
 		t.Fatalf("permutation missing elements: %v", p)
+	}
+}
+
+// NormFloat64 returns a standard normally distributed value using the
+// polar Box-Muller transform. Only tests draw normal noise, so it
+// lives here.
+func (r *RNG) NormFloat64() float64 {
+	for {
+		u := 2*r.Float64() - 1
+		v := 2*r.Float64() - 1
+		s := float64(u*u) + float64(v*v)
+		if s >= 1 || s == 0 {
+			continue
+		}
+		return u * math.Sqrt(-2*math.Log(s)/s)
 	}
 }
 

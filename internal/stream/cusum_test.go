@@ -178,3 +178,31 @@ func TestCUSUMFloorAndDrift(t *testing.T) {
 		t.Errorf("0.04 step inside the drift allowance fired: %+v", r)
 	}
 }
+
+// TestCUSUMThresholdBoundary pins the σ-scaled threshold on a noisy
+// baseline. Eight warmup samples of ±0.1 noise around 0.1 set σ ≈ 0.1;
+// sixteen samples of ±0.03 noise, inside the drift allowance, then
+// pull the EWMA down to σ ≈ 0.0611 (at α = 0.05; α = 0.06 would reach
+// 0.0575). A step to 0.505 adds 0.355 ≈ 5.8σ per sample: above 5σ and
+// the faster-decayed 6σ, below 6σ, so the alarm fires on the step's
+// second sample with the onset at its first.
+func TestCUSUMThresholdBoundary(t *testing.T) {
+	var series []float64
+	for i := 0; i < 8; i++ {
+		series = append(series, 0.1+0.1*float64(1-2*(i%2)))
+	}
+	for i := 0; i < 16; i++ {
+		series = append(series, 0.1+0.03*float64(1-2*(i%2)))
+	}
+	const step = 24
+	for i := 0; i < 8; i++ {
+		series = append(series, 0.505)
+	}
+	r := feed(series).Report()
+	if !r.Detected || r.OnsetIndex != step || r.FiredCycle != (step+1)*1000 {
+		t.Fatalf("%+v, want onset at sample %d and the alarm on sample %d", r, step, step+1)
+	}
+	if sigma := r.Threshold / cusumK; r.Threshold <= cusumMinThreshold || sigma < 0.06 || sigma > 0.062 {
+		t.Errorf("threshold %.4f is not 6σ of the decayed baseline σ ≈ 0.0611", r.Threshold)
+	}
+}

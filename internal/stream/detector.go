@@ -2,9 +2,11 @@ package stream
 
 import (
 	"context"
+	"sync"
 
 	"cchunter/internal/auditor"
 	"cchunter/internal/core"
+	"cchunter/internal/pool"
 	"cchunter/internal/stats"
 	"cchunter/internal/trace"
 )
@@ -79,6 +81,12 @@ func (ks *kindState) push(rec auditor.QuantumHistogram, quantumLen uint64) (evic
 // sequence Finalize's verdict fields are byte-identical to
 // core.Detector.Analyze's. Not safe for concurrent use; wrap it in an
 // Ingest queue to decouple producers.
+//
+// The window analyses' correlograms are pooled buffers the detector
+// owns. An Interim Report reads them and is valid only until the next
+// call on the detector. A Finalize Report stays valid until Release,
+// which gives them back; a detector that is never released leaves its
+// final Report valid for good.
 type Detector struct {
 	aud    *auditor.Auditor
 	dcfg   core.DetectorConfig
@@ -94,14 +102,21 @@ type Detector struct {
 	window          uint64
 	curWs           uint64
 	analyses        []core.OscillationAnalysis
+	analysesBox     *[]core.OscillationAnalysis // analyses's pooled box, if any
 	windowsAnalyzed int
 	best            core.OscillationAnalysis
+	bestOrphan      bool      // best's correlogram has left the retained ring
+	interimAcf      []float64 // the last Interim's winning open-window correlogram
 	detectedWindows int
 	peakRetained    int
 	peakCusum       *CUSUM
 
 	shed uint64
 }
+
+// analysesPool recycles released detectors' analyses slices, boxed as
+// in package pool; a detector draws one when it folds its first window.
+var analysesPool sync.Pool
 
 // New wraps an already-programmed auditor (Monitor/MonitorConflicts
 // done) in a streaming daemon that borrows a pooled analysis workspace
@@ -212,19 +227,42 @@ func (d *Detector) closeWindows() {
 // the running oscillation verdict.
 func (d *Detector) fold(start uint64, a core.OscillationAnalysis) {
 	if d.windowsAnalyzed == 0 || core.BetterOscillation(a, d.best) {
+		if d.bestOrphan {
+			pool.PutFloat64s(d.best.Autocorrelogram)
+			d.bestOrphan = false
+		}
 		d.best = a
 	}
 	d.windowsAnalyzed++
 	if d.retain > 0 && len(d.analyses) == d.retain {
+		// The analysis leaving the ring gives its correlogram back,
+		// unless best still reads it.
+		if gone := d.analyses[0].Autocorrelogram; sameBuffer(gone, d.best.Autocorrelogram) {
+			d.bestOrphan = true
+		} else {
+			pool.PutFloat64s(gone)
+		}
 		copy(d.analyses, d.analyses[1:])
 		d.analyses[len(d.analyses)-1] = a
 	} else {
+		if d.analyses == nil {
+			// Drawn at the first fold, so a detector that closes no
+			// window reports nil Windows, as the batch path does.
+			if b, _ := analysesPool.Get().(*[]core.OscillationAnalysis); b != nil {
+				d.analyses, d.analysesBox = *b, b
+			}
+		}
 		d.analyses = append(d.analyses, a)
 	}
 	if a.Detected {
 		d.detectedWindows++
 	}
 	d.peakCusum.Add(a.PeakValue, start)
+}
+
+// sameBuffer reports whether two correlograms share a backing array.
+func sameBuffer(a, b []float64) bool {
+	return len(a) > 0 && len(b) > 0 && &a[0] == &b[0]
 }
 
 // SetUpstreamLoss updates the upstream (sensor-path) loss rate folded
@@ -252,7 +290,10 @@ func (d *Detector) RetainedEvents() int {
 // oscillation fold over closed windows, plus the still-open window's
 // events up to cycle, analyzed exactly as a closed window would be. It
 // does not flush the auditor, so it never perturbs the final verdict.
+// The Report is valid only until the next call on the detector: an
+// open window's winning correlogram goes back to the pool then.
 func (d *Detector) Interim(cycle uint64) core.Report {
+	d.dropInterim()
 	contention := d.contention()
 	var osc *core.OscillationVerdict
 	if d.oscOn {
@@ -262,6 +303,9 @@ func (d *Detector) Interim(cycle uint64) core.Report {
 			a := core.AnalyzeOscillation(open, core.DefaultOscillationConfig(), d.ws)
 			if d.windowsAnalyzed == 0 || core.BetterOscillation(a, osc.Best) {
 				osc.Best = a
+				d.interimAcf = a.Autocorrelogram
+			} else {
+				pool.PutFloat64s(a.Autocorrelogram)
 			}
 			if a.Detected {
 				osc.DetectedWindows++
@@ -276,8 +320,8 @@ func (d *Detector) Interim(cycle uint64) core.Report {
 // Finalize flushes the auditor at endCycle, closes every remaining
 // observation window, renders the final verdict, and gives the
 // detector's workspace back to its pool and the histograms it drained
-// back to the auditor. The detector must not be used afterwards; the
-// auditor stays readable until its owner releases it.
+// back to the auditor. The detector must not be used afterwards, except
+// for Release; the auditor stays readable until its owner releases it.
 func (d *Detector) Finalize(endCycle uint64) core.Report {
 	return d.FinalizeContext(context.Background(), endCycle)
 }
@@ -297,6 +341,7 @@ func (d *Detector) FinalizeContext(ctx context.Context, endCycle uint64) core.Re
 			ks.ring, ks.merged = nil, nil
 		}
 	}()
+	d.dropInterim()
 	d.aud.Flush(endCycle)
 	d.drainQuanta()
 	var osc *core.OscillationVerdict
@@ -317,6 +362,40 @@ func (d *Detector) FinalizeContext(ctx context.Context, endCycle uint64) core.Re
 	rep := core.Assemble(d.aud, d.dcfg.UpstreamLossRate, d.contention(), osc, d.ws, reg)
 	rep.Streaming = d.streamingInfo()
 	return rep
+}
+
+// Release gives the detector's window analyses back to the pools its
+// successors draw from: the correlogram of every retained window and of
+// the best one, each exactly once, and the analyses slice. Call it after
+// Finalize, once nothing reads the final Report any more: its
+// Oscillation.Windows and Best.Autocorrelogram are reused afterwards.
+// It is the streaming counterpart of auditor.(*Auditor).Release.
+func (d *Detector) Release() {
+	d.dropInterim()
+	for _, a := range d.analyses {
+		pool.PutFloat64s(a.Autocorrelogram)
+	}
+	if d.bestOrphan {
+		pool.PutFloat64s(d.best.Autocorrelogram)
+	}
+	if cap(d.analyses) > 0 {
+		clear(d.analyses)
+		b := d.analysesBox
+		if b == nil {
+			b = new([]core.OscillationAnalysis)
+		}
+		*b = d.analyses[:0]
+		analysesPool.Put(b)
+	}
+	d.analyses, d.analysesBox = nil, nil
+	d.best, d.bestOrphan = core.OscillationAnalysis{}, false
+}
+
+// dropInterim gives the last Interim's winning open-window correlogram
+// back to the pool.
+func (d *Detector) dropInterim() {
+	pool.PutFloat64s(d.interimAcf)
+	d.interimAcf = nil
 }
 
 // contention runs the burst analysis over every monitored kind's
